@@ -5,8 +5,7 @@ alpha(du) + grad Phi(u) = f with one period of self-consistency.  It is
 attacked in layers:
 
 * stage solve: for a frozen dual forcing h, minimize the strictly convex
-  space-time objective of the elliptic-regularized system at parameter eps
-  (optionally through a proximal-envelope schedule first);
+  space-time objective of the elliptic-regularized system at parameter eps;
 * fixed point: update h toward -alpha(du) of the stage solution with a
   damped iteration wrapped in Anderson acceleration, restarting from the
   best iterate with halved damping whenever the residual blows past it;
@@ -31,7 +30,7 @@ from scipy.sparse.linalg import spsolve
 from . import convexcore as cc
 from .discretize import (
     ProblemSpec,
-    bochner_norm,
+    dual_bochner_norm,
     norm_V,
     norm_Vstar,
     norm_X,
@@ -93,7 +92,6 @@ class CascadeParams:
     """
 
     epsilon_schedule: tuple[float, ...] = default_epsilon_schedule()
-    lambda_schedule: tuple[float, ...] = ()
     mu_schedule: tuple[float, ...] = ()
     alpha_exp: float | None = None
     delta: float = 1e-8
@@ -114,10 +112,6 @@ class CascadeParams:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
         object.__setattr__(self, "epsilon_schedule", eps)
-        lams = tuple(float(x) for x in self.lambda_schedule)
-        if any(x <= 0.0 for x in lams):
-            raise ValueError("lambda schedule entries must be positive")
-        object.__setattr__(self, "lambda_schedule", lams)
         mus = tuple(float(x) for x in self.mu_schedule)
         if any(not (0.0 < x < 1.0) for x in mus):
             raise ValueError("mu schedule entries must lie in (0, 1)")
@@ -161,13 +155,6 @@ class StageResult:
 # single stage
 
 
-def _dual_bochner(R: np.ndarray, prob: ProblemSpec) -> float:
-    pc = prob.p_conj
-    return float(
-        bochner_norm(R, lambda s: norm_Vstar(s, pc, prob.smesh), pc, prob.tmesh)
-    )
-
-
 def solve_APh(
     prob: ProblemSpec,
     h: np.ndarray,
@@ -177,38 +164,18 @@ def solve_APh(
     u0: np.ndarray | None = None,
     stage_tol: float | None = None,
 ) -> tuple[np.ndarray, MinimizerReport]:
-    """Solve the regularized stage system at frozen dual forcing h.
-
-    Walks the proximal-envelope schedule first (if any), then the plain
-    smoothed energy, each minimization warm-started from the previous.
-    """
+    """Solve the regularized stage system at frozen dual forcing h by
+    minimizing its objective from u0 (zero when not given)."""
     u = np.zeros_like(prob.f) if u0 is None else u0
-    fh = prob.f + h
     tol = params.resolved_stage_tol() if stage_tol is None else stage_tol
-    rep = None
-    for lam in params.lambda_schedule:
-        ocfg = ObjectiveConfig(
-            prob=prob,
-            epsilon=eps,
-            lam=lam,
-            use_envelope=True,
-            f_plus_h=fh,
-            delta=params.delta,
-            pf=pf,
-            envelope_tol=min(1e-11, 0.1 * tol),
-        )
-        u, rep = minimize(u, ocfg, tol=max(tol, 1e-9), max_iter=params.max_newton)
     ocfg = ObjectiveConfig(
         prob=prob,
         epsilon=eps,
-        lam=0.0,
-        use_envelope=False,
-        f_plus_h=fh,
+        f_plus_h=prob.f + h,
         delta=params.delta,
         pf=pf,
     )
-    u, rep = minimize(u, ocfg, tol=tol, max_iter=params.max_newton)
-    return u, rep
+    return minimize(u, ocfg, tol=tol, max_iter=params.max_newton)
 
 
 def beta_map(
@@ -244,7 +211,7 @@ def fixed_point_solve(
     is reported, not raised.
     """
     h = np.zeros_like(prob.f) if h0 is None else np.asarray(h0, dtype=float).copy()
-    scale = max(1.0, _dual_bochner(prob.f, prob))
+    scale = max(1.0, dual_bochner_norm(prob.f, prob))
     tol = params.fp_tol * scale
     # beta amplifies stage defects by the inverse time step, so the inner
     # solves must be tighter than fp_tol by that factor; near the target the
@@ -254,15 +221,14 @@ def fixed_point_solve(
     st_tol = st_tol_base
     omega = params.omega
     halvings = 0
-    newton_iters = 0
     dh_hist: list[np.ndarray] = []
     dg_hist: list[np.ndarray] = []
     patience = max(min(3 * params.anderson_depth, 100), 15)
 
     bh, u, rep = beta_map(prob, h, eps, params, pf=pf, u0=u0, stage_tol=st_tol)
-    newton_iters += rep.iterations
+    reports = [rep]
     g = bh - h
-    res = _dual_bochner(g, prob)
+    res = dual_bochner_norm(g, prob)
     history = [res]
     best = {"res": res, "h": h.copy(), "g": g.copy(), "u": u.copy()}
     converged = res <= tol
@@ -284,9 +250,9 @@ def fixed_point_solve(
         bh_next, u_next, rep = beta_map(
             prob, h_next, eps, params, pf=pf, u0=u, stage_tol=st_tol
         )
-        newton_iters += rep.iterations
+        reports.append(rep)
         g_next = bh_next - h_next
-        res_next = _dual_bochner(g_next, prob)
+        res_next = dual_bochner_norm(g_next, prob)
         history.append(res_next)
         # The update map can be strongly expansive at small eps, so the
         # accelerated iterates legitimately overshoot by orders of magnitude
@@ -340,7 +306,9 @@ def fixed_point_solve(
         "beta_evaluations": len(history),
         "omega_final": float(omega),
         "omega_halvings": int(halvings),
-        "stage_newton_iterations": int(newton_iters),
+        "stage_newton_iterations": sum(r.iterations for r in reports),
+        "stage_minimize_unconverged": sum(not r.converged for r in reports),
+        "stage_line_search_failures": sum(r.line_search_failures for r in reports),
         "energy_margin": energy_margin(u, prob),
         "audit": stage_audit(u, h, prob, eps, params.delta, pf),
     }
@@ -451,7 +419,7 @@ def stage_audit(
         "eps_state_sq": eps * state_sq,
         "eta_dual_integral": eta_dual,
         "psi_grad_dual_integral": psi_grad_dual,
-        "h_dual_norm": _dual_bochner(h, prob),
+        "h_dual_norm": dual_bochner_norm(h, prob),
     }
     if pf is not None and pf.mu > 0.0:
         base_cfg = cfg.without_perturbation()
@@ -459,7 +427,7 @@ def stage_audit(
         coef = pf.mu * base_phi**pf.alpha_exp
         base_eta = cc.phi_grad(u, base_cfg)
         term = coef[..., None] * base_eta
-        audit["mu_term_dual_norm"] = _dual_bochner(term, prob)
+        audit["mu_term_dual_norm"] = dual_bochner_norm(term, prob)
         audit["mu_phi_power_max"] = float(np.max(coef))
     return audit
 
@@ -623,7 +591,7 @@ def direct_newton_oracle(
     N, M = tmesh.step_count, smesh.interior_count
     dt = tmesh.dt
     u = np.zeros((N, M)) if u0 is None else np.asarray(u0, dtype=float).copy()
-    scale = max(1.0, _dual_bochner(prob.f, prob))
+    scale = max(1.0, dual_bochner_norm(prob.f, prob))
     jac_delta = delta if delta > 0.0 else (1e-12 if prob.p < 2.0 else 0.0)
 
     def residual(v: np.ndarray) -> np.ndarray:
@@ -635,7 +603,7 @@ def direct_newton_oracle(
         )
 
     R = residual(u)
-    res = _dual_bochner(R, prob)
+    res = dual_bochner_norm(R, prob)
     iters = 0
     base_idx = np.arange(N * M).reshape(N, M)
     for iters in range(1, max_iter + 1):
@@ -683,7 +651,7 @@ def direct_newton_oracle(
         while t > 1e-16:
             trial = u + t * step
             Rt = residual(trial)
-            rt = _dual_bochner(Rt, prob)
+            rt = dual_bochner_norm(Rt, prob)
             if rt <= (1.0 - 1e-4 * t) * res:
                 u, R, res = trial, Rt, rt
                 accepted = True

@@ -191,21 +191,26 @@ def _build_problem(doc: dict) -> ProblemSpec:
         raise ConfigError(path, str(exc)) from exc
 
 
+_SCHEDULE_KEYS = ("epsilon_schedule", "mu_schedule")
+_NUMBER_KEYS = ("alpha_exp", "delta", "fp_tol", "stage_tol", "omega")
+_INT_KEYS = ("max_fp_iter", "anderson_depth", "max_newton", "mu_eps_truncate")
+
+
 def _build_cascade(doc: dict) -> CascadeParams:
     cb = _get(doc, "cascade", "", dict, {})
     path = "cascade"
+    known = (*_SCHEDULE_KEYS, *_NUMBER_KEYS, *_INT_KEYS, "exact_limit_stage")
+    for key in cb:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}", "unknown key")
     kwargs = {}
-    for key in (
-        "epsilon_schedule",
-        "lambda_schedule",
-        "mu_schedule",
-    ):
+    for key in _SCHEDULE_KEYS:
         if key in cb:
             kwargs[key] = tuple(_get(cb, key, path, list))
-    for key in ("alpha_exp", "delta", "fp_tol", "stage_tol", "omega"):
+    for key in _NUMBER_KEYS:
         if key in cb and cb[key] is not None:
             kwargs[key] = _number(cb, key, path)
-    for key in ("max_fp_iter", "anderson_depth", "max_newton", "mu_eps_truncate"):
+    for key in _INT_KEYS:
         if key in cb:
             kwargs[key] = _get(cb, key, path, int)
     if "exact_limit_stage" in cb:
@@ -264,6 +269,23 @@ def _write_report(outdir: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _solve_payload(
+    prob: ProblemSpec,
+    params: CascadeParams,
+    final: StageResult,
+    stages: list[StageResult],
+    route: str,
+) -> dict:
+    """Report entries of one routed solve: outcome, residual, every stage."""
+    return {
+        "command": "solve",
+        "route": route,
+        "converged": final.converged,
+        "final_residual_AP": residual_AP(final.u, prob, delta=params.delta),
+        "stages": [_stage_summary(s) for s in stages],
+    }
+
+
 def _solve_and_dump(cfg: RunConfig, outdir: Path) -> tuple[StageResult, dict]:
     final, stages, route = solve_routed(cfg.problem, cfg.cascade, route=cfg.route)
     write_field_csv(
@@ -272,16 +294,8 @@ def _solve_and_dump(cfg: RunConfig, outdir: Path) -> tuple[StageResult, dict]:
     write_field_dat(
         str(outdir / "trajectory.dat"), final.u, cfg.problem.smesh, cfg.problem.tmesh
     )
-    payload = {
-        "command": "solve",
-        "route": route,
-        "converged": final.converged,
-        "final_residual_AP": residual_AP(
-            final.u, cfg.problem, delta=cfg.cascade.delta
-        ),
-        "stages": [_stage_summary(s) for s in stages],
-        "config": cfg.raw,
-    }
+    payload = _solve_payload(cfg.problem, cfg.cascade, final, stages, route)
+    payload["config"] = cfg.raw
     return final, payload
 
 
@@ -417,19 +431,10 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
         )
         final, stages, route = solve_routed(prob, params)
         write_field_csv(str(sub / "trajectory.csv"), final.u, prob.smesh, prob.tmesh)
-        res = residual_AP(final.u, prob, delta=params.delta)
-        _write_report(
-            sub,
-            {
-                "command": "solve",
-                "route": route,
-                "converged": final.converged,
-                "final_residual_AP": res,
-                "stages": [_stage_summary(s) for s in stages],
-                "exit_code": EXIT_OK if final.converged else EXIT_NOCONV,
-            },
-        )
-        return p, m, ef, route, final.converged, res
+        payload = _solve_payload(prob, params, final, stages, route)
+        payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV
+        _write_report(sub, payload)
+        return p, m, ef, route, final.converged, payload["final_residual_AP"]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -3,8 +3,9 @@
 Houses the rate nonlinearity (a nondecreasing scalar map with its primitive
 and conjugate), the cellwise diffusion coefficient, gradient-energy
 functionals and their gradients, duality maps of the nodal L^r spaces,
-proximal smoothing (envelope, resolvent, Yosida gradient), and the
-power-perturbed energy used on the hard exponent branch.
+proximal smoothing (envelope, resolvent, Yosida gradient), the
+power-perturbed energy used on the hard exponent branch, and the damped
+Newton descent that runs every convex minimization of the package.
 
 Gradients are always understood against the pairing <xi, u> = sum_i dx xi_i u_i,
 so a "dual field" returned here pairs with increments through that weighted
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "PerturbedFunctional",
     "PhiConfig",
     "eval_psi",
-    "grad_psi",
     "eval_phi",
     "grad_phi",
     "phi_hessian_cell_weights",
@@ -343,12 +343,6 @@ def eval_psi(u: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh):
     return mesh.dx * np.sum(nl.primitive_A(u), axis=-1)
 
 
-def grad_psi(u: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh) -> np.ndarray:
-    """Pointwise alpha(u_i): the pairing gradient of eval_psi."""
-    u = _require_finite(u, "field")
-    return nl.alpha_eval(u)
-
-
 def _q_delta(z: np.ndarray, m: float, delta: float) -> np.ndarray:
     if delta > 0.0:
         return (z * z + delta * delta) ** ((m - 2.0) / 2.0) * z
@@ -535,77 +529,123 @@ def fenchel_psi_star(xi: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh):
 
 
 # ---------------------------------------------------------------------------
-# spatial Newton minimizer (shared by envelope and resolvent solves)
+# damped Newton descent (stage objectives and slice proximal problems)
 
 
-def _newton_minimize_field(
-    value_fn: Callable[[np.ndarray], float],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    hess_fn: Callable[[np.ndarray], np.ndarray],
-    v0: np.ndarray,
-    mesh: SpatialMesh,
-    dual_exponent: float,
-    tol: float,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton descent on a convex field functional.
+@dataclass
+class MinimizerReport:
+    """Outcome of one damped Newton descent.
 
-    Directions come from the (approximate) pairing Hessian with a Levenberg
-    shift escalation; any non-descent direction falls back to steepest
-    descent.  Armijo backtracking on the exact value guards every step;
-    once the predicted decrease drops below float64 value noise the test is
-    blind and acceptance falls back to a strict residual decrease.
+    iterations counts accepted steps, final_gradient_norm is the dual norm
+    of the last residual, and line_search_failures counts the directions
+    along which backtracking accepted no step.  history holds the residual
+    norm after every accepted step, starting from the initial one.
     """
-    v = np.array(v0, dtype=float)
-    fv = float(value_fn(v))
-    g = grad_fn(v)
-    res = float(norm_Vstar(g, dual_exponent, mesh))
-    for it in range(max_iter):
+
+    iterations: int
+    final_gradient_norm: float
+    objective_value: float
+    line_search_failures: int
+    converged: bool = True
+    history: list = field(default_factory=list)
+
+
+def _damped_newton(
+    u: np.ndarray,
+    value: Callable[[np.ndarray], float],
+    residual: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray], object],
+    solve: Callable[[object, np.ndarray, float], np.ndarray],
+    dual_norm: Callable[[np.ndarray], float],
+    pair: Callable[[np.ndarray, np.ndarray], float],
+    tol: float,
+    max_iter: int,
+) -> tuple[np.ndarray, MinimizerReport]:
+    """Damped Newton descent of a convex functional to dual_norm(R) <= tol.
+
+    residual(u) is the gradient R of value against pair, and hessian(u) its
+    (approximate) Jacobian H, which solve(H, rhs, shift) inverts with a
+    Levenberg shift.  The shift climbs a six-rung ladder from 1e-8 of the
+    mean diagonal until the solve gives a finite descent direction; with no
+    such rung the step is steepest descent.  Armijo backtracking on the
+    exact value guards every step, and a Newton direction that fails it is
+    retried along -R.  Once the predicted decrease drops below float64 value
+    noise the Armijo test is blind and acceptance falls back to a strict
+    residual decrease.  Non-convergence is reported, not raised.
+    """
+    fv = value(u)
+    R = residual(u)
+    res = dual_norm(R)
+    failures = 0
+    history = [res]
+    for it in range(1, max_iter + 1):
         if res <= tol:
-            return v, it, res, True
-        H = hess_fn(v)
+            return u, MinimizerReport(it - 1, res, fv, failures, True, history)
+        H = hessian(u)
+        g = R.ravel()
         step = None
         shift = 0.0
-        base = max(np.trace(H) / H.shape[0], 1e-12)
+        diag_mean = max(float(H.diagonal().mean()), 1e-12)
         for _ in range(6):
             try:
-                cand = np.linalg.solve(H + shift * np.eye(H.shape[0]), -g)
-            except np.linalg.LinAlgError:
+                cand = solve(H, -g, shift)
+            except (RuntimeError, np.linalg.LinAlgError):
                 cand = None
-            if cand is not None and pairing(g, cand, mesh) < 0.0:
-                step = cand
+            if (
+                cand is not None
+                and np.all(np.isfinite(cand))
+                and float(cand @ g) < 0.0
+            ):
+                step = cand.reshape(u.shape)
                 break
-            shift = base * 1e-8 if shift == 0.0 else shift * 100.0
-        if step is None:
-            step = -g
-        slope = float(pairing(g, step, mesh))
+            shift = diag_mean * 1e-8 if shift == 0.0 else shift * 100.0
+        newton_ok = step is not None
+        if not newton_ok:
+            step = -R
+        accepted = False
+        updated = False
+        # Below this, objective differences drown in float64 roundoff and the
+        # Armijo test becomes meaningless; fall back to residual decrease.
         noise = 64.0 * np.finfo(float).eps * (abs(fv) + 1.0)
-        accepted = updated = False
-        t = 1.0
-        res_tries = 0
-        while t > 1e-16 and res_tries < 3:
-            trial = v + t * step
-            ft = float(value_fn(trial))
-            blind = 1e-4 * t * abs(slope) <= noise
-            if not blind and ft <= fv + 1e-4 * t * slope:
-                v, fv = trial, ft
-                accepted = True
-                break
-            if blind:
-                res_tries += 1
-                gt = grad_fn(trial)
-                rt = float(norm_Vstar(gt, dual_exponent, mesh))
-                if rt < res:
-                    v, fv, g, res = trial, ft, gt, rt
-                    accepted = updated = True
+        for direction in (step, -R) if newton_ok else (step,):
+            slope = pair(R, direction)
+            blind = 1e-4 * abs(slope) <= noise
+            if slope >= 0.0 and not blind:
+                continue
+            t = 1.0
+            res_tries = 0
+            while t > 1e-16 and res_tries < 3:
+                trial = u + t * direction
+                ft = value(trial)
+                if not blind and ft <= fv + 1e-4 * t * slope:
+                    u, fv = trial, ft
+                    accepted = True
                     break
-            t *= 0.5
+                if blind or 1e-4 * t * abs(slope) <= noise:
+                    res_tries += 1
+                    Rt = residual(trial)
+                    rt = dual_norm(Rt)
+                    if rt < res:
+                        u, fv = trial, ft
+                        R, res = Rt, rt
+                        updated = True
+                        accepted = True
+                        break
+                t *= 0.5
+            if accepted:
+                break
+            failures += 1
         if not accepted:
-            return v, it, res, False
+            return u, MinimizerReport(it, res, fv, failures, False, history)
         if not updated:
-            g = grad_fn(v)
-            res = float(norm_Vstar(g, dual_exponent, mesh))
-    return v, max_iter, res, res <= tol
+            R = residual(u)
+            res = dual_norm(R)
+        history.append(res)
+    return u, MinimizerReport(max_iter, res, fv, failures, res <= tol, history)
+
+
+def _shifted_dense_solve(H: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
+    return np.linalg.solve(H + shift * np.eye(H.shape[0]), rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +687,16 @@ def moreau_yosida(
 
     scale = max(1.0, float(norm_V(u, p, mesh)) / lam)
     start = u if v0 is None else v0
-    J, _, res, ok = _newton_minimize_field(
-        value, grad, hess, start, mesh, pc, tol * scale, max_iter
+    J, rep = _damped_newton(
+        np.array(start, dtype=float), value, grad, hess, _shifted_dense_solve,
+        lambda g: float(norm_Vstar(g, pc, mesh)),
+        lambda a, b: float(pairing(a, b, mesh)),
+        tol * scale, max_iter,
     )
-    if not ok:
+    if not rep.converged:
         raise RuntimeError(
-            f"proximal solve stalled with stationarity residual {res:.3e}"
+            "proximal solve stalled with stationarity residual "
+            f"{rep.final_gradient_norm:.3e}"
         )
     envelope = value(J)
     yosida = -duality_map(J - u, p, mesh) / lam
@@ -700,12 +744,16 @@ def resolvent_phi_power(
                 v - w, p, cfg.delta, mesh
             ) + (1.0 + lam) * _phi_hessian_dispatch(v, base_cfg)
 
-        u, _, res, ok = _newton_minimize_field(
-            value, grad, hess, v0, mesh, pc, inner_tol
+        u, rep = _damped_newton(
+            np.array(v0, dtype=float), value, grad, hess, _shifted_dense_solve,
+            lambda g: float(norm_Vstar(g, pc, mesh)),
+            lambda a, b: float(pairing(a, b, mesh)),
+            inner_tol, 200,
         )
-        if not ok:
+        if not rep.converged:
             raise RuntimeError(
-                f"auxiliary solve at lam={lam:.3e} stalled, residual {res:.3e}"
+                f"auxiliary solve at lam={lam:.3e} stalled, "
+                f"residual {rep.final_gradient_norm:.3e}"
             )
         return u
 

@@ -27,8 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SpatialMesh",
     "TemporalMesh",
-    "PeriodicTrajectory",
-    "DualTrajectory",
     "ProblemSpec",
     "time_derivative",
     "norm_V",
@@ -36,18 +34,12 @@ __all__ = [
     "norm_X",
     "pairing",
     "bochner_norm",
+    "dual_bochner_norm",
     "sample_forcing",
     "write_field_csv",
     "read_field_csv",
     "write_field_dat",
 ]
-
-# Trajectory types. Shape (N, M), row n = field at time slice n. Periodic wrap
-# is applied by the operators, never stored twice.
-PeriodicTrajectory = np.ndarray
-# Same layout, interpreted through the duality pairing per slice.
-DualTrajectory = np.ndarray
-
 
 @dataclass(frozen=True)
 class SpatialMesh:
@@ -138,7 +130,7 @@ class ProblemSpec:
     m: float
     nl: "Nonlinearity"
     a: "DiffusionField"
-    f: DualTrajectory
+    f: np.ndarray
     smesh: SpatialMesh
     tmesh: TemporalMesh
 
@@ -173,7 +165,7 @@ class ProblemSpec:
 # discrete calculus
 
 
-def time_derivative(u: PeriodicTrajectory, tmesh: TemporalMesh) -> PeriodicTrajectory:
+def time_derivative(u: np.ndarray, tmesh: TemporalMesh) -> np.ndarray:
     """Backward difference with periodic wrap: slice n is (u_n - u_{n-1})/dt.
 
     Summing the output over one period gives the zero field exactly
@@ -243,6 +235,18 @@ def bochner_norm(
     return float((tmesh.dt * np.sum(slice_norms**r)) ** (1.0 / r))
 
 
+def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
+    """Norm of a dual trajectory: p' in time, the nodal V* norm in space.
+
+    This is the norm every residual and dual forcing of the problem is
+    measured in.
+    """
+    pc = prob.p_conj
+    return float(
+        bochner_norm(xi, lambda s: norm_Vstar(s, pc, prob.smesh), pc, prob.tmesh)
+    )
+
+
 # ---------------------------------------------------------------------------
 # forcing ingestion
 
@@ -278,7 +282,7 @@ def sample_forcing(
     expr: Mapping | Callable[[np.ndarray, float], np.ndarray],
     smesh: SpatialMesh,
     tmesh: TemporalMesh,
-) -> DualTrajectory:
+) -> np.ndarray:
     """Sample a forcing specification on the space-time grid.
 
     `expr` is either a callable f(x_array, t) -> array, or a mapping with a

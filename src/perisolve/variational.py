@@ -7,29 +7,29 @@ and minimizes, over periodic trajectories, the strictly convex functional
                + (eps/2) |u_n|_V^2 - <(f+h)_n, u_n> ]
 
 where du is the backward difference with periodic wrap, Psi the nodal
-primitive integral, and Phi either the smoothed gradient energy or its
-proximal envelope.  The gradient slice reproduces the discrete Euler
+primitive integral, and Phi the smoothed (possibly power-perturbed)
+gradient energy.  The gradient slice reproduces the discrete Euler
 equation, so stationarity equals solving the stage system.
 
-The minimizer is a damped Newton method on the flattened trajectory with a
-cyclic block-tridiagonal sparse Hessian, Armijo backtracking on the exact
-objective, and a steepest-descent fallback.
+The minimizer runs the damped Newton descent of convexcore on the flattened
+trajectory with a cyclic block-tridiagonal sparse Hessian, Armijo
+backtracking on the exact objective, and a steepest-descent fallback.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from . import convexcore as cc
+from .convexcore import MinimizerReport
 from .discretize import (
     ProblemSpec,
-    bochner_norm,
+    dual_bochner_norm,
     norm_V,
-    norm_Vstar,
     pairing,
     time_derivative,
     validate_trajectory,
@@ -38,11 +38,8 @@ from .discretize import (
 __all__ = [
     "ObjectiveConfig",
     "MinimizerReport",
-    "assemble_objective",
-    "objective_gradient",
     "minimize",
     "residual_AP",
-    "stage_residual",
 ]
 
 
@@ -52,27 +49,18 @@ class ObjectiveConfig:
 
     f_plus_h is the combined forcing trajectory of shape (N, M).  epsilon
     may be zero, which drops the time coupling and the lower-order terms and
-    decouples the slices.  lam > 0 with use_envelope swaps the gradient
-    energy for its proximal envelope (value and gradient both); lam = 0 uses
-    the smoothed energy directly.
+    decouples the slices.
     """
 
     prob: ProblemSpec
     epsilon: float
-    lam: float
-    use_envelope: bool
     f_plus_h: np.ndarray
     delta: float
     pf: cc.PerturbedFunctional | None = None
-    envelope_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if self.epsilon < 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.use_envelope and self.lam == 0.0:
-            raise ValueError("use_envelope requires lam > 0")
         self.f_plus_h = validate_trajectory(
             self.f_plus_h, self.prob.smesh, self.prob.tmesh, "combined forcing"
         )
@@ -88,61 +76,12 @@ class ObjectiveConfig:
         )
 
 
-@dataclass
-class MinimizerReport:
-    iterations: int
-    final_gradient_norm: float
-    objective_value: float
-    line_search_failures: int
-    converged: bool = True
-    history: list = field(default_factory=list)
-
-
-class _EnvelopeWorkspace:
-    """Per-slice proximal solves with warm starts carried across calls."""
-
-    def __init__(self, ocfg: ObjectiveConfig) -> None:
-        self.cfg = ocfg.phi_config()
-        self.lam = ocfg.lam
-        self.tol = ocfg.envelope_tol
-        self.warm: np.ndarray | None = None
-
-    def values_grads(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        N = u.shape[0]
-        J = np.empty_like(u)
-        env = np.empty(N)
-        ygrad = np.empty_like(u)
-        for n in range(N):
-            v0 = None if self.warm is None else self.warm[n]
-            J[n], env[n], g = cc.moreau_yosida(
-                u[n], self.lam, self.cfg, tol=self.tol, v0=v0
-            )
-            ygrad[n] = g  # envelope gradient F(u - J)/lam, as returned
-        self.warm = J.copy()
-        return J, env, ygrad
-
-
-def _phi_terms(
-    u: np.ndarray, ocfg: ObjectiveConfig, ws: _EnvelopeWorkspace | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice energies, slice gradients, and the Hessian anchor points."""
-    if ocfg.use_envelope:
-        assert ws is not None
-        J, env, ygrad = ws.values_grads(u)
-        return env, ygrad, J
-    cfg = ocfg.phi_config()
-    val, grad = cc.phi_value_grad(u, cfg)
-    return np.atleast_1d(val), grad, u
-
-
-def _objective_pieces(
-    u: np.ndarray, ocfg: ObjectiveConfig, ws: _EnvelopeWorkspace | None
-) -> float:
+def _objective(u: np.ndarray, ocfg: ObjectiveConfig) -> float:
+    """Value of the stage objective at a periodic trajectory."""
     prob = ocfg.prob
     dt = prob.tmesh.dt
     eps = ocfg.epsilon
-    phi_vals, _, _ = _phi_terms(u, ocfg, ws)
-    total = float(np.sum(phi_vals))
+    total = float(np.sum(cc.phi_value(u, ocfg.phi_config())))
     total -= float(np.sum(pairing(ocfg.f_plus_h, u, prob.smesh)))
     if eps > 0.0:
         du = time_derivative(u, prob.tmesh)
@@ -152,36 +91,18 @@ def _objective_pieces(
     return dt * total
 
 
-def assemble_objective(u: np.ndarray, ocfg: ObjectiveConfig) -> float:
-    """Objective value at a periodic trajectory (fresh envelope solves)."""
-    u = validate_trajectory(u, ocfg.prob.smesh, ocfg.prob.tmesh, "trajectory")
-    ws = _EnvelopeWorkspace(ocfg) if ocfg.use_envelope else None
-    return _objective_pieces(u, ocfg, ws)
-
-
-def _slice_residual(
-    u: np.ndarray, ocfg: ObjectiveConfig, ws: _EnvelopeWorkspace | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage equation residual per slice and the Hessian anchor trajectory."""
+def _slice_residual(u: np.ndarray, ocfg: ObjectiveConfig) -> np.ndarray:
+    """Stage equation residual per slice: the objective gradient over dt."""
     prob = ocfg.prob
     eps = ocfg.epsilon
-    _, phi_grads, anchor = _phi_terms(u, ocfg, ws)
-    R = phi_grads - ocfg.f_plus_h
+    R = cc.phi_grad(u, ocfg.phi_config()) - ocfg.f_plus_h
     if eps > 0.0:
         du = time_derivative(u, prob.tmesh)
         xi = prob.nl.alpha_eval(du)
         R = R + eps * (xi - np.roll(xi, -1, axis=0)) / prob.tmesh.dt
         R = R + eps * prob.nl.alpha_eval(u)
         R = R + eps * cc.duality_map(u, prob.p, prob.smesh)
-    return R, anchor
-
-
-def objective_gradient(u: np.ndarray, ocfg: ObjectiveConfig) -> np.ndarray:
-    """Pairing gradient of the objective: dt times the slice residual."""
-    u = validate_trajectory(u, ocfg.prob.smesh, ocfg.prob.tmesh, "trajectory")
-    ws = _EnvelopeWorkspace(ocfg) if ocfg.use_envelope else None
-    R, _ = _slice_residual(u, ocfg, ws)
-    return ocfg.prob.tmesh.dt * R
+    return R
 
 
 def _duality_diag(u: np.ndarray, p: float, delta: float, smesh) -> np.ndarray:
@@ -194,9 +115,7 @@ def _duality_diag(u: np.ndarray, p: float, delta: float, smesh) -> np.ndarray:
     return (p - 1.0) * nrm[..., None] ** (2.0 - p) * smooth
 
 
-def _assemble_hessian(
-    u: np.ndarray, anchor: np.ndarray, ocfg: ObjectiveConfig
-) -> sp.csr_matrix:
+def _assemble_hessian(u: np.ndarray, ocfg: ObjectiveConfig) -> sp.csr_matrix:
     """Cyclic block-tridiagonal Jacobian of the slice residual (symmetric)."""
     prob = ocfg.prob
     smesh, tmesh = prob.smesh, prob.tmesh
@@ -205,11 +124,9 @@ def _assemble_hessian(
     eps = ocfg.epsilon
     delta = ocfg.delta
 
-    w = cc.phi_hessian_cell_weights(anchor, prob.a, prob.m, delta, smesh)
+    w = cc.phi_hessian_cell_weights(u, prob.a, prob.m, delta, smesh)
     if ocfg.pf is not None and ocfg.pf.mu > 0.0:
-        base = np.asarray(
-            cc.eval_phi(anchor, prob.a, prob.m, delta, smesh)
-        )
+        base = np.asarray(cc.eval_phi(u, prob.a, prob.m, delta, smesh))
         w = (1.0 + ocfg.pf.mu * base**ocfg.pf.alpha_exp)[..., None] * w
 
     main = (w[:, :-1] + w[:, 1:]) / dx**2
@@ -251,17 +168,9 @@ def _assemble_hessian(
     return H.tocsr()
 
 
-def stage_residual(u: np.ndarray, ocfg: ObjectiveConfig) -> float:
-    """Bochner dual norm of the stage equation residual (solver-facing)."""
-    ws = _EnvelopeWorkspace(ocfg) if ocfg.use_envelope else None
-    R, _ = _slice_residual(u, ocfg, ws)
-    prob = ocfg.prob
-    pc = prob.p_conj
-    return float(
-        bochner_norm(
-            R, lambda s: norm_Vstar(s, pc, prob.smesh), pc, prob.tmesh
-        )
-    )
+def _shifted_spsolve(H: sp.csr_matrix, rhs: np.ndarray, shift: float) -> np.ndarray:
+    Hs = H if shift == 0.0 else H + shift * sp.identity(H.shape[0])
+    return spsolve(Hs.tocsc(), rhs)
 
 
 def minimize(
@@ -279,91 +188,19 @@ def minimize(
     """
     prob = ocfg.prob
     u = validate_trajectory(u0, prob.smesh, prob.tmesh, "initial trajectory").copy()
-    ws = _EnvelopeWorkspace(ocfg) if ocfg.use_envelope else None
-    smesh, tmesh = prob.smesh, prob.tmesh
-    pc = prob.p_conj
-
-    def dual_res(R: np.ndarray) -> float:
-        return float(
-            bochner_norm(R, lambda s: norm_Vstar(s, pc, smesh), pc, tmesh)
-        )
-
-    def st_pair(A: np.ndarray, B: np.ndarray) -> float:
-        return tmesh.dt * float(np.sum(pairing(A, B, smesh)))
-
-    scale = max(1.0, dual_res(ocfg.f_plus_h))
-    fv = _objective_pieces(u, ocfg, ws)
-    R, anchor = _slice_residual(u, ocfg, ws)
-    res = dual_res(R)
-    failures = 0
-    history = [res]
-    it = 0
-    for it in range(1, max_iter + 1):
-        if res <= tol * scale:
-            return u, MinimizerReport(it - 1, res, fv, failures, True, history)
-        H = _assemble_hessian(u, anchor, ocfg)
-        g = R.ravel()
-        step = None
-        shift = 0.0
-        diag_mean = max(float(H.diagonal().mean()), 1e-12)
-        for _ in range(6):
-            try:
-                Hs = H if shift == 0.0 else H + shift * sp.identity(H.shape[0])
-                cand = spsolve(Hs.tocsc(), -g)
-            except RuntimeError:
-                cand = None
-            if (
-                cand is not None
-                and np.all(np.isfinite(cand))
-                and float(cand @ g) < 0.0
-            ):
-                step = cand.reshape(u.shape)
-                break
-            shift = diag_mean * 1e-8 if shift == 0.0 else shift * 100.0
-        newton_ok = step is not None
-        if not newton_ok:
-            step = -R
-        accepted = False
-        updated = False
-        # Below this, objective differences drown in float64 roundoff and the
-        # Armijo test becomes meaningless; fall back to residual decrease.
-        noise = 64.0 * np.finfo(float).eps * (abs(fv) + 1.0)
-        for direction in (step, -R) if newton_ok else (step,):
-            slope = st_pair(R, direction)
-            blind = 1e-4 * abs(slope) <= noise
-            if slope >= 0.0 and not blind:
-                continue
-            t = 1.0
-            res_tries = 0
-            while t > 1e-16 and res_tries < 3:
-                trial = u + t * direction
-                ft = _objective_pieces(trial, ocfg, ws)
-                if not blind and ft <= fv + 1e-4 * t * slope:
-                    u, fv = trial, ft
-                    accepted = True
-                    break
-                if blind or 1e-4 * t * abs(slope) <= noise:
-                    res_tries += 1
-                    Rt, at = _slice_residual(trial, ocfg, ws)
-                    rt = dual_res(Rt)
-                    if rt < res:
-                        u, fv = trial, ft
-                        R, anchor, res = Rt, at, rt
-                        updated = True
-                        accepted = True
-                        break
-                t *= 0.5
-            if accepted:
-                break
-            failures += 1
-        if not accepted:
-            return u, MinimizerReport(it, res, fv, failures, False, history)
-        if not updated:
-            R, anchor = _slice_residual(u, ocfg, ws)
-            res = dual_res(R)
-        history.append(res)
-    converged = res <= tol * scale
-    return u, MinimizerReport(max_iter, res, fv, failures, converged, history)
+    smesh, dt = prob.smesh, prob.tmesh.dt
+    scale = max(1.0, dual_bochner_norm(ocfg.f_plus_h, prob))
+    return cc._damped_newton(
+        u,
+        lambda v: _objective(v, ocfg),
+        lambda v: _slice_residual(v, ocfg),
+        lambda v: _assemble_hessian(v, ocfg),
+        _shifted_spsolve,
+        lambda R: dual_bochner_norm(R, prob),
+        lambda A, B: dt * float(np.sum(pairing(A, B, smesh))),
+        tol * scale,
+        max_iter,
+    )
 
 
 def residual_AP(
@@ -383,9 +220,4 @@ def residual_AP(
         a=prob.a, m=prob.m, delta=delta, smesh=prob.smesh, p=prob.p, pf=pf
     )
     R = prob.nl.alpha_eval(du) + cc.phi_grad(u, cfg) - prob.f
-    pc = prob.p_conj
-    return float(
-        bochner_norm(
-            R, lambda s: norm_Vstar(s, pc, prob.smesh), pc, prob.tmesh
-        )
-    )
+    return dual_bochner_norm(R, prob)

@@ -35,6 +35,7 @@ from .discretize import (
     TemporalMesh,
     bochner_norm,
     cell_gradient,
+    dual_bochner_norm,
     norm_V,
     norm_Vstar,
     norm_X,
@@ -407,9 +408,7 @@ def invariant_suite(
     rng = rng or np.random.default_rng(1234)
     u = result.u
     smesh, tmesh = prob.smesh, prob.tmesh
-    scale = max(1.0, float(bochner_norm(
-        prob.f, lambda s: norm_Vstar(s, prob.p_conj, smesh), prob.p_conj, tmesh
-    )))
+    scale = max(1.0, dual_bochner_norm(prob.f, prob))
     checks: list[dict] = []
 
     # stationarity: the converged fixed point solves its stage equation

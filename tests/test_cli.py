@@ -87,6 +87,10 @@ class TestLoadConfig:
                 "problem.nonlinearity.kind",
             ),
             ({"problem": small_problem(), "cascade": {"fp_tol": 0.0}}, "cascade"),
+            (
+                {"problem": small_problem(), "cascade": {"lambda_schedule": [0.1]}},
+                "cascade.lambda_schedule",
+            ),
             ({"problem": small_problem(M="8")}, "problem.M"),
             ({}, "problem"),
         ]

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import fd_gradient
-from perisolve.discretize import pairing
+from perisolve.discretize import dual_bochner_norm, pairing
 from perisolve.variational import (
     MinimizerReport,
     ObjectiveConfig,
-    assemble_objective,
+    _objective,
+    _slice_residual,
     minimize,
-    objective_gradient,
     residual_AP,
-    stage_residual,
 )
 from util import linf_l2, mms_problem, unit_problem
 
@@ -19,8 +18,6 @@ def plain_cfg(prob, eps, f_plus_h=None, delta=1e-6):
     return ObjectiveConfig(
         prob=prob,
         epsilon=eps,
-        lam=0.0,
-        use_envelope=False,
         f_plus_h=prob.f if f_plus_h is None else f_plus_h,
         delta=delta,
     )
@@ -29,56 +26,42 @@ def plain_cfg(prob, eps, f_plus_h=None, delta=1e-6):
 def test_config_validation():
     prob = unit_problem(2.0, 2.0, 4, 3)
     with pytest.raises(ValueError, match="epsilon"):
-        ObjectiveConfig(prob, -0.1, 0.0, False, prob.f, 0.0)
-    with pytest.raises(ValueError, match="lam"):
-        ObjectiveConfig(prob, 0.1, -1.0, False, prob.f, 0.0)
-    with pytest.raises(ValueError, match="use_envelope"):
-        ObjectiveConfig(prob, 0.1, 0.0, True, prob.f, 0.0)
+        ObjectiveConfig(prob, -0.1, prob.f, 0.0)
     with pytest.raises(ValueError, match="combined forcing"):
-        ObjectiveConfig(prob, 0.1, 0.0, False, np.zeros((3, 5)), 0.0)
+        ObjectiveConfig(prob, 0.1, np.zeros((3, 5)), 0.0)
 
 
 def test_objective_zero_and_linear_term(rng):
     prob = unit_problem(2.5, 3.0, 6, 5)
     exact_cfg = plain_cfg(prob, 0.2, f_plus_h=np.zeros((5, 6)), delta=0.0)
-    assert assemble_objective(np.zeros((5, 6)), exact_cfg) == 0.0
+    assert _objective(np.zeros((5, 6)), exact_cfg) == 0.0
     # delta smoothing shifts the zero level only by O(delta^m)
     zero_cfg = plain_cfg(prob, 0.2, f_plus_h=np.zeros((5, 6)))
-    assert abs(assemble_objective(np.zeros((5, 6)), zero_cfg)) <= 1e-15
+    assert abs(_objective(np.zeros((5, 6)), zero_cfg)) <= 1e-15
     # forcing enters only through the linear pairing term
     u = rng.normal(size=(5, 6))
-    with_f = assemble_objective(u, plain_cfg(prob, 0.2))
-    without = assemble_objective(u, zero_cfg)
+    with_f = _objective(u, plain_cfg(prob, 0.2))
+    without = _objective(u, zero_cfg)
     lin = prob.tmesh.dt * float(np.sum(pairing(prob.f, u, prob.smesh)))
     assert with_f - without == pytest.approx(-lin, rel=1e-12)
 
 
 def test_gradient_matches_fd_plain(rng):
+    # the objective's pairing gradient is dt times the slice residual
     prob = unit_problem(2.5, 3.0, 6, 5)
     ocfg = plain_cfg(prob, 0.1)
     u = 0.3 * rng.normal(size=(5, 6))
-    fd = fd_gradient(lambda v: assemble_objective(v, ocfg), u)
-    g = prob.smesh.dx * objective_gradient(u, ocfg)
+    fd = fd_gradient(lambda v: _objective(v, ocfg), u)
+    g = prob.smesh.dx * prob.tmesh.dt * _slice_residual(u, ocfg)
     assert np.allclose(fd, g, rtol=1e-6, atol=1e-9)
-
-
-def test_gradient_matches_fd_through_envelope(rng):
-    # regression for the envelope gradient sign: finite differences of the
-    # assembled objective must match the reported gradient, not its negative
-    prob = unit_problem(2.0, 2.0, 5, 4)
-    ocfg = ObjectiveConfig(prob, 0.1, 0.05, True, prob.f, 0.0)
-    u = 0.3 * rng.normal(size=(4, 5))
-    fd = fd_gradient(lambda v: assemble_objective(v, ocfg), u)
-    g = prob.smesh.dx * objective_gradient(u, ocfg)
-    assert np.allclose(fd, g, rtol=1e-5, atol=1e-8)
 
 
 def test_gradient_shift_covariance(rng):
     prob = unit_problem(2.5, 3.0, 6, 5)
     u = rng.normal(size=(5, 6))
-    base = objective_gradient(u, plain_cfg(prob, 0.1))
-    shifted = objective_gradient(u, plain_cfg(prob, 0.1, f_plus_h=prob.f + 0.37))
-    assert np.allclose(shifted, base - prob.tmesh.dt * 0.37, atol=1e-13)
+    base = _slice_residual(u, plain_cfg(prob, 0.1))
+    shifted = _slice_residual(u, plain_cfg(prob, 0.1, f_plus_h=prob.f + 0.37))
+    assert np.allclose(shifted, base - 0.37, atol=1e-13)
 
 
 def test_minimizer_matches_dense_linear_solve():
@@ -87,12 +70,12 @@ def test_minimizer_matches_dense_linear_solve():
     prob = unit_problem(2.0, 2.0, 6, 5)
     ocfg = plain_cfg(prob, 0.25, delta=0.0)
     D = 30
-    g0 = objective_gradient(np.zeros((5, 6)), ocfg).ravel()
+    g0 = _slice_residual(np.zeros((5, 6)), ocfg).ravel()
     A = np.zeros((D, D))
     for j in range(D):
         e = np.zeros(D)
         e[j] = 1.0
-        A[:, j] = objective_gradient(e.reshape(5, 6), ocfg).ravel() - g0
+        A[:, j] = _slice_residual(e.reshape(5, 6), ocfg).ravel() - g0
     u_direct = np.linalg.solve(A, -g0).reshape(5, 6)
     u_min, rep = minimize(np.zeros((5, 6)), ocfg)
     assert rep.converged
@@ -120,10 +103,10 @@ def test_objective_convex_along_segments(rng):
     ocfg = plain_cfg(prob, 0.15)
     a = rng.normal(size=(4, 5))
     b = rng.normal(size=(4, 5))
-    Ia, Ib = assemble_objective(a, ocfg), assemble_objective(b, ocfg)
+    Ia, Ib = _objective(a, ocfg), _objective(b, ocfg)
     scale = 1.0 + abs(Ia) + abs(Ib)
     for th in (0.2, 0.5, 0.8):
-        mid = assemble_objective(th * a + (1 - th) * b, ocfg)
+        mid = _objective(th * a + (1 - th) * b, ocfg)
         assert mid <= th * Ia + (1 - th) * Ib + 1e-12 * scale
 
 
@@ -134,28 +117,12 @@ def test_minimize_report_contract(rng):
     u, rep = minimize(u0, ocfg)
     assert isinstance(rep, MinimizerReport)
     assert rep.converged
-    assert rep.objective_value <= assemble_objective(u0, ocfg) + 1e-12
+    assert rep.objective_value <= _objective(u0, ocfg) + 1e-12
     assert rep.final_gradient_norm == pytest.approx(
-        stage_residual(u, ocfg), rel=1e-10
+        dual_bochner_norm(_slice_residual(u, ocfg), prob), rel=1e-10
     )
     assert rep.history[-1] == rep.final_gradient_norm
     assert len(rep.history) == rep.iterations + 1
-
-
-def test_envelope_solution_converges_linearly_in_lam():
-    prob = unit_problem(2.0, 2.0, 5, 4)
-
-    def solve(lam):
-        ocfg = ObjectiveConfig(prob, 0.2, lam, lam > 0, prob.f, 0.0)
-        u, rep = minimize(np.zeros((4, 5)), ocfg)
-        assert rep.converged, lam
-        return u
-
-    u_ref = solve(0.0)
-    gap2 = np.abs(solve(1e-2) - u_ref).max()
-    gap3 = np.abs(solve(1e-3) - u_ref).max()
-    assert gap2 <= 0.1  # envelope stays near the plain energy
-    assert 5.0 <= gap2 / gap3 <= 20.0  # O(lam) continuation
 
 
 def test_residual_AP_vanishes_on_manufactured_solution():
@@ -169,13 +136,13 @@ def test_stage_residual_vanishes_at_minimizer():
     ocfg = plain_cfg(prob, 0.1)
     u, rep = minimize(np.zeros((5, 6)), ocfg)
     assert rep.converged
-    assert stage_residual(u, ocfg) <= 1e-9
+    assert dual_bochner_norm(_slice_residual(u, ocfg), prob) <= 1e-9
     # epsilon = 0 decouples the slices into elliptic solves; the minimizer
     # then satisfies the energy equation per slice
     ocfg0 = plain_cfg(prob, 0.0)
     u0, rep0 = minimize(np.zeros((5, 6)), ocfg0)
     assert rep0.converged
-    assert stage_residual(u0, ocfg0) <= 1e-9
+    assert dual_bochner_norm(_slice_residual(u0, ocfg0), prob) <= 1e-9
     import perisolve.convexcore as cc
 
     per_slice = cc.grad_phi(u0, prob.a, prob.m, 1e-6, prob.smesh) - prob.f
