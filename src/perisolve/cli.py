@@ -78,8 +78,11 @@ def _get(d: dict, key: str, path: str, typ=None, default=_SENTINEL):
             return default
         raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
     val = d[key]
-    if typ is not None and not isinstance(val, typ):
-        names = typ if isinstance(typ, tuple) else (typ,)
+    names = typ if isinstance(typ, tuple) else (typ,)
+    # JSON true and false load as bool, which is a subclass of int
+    if typ is not None and (
+        not isinstance(val, typ) or isinstance(val, bool) and bool not in names
+    ):
         raise ConfigError(
             f"{path}.{key}" if path else key,
             f"expected {'/'.join(t.__name__ for t in names)}, got {type(val).__name__}",
@@ -87,11 +90,15 @@ def _get(d: dict, key: str, path: str, typ=None, default=_SENTINEL):
     return val
 
 
-def _number(d: dict, key: str, path: str, default=_SENTINEL):
-    val = _get(d, key, path, (int, float), default)
-    if isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}", "expected a number, got a boolean")
-    return float(val)
+def _number(d: dict, key: str, path: str, default=_SENTINEL) -> float:
+    return float(_get(d, key, path, (int, float), default))
+
+
+def _int(d: dict, key: str, path: str, default=_SENTINEL) -> int:
+    val = _get(d, key, path, int, default)
+    if val < 0:
+        raise ConfigError(f"{path}.{key}", f"must be >= 0, got {val}")
+    return val
 
 
 @dataclass
@@ -169,8 +176,8 @@ def _build_problem(doc: dict) -> ProblemSpec:
         raise ConfigError("problem.m", f"must exceed 1, got {m}")
     L = _number(pb, "L", path, 1.0)
     T = _number(pb, "T", path, 1.0)
-    M = _get(pb, "M", path, int, 32)
-    N = _get(pb, "N", path, int, 32)
+    M = _int(pb, "M", path, 32)
+    N = _int(pb, "N", path, 32)
     try:
         smesh = SpatialMesh(L, M)
         tmesh = TemporalMesh(T, N)
@@ -206,13 +213,16 @@ def _build_cascade(doc: dict) -> CascadeParams:
     kwargs = {}
     for key in _SCHEDULE_KEYS:
         if key in cb:
-            kwargs[key] = tuple(_get(cb, key, path, list))
+            sched = _get(cb, key, path, list)
+            if not all(type(e) in (int, float) for e in sched):
+                raise ConfigError(f"{path}.{key}", "expected a list of numbers")
+            kwargs[key] = tuple(sched)
     for key in _NUMBER_KEYS:
         if key in cb and cb[key] is not None:
             kwargs[key] = _number(cb, key, path)
     for key in _INT_KEYS:
         if key in cb:
-            kwargs[key] = _get(cb, key, path, int)
+            kwargs[key] = _int(cb, key, path)
     if "exact_limit_stage" in cb:
         kwargs["exact_limit_stage"] = _get(cb, "exact_limit_stage", path, bool)
     try:
@@ -381,7 +391,7 @@ def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
     outdir = _ensure_dir(cfg.output_dir)
     blk = cfg.block("mosco")
     kind = blk.get("kind", "diffusion_perturbation")
-    n_max = int(blk.get("n_max", 8))
+    n_max = _int(blk, "n_max", "mosco", 8)
     try:
         seq = MoscoSequenceSpec(
             kind=kind, base=cfg.problem, index_set=tuple(range(1, n_max + 1))
@@ -429,7 +439,7 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
         prob = replace(
             cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p)
         )
-        final, stages, route = solve_routed(prob, params)
+        final, stages, route = solve_routed(prob, params, route=cfg.route)
         write_field_csv(str(sub / "trajectory.csv"), final.u, prob.smesh, prob.tmesh)
         payload = _solve_payload(prob, params, final, stages, route)
         payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV

@@ -46,7 +46,6 @@ __all__ = [
     "resolvent_phi_power",
     "phi_value",
     "phi_grad",
-    "phi_value_grad",
 ]
 
 _BRACKET_LIMIT = 1e8
@@ -495,15 +494,6 @@ def phi_grad(u: np.ndarray, cfg: PhiConfig) -> np.ndarray:
     return phi_power_eval_grad(u, cfg.pf, cfg)[1]
 
 
-def phi_value_grad(u: np.ndarray, cfg: PhiConfig) -> tuple:
-    if cfg.pf is None or cfg.pf.mu == 0.0:
-        return (
-            eval_phi(u, cfg.a, cfg.m, cfg.delta, cfg.smesh),
-            grad_phi(u, cfg.a, cfg.m, cfg.delta, cfg.smesh),
-        )
-    return phi_power_eval_grad(u, cfg.pf, cfg)
-
-
 def _phi_hessian_dispatch(u: np.ndarray, cfg: PhiConfig) -> np.ndarray:
     """Slice Hessian of the (possibly perturbed) energy.
 
@@ -555,6 +545,7 @@ def _damped_newton(
     value: Callable[[np.ndarray], float],
     residual: Callable[[np.ndarray], np.ndarray],
     hessian: Callable[[np.ndarray], object],
+    diagonal: Callable[[object], np.ndarray],
     solve: Callable[[object, np.ndarray, float], np.ndarray],
     dual_norm: Callable[[np.ndarray], float],
     pair: Callable[[np.ndarray, np.ndarray], float],
@@ -564,14 +555,15 @@ def _damped_newton(
     """Damped Newton descent of a convex functional to dual_norm(R) <= tol.
 
     residual(u) is the gradient R of value against pair, and hessian(u) its
-    (approximate) Jacobian H, which solve(H, rhs, shift) inverts with a
-    Levenberg shift.  The shift climbs a six-rung ladder from 1e-8 of the
-    mean diagonal until the solve gives a finite descent direction; with no
-    such rung the step is steepest descent.  Armijo backtracking on the
-    exact value guards every step, and a Newton direction that fails it is
-    retried along -R.  Once the predicted decrease drops below float64 value
-    noise the Armijo test is blind and acceptance falls back to a strict
-    residual decrease.  Non-convergence is reported, not raised.
+    (approximate) Jacobian H, stored however solve(H, rhs, shift) inverts it
+    with a Levenberg shift; diagonal(H) returns its main diagonal.  The
+    shift climbs a six-rung ladder from 1e-8 of the mean diagonal until the
+    solve gives a finite descent direction; with no such rung the step is
+    steepest descent.  Armijo backtracking on the exact value guards every
+    step, and a Newton direction that fails it is retried along -R.  Once
+    the predicted decrease drops below float64 value noise the Armijo test
+    is blind and acceptance falls back to a strict residual decrease.
+    Non-convergence is reported, not raised.
     """
     fv = value(u)
     R = residual(u)
@@ -585,7 +577,7 @@ def _damped_newton(
         g = R.ravel()
         step = None
         shift = 0.0
-        diag_mean = max(float(H.diagonal().mean()), 1e-12)
+        diag_mean = max(float(diagonal(H).mean()), 1e-12)
         for _ in range(6):
             try:
                 cand = solve(H, -g, shift)
@@ -688,7 +680,8 @@ def moreau_yosida(
     scale = max(1.0, float(norm_V(u, p, mesh)) / lam)
     start = u if v0 is None else v0
     J, rep = _damped_newton(
-        np.array(start, dtype=float), value, grad, hess, _shifted_dense_solve,
+        np.array(start, dtype=float), value, grad, hess, np.diag,
+        _shifted_dense_solve,
         lambda g: float(norm_Vstar(g, pc, mesh)),
         lambda a, b: float(pairing(a, b, mesh)),
         tol * scale, max_iter,
@@ -745,7 +738,8 @@ def resolvent_phi_power(
             ) + (1.0 + lam) * _phi_hessian_dispatch(v, base_cfg)
 
         u, rep = _damped_newton(
-            np.array(v0, dtype=float), value, grad, hess, _shifted_dense_solve,
+            np.array(v0, dtype=float), value, grad, hess, np.diag,
+            _shifted_dense_solve,
             lambda g: float(norm_Vstar(g, pc, mesh)),
             lambda a, b: float(pairing(a, b, mesh)),
             inner_tol, 200,

@@ -12,8 +12,9 @@ gradient energy.  The gradient slice reproduces the discrete Euler
 equation, so stationarity equals solving the stage system.
 
 The minimizer runs the damped Newton descent of convexcore on the flattened
-trajectory with a cyclic block-tridiagonal sparse Hessian, Armijo
-backtracking on the exact objective, and a steepest-descent fallback.
+trajectory with the cyclic block-tridiagonal Hessian in banded storage, one
+banded Cholesky solve per step, Armijo backtracking on the exact objective,
+and a steepest-descent fallback.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solveh_banded
 
 from . import convexcore as cc
 from .convexcore import MinimizerReport
@@ -115,8 +115,16 @@ def _duality_diag(u: np.ndarray, p: float, delta: float, smesh) -> np.ndarray:
     return (p - 1.0) * nrm[..., None] ** (2.0 - p) * smooth
 
 
-def _assemble_hessian(u: np.ndarray, ocfg: ObjectiveConfig) -> sp.csr_matrix:
-    """Cyclic block-tridiagonal Jacobian of the slice residual (symmetric)."""
+def _assemble_hessian(u: np.ndarray, ocfg: ObjectiveConfig) -> np.ndarray:
+    """Jacobian of the slice residual (symmetric) in LAPACK lower band storage.
+
+    The unknown at time node n and spatial node i sits at i*N + n, so the
+    cyclic block-tridiagonal matrix is banded with half-bandwidth N.  Band
+    row 0 holds the main diagonal, row 1 the coupling of time nodes n-1 and
+    n, row N-1 the periodic wrap from node N-1 back to node 0, and row N the
+    spatial off-diagonal.  At N = 2 rows 1 and N-1 coincide and the two time
+    couplings add.
+    """
     prob = ocfg.prob
     smesh, tmesh = prob.smesh, prob.tmesh
     N, M = u.shape
@@ -129,48 +137,32 @@ def _assemble_hessian(u: np.ndarray, ocfg: ObjectiveConfig) -> sp.csr_matrix:
         base = np.asarray(cc.eval_phi(u, prob.a, prob.m, delta, smesh))
         w = (1.0 + ocfg.pf.mu * base**ocfg.pf.alpha_exp)[..., None] * w
 
+    H = np.zeros((N + 1, N * M))
     main = (w[:, :-1] + w[:, 1:]) / dx**2
-    rows, cols, vals = [], [], []
-    base_idx = np.arange(N * M).reshape(N, M)
-
     if eps > 0.0:
         du = time_derivative(u, tmesh)
         c = eps * prob.nl.alpha_derivative(du, delta) / dt**2
         main = main + c + np.roll(c, -1, axis=0)
         main = main + eps * prob.nl.alpha_derivative(u, delta)
         main = main + eps * _duality_diag(u, prob.p, delta, smesh)
-        prev = np.roll(base_idx, 1, axis=0)
-        rows.append(base_idx.ravel())
-        cols.append(prev.ravel())
-        vals.append(-c.ravel())
-        rows.append(prev.ravel())
-        cols.append(base_idx.ravel())
-        vals.append(-c.ravel())
-
-    rows.append(base_idx.ravel())
-    cols.append(base_idx.ravel())
-    vals.append(main.ravel())
-
-    off = -w[:, 1:-1] / dx**2
-    left = base_idx[:, :-1]
-    right = base_idx[:, 1:]
-    rows.append(left.ravel())
-    cols.append(right.ravel())
-    vals.append(off.ravel())
-    rows.append(right.ravel())
-    cols.append(left.ravel())
-    vals.append(off.ravel())
-
-    H = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N * M, N * M),
-    )
-    return H.tocsr()
+        H[1].reshape(M, N)[:, :-1] = -c[1:].T
+        H[N - 1].reshape(M, N)[:, 0] -= c[0]
+    H[0] = main.T.ravel()
+    H[N, : N * (M - 1)] = (-w[:, 1:-1] / dx**2).T.ravel()
+    return H
 
 
-def _shifted_spsolve(H: sp.csr_matrix, rhs: np.ndarray, shift: float) -> np.ndarray:
-    Hs = H if shift == 0.0 else H + shift * sp.identity(H.shape[0])
-    return spsolve(Hs.tocsc(), rhs)
+def _shifted_band_solve(H: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
+    """Solve (H + shift I) x = rhs by banded Cholesky; rhs and x time-major.
+
+    An indefinite or non-finite H gives LinAlgError or a non-finite x, which
+    the Newton driver's shift ladder catches.
+    """
+    N = H.shape[0] - 1
+    Hs = np.concatenate((H[:1] + shift, H[1:]))
+    b = rhs.reshape(N, -1).T.ravel()
+    x = solveh_banded(Hs, b, overwrite_ab=True, lower=True, check_finite=False)
+    return x.reshape(-1, N).T.ravel()
 
 
 def minimize(
@@ -195,7 +187,8 @@ def minimize(
         lambda v: _objective(v, ocfg),
         lambda v: _slice_residual(v, ocfg),
         lambda v: _assemble_hessian(v, ocfg),
-        _shifted_spsolve,
+        lambda H: H[0],
+        _shifted_band_solve,
         lambda R: dual_bochner_norm(R, prob),
         lambda A, B: dt * float(np.sum(pairing(A, B, smesh))),
         tol * scale,

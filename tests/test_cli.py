@@ -92,6 +92,19 @@ class TestLoadConfig:
                 "cascade.lambda_schedule",
             ),
             ({"problem": small_problem(M="8")}, "problem.M"),
+            ({"problem": small_problem(M=True)}, "problem.M"),
+            (
+                {"problem": small_problem(), "cascade": {"epsilon_schedule": [None]}},
+                "cascade.epsilon_schedule",
+            ),
+            (
+                {"problem": small_problem(), "cascade": {"max_newton": -1}},
+                "cascade.max_newton",
+            ),
+            (
+                {"problem": small_problem(), "cascade": {"anderson_depth": -3}},
+                "cascade.anderson_depth",
+            ),
             ({}, "problem"),
         ]
         for doc, key in cases:
@@ -249,6 +262,20 @@ def test_cmd_sweep_default_pair_matrix(tmp_path):
         assert (tmp_path / "sw" / sub / "trajectory.csv").exists()
 
 
+def test_cmd_sweep_follows_the_configured_route(tmp_path):
+    # p = 2, m = 3 takes the plain route under "auto"; the config asks for mu
+    doc = {
+        "output_dir": str(tmp_path / "sw"),
+        "route": "mu",
+        "problem": small_problem(),
+        "cascade": {"fp_tol": 1e-8},
+        "sweep": {"pairs": [[2, 3]]},
+    }
+    cli.cmd_sweep(cli.load_config(write_config(tmp_path, doc)))
+    summary = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[3] for line in summary[1:]] == ["mu"]
+
+
 def test_cmd_sweep_requires_power_map(tmp_path):
     doc = {
         "problem": small_problem(
@@ -276,6 +303,13 @@ class TestMain:
         code = cli.main(["solve", "--config", path, "--quiet"])
         assert code == cli.EXIT_CONFIG
         assert "problem.m" in capsys.readouterr().err
+
+    def test_mosco_index_bound_must_be_an_integer(self, tmp_path, capsys):
+        doc = {"problem": small_problem(), "mosco": {"n_max": "x"}}
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "o")
+        assert cli.main(["mosco", "--config", path, "--output", out, "--quiet"]) == 1
+        assert "mosco.n_max" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):

@@ -6,7 +6,9 @@ from perisolve.discretize import dual_bochner_norm, pairing
 from perisolve.variational import (
     MinimizerReport,
     ObjectiveConfig,
+    _assemble_hessian,
     _objective,
+    _shifted_band_solve,
     _slice_residual,
     minimize,
     residual_AP,
@@ -64,22 +66,42 @@ def test_gradient_shift_covariance(rng):
     assert np.allclose(shifted, base - 0.37, atol=1e-13)
 
 
-def test_minimizer_matches_dense_linear_solve():
+@pytest.mark.parametrize("M, N", [(6, 5), (5, 2)])
+def test_minimizer_matches_dense_linear_solve(M, N):
     # p = m = 2: the gradient is affine, so an independently assembled dense
-    # system pins the minimizer exactly
-    prob = unit_problem(2.0, 2.0, 6, 5)
+    # system pins the minimizer exactly, and the exact Hessian gets there in
+    # one Newton step.  At N = 2 both time couplings of a node pair share
+    # one band row.
+    prob = unit_problem(2.0, 2.0, M, N)
     ocfg = plain_cfg(prob, 0.25, delta=0.0)
-    D = 30
-    g0 = _slice_residual(np.zeros((5, 6)), ocfg).ravel()
+    D = N * M
+    g0 = _slice_residual(np.zeros((N, M)), ocfg).ravel()
     A = np.zeros((D, D))
     for j in range(D):
         e = np.zeros(D)
         e[j] = 1.0
-        A[:, j] = _slice_residual(e.reshape(5, 6), ocfg).ravel() - g0
-    u_direct = np.linalg.solve(A, -g0).reshape(5, 6)
-    u_min, rep = minimize(np.zeros((5, 6)), ocfg)
+        A[:, j] = _slice_residual(e.reshape(N, M), ocfg).ravel() - g0
+    u_direct = np.linalg.solve(A, -g0).reshape(N, M)
+    u_min, rep = minimize(np.zeros((N, M)), ocfg)
     assert rep.converged
+    assert rep.iterations == 1
     assert np.abs(u_min - u_direct).max() <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "row, bad", [(0, -1.0), (0, np.nan), (1, np.nan), (1, np.inf), (3, np.inf)]
+)
+def test_band_solve_failure_is_left_to_the_shift_ladder(row, bad):
+    # an indefinite or non-finite band must surface as LinAlgError or a
+    # non-finite solution, which the Newton driver catches, never ValueError
+    prob = unit_problem(2.0, 2.0, 4, 3)
+    H = _assemble_hessian(np.zeros((3, 4)), plain_cfg(prob, 0.25, delta=0.0))
+    H[row, 4] = bad
+    try:
+        x = _shifted_band_solve(H, np.ones(12), 0.0)
+    except np.linalg.LinAlgError:
+        return
+    assert not np.all(np.isfinite(x))
 
 
 def test_minimizer_zero_data_and_uniqueness(rng):
