@@ -13,7 +13,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .discretize import (
 from .verify import (
     MoscoSequenceSpec,
     Table,
+    _solve_batch,
     growth_audit,
     invariant_suite,
     mms_run,
@@ -94,10 +94,10 @@ def _number(d: dict, key: str, path: str, default=_SENTINEL) -> float:
     return float(_get(d, key, path, (int, float), default))
 
 
-def _int(d: dict, key: str, path: str, default=_SENTINEL) -> int:
+def _int(d: dict, key: str, path: str, default=_SENTINEL, minimum: int = 0) -> int:
     val = _get(d, key, path, int, default)
-    if val < 0:
-        raise ConfigError(f"{path}.{key}", f"must be >= 0, got {val}")
+    if val < minimum:
+        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
     return val
 
 
@@ -113,7 +113,7 @@ class RunConfig:
     route: str = "auto"
 
     def block(self, name: str) -> dict:
-        return self.raw.get(name, {})
+        return _get(self.raw, name, "", dict, {})
 
 
 def _build_nonlinearity(spec: dict, p: float, path: str) -> cc.Nonlinearity:
@@ -325,16 +325,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    samples = _int(cfg.block("verify"), "sample_count", "verify", 40, minimum=1)
     outdir = _ensure_dir(cfg.output_dir)
     final, payload = _solve_and_dump(cfg, outdir)
     suite = invariant_suite(
         final, cfg.problem, cfg.cascade, rng=np.random.default_rng(cfg.seed + 1)
     )
-    audit = growth_audit(
-        cfg.problem,
-        sample_count=int(cfg.block("verify").get("sample_count", 40)),
-        seed=cfg.seed,
-    )
+    audit = growth_audit(cfg.problem, sample_count=samples, seed=cfg.seed)
     audit.to_csv(str(outdir / "growth_audit.csv"))
     audit.to_dat(str(outdir / "growth_audit.dat"))
     payload["command"] = "verify"
@@ -349,8 +346,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _build_mms_spec(cfg: RunConfig):
     blk = cfg.block("mms")
-    name = blk.get("exact", "separable_bump")
-    mode = blk.get("mode", "discrete_exact")
+    name = _get(blk, "exact", "mms", str, "separable_bump")
+    mode = _get(blk, "mode", "mms", str, "discrete_exact")
     L, T = cfg.problem.smesh.length, cfg.problem.tmesh.period
     try:
         base = named_exact_solution(name, L, T)
@@ -362,12 +359,20 @@ def _build_mms_spec(cfg: RunConfig):
         spec = mms_continuum(base.u_expr, name=name)
     else:
         raise ConfigError("mms.mode", f"unknown mode {mode!r}")
-    levels = blk.get("levels", [[8, 8], [16, 16], [32, 32]])
-    try:
-        levels = tuple((int(M), int(N)) for M, N in levels)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("mms.levels", "expected a list of [M, N] pairs") from exc
-    return spec, levels
+    levels = _get(blk, "levels", "mms", list, [[8, 8], [16, 16], [32, 32]])
+    if not levels:
+        raise ConfigError("mms.levels", "expected at least one [M, N] level")
+    for lv in levels:
+        if not isinstance(lv, list) or len(lv) != 2 or any(
+            type(v) is not int for v in lv
+        ):
+            raise ConfigError("mms.levels", "expected [M, N] integer pairs")
+        try:
+            SpatialMesh(L, lv[0])
+            TemporalMesh(T, lv[1])
+        except ValueError as exc:
+            raise ConfigError("mms.levels", str(exc)) from exc
+    return spec, tuple(map(tuple, levels))
 
 
 def cmd_mms(cfg: RunConfig, jobs: int = 1) -> int:
@@ -390,8 +395,8 @@ def cmd_mms(cfg: RunConfig, jobs: int = 1) -> int:
 def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
     outdir = _ensure_dir(cfg.output_dir)
     blk = cfg.block("mosco")
-    kind = blk.get("kind", "diffusion_perturbation")
-    n_max = _int(blk, "n_max", "mosco", 8)
+    kind = _get(blk, "kind", "mosco", str, "diffusion_perturbation")
+    n_max = _int(blk, "n_max", "mosco", 8, minimum=1)
     try:
         seq = MoscoSequenceSpec(
             kind=kind, base=cfg.problem, index_set=tuple(range(1, n_max + 1))
@@ -415,53 +420,55 @@ def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
 def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
     outdir = _ensure_dir(cfg.output_dir)
     blk = cfg.block("sweep")
-    pairs = blk.get("pairs", [[2, 2], [2, 3], [2.5, 3], [3, 2], [2, 1.5]])
-    eps_finals = blk.get("epsilon_final", [cfg.cascade.epsilon_schedule[-1]])
+    default_pairs = [[2, 2], [2, 3], [2.5, 3], [3, 2], [2, 1.5]]
+    pairs = _get(blk, "pairs", "sweep", list, default_pairs)
+    if not pairs:
+        raise ConfigError("sweep.pairs", "expected at least one [p, m] pair")
+    eps_finals = _get(
+        blk, "epsilon_final", "sweep", list, [cfg.cascade.epsilon_schedule[-1]]
+    )
+    if not eps_finals or not all(type(e) in (int, float) for e in eps_finals):
+        raise ConfigError("sweep.epsilon_final", "expected a non-empty list of numbers")
     if cfg.problem.nl.kind != "power":
         raise ConfigError("sweep", "sweep varies p and requires the power rate map")
-    combos = []
+    runs = []
     for pm in pairs:
+        if not isinstance(pm, list) or len(pm) != 2 or any(
+            type(v) not in (int, float) for v in pm
+        ):
+            raise ConfigError("sweep.pairs", "expected [p, m] pairs of numbers")
+        p, m = float(pm[0]), float(pm[1])
         try:
-            p, m = float(pm[0]), float(pm[1])
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ConfigError("sweep.pairs", "expected [p, m] pairs") from exc
-        for ef in eps_finals:
-            combos.append((p, m, float(ef)))
+            prob = replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p))
+        except ValueError as exc:
+            raise ConfigError("sweep.pairs", str(exc)) from exc
+        for ef in map(float, eps_finals):
+            sched = tuple(e for e in cfg.cascade.epsilon_schedule if e >= ef)
+            if not sched or sched[-1] != ef:
+                sched = sched + (ef,)
+            try:
+                params = replace(cfg.cascade, epsilon_schedule=sched)
+            except ValueError as exc:
+                raise ConfigError("sweep.epsilon_final", str(exc)) from exc
+            runs.append((p, m, ef, prob, params))
 
-    def run(combo):
-        p, m, ef = combo
-        sub = outdir / f"p{p:g}_m{m:g}_eps{ef:g}"
-        _ensure_dir(str(sub))
-        sched = tuple(e for e in cfg.cascade.epsilon_schedule if e >= ef)
-        if not sched or sched[-1] != ef:
-            sched = sched + (ef,)
-        params = replace(cfg.cascade, epsilon_schedule=sched)
-        prob = replace(
-            cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p)
-        )
-        final, stages, route = solve_routed(prob, params, route=cfg.route)
+    outs = _solve_batch([(prob, params, cfg.route) for *_, prob, params in runs], jobs)
+    summary = Table(["p", "m", "epsilon_final", "route", "converged", "residual"])
+    for (p, m, ef, prob, params), (final, stages, route) in zip(runs, outs):
+        sub = _ensure_dir(str(outdir / f"p{p:g}_m{m:g}_eps{ef:g}"))
         write_field_csv(str(sub / "trajectory.csv"), final.u, prob.smesh, prob.tmesh)
         payload = _solve_payload(prob, params, final, stages, route)
         payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV
         _write_report(sub, payload)
-        return p, m, ef, route, final.converged, payload["final_residual_AP"]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, combos))
-    else:
-        results = [run(c) for c in combos]
-    summary = Table(["p", "m", "epsilon_final", "route", "converged", "residual"])
-    for row in results:
-        summary.add(*row)
+        summary.add(p, m, ef, route, final.converged, payload["final_residual_AP"])
     summary.to_csv(str(outdir / "summary.csv"))
     summary.to_dat(str(outdir / "summary.dat"))
-    ok = all(r[4] for r in results)
+    ok = bool(np.all(summary.column("converged")))
     _write_report(
         outdir,
         {
             "command": "sweep",
-            "runs": len(results),
+            "runs": len(runs),
             "all_converged": ok,
             "config": cfg.raw,
             "exit_code": EXIT_OK if ok else EXIT_NOCONV,
@@ -491,8 +498,12 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--output", default=None, help="output directory override")
-        sp.add_argument("--jobs", type=int, default=1, help="worker pool size")
         sp.add_argument("--quiet", action="store_true", help="warnings only")
+        if name in ("mms", "mosco", "sweep"):
+            sp.add_argument(
+                "--jobs", type=int, default=1,
+                help="worker processes (one BLAS thread each)",
+            )
     return ap
 
 

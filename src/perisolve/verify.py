@@ -9,11 +9,10 @@ margin.  Failures are data, not exceptions; only malformed inputs raise.
 from __future__ import annotations
 
 import csv
-import functools
 import logging
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -250,26 +249,12 @@ def refit_problem(
     )
 
 
-def _solve_level(
-    mms: MmsSpec, prob: ProblemSpec, params: CascadeParams, M: int, N: int
-) -> tuple[float, float, bool]:
-    smesh = SpatialMesh(prob.smesh.length, M)
-    tmesh = TemporalMesh(prob.tmesh.period, N)
-    level_prob = refit_problem(
-        prob, M, N, np.zeros((N, M))
-    )
-    f = derived_forcing(mms, level_prob, params.delta)
-    level_prob = replace(level_prob, f=f)
-    final, _, _ = solve_routed(level_prob, params)
-    U = sample_exact(mms, smesh, tmesh)
-    err = bochner_norm(
-        final.u - U,
-        lambda s: norm_V(s, level_prob.p, smesh),
-        np.inf,
-        tmesh,
-    )
-    res = residual_AP(final.u, level_prob, delta=params.delta)
-    return float(err), float(res), final.converged
+def _mms_level(
+    mms: MmsSpec, prob: ProblemSpec, M: int, N: int, delta: float
+) -> ProblemSpec:
+    """prob refit to an M x N grid, forced so that mms is its solution."""
+    level = refit_problem(prob, M, N, np.zeros((N, M)))
+    return replace(level, f=derived_forcing(mms, level, delta))
 
 
 def mms_run(
@@ -284,24 +269,21 @@ def mms_run(
     Error column is the sup-in-time nodal L^p distance to the exact
     trajectory.  In discrete-exact mode the error is bounded by solver
     tolerance at every level; in continuum mode consecutive level ratios
-    expose the convergence order (meta key "orders").
+    expose the convergence order (meta key "orders").  jobs > 1 solves the
+    levels on that many worker processes; the table is the same.
     """
     table = Table(["level", "M", "N", "error", "residual", "converged"])
     table.meta["mode"] = mms.mode
     table.meta["name"] = mms.name
-
-    def work(args):
-        lv, (M, N) = args
-        return lv, M, N, *_solve_level(mms, prob, params, M, N)
-
-    items = list(enumerate(levels))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(it) for it in items]
-    for lv, M, N, err, res, conv in results:
-        table.add(lv, M, N, err, res, conv)
+    probs = [_mms_level(mms, prob, M, N, params.delta) for M, N in levels]
+    outs = _solve_batch([(lp, params, "auto") for lp in probs], jobs)
+    for lv, ((M, N), lp, (final, _, _)) in enumerate(zip(levels, probs, outs)):
+        U = sample_exact(mms, lp.smesh, lp.tmesh)
+        err = bochner_norm(
+            final.u - U, lambda s: norm_V(s, lp.p, lp.smesh), np.inf, lp.tmesh
+        )
+        res = residual_AP(final.u, lp, delta=params.delta)
+        table.add(lv, M, N, float(err), float(res), final.converged)
     errs = table.column("error").astype(float)
     if mms.mode == "continuum" and len(errs) > 1:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -330,10 +312,7 @@ def mms_temporal_order(
             raise ValueError(f"each N must divide N_ref and be smaller, got {N}")
 
     def solve(N: int) -> np.ndarray:
-        level = refit_problem(prob, M, N, np.zeros((N, M)))
-        f = derived_forcing(mms, level, params.delta)
-        level = replace(level, f=f)
-        final, _, _ = solve_routed(level, params)
+        final, _, _ = solve_routed(_mms_level(mms, prob, M, N, params.delta), params)
         return final.u
 
     u_ref = solve(N_ref)
@@ -365,15 +344,11 @@ def mms_spatial_order(
     """
     table = Table(["M", "dx", "error"])
     for M in Ms:
-        level = refit_problem(prob, M, N, np.zeros((N, M)))
-        f = derived_forcing(mms, level, params.delta)
-        level = replace(level, f=f)
+        level = _mms_level(mms, prob, M, N, params.delta)
         final, _, _ = solve_routed(level, params)
-        smesh = SpatialMesh(prob.smesh.length, M)
-        tmesh = TemporalMesh(prob.tmesh.period, N)
-        U = sample_exact(mms, smesh, tmesh)
-        err = float(np.max(norm_V(final.u - U, prob.p, smesh)))
-        table.add(M, smesh.dx, err)
+        U = sample_exact(mms, level.smesh, level.tmesh)
+        err = float(np.max(norm_V(final.u - U, prob.p, level.smesh)))
+        table.add(M, level.smesh.dx, err)
     errs = table.column("error").astype(float)
     table.meta["orders"] = [float(o) for o in np.log2(errs[:-1] / errs[1:])]
     table.meta["slope"] = loglog_slope(table.column("dx"), errs)
@@ -591,23 +566,33 @@ class MoscoSequenceSpec:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _process_map(fn, items, jobs: int) -> list:
-    """fn over items on `jobs` worker processes, results in input order.
+def _solve_one(prob: ProblemSpec, params: CascadeParams, route: str):
+    # what the pool submits.  Pickle sends it by name, so it is module-level,
+    # and private: instrumentation that rebinds public names to wrappers
+    # leaves it alone
+    return solve_routed(prob, params, route)
 
-    Workers are spawned with one BLAS thread each, so `jobs` workers share
-    the cores instead of oversubscribing them.  The pool starts its workers
+
+def _solve_batch(items, jobs: int) -> list:
+    """solve_routed over (prob, params, route) items, outputs in input order.
+
+    jobs <= 1 solves inline.  Otherwise the solves run on `jobs` spawned
+    worker processes with one BLAS thread each, so the workers share the
+    cores instead of oversubscribing them.  The pool starts its workers
     from `submit`, so the thread variables are set only around the submits
     and then restored: the caller's environment and its already loaded BLAS
-    keep their settings.  As with any spawned pool, a script
-    that calls this must guard its entry point with
+    keep their settings.  As with any spawned pool, a script that calls
+    this with jobs > 1 must guard its entry point with
     ``if __name__ == "__main__"``.
     """
+    if jobs <= 1:
+        return [_solve_one(*item) for item in items]
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
-            futures = [pool.submit(fn, x) for x in items]
+            futures = [pool.submit(_solve_one, *item) for item in items]
         finally:
             for k, v in saved.items():
                 if v is None:
@@ -615,25 +600,6 @@ def _process_map(fn, items, jobs: int) -> list:
                 else:
                     os.environ[k] = v
         return [f.result() for f in futures]
-
-
-def _mosco_instance(
-    seq: MoscoSequenceSpec, params: CascadeParams, base_u: np.ndarray, n: int
-) -> tuple[int, float, bool, float]:
-    """Solve instance n; return (n, drift from base_u, converged, residual)."""
-    final, _, _ = solve_routed(seq.instance(n), params)
-    smesh = seq.base.smesh
-    err = float(
-        bochner_norm(
-            final.u - base_u,
-            lambda s: norm_V(s, seq.base.p, smesh),
-            np.inf,
-            seq.base.tmesh,
-        )
-    )
-    return n, err, final.converged, float(
-        final.diagnostics.get("fixed_point_residual", np.nan)
-    )
 
 
 def mosco_experiment(
@@ -650,15 +616,19 @@ def mosco_experiment(
     BLAS thread each; the table is the same as with jobs = 1.
     """
     base_final, _, _ = solve_routed(seq.base, params)
-    work = functools.partial(_mosco_instance, seq, params, base_final.u)
-    ns = list(seq.index_set)
-    if jobs > 1:
-        results = _process_map(work, ns, jobs)
-    else:
-        results = [work(n) for n in ns]
+    ns = sorted(seq.index_set)
+    outs = _solve_batch([(seq.instance(n), params, "auto") for n in ns], jobs)
+    smesh, tmesh = seq.base.smesh, seq.base.tmesh
     table = Table(["n", "error", "converged", "residual"])
-    for n, err, conv, res in sorted(results):
-        table.add(n, err, conv, res)
+    for n, (final, _, _) in zip(ns, outs):
+        err = bochner_norm(
+            final.u - base_final.u,
+            lambda s: norm_V(s, seq.base.p, smesh),
+            np.inf,
+            tmesh,
+        )
+        res = final.diagnostics.get("fixed_point_residual", np.nan)
+        table.add(n, float(err), final.converged, float(res))
     errs = table.column("error").astype(float)
     floor = 2.0 * params.resolved_stage_tol()
     above = errs > floor

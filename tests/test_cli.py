@@ -1,10 +1,14 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import perisolve
 from perisolve import cli
 from perisolve.discretize import read_field_csv
 
@@ -311,9 +315,74 @@ class TestMain:
         assert cli.main(["mosco", "--config", path, "--output", out, "--quiet"]) == 1
         assert "mosco.n_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, block, key",
+        [
+            ("sweep", {"sweep": {"epsilon_final": ["x"]}}, "sweep.epsilon_final"),
+            ("sweep", {"sweep": {"pairs": [[True, 3]]}}, "sweep.pairs"),
+            ("sweep", {"sweep": {"pairs": [[1, 3]]}}, "sweep.pairs"),
+            ("sweep", {"sweep": {"pairs": []}}, "sweep.pairs"),
+            ("verify", {"verify": {"sample_count": "x"}}, "verify.sample_count"),
+            ("verify", {"verify": {"sample_count": 0}}, "verify.sample_count"),
+            ("mms", {"mms": {"levels": [[8, 1]]}}, "mms.levels"),
+            ("mms", {"mms": {"levels": []}}, "mms.levels"),
+            ("mms", {"mms": 3}, "mms"),
+            ("mosco", {"mosco": {"n_max": 0}}, "mosco.n_max"),
+        ],
+    )
+    def test_block_errors_exit_1_and_name_the_key(
+        self, tmp_path, capsys, command, block, key
+    ):
+        doc = {"problem": small_problem(M=4, N=4), **block}
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "o")
+        assert cli.main([command, "--config", path, "--output", out, "--quiet"]) == 1
+        assert f"config error: {key}:" in capsys.readouterr().err
+
+    def test_jobs_only_where_solves_fan_out(self, tmp_path):
+        path = write_config(tmp_path, {"problem": small_problem()})
+        for command in ("solve", "verify"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--config", path, "--jobs", "2"])
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             cli.main([])
+
+
+def test_sweep_outputs_are_byte_identical_under_jobs(tmp_path):
+    # the worker processes run under `python -m perisolve.cli`, whose main
+    # module each spawned worker re-imports
+    doc = {
+        "problem": small_problem(),
+        "cascade": {"fp_tol": 1e-8},
+        "sweep": {"pairs": [[2, 3], [3, 2]]},
+    }
+    path = write_config(tmp_path, doc)
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert cli.cmd_sweep(cli.load_config(path, output_override=str(serial))) == 0
+    pkg_root = str(Path(perisolve.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=pkg_root + (os.pathsep + inherited if inherited else ""),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "perisolve.cli", "sweep", "--config", path,
+         "--output", str(pooled), "--jobs", "2", "--quiet"],
+        capture_output=True,
+        text=True,
+        timeout=240,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    def trajectories(root):
+        return sorted(p.relative_to(root) for p in root.glob("*/trajectory.csv"))
+
+    names = trajectories(serial)
+    assert len(names) == 2 and trajectories(pooled) == names
+    for name in [Path("summary.csv"), *names]:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
 def test_console_script_resolves_to_main():

@@ -108,6 +108,16 @@ def test_mms_run_discrete_hits_solver_tolerance():
     assert all(tab.column("converged"))
     assert np.all(tab.column("error").astype(float) <= 1e-7)
     assert "orders" not in tab.meta
+    # the spec holds an unpicklable closure: the levels are built here and
+    # only the problems cross to the workers, which return the same rows
+    # and leave the caller's environment as it was
+    env = dict(os.environ)
+    par = vf.mms_run(
+        bump_mms(), unit_problem(2.0, 3.0, 8, 8), params, levels=((6, 8), (12, 10)),
+        jobs=2,
+    )
+    assert dict(os.environ) == env
+    assert par.rows == tab.rows
 
 
 def test_mms_run_continuum_reports_orders():
