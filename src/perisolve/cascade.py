@@ -20,6 +20,7 @@ independent oracle for cross-checking.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -107,8 +108,8 @@ class CascadeParams:
 
     def __post_init__(self) -> None:
         eps = tuple(float(e) for e in self.epsilon_schedule)
-        if any(e <= 0.0 for e in eps):
-            raise ValueError("epsilon schedule entries must be positive")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise ValueError("epsilon schedule entries must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
         object.__setattr__(self, "epsilon_schedule", eps)
@@ -118,10 +119,12 @@ class CascadeParams:
         if any(b >= a for a, b in zip(mus, mus[1:])):
             raise ValueError("mu schedule must be strictly decreasing")
         object.__setattr__(self, "mu_schedule", mus)
-        if self.fp_tol <= 0.0:
-            raise ValueError("fp_tol must be positive")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
+        for key in ("fp_tol", "stage_tol", "alpha_exp"):
+            val = getattr(self, key)
+            if val is not None and not 0.0 < val < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {val}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if not (0.0 < self.omega <= 1.0):
             raise ValueError("omega must lie in (0, 1]")
 
@@ -293,10 +296,7 @@ def fixed_point_solve(
         converged = True
     h, u, res = best["h"], best["u"], best["res"]
     xi = prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
-    cfg = cc.PhiConfig(
-        a=prob.a, m=prob.m, delta=params.delta, smesh=prob.smesh, p=prob.p, pf=pf
-    )
-    eta = cc.phi_grad(u, cfg)
+    eta = cc._PhiAt(u, prob.a, prob.m, params.delta, prob.smesh, pf).grad
     mu = 0.0 if pf is None else pf.mu
     diagnostics = {
         "converged": bool(converged),
@@ -397,15 +397,14 @@ def stage_audit(
     mc = m / (m - 1.0)
     du = time_derivative(u, tmesh)
     xi = prob.nl.alpha_eval(du)
-    cfg = cc.PhiConfig(a=prob.a, m=m, delta=delta, smesh=smesh, p=p, pf=pf)
-    eta = cc.phi_grad(u, cfg)
+    phi = cc._PhiAt(u, prob.a, m, delta, smesh, pf)
     rate_p = float(dt * np.sum(norm_V(du, p, smesh) ** p))
     rate_dual = float(dt * np.sum(norm_Vstar(xi, pc, smesh) ** pc))
     rate_primitive = float(dt * np.sum(cc.eval_psi(du, prob.nl, smesh)))
     state_energy = float(dt * np.sum(norm_X(u, m, smesh) ** m))
     state_p = float(dt * np.sum(norm_V(u, p, smesh) ** p))
     state_sq = float(dt * np.sum(norm_V(u, 2.0, smesh) ** 2))
-    eta_dual = float(dt * np.sum(norm_Vstar(eta, mc, smesh) ** mc))
+    eta_dual = float(dt * np.sum(norm_Vstar(phi.grad, mc, smesh) ** mc))
     psi_grad_dual = float(
         dt * np.sum(norm_Vstar(prob.nl.alpha_eval(u), pc, smesh) ** pc)
     )
@@ -421,14 +420,10 @@ def stage_audit(
         "psi_grad_dual_integral": psi_grad_dual,
         "h_dual_norm": dual_bochner_norm(h, prob),
     }
-    if pf is not None and pf.mu > 0.0:
-        base_cfg = cfg.without_perturbation()
-        base_phi = np.asarray(cc.phi_value(u, base_cfg))
-        coef = pf.mu * base_phi**pf.alpha_exp
-        base_eta = cc.phi_grad(u, base_cfg)
-        term = coef[..., None] * base_eta
+    if phi.pf is not None:
+        term = phi.mu_power[..., None] * phi.base_grad
         audit["mu_term_dual_norm"] = dual_bochner_norm(term, prob)
-        audit["mu_phi_power_max"] = float(np.max(coef))
+        audit["mu_phi_power_max"] = float(np.max(phi.mu_power))
     return audit
 
 
@@ -457,21 +452,26 @@ def epsilon_continuation(
     stages: list[StageResult] = []
     h, u = h0, u0
     prev_ap = None
-    for eps in sched:
+
+    def run(eps: float) -> StageResult:
         t0 = time.perf_counter()
         stage = fixed_point_solve(prob, eps, params, pf=pf, h0=h, u0=u)
-        stage.diagnostics["wall_time"] = time.perf_counter() - t0
-        stage.diagnostics["residual_AP"] = residual_AP(
-            stage.u, prob, delta=params.delta, pf=pf
-        )
+        d = stage.diagnostics
+        d["wall_time"] = time.perf_counter() - t0
+        d["residual_AP"] = residual_AP(stage.u, prob, delta=params.delta, pf=pf)
         stages.append(stage)
         log.info(
-            "eps=%.3e fp_res=%.3e ap_res=%.3e evals=%d",
+            "eps=%.3e fp_res=%.3e ap_res=%.3e evals=%d wall=%.3fs",
             eps,
-            stage.diagnostics["fixed_point_residual"],
-            stage.diagnostics["residual_AP"],
-            stage.diagnostics["beta_evaluations"],
+            d["fixed_point_residual"],
+            d["residual_AP"],
+            d["beta_evaluations"],
+            d["wall_time"],
         )
+        return stage
+
+    for eps in sched:
+        stage = run(eps)
         diverged = stage.diagnostics["fixed_point_residual"] > stage.diagnostics[
             "residual_scale"
         ]
@@ -488,13 +488,7 @@ def epsilon_continuation(
             break
         prev_ap = ap
     if params.exact_limit_stage:
-        t0 = time.perf_counter()
-        stage = fixed_point_solve(prob, 0.0, params, pf=pf, h0=h, u0=u)
-        stage.diagnostics["wall_time"] = time.perf_counter() - t0
-        stage.diagnostics["residual_AP"] = residual_AP(
-            stage.u, prob, delta=params.delta, pf=pf
-        )
-        stages.append(stage)
+        run(0.0)
     return stages
 
 

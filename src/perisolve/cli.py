@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -90,8 +91,19 @@ def _get(d: dict, key: str, path: str, typ=None, default=_SENTINEL):
     return val
 
 
+def _is_number(val) -> bool:
+    """A JSON number, not a boolean, that is finite as a float."""
+    try:
+        return type(val) in (int, float) and math.isfinite(val)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _number(d: dict, key: str, path: str, default=_SENTINEL) -> float:
-    return float(_get(d, key, path, (int, float), default))
+    val = _get(d, key, path, (int, float), default)
+    if not _is_number(val):
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val}")
+    return float(val)
 
 
 def _int(d: dict, key: str, path: str, default=_SENTINEL, minimum: int = 0) -> int:
@@ -214,8 +226,8 @@ def _build_cascade(doc: dict) -> CascadeParams:
     for key in _SCHEDULE_KEYS:
         if key in cb:
             sched = _get(cb, key, path, list)
-            if not all(type(e) in (int, float) for e in sched):
-                raise ConfigError(f"{path}.{key}", "expected a list of numbers")
+            if not all(_is_number(e) for e in sched):
+                raise ConfigError(f"{path}.{key}", "expected a list of finite numbers")
             kwargs[key] = tuple(sched)
     for key in _NUMBER_KEYS:
         if key in cb and cb[key] is not None:
@@ -268,8 +280,10 @@ def _ensure_dir(path: str) -> Path:
 
 
 def _stage_summary(stage: StageResult) -> dict:
+    """A stage's diagnostics minus history and timer; reruns write equal bytes."""
     d = dict(stage.diagnostics)
     d.pop("residual_history", None)
+    d.pop("wall_time", None)
     return {"epsilon": stage.epsilon, "mu": stage.mu, **d}
 
 
@@ -427,16 +441,16 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
     eps_finals = _get(
         blk, "epsilon_final", "sweep", list, [cfg.cascade.epsilon_schedule[-1]]
     )
-    if not eps_finals or not all(type(e) in (int, float) for e in eps_finals):
-        raise ConfigError("sweep.epsilon_final", "expected a non-empty list of numbers")
+    if not eps_finals or not all(_is_number(e) for e in eps_finals):
+        raise ConfigError(
+            "sweep.epsilon_final", "expected a non-empty list of finite numbers"
+        )
     if cfg.problem.nl.kind != "power":
         raise ConfigError("sweep", "sweep varies p and requires the power rate map")
     runs = []
     for pm in pairs:
-        if not isinstance(pm, list) or len(pm) != 2 or any(
-            type(v) not in (int, float) for v in pm
-        ):
-            raise ConfigError("sweep.pairs", "expected [p, m] pairs of numbers")
+        if not isinstance(pm, list) or len(pm) != 2 or not all(map(_is_number, pm)):
+            raise ConfigError("sweep.pairs", "expected [p, m] pairs of finite numbers")
         p, m = float(pm[0]), float(pm[1])
         try:
             prob = replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p))

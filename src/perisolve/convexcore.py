@@ -19,9 +19,9 @@ leading axes.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -224,23 +224,6 @@ class Nonlinearity:
             best = max(best, xi * s_end - float(self.primitive_A(s_end)))
         return best
 
-    def growth_constants(self, samples) -> dict:
-        """Empirically realized constants of the coercivity/growth envelope.
-
-        Returns the largest c with c|s|^p - 1/c <= A(s) on the samples and
-        the smallest C with |alpha(s)|^(p') <= C(|s|^p + 1).
-        """
-        s = _require_finite(samples, "samples")
-        p = self.p_exponent
-        pc = p / (p - 1.0)
-        a_vals = self.primitive_A(s)
-        nz = np.abs(s) > 0
-        sp = np.abs(s[nz]) ** p
-        c_per = (a_vals[nz] + np.sqrt(a_vals[nz] ** 2 + 4.0 * sp)) / (2.0 * sp)
-        c_lower = float(np.min(c_per)) if c_per.size else math.inf
-        ratio = np.abs(self.alpha_eval(s)) ** pc / (np.abs(s) ** p + 1.0)
-        return {"c_lower": c_lower, "C_upper": float(np.max(ratio))}
-
 
 # ---------------------------------------------------------------------------
 # diffusion coefficient
@@ -342,17 +325,95 @@ def eval_psi(u: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh):
     return mesh.dx * np.sum(nl.primitive_A(u), axis=-1)
 
 
-def _q_delta(z: np.ndarray, m: float, delta: float) -> np.ndarray:
-    if delta > 0.0:
-        return (z * z + delta * delta) ** ((m - 2.0) / 2.0) * z
-    return np.abs(z) ** (m - 2.0) * z if m != 2.0 else z
+class _PhiAt:
+    """The gradient energy at one field u, over the last axis.
 
+    Every formula of the energy is written here once: the smoothed density,
+    the flux divergence, the Hessian cell weights and, when pf has mu > 0,
+    the power perturbation phi + mu/(1+a) phi^(1+a) with its gradient factor
+    1 + mu phi^a.  The cell gradient is taken once, and every other quantity
+    is computed on first use and kept, so the value, gradient and Hessian at
+    one point share it and one base energy.
+    """
 
-def _q_delta_prime(z: np.ndarray, m: float, delta: float) -> np.ndarray:
-    if delta > 0.0:
-        s2 = z * z + delta * delta
-        return s2 ** ((m - 4.0) / 2.0) * ((m - 1.0) * z * z + delta * delta)
-    return (m - 1.0) * np.abs(z) ** (m - 2.0)
+    def __init__(
+        self, u: np.ndarray, a: DiffusionField, m: float, delta: float,
+        mesh: SpatialMesh, pf: PerturbedFunctional | None = None,
+    ) -> None:
+        if m <= 1.0:
+            raise ValueError(f"energy exponent m must exceed 1, got {m}")
+        if not delta >= 0.0:
+            raise ValueError(f"smoothing delta must be >= 0, got {delta}")
+        self.Du = cell_gradient(_require_finite(u, "field"), mesh)
+        self.a, self.m, self.delta, self.dx = a.midpoint_values, m, delta, mesh.dx
+        self.pf = pf if pf is not None and pf.mu > 0.0 else None
+
+    @cached_property
+    def base(self):
+        """Unperturbed energy (1/m) sum_cells dx a ((Du)^2 + delta^2)^(m/2)."""
+        dens = (self.Du * self.Du + self.delta * self.delta) ** (self.m / 2.0)
+        return (self.dx / self.m) * np.sum(self.a * dens, axis=-1)
+
+    @cached_property
+    def mu_power(self):
+        """mu phi^a per slice of a perturbed energy."""
+        return self.pf.mu * np.asarray(self.base) ** self.pf.alpha_exp
+
+    @cached_property
+    def value(self):
+        if self.pf is None:
+            return self.base
+        e = 1.0 + self.pf.alpha_exp
+        return self.base + self.pf.mu / e * np.asarray(self.base) ** e
+
+    def _scaled(self, x: np.ndarray) -> np.ndarray:
+        """x times the gradient factor 1 + mu phi^a of its slice."""
+        return x if self.pf is None else np.asarray(1.0 + self.mu_power)[..., None] * x
+
+    @cached_property
+    def base_grad(self) -> np.ndarray:
+        """Negative discrete weighted nonlinear Laplacian of the base energy."""
+        Du, m, delta = self.Du, self.m, self.delta
+        if delta == 0.0 and m < 2.0 and np.any(Du == 0.0):
+            raise FloatingPointError(
+                "zero gradient cell with m < 2 and delta = 0: flux slope is singular"
+            )
+        if delta > 0.0:
+            q = (Du * Du + delta * delta) ** ((m - 2.0) / 2.0) * Du
+        else:
+            q = np.abs(Du) ** (m - 2.0) * Du if m != 2.0 else Du
+        return -np.diff(self.a * q, axis=-1) / self.dx
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self._scaled(self.base_grad)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Cell weights a q'(Du) of the pairing Hessian, scaled by the
+        perturbation factor.  The perturbation's rank-one term
+        mu a phi^(a-1) g g^T is dropped, which the line searches absorb."""
+        Du, m, delta = self.Du, self.m, self.delta
+        if delta > 0.0:
+            s2 = Du * Du + delta * delta
+            qp = s2 ** ((m - 4.0) / 2.0) * ((m - 1.0) * Du * Du + delta * delta)
+        else:
+            qp = (m - 1.0) * np.abs(Du) ** (m - 2.0)
+        return self._scaled(self.a * qp)
+
+    def matrix(self) -> np.ndarray:
+        """Dense (M, M) pairing Hessian of a single slice from the weights."""
+        w = self.weights
+        if w.ndim != 1:
+            raise ValueError("expected a single slice")
+        M = w.size - 1
+        H = np.zeros((M, M))
+        idx = np.arange(M)
+        H[idx, idx] = (w[:-1] + w[1:]) / self.dx**2
+        off = -w[1:-1] / self.dx**2
+        H[idx[:-1], idx[:-1] + 1] = off
+        H[idx[:-1] + 1, idx[:-1]] = off
+        return H
 
 
 def eval_phi(
@@ -363,12 +424,7 @@ def eval_phi(
     delta = 0 gives the exact discrete functional.  Convex in u for every
     delta >= 0.
     """
-    if m <= 1.0:
-        raise ValueError(f"energy exponent m must exceed 1, got {m}")
-    u = _require_finite(u, "field")
-    du = cell_gradient(u, mesh)
-    dens = (du * du + delta * delta) ** (m / 2.0)
-    return (mesh.dx / m) * np.sum(a.midpoint_values * dens, axis=-1)
+    return _PhiAt(u, a, m, delta, mesh).base
 
 
 def grad_phi(
@@ -376,16 +432,7 @@ def grad_phi(
 ) -> np.ndarray:
     """Negative discrete weighted nonlinear Laplacian; the pairing gradient
     of eval_phi at the same delta."""
-    if m <= 1.0:
-        raise ValueError(f"energy exponent m must exceed 1, got {m}")
-    u = _require_finite(u, "field")
-    du = cell_gradient(u, mesh)
-    if delta == 0.0 and m < 2.0 and np.any(du == 0.0):
-        raise FloatingPointError(
-            "zero gradient cell with m < 2 and delta = 0: flux slope is singular"
-        )
-    flux = a.midpoint_values * _q_delta(du, m, delta)
-    return -np.diff(flux, axis=-1) / mesh.dx
+    return _PhiAt(u, a, m, delta, mesh).grad
 
 
 def phi_hessian_cell_weights(
@@ -396,25 +443,14 @@ def phi_hessian_cell_weights(
     The (pairing) Hessian is tridiagonal: diag (w_k + w_{k+1})/dx^2 and
     off-diagonal -w_{k+1}/dx^2.
     """
-    du = cell_gradient(u, mesh)
-    return a.midpoint_values * _q_delta_prime(du, m, delta)
+    return _PhiAt(u, a, m, delta, mesh).weights
 
 
 def phi_hessian_matrix(
     u: np.ndarray, a: DiffusionField, m: float, delta: float, mesh: SpatialMesh
 ) -> np.ndarray:
     """Dense (M, M) pairing Hessian of the smoothed energy at a single slice."""
-    w = phi_hessian_cell_weights(u, a, m, delta, mesh)
-    if w.ndim != 1:
-        raise ValueError("expected a single slice")
-    M = mesh.interior_count
-    H = np.zeros((M, M))
-    idx = np.arange(M)
-    H[idx, idx] = (w[:-1] + w[1:]) / mesh.dx**2
-    off = -w[1:-1] / mesh.dx**2
-    H[idx[:-1], idx[:-1] + 1] = off
-    H[idx[:-1] + 1, idx[:-1]] = off
-    return H
+    return _PhiAt(u, a, m, delta, mesh).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -473,39 +509,16 @@ def phi_power_eval_grad(
     one phi evaluation so the chain-rule identity holds on the same
     arithmetic path.
     """
-    base = eval_phi(u, cfg.a, cfg.m, cfg.delta, cfg.smesh)
-    g = grad_phi(u, cfg.a, cfg.m, cfg.delta, cfg.smesh)
-    coef = 1.0 + pf.mu * np.asarray(base) ** pf.alpha_exp
-    value = base + pf.mu / (1.0 + pf.alpha_exp) * np.asarray(base) ** (
-        1.0 + pf.alpha_exp
-    )
-    return value, np.asarray(coef)[..., None] * g if np.ndim(coef) else coef * g
+    phi = _PhiAt(u, cfg.a, cfg.m, cfg.delta, cfg.smesh, pf)
+    return phi.value, phi.grad
 
 
 def phi_value(u: np.ndarray, cfg: PhiConfig):
-    if cfg.pf is None or cfg.pf.mu == 0.0:
-        return eval_phi(u, cfg.a, cfg.m, cfg.delta, cfg.smesh)
-    return phi_power_eval_grad(u, cfg.pf, cfg)[0]
+    return _PhiAt(u, cfg.a, cfg.m, cfg.delta, cfg.smesh, cfg.pf).value
 
 
 def phi_grad(u: np.ndarray, cfg: PhiConfig) -> np.ndarray:
-    if cfg.pf is None or cfg.pf.mu == 0.0:
-        return grad_phi(u, cfg.a, cfg.m, cfg.delta, cfg.smesh)
-    return phi_power_eval_grad(u, cfg.pf, cfg)[1]
-
-
-def _phi_hessian_dispatch(u: np.ndarray, cfg: PhiConfig) -> np.ndarray:
-    """Slice Hessian of the (possibly perturbed) energy.
-
-    For the perturbed energy only the scaled base term is kept; the rank-one
-    correction mu a phi^(a-1) g g^T is dropped, which the outer line searches
-    absorb.
-    """
-    H = phi_hessian_matrix(u, cfg.a, cfg.m, cfg.delta, cfg.smesh)
-    if cfg.pf is not None and cfg.pf.mu > 0.0:
-        base = float(eval_phi(u, cfg.a, cfg.m, cfg.delta, cfg.smesh))
-        H = (1.0 + cfg.pf.mu * base**cfg.pf.alpha_exp) * H
-    return H
+    return _PhiAt(u, cfg.a, cfg.m, cfg.delta, cfg.smesh, cfg.pf).grad
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +686,8 @@ def moreau_yosida(
         return duality_map(v - u, p, mesh) / lam + phi_grad(v, cfg)
 
     def hess(v: np.ndarray) -> np.ndarray:
-        return _duality_hessian(v - u, p, cfg.delta, mesh) / lam + _phi_hessian_dispatch(
-            v, cfg
-        )
+        phi = _PhiAt(v, cfg.a, cfg.m, cfg.delta, mesh, cfg.pf)
+        return _duality_hessian(v - u, p, cfg.delta, mesh) / lam + phi.matrix()
 
     scale = max(1.0, float(norm_V(u, p, mesh)) / lam)
     start = u if v0 is None else v0
@@ -733,9 +745,8 @@ def resolvent_phi_power(
             )
 
         def hess(v):
-            return _duality_hessian(
-                v - w, p, cfg.delta, mesh
-            ) + (1.0 + lam) * _phi_hessian_dispatch(v, base_cfg)
+            H = _PhiAt(v, cfg.a, cfg.m, cfg.delta, mesh).matrix()
+            return _duality_hessian(v - w, p, cfg.delta, mesh) + (1.0 + lam) * H
 
         u, rep = _damped_newton(
             np.array(v0, dtype=float), value, grad, hess, np.diag,
@@ -752,14 +763,11 @@ def resolvent_phi_power(
         return u
 
     def mu_phi_pow(u: np.ndarray) -> float:
-        return pf.mu * float(phi_value(u, base_cfg)) ** pf.alpha_exp
+        return float(_PhiAt(u, cfg.a, cfg.m, cfg.delta, mesh, pf).mu_power)
 
     def equation_residual(u: np.ndarray) -> float:
-        lhs = (
-            duality_map(u - w, p, mesh)
-            + (1.0 + mu_phi_pow(u)) * phi_grad(u, base_cfg)
-            - wstar
-        )
+        eta = _PhiAt(u, cfg.a, cfg.m, cfg.delta, mesh, pf).grad
+        lhs = duality_map(u - w, p, mesh) + eta - wstar
         return float(norm_Vstar(lhs, pc, mesh))
 
     u_lo = solve_aux(0.0, w)

@@ -200,9 +200,9 @@ def norm_Vstar(xi: np.ndarray, p_conj: float, smesh: SpatialMesh) -> float | np.
 def cell_gradient(v: np.ndarray, smesh: SpatialMesh) -> np.ndarray:
     """Cellwise gradient with Dirichlet ghosts, last axis M -> M+1."""
     v = np.asarray(v, dtype=float)
-    pad = [(0, 0)] * (v.ndim - 1) + [(1, 1)]
-    z = np.pad(v, pad)
-    return np.diff(z, axis=-1) / smesh.dx
+    z = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,))
+    z[..., 1:-1] = v
+    return (z[..., 1:] - z[..., :-1]) / smesh.dx
 
 
 def norm_X(v: np.ndarray, m: float, smesh: SpatialMesh) -> float | np.ndarray:

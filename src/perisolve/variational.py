@@ -19,6 +19,7 @@ and a steepest-descent fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,50 +60,13 @@ class ObjectiveConfig:
     pf: cc.PerturbedFunctional | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (0.0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if not (0.0 <= self.delta < math.inf):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         self.f_plus_h = validate_trajectory(
             self.f_plus_h, self.prob.smesh, self.prob.tmesh, "combined forcing"
         )
-
-    def phi_config(self) -> cc.PhiConfig:
-        return cc.PhiConfig(
-            a=self.prob.a,
-            m=self.prob.m,
-            delta=self.delta,
-            smesh=self.prob.smesh,
-            p=self.prob.p,
-            pf=self.pf,
-        )
-
-
-def _objective(u: np.ndarray, ocfg: ObjectiveConfig) -> float:
-    """Value of the stage objective at a periodic trajectory."""
-    prob = ocfg.prob
-    dt = prob.tmesh.dt
-    eps = ocfg.epsilon
-    total = float(np.sum(cc.phi_value(u, ocfg.phi_config())))
-    total -= float(np.sum(pairing(ocfg.f_plus_h, u, prob.smesh)))
-    if eps > 0.0:
-        du = time_derivative(u, prob.tmesh)
-        total += eps * float(np.sum(cc.eval_psi(du, prob.nl, prob.smesh)))
-        total += eps * float(np.sum(cc.eval_psi(u, prob.nl, prob.smesh)))
-        total += 0.5 * eps * float(np.sum(norm_V(u, prob.p, prob.smesh) ** 2))
-    return dt * total
-
-
-def _slice_residual(u: np.ndarray, ocfg: ObjectiveConfig) -> np.ndarray:
-    """Stage equation residual per slice: the objective gradient over dt."""
-    prob = ocfg.prob
-    eps = ocfg.epsilon
-    R = cc.phi_grad(u, ocfg.phi_config()) - ocfg.f_plus_h
-    if eps > 0.0:
-        du = time_derivative(u, prob.tmesh)
-        xi = prob.nl.alpha_eval(du)
-        R = R + eps * (xi - np.roll(xi, -1, axis=0)) / prob.tmesh.dt
-        R = R + eps * prob.nl.alpha_eval(u)
-        R = R + eps * cc.duality_map(u, prob.p, prob.smesh)
-    return R
 
 
 def _duality_diag(u: np.ndarray, p: float, delta: float, smesh) -> np.ndarray:
@@ -115,41 +79,81 @@ def _duality_diag(u: np.ndarray, p: float, delta: float, smesh) -> np.ndarray:
     return (p - 1.0) * nrm[..., None] ** (2.0 - p) * smooth
 
 
-def _assemble_hessian(u: np.ndarray, ocfg: ObjectiveConfig) -> np.ndarray:
-    """Jacobian of the slice residual (symmetric) in LAPACK lower band storage.
+class _Stage:
+    """Value, slice residual and band Hessian of one stage objective.
 
-    The unknown at time node n and spatial node i sits at i*N + n, so the
-    cyclic block-tridiagonal matrix is banded with half-bandwidth N.  Band
-    row 0 holds the main diagonal, row 1 the coupling of time nodes n-1 and
-    n, row N-1 the periodic wrap from node N-1 back to node 0, and row N the
-    spatial off-diagonal.  At N = 2 rows 1 and N-1 coincide and the two time
-    couplings add.
+    All three read one evaluation of the trajectory they are given: du, Du
+    and, through the energy, the base energy per slice and the perturbation
+    factor.  It is kept for the last trajectory object asked about: the
+    damped Newton descent asks for all three at one iterate, and a
+    line-search trial computes only what the value needs.
     """
-    prob = ocfg.prob
-    smesh, tmesh = prob.smesh, prob.tmesh
-    N, M = u.shape
-    dt, dx = tmesh.dt, smesh.dx
-    eps = ocfg.epsilon
-    delta = ocfg.delta
 
-    w = cc.phi_hessian_cell_weights(u, prob.a, prob.m, delta, smesh)
-    if ocfg.pf is not None and ocfg.pf.mu > 0.0:
-        base = np.asarray(cc.eval_phi(u, prob.a, prob.m, delta, smesh))
-        w = (1.0 + ocfg.pf.mu * base**ocfg.pf.alpha_exp)[..., None] * w
+    def __init__(self, ocfg: ObjectiveConfig) -> None:
+        self.ocfg = ocfg
+        self._u = None
 
-    H = np.zeros((N + 1, N * M))
-    main = (w[:, :-1] + w[:, 1:]) / dx**2
-    if eps > 0.0:
-        du = time_derivative(u, tmesh)
-        c = eps * prob.nl.alpha_derivative(du, delta) / dt**2
-        main = main + c + np.roll(c, -1, axis=0)
-        main = main + eps * prob.nl.alpha_derivative(u, delta)
-        main = main + eps * _duality_diag(u, prob.p, delta, smesh)
-        H[1].reshape(M, N)[:, :-1] = -c[1:].T
-        H[N - 1].reshape(M, N)[:, 0] -= c[0]
-    H[0] = main.T.ravel()
-    H[N, : N * (M - 1)] = (-w[:, 1:-1] / dx**2).T.ravel()
-    return H
+    def _at(self, u: np.ndarray) -> tuple[np.ndarray | None, cc._PhiAt]:
+        if u is not self._u:
+            ocfg, prob = self.ocfg, self.ocfg.prob
+            self._u = u
+            self._du = time_derivative(u, prob.tmesh) if ocfg.epsilon > 0.0 else None
+            self._phi = cc._PhiAt(
+                u, prob.a, prob.m, ocfg.delta, prob.smesh, ocfg.pf
+            )
+        return self._du, self._phi
+
+    def value(self, u: np.ndarray) -> float:
+        """Value of the stage objective at a periodic trajectory."""
+        prob, eps = self.ocfg.prob, self.ocfg.epsilon
+        du, phi = self._at(u)
+        total = float(np.sum(phi.value))
+        total -= float(np.sum(pairing(self.ocfg.f_plus_h, u, prob.smesh)))
+        if eps > 0.0:
+            total += eps * float(np.sum(cc.eval_psi(du, prob.nl, prob.smesh)))
+            total += eps * float(np.sum(cc.eval_psi(u, prob.nl, prob.smesh)))
+            total += 0.5 * eps * float(np.sum(norm_V(u, prob.p, prob.smesh) ** 2))
+        return prob.tmesh.dt * total
+
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """Stage equation residual per slice: the objective gradient over dt."""
+        prob, eps = self.ocfg.prob, self.ocfg.epsilon
+        du, phi = self._at(u)
+        R = phi.grad - self.ocfg.f_plus_h
+        if eps > 0.0:
+            xi = prob.nl.alpha_eval(du)
+            R = R + eps * (xi - np.roll(xi, -1, axis=0)) / prob.tmesh.dt
+            R = R + eps * prob.nl.alpha_eval(u)
+            R = R + eps * cc.duality_map(u, prob.p, prob.smesh)
+        return R
+
+    def hessian(self, u: np.ndarray) -> np.ndarray:
+        """Jacobian of the slice residual (symmetric) in LAPACK lower band storage.
+
+        The unknown at time node n and spatial node i sits at i*N + n, so the
+        cyclic block-tridiagonal matrix is banded with half-bandwidth N.  Band
+        row 0 holds the main diagonal, row 1 the coupling of time nodes n-1
+        and n, row N-1 the periodic wrap from node N-1 back to node 0, and row
+        N the spatial off-diagonal.  At N = 2 rows 1 and N-1 coincide and the
+        two time couplings add.
+        """
+        prob, eps, delta = self.ocfg.prob, self.ocfg.epsilon, self.ocfg.delta
+        N, M = u.shape
+        dt, dx = prob.tmesh.dt, prob.smesh.dx
+        du, phi = self._at(u)
+        w = phi.weights
+        H = np.zeros((N + 1, N * M))
+        main = (w[:, :-1] + w[:, 1:]) / dx**2
+        if eps > 0.0:
+            c = eps * prob.nl.alpha_derivative(du, delta) / dt**2
+            main = main + c + np.roll(c, -1, axis=0)
+            main = main + eps * prob.nl.alpha_derivative(u, delta)
+            main = main + eps * _duality_diag(u, prob.p, delta, prob.smesh)
+            H[1].reshape(M, N)[:, :-1] = -c[1:].T
+            H[N - 1].reshape(M, N)[:, 0] -= c[0]
+        H[0] = main.T.ravel()
+        H[N, : N * (M - 1)] = (-w[:, 1:-1] / dx**2).T.ravel()
+        return H
 
 
 def _shifted_band_solve(H: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
@@ -182,11 +186,12 @@ def minimize(
     u = validate_trajectory(u0, prob.smesh, prob.tmesh, "initial trajectory").copy()
     smesh, dt = prob.smesh, prob.tmesh.dt
     scale = max(1.0, dual_bochner_norm(ocfg.f_plus_h, prob))
+    stage = _Stage(ocfg)
     return cc._damped_newton(
         u,
-        lambda v: _objective(v, ocfg),
-        lambda v: _slice_residual(v, ocfg),
-        lambda v: _assemble_hessian(v, ocfg),
+        stage.value,
+        stage.residual,
+        stage.hessian,
         lambda H: H[0],
         _shifted_band_solve,
         lambda R: dual_bochner_norm(R, prob),
@@ -209,8 +214,6 @@ def residual_AP(
     """
     u = validate_trajectory(u, prob.smesh, prob.tmesh, "trajectory")
     du = time_derivative(u, prob.tmesh)
-    cfg = cc.PhiConfig(
-        a=prob.a, m=prob.m, delta=delta, smesh=prob.smesh, p=prob.p, pf=pf
-    )
-    R = prob.nl.alpha_eval(du) + cc.phi_grad(u, cfg) - prob.f
+    eta = cc._PhiAt(u, prob.a, prob.m, delta, prob.smesh, pf).grad
+    R = prob.nl.alpha_eval(du) + eta - prob.f
     return dual_bochner_norm(R, prob)

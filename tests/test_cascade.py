@@ -36,6 +36,18 @@ def test_params_validation_and_stage_tol():
         ca.CascadeParams(fp_tol=0.0)
     with pytest.raises(ValueError, match="omega"):
         ca.CascadeParams(omega=1.5)
+    for key, bad, match in (
+        ("delta", np.nan, "delta"),
+        ("delta", -1.0, "delta"),
+        ("fp_tol", np.nan, "fp_tol"),
+        ("stage_tol", np.inf, "stage_tol"),
+        ("stage_tol", np.nan, "stage_tol"),
+        ("epsilon_schedule", (1.0, np.nan), "epsilon schedule"),
+        ("alpha_exp", -1.0, "alpha_exp"),
+        ("alpha_exp", 0.0, "alpha_exp"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ca.CascadeParams(**{key: bad})
     assert ca.CascadeParams().resolved_stage_tol() == pytest.approx(0.05 * 1e-10)
     assert ca.CascadeParams(stage_tol=1e-7).resolved_stage_tol() == 1e-7
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,19 @@ class TestLoadConfig:
                 "cascade.anderson_depth",
             ),
             ({}, "problem"),
+            # JSON admits NaN and Infinity; none of them may reach a solve
+            ({"problem": small_problem(L=inf)}, "problem.L"),
+            ({"problem": small_problem(), "cascade": {"delta": nan}}, "cascade.delta"),
+            ({"problem": small_problem(), "cascade": {"fp_tol": nan}}, "cascade.fp_tol"),
+            (
+                {"problem": small_problem(), "cascade": {"stage_tol": inf}},
+                "cascade.stage_tol",
+            ),
+            (
+                {"problem": small_problem(), "cascade": {"epsilon_schedule": [1.0, nan]}},
+                "cascade.epsilon_schedule",
+            ),
+            ({"problem": small_problem(), "cascade": {"alpha_exp": -1}}, "cascade"),
         ]
         for doc, key in cases:
             path = write_config(tmp_path, doc)
@@ -169,9 +183,11 @@ class TestSolve:
         path = write_config(tmp_path, doc)
         outs = []
         for name in ("a", "b"):
-            cfg = cli.load_config(path, output_override=str(tmp_path / name))
-            assert cli.cmd_solve(cfg) == cli.EXIT_OK
-            outs.append((tmp_path / name / "trajectory.csv").read_bytes())
+            out = tmp_path / name
+            argv = ["solve", "--config", path, "--output", str(out), "--quiet"]
+            assert cli.main(argv) == cli.EXIT_OK
+            files = ("trajectory.csv", "report.json")
+            outs.append([(out / f).read_bytes() for f in files])
         assert outs[0] == outs[1]
 
     def test_trajectory_csv_format(self, tmp_path):
