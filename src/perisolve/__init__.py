@@ -12,7 +12,6 @@ from .cascade import (
     CascadeParams,
     StageResult,
     default_epsilon_schedule,
-    direct_newton_oracle,
     epsilon_continuation,
     fixed_point_solve,
     mu_path,
@@ -42,7 +41,6 @@ __all__ = [
     "CascadeParams",
     "StageResult",
     "default_epsilon_schedule",
-    "direct_newton_oracle",
     "epsilon_continuation",
     "fixed_point_solve",
     "mu_path",

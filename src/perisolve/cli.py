@@ -243,6 +243,12 @@ def _build_cascade(doc: dict) -> CascadeParams:
         raise ConfigError(path, str(exc)) from exc
 
 
+_SINGULAR_FLUX = (
+    "delta = 0 with m = {m:g} < 2: the flux slope is singular at a zero "
+    "cell gradient, and the solve starts from u = 0"
+)
+
+
 def load_config(path: str, output_override: str | None = None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -263,6 +269,8 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
         raise ConfigError("route", f"must be 'auto' or 'mu', got {route!r}")
     problem = _build_problem(doc)
     cascade = _build_cascade(doc)
+    if problem.m < 2.0 and cascade.delta == 0.0:
+        raise ConfigError("cascade.delta", _SINGULAR_FLUX.format(m=problem.m))
     return RunConfig(
         problem=problem, cascade=cascade, seed=seed, output_dir=out, raw=doc,
         route=route,
@@ -452,6 +460,8 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
         if not isinstance(pm, list) or len(pm) != 2 or not all(map(_is_number, pm)):
             raise ConfigError("sweep.pairs", "expected [p, m] pairs of finite numbers")
         p, m = float(pm[0]), float(pm[1])
+        if m < 2.0 and cfg.cascade.delta == 0.0:
+            raise ConfigError("sweep.pairs", _SINGULAR_FLUX.format(m=m))
         try:
             prob = replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p))
         except ValueError as exc:

@@ -19,13 +19,11 @@ leading axes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .discretize import SpatialMesh, cell_gradient, norm_V, norm_Vstar, pairing
 
@@ -38,17 +36,13 @@ __all__ = [
     "eval_phi",
     "grad_phi",
     "phi_hessian_cell_weights",
-    "phi_hessian_matrix",
     "duality_map",
     "moreau_yosida",
     "fenchel_psi_star",
-    "phi_power_eval_grad",
     "resolvent_phi_power",
     "phi_value",
     "phi_grad",
 ]
-
-_BRACKET_LIMIT = 1e8
 
 
 def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -66,11 +60,11 @@ class Nonlinearity:
     """Nondecreasing scalar map alpha with primitive A and conjugate A*.
 
     Three kinds are supported: "power" (alpha(s) = |s|^(p-2) s, everything in
-    closed form), "piecewise_linear" (knot list, exact segment integrals,
-    numerically maximized conjugate), and "custom_tabulated" (same machinery,
-    data read from a two-column file).  Piecewise kinds extend beyond their
-    end knots with the end segment slopes; at a knot the derivative takes the
-    left segment's slope, a single-valued selection.
+    closed form), "piecewise_linear" (knot list, exact segment integrals and
+    conjugate), and "custom_tabulated" (same machinery, data read from a
+    two-column file).  Piecewise kinds extend beyond their end knots with
+    the end segment slopes; at a knot the derivative takes the left
+    segment's slope, a single-valued selection.
 
     p_exponent is the growth exponent used by the norm bookkeeping.
     """
@@ -170,14 +164,25 @@ class Nonlinearity:
         return self._raw_integral(s) - self._A_at_zero
 
     def conjugate_Astar(self, xi) -> np.ndarray:
+        """A*(xi) = sup_s (xi s - A(s)), +inf where xi lies beyond a flat end.
+
+        For piecewise kinds the supremum is attained where alpha(s*) = xi:
+        s* = knot + (xi - value)/slope on the segment whose values bracket
+        xi, the end segments carrying the end-slope extension.  On a flat
+        segment every point gives the same value, so s* is its knot.
+        """
         xi = _require_finite(xi, "conjugate argument")
         if self.kind == "power":
             pc = self.p_exponent / (self.p_exponent - 1.0)
             return np.abs(xi) ** pc / pc
-        out = np.empty(np.shape(xi))
-        flat = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-        vals = [self._conjugate_scalar(x) for x in flat]
-        out = np.asarray(vals).reshape(np.shape(xi))
+        idx = np.searchsorted(self._values, xi, side="right") - 1
+        idx = np.clip(idx, 0, self._knots.size - 2)
+        knot, value, slope = self._knots[idx], self._values[idx], self._slopes[idx]
+        flat = slope <= 0.0
+        s = knot + np.where(flat, 0.0, xi - value) / np.where(flat, 1.0, slope)
+        out = xi * s - (self._raw_integral(s) - self._A_at_zero)
+        unbounded = flat & ((xi < self._values[0]) | (xi > self._values[-1]))
+        out = np.where(unbounded, np.inf, out)
         return out if out.ndim else float(out)
 
     def alpha_derivative(self, s, delta: float = 0.0) -> np.ndarray:
@@ -190,39 +195,6 @@ class Nonlinearity:
             return (self.p_exponent - 1.0) * np.abs(s) ** q
         idx = self._segment_index(s, "left")
         return self._slopes[idx] + np.zeros_like(np.asarray(s, dtype=float))
-
-    def _conjugate_scalar(self, xi: float) -> float:
-        """sup_s (xi*s - A(s)) by bounded maximization of a concave profile."""
-        lo, hi = -1.0, 1.0
-        clipped = False
-        while float(self.alpha_eval(hi)) < xi:
-            hi *= 2.0
-            if hi > _BRACKET_LIMIT:
-                clipped = True
-                break
-        while float(self.alpha_eval(lo)) > xi:
-            lo *= 2.0
-            if lo < -_BRACKET_LIMIT:
-                clipped = True
-                break
-        if clipped:
-            warnings.warn(
-                "conjugate argument outside the range of alpha; "
-                "supremum evaluated over a clipped bracket",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        res = minimize_scalar(
-            lambda s: float(self.primitive_A(s)) - xi * s,
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-12 * max(1.0, abs(hi), abs(lo))},
-        )
-        best = -float(res.fun)
-        # bounded search can stall a hair off the ends; the ends are free
-        for s_end in (lo, hi):
-            best = max(best, xi * s_end - float(self.primitive_A(s_end)))
-        return best
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +418,6 @@ def phi_hessian_cell_weights(
     return _PhiAt(u, a, m, delta, mesh).weights
 
 
-def phi_hessian_matrix(
-    u: np.ndarray, a: DiffusionField, m: float, delta: float, mesh: SpatialMesh
-) -> np.ndarray:
-    """Dense (M, M) pairing Hessian of the smoothed energy at a single slice."""
-    return _PhiAt(u, a, m, delta, mesh).matrix()
-
-
 # ---------------------------------------------------------------------------
 # duality map
 
@@ -497,20 +462,7 @@ def _duality_hessian(
 
 
 # ---------------------------------------------------------------------------
-# perturbed energy dispatch
-
-
-def phi_power_eval_grad(
-    u: np.ndarray, pf: PerturbedFunctional, cfg: PhiConfig
-) -> tuple:
-    """Value and gradient of the power-perturbed energy.
-
-    value = phi + mu/(1+a) phi^(1+a); grad = (1 + mu phi^a) grad_phi, sharing
-    one phi evaluation so the chain-rule identity holds on the same
-    arithmetic path.
-    """
-    phi = _PhiAt(u, cfg.a, cfg.m, cfg.delta, cfg.smesh, pf)
-    return phi.value, phi.grad
+# energy of a configuration
 
 
 def phi_value(u: np.ndarray, cfg: PhiConfig):

@@ -3,6 +3,7 @@ import pytest
 
 import perisolve.cascade as ca
 import perisolve.convexcore as cc
+from newton_oracle import direct_newton_oracle
 from oracles import canonical_problem, cyclic_heat_solve
 from perisolve.discretize import pairing, time_derivative
 from perisolve.variational import residual_AP
@@ -263,16 +264,16 @@ def test_energy_margin_nonnegative_at_solution():
 def test_direct_newton_oracle():
     # linear problem: one Newton step lands exactly
     lin = canonical_problem(M=12, N=12)
-    u, rep = ca.direct_newton_oracle(lin)
+    u, rep = direct_newton_oracle(lin)
     assert rep["converged"] and rep["iterations"] <= 2
     assert linf_l2(u - cyclic_heat_solve(lin), lin) <= 1e-8
     # zero forcing short-circuits
-    uz, repz = ca.direct_newton_oracle(unit_problem(2.0, 3.0, 5, 5, amp=0.0))
+    uz, repz = direct_newton_oracle(unit_problem(2.0, 3.0, 5, 5, amp=0.0))
     assert repz["converged"]
     assert np.abs(uz).max() == 0.0
     # nonlinear agreement with the cascade
     prob = unit_problem(2.0, 3.0, 12, 12)
-    u_or, rep_or = ca.direct_newton_oracle(prob, delta=1e-8)
+    u_or, rep_or = direct_newton_oracle(prob, delta=1e-8)
     stages = ca.epsilon_continuation(prob, ca.CascadeParams())
     assert rep_or["converged"]
     assert np.abs(u_or - stages[-1].u).max() <= 1e-9

@@ -124,11 +124,23 @@ class TestLoadConfig:
                 "cascade.epsilon_schedule",
             ),
             ({"problem": small_problem(), "cascade": {"alpha_exp": -1}}, "cascade"),
+            # m < 2 with delta = 0: the flux slope is singular at u = 0
+            (
+                {"problem": small_problem(M=4, N=4, m=1.5), "cascade": {"delta": 0}},
+                "cascade.delta",
+            ),
+            # the default sweep pairs include m = 1.5
+            (
+                {"problem": small_problem(), "cascade": {"delta": 0}, "sweep": {}},
+                "sweep.pairs",
+            ),
         ]
         for doc, key in cases:
             path = write_config(tmp_path, doc)
             with pytest.raises(cli.ConfigError) as err:
-                cli.load_config(path)
+                cfg = cli.load_config(path, output_override=str(tmp_path / "out"))
+                if "sweep" in doc:
+                    cli.cmd_sweep(cfg)
             assert err.value.key == key, str(err.value)
 
     def test_defaults_and_override(self, tmp_path):
@@ -366,6 +378,16 @@ class TestMain:
             cli.main([])
 
 
+def _child_env() -> dict:
+    # the imported package first on a child interpreter's path, installed or not
+    pkg_root = str(Path(perisolve.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(
+        os.environ,
+        PYTHONPATH=pkg_root + (os.pathsep + inherited if inherited else ""),
+    )
+
+
 def test_sweep_outputs_are_byte_identical_under_jobs(tmp_path):
     # the worker processes run under `python -m perisolve.cli`, whose main
     # module each spawned worker re-imports
@@ -377,19 +399,13 @@ def test_sweep_outputs_are_byte_identical_under_jobs(tmp_path):
     path = write_config(tmp_path, doc)
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert cli.cmd_sweep(cli.load_config(path, output_override=str(serial))) == 0
-    pkg_root = str(Path(perisolve.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        PYTHONPATH=pkg_root + (os.pathsep + inherited if inherited else ""),
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "perisolve.cli", "sweep", "--config", path,
          "--output", str(pooled), "--jobs", "2", "--quiet"],
         capture_output=True,
         text=True,
         timeout=240,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     def trajectories(root):
@@ -408,3 +424,21 @@ def test_console_script_resolves_to_main():
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, _, attr = scripts["perisolve"].partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def test_import_leaves_out_sparse_and_optimize():
+    # the library solves on band factorizations and closed forms; scipy's
+    # sparse and optimize packages belong to the tests alone
+    probe = (
+        "import sys, perisolve; "
+        "print([m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

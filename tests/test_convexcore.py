@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import perisolve.convexcore as cc
+import perisolve.verify as vf
 from oracles import (
     RESOLVENT_LAMBDA_STAR,
     RESOLVENT_U_STAR,
@@ -12,6 +15,7 @@ from oracles import (
     scalar_mode_problem,
 )
 from perisolve.discretize import SpatialMesh, pairing
+from util import unit_problem
 
 slices = arrays(float, st.integers(2, 8), elements=st.floats(-5.0, 5.0))
 
@@ -87,12 +91,38 @@ class TestPiecewiseNonlinearity:
         with pytest.raises(ValueError, match=">= 2 breakpoints"):
             cc.Nonlinearity.custom_tabulated([0.0], [0.0])
 
-    def test_bounded_range_conjugate_warns(self):
+    def test_bounded_range_conjugate_is_infinite_outside(self):
         flat = cc.Nonlinearity.piecewise_linear(
             [[-2.0, -1.0], [-1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 1.0]]
         )
-        with pytest.warns(RuntimeWarning, match="clipped bracket"):
-            flat.conjugate_Astar(np.array([5.0]))
+        assert np.all(np.isinf(flat.conjugate_Astar(np.array([-5.0, 5.0]))))
+        # alpha = s on [-1, 1]: A*(xi) = xi^2/2 there, and the flat ends
+        # attain their values, so A*(+-1) = 1/2 stays finite
+        assert flat.conjugate_Astar(0.5) == pytest.approx(0.125, rel=1e-12)
+        assert np.allclose(flat.conjugate_Astar(np.array([-1.0, 1.0])), 0.5)
+
+    @given(
+        st.sampled_from([1, 8]),
+        arrays(float, 16, elements=st.floats(-80.0, 80.0)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_mosco_table_conjugate_is_exact(self, n, s):
+        # the 4097-knot table of the rate-map Mosco family, p = 2.5
+        spec = vf.MoscoSequenceSpec(
+            kind="nonlinearity_perturbation", base=unit_problem(2.5, 2.0, 4, 4)
+        )
+        nl = spec.instance(n).nl
+        assert nl.kind == "custom_tabulated" and nl._knots.size == 4097
+        # Fenchel-Young equality on the graph
+        xi = nl.alpha_eval(s)
+        fy = nl.primitive_A(s) + nl.conjugate_Astar(xi) - xi * s
+        assert np.all(np.abs(fy) <= 1e-12 * (1.0 + np.abs(xi * s)))
+        # A*(xi) bounds xi t - A(t) over a dense grid of t, beyond the ends too
+        t = np.linspace(-96.0, 96.0, 19201)
+        inner = xi[:, None] * t[None, :] - nl.primitive_A(t)[None, :]
+        gap = nl.conjugate_Astar(xi)[:, None] - inner
+        scale = 1.0 + np.abs(xi[:, None] * t[None, :])
+        assert np.all(gap >= -1e-12 * scale)
 
     def test_tabulated_identity_matches_quadratic(self):
         nl = cc.Nonlinearity.custom_tabulated(
@@ -208,7 +238,7 @@ def test_phi_hessian_matches_directional_fd(rng):
     a = cc.DiffusionField.constant(1.0, sm)
     u = rng.normal(size=7)
     v = rng.normal(size=7)
-    H = cc.phi_hessian_matrix(u, a, 3.0, 1e-3, sm)
+    H = cc._PhiAt(u, a, 3.0, 1e-3, sm).matrix()
     h = 1e-6
     fd = (
         cc.grad_phi(u + h * v, a, 3.0, 1e-3, sm)
@@ -216,7 +246,7 @@ def test_phi_hessian_matches_directional_fd(rng):
     ) / (2.0 * h)
     assert np.allclose(H @ v, fd, rtol=1e-5, atol=1e-6)
     with pytest.raises(ValueError, match="single slice"):
-        cc.phi_hessian_matrix(np.zeros((2, 7)), a, 3.0, 1e-3, sm)
+        cc._PhiAt(np.zeros((2, 7)), a, 3.0, 1e-3, sm).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +353,9 @@ def test_fenchel_young_for_field_functionals(rng):
 
 def test_phi_power_scalar_values():
     _, cfg = scalar_mode_problem()
-    pf = cc.PerturbedFunctional(mu=1.0, alpha_exp=1.0)
-    val, grad = cc.phi_power_eval_grad(np.array([2.0]), pf, cfg)
+    cfg = replace(cfg, pf=cc.PerturbedFunctional(mu=1.0, alpha_exp=1.0))
+    u = np.array([2.0])
+    val, grad = cc.phi_value(u, cfg), cc.phi_grad(u, cfg)
     # phi = 2: value 2 + 4/2 = 4, grad (1 + 2) * 2 = 6
     assert val == pytest.approx(4.0, rel=1e-14)
     assert grad[0] == pytest.approx(6.0, rel=1e-14)
@@ -335,7 +366,8 @@ def test_phi_power_reduces_to_plain(rng):
     a = cc.DiffusionField.constant(1.0, sm)
     cfg = cc.PhiConfig(a=a, m=3.0, delta=0.0, smesh=sm, p=2.0)
     u = rng.normal(size=8)
-    val, grad = cc.phi_power_eval_grad(u, cc.PerturbedFunctional(0.0, 1.5), cfg)
+    pcfg = replace(cfg, pf=cc.PerturbedFunctional(0.0, 1.5))
+    val, grad = cc.phi_value(u, pcfg), cc.phi_grad(u, pcfg)
     assert val == pytest.approx(float(cc.phi_value(u, cfg)), rel=1e-14)
     assert np.allclose(grad, cc.phi_grad(u, cfg))
 
@@ -346,13 +378,12 @@ def test_phi_power_gradient_chain_rule(rng):
     base = cc.PhiConfig(a=a, m=3.0, delta=1e-6, smesh=sm, p=2.0)
     pf = cc.PerturbedFunctional(mu=0.5, alpha_exp=1.5)
     u = rng.normal(size=8)
-    val, grad = cc.phi_power_eval_grad(u, pf, base)
+    cfg = replace(base, pf=pf)
+    val, grad = cc.phi_value(u, cfg), cc.phi_grad(u, cfg)
     phi = float(cc.eval_phi(u, a, 3.0, 1e-6, sm))
     manual = (1.0 + 0.5 * phi**1.5) * cc.grad_phi(u, a, 3.0, 1e-6, sm)
     assert np.allclose(grad, manual, rtol=1e-14, atol=1e-14)
-    fd = fd_gradient(
-        lambda v: float(cc.phi_power_eval_grad(v, pf, base)[0]), u
-    )
+    fd = fd_gradient(lambda v: float(cc.phi_value(v, cfg)), u)
     assert np.allclose(sm.dx * grad, fd, rtol=1e-5, atol=1e-7)
 
 
