@@ -440,7 +440,6 @@ def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
-    outdir = _ensure_dir(cfg.output_dir)
     blk = cfg.block("sweep")
     default_pairs = [[2, 2], [2, 3], [2.5, 3], [3, 2], [2, 1.5]]
     pairs = _get(blk, "pairs", "sweep", list, default_pairs)
@@ -476,6 +475,7 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
                 raise ConfigError("sweep.epsilon_final", str(exc)) from exc
             runs.append((p, m, ef, prob, params))
 
+    outdir = _ensure_dir(cfg.output_dir)
     outs = _solve_batch([(prob, params, cfg.route) for *_, prob, params in runs], jobs)
     summary = Table(["p", "m", "epsilon_final", "route", "converged", "residual"])
     for (p, m, ef, prob, params), (final, stages, route) in zip(runs, outs):

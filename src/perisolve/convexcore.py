@@ -99,10 +99,12 @@ class Nonlinearity:
             self._values = values
             seg = np.diff(knots)
             self._slopes = np.diff(values) / seg
-            # exact integral of the interpolant, accumulated from the first knot
+            # exact integral of the interpolant from the knot nearest 0, so
+            # that A near 0 is not the difference of two large partial sums
             self._cum = np.concatenate(
                 ([0.0], np.cumsum(0.5 * (values[:-1] + values[1:]) * seg))
             )
+            self._cum -= self._cum[np.argmin(np.abs(knots))]
             self._A_at_zero = self._raw_integral(np.asarray(0.0))
 
     # -- constructors
@@ -364,11 +366,13 @@ class _PhiAt:
     def weights(self) -> np.ndarray:
         """Cell weights a q'(Du) of the pairing Hessian, scaled by the
         perturbation factor.  The perturbation's rank-one term
-        mu a phi^(a-1) g g^T is dropped, which the line searches absorb."""
+        mu a phi^(a-1) g g^T is dropped, which the line searches absorb.
+        At m = 2 q' is exactly 1 for any delta, so a p = m = 2 stage keeps
+        one band bit for bit from step to step."""
         Du, m, delta = self.Du, self.m, self.delta
         if delta > 0.0:
             s2 = Du * Du + delta * delta
-            qp = s2 ** ((m - 4.0) / 2.0) * ((m - 1.0) * Du * Du + delta * delta)
+            qp = s2 ** ((m - 2.0) / 2.0) * (1.0 + (m - 2.0) * (Du * Du) / s2)
         else:
             qp = (m - 1.0) * np.abs(Du) ** (m - 2.0)
         return self._scaled(self.a * qp)

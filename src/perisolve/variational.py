@@ -13,8 +13,9 @@ equation, so stationarity equals solving the stage system.
 
 The minimizer runs the damped Newton descent of convexcore on the flattened
 trajectory with the cyclic block-tridiagonal Hessian in banded storage, one
-banded Cholesky solve per step, Armijo backtracking on the exact objective,
-and a steepest-descent fallback.
+banded Cholesky factorization per distinct band (a stage whose Hessian does
+not change, as at p = m = 2, factors it once), Armijo backtracking on the
+exact objective, and a steepest-descent fallback.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from . import convexcore as cc
 from .convexcore import MinimizerReport
@@ -156,16 +157,47 @@ class _Stage:
         return H
 
 
+class _BandFactor:
+    """The last factored band: an owned copy of it, its shift and its lower
+    Cholesky factor.  Both live in buffers kept while the band shape holds,
+    so a refactorization allocates nothing.  A NaN shift marks the entry
+    empty."""
+
+    band: np.ndarray | None = None
+    factor: np.ndarray | None = None
+    shift = math.nan
+
+
+# Module level because the stages of one fixed-point solve are separate
+# minimize calls, and at p = m = 2 they all repeat one band.
+_last = _BandFactor()
+
+
 def _shifted_band_solve(H: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
     """Solve (H + shift I) x = rhs by banded Cholesky; rhs and x time-major.
 
-    An indefinite or non-finite H gives LinAlgError or a non-finite x, which
-    the Newton driver's shift ladder catches.
+    One factorization per distinct band: while H and shift equal those of
+    the last factored call, only the triangular solves run, which give the
+    same bits as a fresh factorization.  An indefinite or non-finite H gives
+    LinAlgError or a non-finite x, which the Newton driver's shift ladder
+    catches.
     """
+    last = _last
+    if not (last.shift == shift and np.array_equal(H, last.band)):
+        last.shift = math.nan
+        if last.band is None or last.band.shape != H.shape:
+            last.band = np.empty_like(H)
+            last.factor = np.empty(H.shape, order="F")
+        last.band[...] = H
+        last.factor[...] = H
+        last.factor[0] += shift
+        last.factor = cholesky_banded(
+            last.factor, overwrite_ab=True, lower=True, check_finite=False
+        )
+        last.shift = shift
     N = H.shape[0] - 1
-    Hs = np.concatenate((H[:1] + shift, H[1:]))
     b = rhs.reshape(N, -1).T.ravel()
-    x = solveh_banded(Hs, b, overwrite_ab=True, lower=True, check_finite=False)
+    x = cho_solve_banded((last.factor, True), b, overwrite_b=True, check_finite=False)
     return x.reshape(-1, N).T.ravel()
 
 

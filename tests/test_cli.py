@@ -142,6 +142,8 @@ class TestLoadConfig:
                 if "sweep" in doc:
                     cli.cmd_sweep(cfg)
             assert err.value.key == key, str(err.value)
+            # a config error leaves no output directory behind
+            assert not (tmp_path / "out").exists(), key
 
     def test_defaults_and_override(self, tmp_path):
         path = write_config(tmp_path, {"problem": small_problem()})

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +125,31 @@ class TestPiecewiseNonlinearity:
         scale = 1.0 + np.abs(xi[:, None] * t[None, :])
         assert np.all(gap >= -1e-12 * scale)
 
+    def test_mosco_table_primitive_is_exact_near_zero(self):
+        # power(3) + s on 4097 knots over [-64, 64]: A near 0 is tiny next to
+        # A at the end knots, and must not inherit their roundoff
+        spec = vf.MoscoSequenceSpec(
+            kind="nonlinearity_perturbation", base=unit_problem(3.0, 2.0, 4, 4)
+        )
+        nl = spec.instance(1).nl
+        knots = [Fraction(k) for k in nl._knots]
+        values = [Fraction(v) for v in nl._values]
+
+        def exact(s):
+            # integral of the interpolant from 0 to s, in rational arithmetic
+            lo, hi = sorted((Fraction(0), Fraction(s)))
+            total = Fraction(0)
+            for k0, k1, v0, v1 in zip(knots, knots[1:], values, values[1:]):
+                a, b = max(k0, lo), min(k1, hi)
+                if a < b:
+                    slope = (v1 - v0) / (k1 - k0)
+                    total += (2 * v0 + slope * (a + b - 2 * k0)) / 2 * (b - a)
+            return total if s > 0 else -total
+
+        for s in (6.4e-4, 1e-3, -1e-3, 0.3, -5.0):
+            ref = exact(s)
+            assert abs(Fraction(float(nl.primitive_A(s))) - ref) <= 1e-12 * abs(ref)
+
     def test_tabulated_identity_matches_quadratic(self):
         nl = cc.Nonlinearity.custom_tabulated(
             np.linspace(-1, 1, 21), np.linspace(-1, 1, 21)
@@ -231,6 +257,24 @@ def test_grad_phi_monotone(u, v, m):
         sm,
     )
     assert gap >= -1e-10 * (1.0 + np.abs(u).max() + np.abs(v).max()) ** m
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3, 0.5])
+def test_phi_weights_are_exact_at_m2(rng, delta):
+    sm = SpatialMesh(1.0, 9)
+    a = cc.DiffusionField.from_function(lambda x: 1.0 + 0.5 * np.sin(7.0 * x), sm)
+    u = rng.normal(size=(3, 9))
+    w = cc._PhiAt(u, a, 2.0, delta, sm).weights
+    assert np.array_equal(w, np.broadcast_to(a.midpoint_values, w.shape))
+    if delta == 0.0:
+        return
+    # elsewhere the weights keep the value of s2^((m-4)/2) ((m-1) Du^2 + delta^2)
+    for m in (1.5, 3.0):
+        phi = cc._PhiAt(u, a, m, delta, sm)
+        s2 = phi.Du**2 + delta**2
+        qp = s2 ** ((m - 4.0) / 2.0) * ((m - 1.0) * phi.Du**2 + delta**2)
+        old = a.midpoint_values * qp
+        assert np.allclose(phi.weights, old, rtol=1e-13, atol=0.0)
 
 
 def test_phi_hessian_matches_directional_fd(rng):
