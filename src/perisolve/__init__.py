@@ -14,7 +14,6 @@ from .cascade import (
     default_epsilon_schedule,
     epsilon_continuation,
     fixed_point_solve,
-    mu_path,
     solve_routed,
 )
 from .convexcore import (
@@ -43,7 +42,6 @@ __all__ = [
     "default_epsilon_schedule",
     "epsilon_continuation",
     "fixed_point_solve",
-    "mu_path",
     "solve_routed",
     "DiffusionField",
     "Nonlinearity",

@@ -12,6 +12,9 @@ attacked in layers:
 * continuation: drive eps down a schedule with warm starts, finishing with
   an exact eps = 0 stage, and on the hard exponent branch drive a power
   perturbation of the energy down a mu schedule the same way.
+
+solve_routed is the one walker of both routes: it returns every fixed point
+stage in the order solved, each tagged with its (eps, mu).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +51,6 @@ __all__ = [
     "beta_map",
     "fixed_point_solve",
     "epsilon_continuation",
-    "mu_path",
     "solve_routed",
     "energy_margin",
     "chain_rule_sum",
@@ -81,9 +83,11 @@ class CascadeParams:
 
     stage_tol = None resolves to 0.05 * fp_tol so stage defects stay well
     under the fixed point tolerance.  exact_limit_stage appends a final
-    eps = 0 (resp. mu = 0) solve after each schedule.  mu_eps_truncate is
-    how many trailing epsilon entries later mu stages reuse; the first mu
-    stage always walks the full ladder.
+    eps = 0 stage to each epsilon walk and, on the mu route, a final mu = 0
+    level.  mu_eps_truncate is how many trailing epsilon entries later mu
+    levels reuse; the first mu level always walks the full ladder.  Every
+    stage walked, on either route, is one StageResult tagged (eps, mu), so
+    a schedule must walk at least one stage.
     """
 
     epsilon_schedule: tuple[float, ...] = default_epsilon_schedule()
@@ -106,6 +110,10 @@ class CascadeParams:
             raise ValueError("epsilon schedule entries must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
+        if not eps and not self.exact_limit_stage:
+            raise ValueError(
+                "an empty epsilon schedule walks no stage without exact_limit_stage"
+            )
         object.__setattr__(self, "epsilon_schedule", eps)
         mus = tuple(float(x) for x in self.mu_schedule)
         if any(not (0.0 < x < 1.0) for x in mus):
@@ -486,73 +494,47 @@ def epsilon_continuation(
     return stages
 
 
-def mu_path(
-    prob: ProblemSpec,
-    params: CascadeParams,
-    h0: np.ndarray | None = None,
-    u0: np.ndarray | None = None,
-) -> list[StageResult]:
-    """Continuation in the energy perturbation for the hard exponent branch.
-
-    Intended for m <= p; running it with m > p is allowed as a consistency
-    check against the plain path.  Needs a perturbation exponent with
-    m (1 + alpha_exp) > p so the perturbed energy dominates the state norm.
-    Each mu stage runs an epsilon continuation to its exact limit; later
-    stages reuse only the tail of the epsilon ladder.  The final entry,
-    when exact_limit_stage is set, is the mu = 0 solve.
-    """
-    if not params.mu_schedule:
-        raise ValueError("mu_path needs a nonempty mu schedule")
-    if params.alpha_exp is None:
-        raise ValueError("mu_path needs alpha_exp")
-    if prob.m * (1.0 + params.alpha_exp) <= prob.p:
-        raise ValueError(
-            "alpha_exp too small: need m (1 + alpha_exp) > p, got "
-            f"m={prob.m}, alpha_exp={params.alpha_exp}, p={prob.p}"
-        )
-    results: list[StageResult] = []
-    h, u = h0, u0
-    tail = params.epsilon_schedule[-max(1, params.mu_eps_truncate):]
-    for k, mu in enumerate(params.mu_schedule):
-        pf = cc.PerturbedFunctional(mu, params.alpha_exp)
-        sched = params.epsilon_schedule if k == 0 else tail
-        stages = epsilon_continuation(prob, params, pf=pf, h0=h, u0=u, schedule=sched)
-        final = stages[-1]
-        final.diagnostics["epsilon_stage_count"] = len(stages)
-        results.append(final)
-        diverged = final.diagnostics["fixed_point_residual"] > final.diagnostics[
-            "residual_scale"
-        ]
-        if diverged:
-            return results
-        h, u = final.h, final.u
-    if params.exact_limit_stage:
-        stages = epsilon_continuation(prob, params, pf=None, h0=h, u0=u, schedule=tail)
-        final = stages[-1]
-        final.diagnostics["epsilon_stage_count"] = len(stages)
-        results.append(final)
-    return results
-
-
 def solve_routed(
     prob: ProblemSpec, params: CascadeParams, route: str = "auto"
 ) -> tuple[StageResult, list[StageResult], str]:
-    """Dispatch to the appropriate continuation for the exponent pair.
+    """Walk the cascade for the exponent pair in one continuation loop.
 
-    m > p runs the plain epsilon ladder; m <= p takes the perturbation path,
-    filling in a default mu schedule and a default exponent satisfying
-    m (1 + alpha_exp) > p when the params leave them unset.  route="mu"
-    forces the perturbation path even for m > p (consistency testing).
-    Returns the final stage, all stages walked, and the route name.
+    m > p runs the plain epsilon ladder.  m <= p, or route="mu" for any pair
+    (a consistency check against the plain route when m > p), walks the
+    perturbation path: one epsilon continuation per mu level, each warm
+    started from the last stage.  The first level walks the full ladder,
+    later ones its last mu_eps_truncate entries, and exact_limit_stage adds a
+    mu = 0 level on that tail.  A default mu schedule and a default exponent
+    with m (1 + alpha_exp) > p fill in what the params leave unset; a set
+    exponent must satisfy that bound too.  A level whose last stage diverges
+    ends the walk.  Returns the final stage, every fixed point stage walked
+    in order, each tagged with its (epsilon, mu), and the route name.
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")
     if route == "auto" and prob.m > prob.p:
         stages = epsilon_continuation(prob, params)
         return stages[-1], stages, "plain"
-    if not params.mu_schedule:
-        params = replace(params, mu_schedule=DEFAULT_MU_SCHEDULE)
-    if params.alpha_exp is None:
-        params = replace(params, alpha_exp=max(prob.p / prob.m - 1.0, 0.0) + 0.5)
-    stages = mu_path(prob, params)
+    alpha_exp = params.alpha_exp
+    if alpha_exp is None:
+        alpha_exp = max(prob.p / prob.m - 1.0, 0.0) + 0.5
+    if prob.m * (1.0 + alpha_exp) <= prob.p:
+        raise ValueError(
+            "alpha_exp too small: need m (1 + alpha_exp) > p, got "
+            f"m={prob.m}, alpha_exp={alpha_exp}, p={prob.p}"
+        )
+    tail = params.epsilon_schedule[-max(1, params.mu_eps_truncate):]
+    levels = [
+        (cc.PerturbedFunctional(mu, alpha_exp), tail if k else params.epsilon_schedule)
+        for k, mu in enumerate(params.mu_schedule or DEFAULT_MU_SCHEDULE)
+    ]
+    if params.exact_limit_stage:
+        levels.append((None, tail))
+    stages: list[StageResult] = []
+    for pf, sched in levels:
+        h, u = (stages[-1].h, stages[-1].u) if stages else (None, None)
+        stages += epsilon_continuation(prob, params, pf=pf, h0=h, u0=u, schedule=sched)
+        d = stages[-1].diagnostics
+        if d["fixed_point_residual"] > d["residual_scale"]:
+            break
     return stages[-1], stages, "mu"

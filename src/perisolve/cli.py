@@ -249,6 +249,13 @@ _SINGULAR_FLUX = (
 )
 
 
+# m (1 + alpha_exp) <= p forces m < p, so every such pair takes the mu route
+_SMALL_ALPHA = (
+    "the mu route needs m (1 + alpha_exp) > p, got m={m:g}, alpha_exp={a:g}, "
+    "p={p:g}"
+)
+
+
 def load_config(path: str, output_override: str | None = None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -271,6 +278,9 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
     cascade = _build_cascade(doc)
     if problem.m < 2.0 and cascade.delta == 0.0:
         raise ConfigError("cascade.delta", _SINGULAR_FLUX.format(m=problem.m))
+    a, m, p = cascade.alpha_exp, problem.m, problem.p
+    if a is not None and m * (1.0 + a) <= p:
+        raise ConfigError("cascade.alpha_exp", _SMALL_ALPHA.format(m=m, a=a, p=p))
     return RunConfig(
         problem=problem, cascade=cascade, seed=seed, output_dir=out, raw=doc,
         route=route,
@@ -398,8 +408,8 @@ def _build_mms_spec(cfg: RunConfig):
 
 
 def cmd_mms(cfg: RunConfig, jobs: int = 1) -> int:
-    outdir = _ensure_dir(cfg.output_dir)
     spec, levels = _build_mms_spec(cfg)
+    outdir = _ensure_dir(cfg.output_dir)
     table = mms_run(spec, cfg.problem, cfg.cascade, levels=levels, jobs=jobs)
     table.to_csv(str(outdir / "mms.csv"))
     table.to_dat(str(outdir / "mms.dat"))
@@ -415,7 +425,6 @@ def cmd_mms(cfg: RunConfig, jobs: int = 1) -> int:
 
 
 def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
-    outdir = _ensure_dir(cfg.output_dir)
     blk = cfg.block("mosco")
     kind = _get(blk, "kind", "mosco", str, "diffusion_perturbation")
     n_max = _int(blk, "n_max", "mosco", 8, minimum=1)
@@ -425,6 +434,7 @@ def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
         )
     except ValueError as exc:
         raise ConfigError("mosco.kind", str(exc)) from exc
+    outdir = _ensure_dir(cfg.output_dir)
     table = mosco_experiment(seq, cfg.cascade, jobs=jobs)
     table.to_csv(str(outdir / "mosco.csv"))
     table.to_dat(str(outdir / "mosco.dat"))
@@ -446,7 +456,7 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
     if not pairs:
         raise ConfigError("sweep.pairs", "expected at least one [p, m] pair")
     eps_finals = _get(
-        blk, "epsilon_final", "sweep", list, [cfg.cascade.epsilon_schedule[-1]]
+        blk, "epsilon_final", "sweep", list, list(cfg.cascade.epsilon_schedule[-1:])
     )
     if not eps_finals or not all(_is_number(e) for e in eps_finals):
         raise ConfigError(
@@ -461,6 +471,9 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
         p, m = float(pm[0]), float(pm[1])
         if m < 2.0 and cfg.cascade.delta == 0.0:
             raise ConfigError("sweep.pairs", _SINGULAR_FLUX.format(m=m))
+        a = cfg.cascade.alpha_exp
+        if a is not None and m * (1.0 + a) <= p:
+            raise ConfigError("sweep.pairs", _SMALL_ALPHA.format(m=m, a=a, p=p))
         try:
             prob = replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p))
         except ValueError as exc:

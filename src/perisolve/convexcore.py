@@ -227,19 +227,6 @@ class DiffusionField:
         vals = np.full(smesh.interior_count + 1, float(value))
         return cls(vals, float(value), float(value))
 
-    @classmethod
-    def from_function(
-        cls,
-        fn: Callable[[np.ndarray], np.ndarray],
-        smesh: SpatialMesh,
-        lower_bound: float | None = None,
-        upper_bound: float | None = None,
-    ) -> "DiffusionField":
-        vals = np.asarray(fn(smesh.cell_midpoints), dtype=float)
-        lo = float(np.min(vals)) if lower_bound is None else lower_bound
-        hi = float(np.max(vals)) if upper_bound is None else upper_bound
-        return cls(vals, lo, hi)
-
 
 @dataclass(frozen=True)
 class PerturbedFunctional:

@@ -216,7 +216,8 @@ def test_criterion_7_perturbation_vanishes(mms_matrix):
     fx = mms_matrix[(3.0, 2.0)]
     mus, norms = [], []
     for stage in fx.stages:
-        if stage.mu > 0.0:
+        # the exact eps = 0 stage of each mu level carries the mu-term itself
+        if stage.mu > 0.0 and stage.epsilon == 0.0:
             mus.append(stage.mu)
             norms.append(stage.diagnostics["audit"]["mu_term_dual_norm"])
     slope = float(np.polyfit(np.log(mus), np.log(norms), 1)[0])

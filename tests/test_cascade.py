@@ -192,14 +192,9 @@ def test_epsilon_continuation_respects_exact_limit_flag():
 
 
 def test_mu_path_validation():
-    prob = unit_problem(2.0, 2.0, 4, 4)
-    with pytest.raises(ValueError, match="nonempty mu schedule"):
-        ca.mu_path(prob, ca.CascadeParams(alpha_exp=1.5))
-    with pytest.raises(ValueError, match="alpha_exp"):
-        ca.mu_path(prob, ca.CascadeParams(mu_schedule=(0.1,)))
     bad = ca.CascadeParams(mu_schedule=(0.1,), alpha_exp=0.2)
     with pytest.raises(ValueError, match="alpha_exp too small"):
-        ca.mu_path(unit_problem(3.0, 2.0, 4, 4), bad)
+        ca.solve_routed(unit_problem(3.0, 2.0, 4, 4), bad, route="mu")
 
 
 def test_mu_route_agrees_with_plain_when_both_apply():
@@ -212,7 +207,14 @@ def test_mu_route_agrees_with_plain_when_both_apply():
     assert final_p.converged and final_m.converged
     assert linf_l2(final_p.u - final_m.u, prob) <= 1e-6
     assert final_m.mu == 0.0
-    assert all(s.mu > 0.0 for s in stages_m[:-1] if s.mu is not None)
+    # every stage of every level, mu nonincreasing through the schedule to 0,
+    # and each level closing at its exact eps = 0 stage
+    mus = [s.mu for s in stages_m]
+    assert all(b <= a for a, b in zip(mus, mus[1:]))
+    levels = list(dict.fromkeys(mus))
+    assert levels == [*ca.DEFAULT_MU_SCHEDULE, 0.0]
+    for mu in levels:
+        assert [s.epsilon for s in stages_m if s.mu == mu][-1] == 0.0
 
 
 def test_solve_routed_routing_rules():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import perisolve
-from perisolve import cli
+from perisolve import cascade, cli
 from perisolve.discretize import read_field_csv
 
 
@@ -134,13 +134,47 @@ class TestLoadConfig:
                 {"problem": small_problem(), "cascade": {"delta": 0}, "sweep": {}},
                 "sweep.pairs",
             ),
+            # the mu route needs m (1 + alpha_exp) > p
+            (
+                {"problem": small_problem(p=3.0, m=2.0), "cascade": {"alpha_exp": 0.2}},
+                "cascade.alpha_exp",
+            ),
+            (
+                {
+                    "problem": small_problem(),
+                    "cascade": {"alpha_exp": 0.2},
+                    "sweep": {"pairs": [[3, 2]]},
+                },
+                "sweep.pairs",
+            ),
+            # a ladder that walks no stage
+            (
+                {
+                    "problem": small_problem(),
+                    "cascade": {"epsilon_schedule": [], "exact_limit_stage": False},
+                },
+                "cascade",
+            ),
+            # an empty ladder leaves a sweep no final epsilon to default to
+            (
+                {
+                    "problem": small_problem(),
+                    "cascade": {"epsilon_schedule": []},
+                    "sweep": {},
+                },
+                "sweep.epsilon_final",
+            ),
+            ({"problem": small_problem(), "mms": {"levels": "x"}}, "mms.levels"),
+            ({"problem": small_problem(), "mosco": {"kind": "bogus"}}, "mosco.kind"),
         ]
+        commands = {"sweep": cli.cmd_sweep, "mms": cli.cmd_mms, "mosco": cli.cmd_mosco}
         for doc, key in cases:
             path = write_config(tmp_path, doc)
             with pytest.raises(cli.ConfigError) as err:
                 cfg = cli.load_config(path, output_override=str(tmp_path / "out"))
-                if "sweep" in doc:
-                    cli.cmd_sweep(cfg)
+                for block, command in commands.items():
+                    if block in doc:
+                        command(cfg)
             assert err.value.key == key, str(err.value)
             # a config error leaves no output directory behind
             assert not (tmp_path / "out").exists(), key
@@ -231,6 +265,42 @@ def test_cmd_verify_bundled_config(tmp_path, bundled_config_dir):
     assert rep["invariants"]["all_passed"] is True
     assert rep["growth_audit"]["all_finite"] is True
     assert (tmp_path / "v" / "growth_audit.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, route", [("linear_heat", "mu"), ("nonlinear_diffusion", "plain")]
+)
+def test_report_accounts_for_all_the_work(
+    tmp_path, monkeypatch, bundled_config_dir, name, route
+):
+    # count what the cascade runs and hold report.json to the same totals
+    counts = {"stages": 0, "beta": 0, "newton": 0}
+
+    def count(attr, key, amount):
+        fn = getattr(cascade, attr)
+
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            counts[key] += amount(out)
+            return out
+
+        monkeypatch.setattr(cascade, attr, counted)
+
+    count("fixed_point_solve", "stages", lambda out: 1)
+    count("beta_map", "beta", lambda out: 1)
+    count("minimize", "newton", lambda out: out[1].iterations)
+    doc = json.loads((bundled_config_dir / f"{name}.json").read_text())
+    doc["problem"].update(M=8, N=8)
+    out = tmp_path / "o"
+    argv = ["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_OK
+    rep = json.loads((out / "report.json").read_text())
+    stages = rep["stages"]
+    assert rep["route"] == route
+    assert len(stages) == counts["stages"]
+    assert sum(s["beta_evaluations"] for s in stages) == counts["beta"]
+    assert sum(s["stage_newton_iterations"] for s in stages) == counts["newton"]
+    assert all("epsilon" in s and "mu" in s for s in stages)
 
 
 def test_cmd_mms_discrete_levels(tmp_path):
