@@ -30,15 +30,14 @@ from .discretize import (
     write_field_dat,
 )
 from .verify import (
+    MmsSpec,
     MoscoSequenceSpec,
     Table,
+    _constant_diffusion,
     _solve_batch,
     growth_audit,
     invariant_suite,
     mms_run,
-    named_exact_solution,
-    mms_discrete,
-    mms_continuum,
     mosco_experiment,
 )
 from .variational import residual_AP
@@ -382,15 +381,15 @@ def _build_mms_spec(cfg: RunConfig):
     mode = _get(blk, "mode", "mms", str, "discrete_exact")
     L, T = cfg.problem.smesh.length, cfg.problem.tmesh.period
     try:
-        base = named_exact_solution(name, L, T)
+        MmsSpec(name)
     except ValueError as exc:
         raise ConfigError("mms.exact", str(exc)) from exc
-    if mode == "discrete_exact":
-        spec = mms_discrete(base.exact_u, name=name)
-    elif mode == "continuum":
-        spec = mms_continuum(base.u_expr, name=name)
-    else:
-        raise ConfigError("mms.mode", f"unknown mode {mode!r}")
+    try:
+        spec = MmsSpec(name, mode)
+        if mode == "continuum":
+            _constant_diffusion(cfg.problem.a)
+    except ValueError as exc:
+        raise ConfigError("mms.mode", str(exc)) from exc
     levels = _get(blk, "levels", "mms", list, [[8, 8], [16, 16], [32, 32]])
     if not levels:
         raise ConfigError("mms.levels", "expected at least one [M, N] level")

@@ -14,10 +14,8 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
-import sympy as sym
 
 from . import convexcore as cc
 from .cascade import (
@@ -47,13 +45,9 @@ __all__ = [
     "Table",
     "MmsSpec",
     "MoscoSequenceSpec",
-    "mms_discrete",
-    "mms_continuum",
-    "named_exact_solution",
     "derived_forcing",
     "mms_run",
     "mms_temporal_order",
-    "mms_spatial_order",
     "invariant_suite",
     "mosco_experiment",
     "growth_audit",
@@ -129,85 +123,72 @@ def loglog_slope(x, y) -> float:
 # manufactured solutions
 
 
-@dataclass
-class MmsSpec:
-    """A manufactured exact trajectory plus the recipe for its forcing.
+# u = sin(pi x/L) tau(t): per name, tau and dtau/ds in the phase s = 2 pi t/T
+_PROFILES = {
+    "separable_bump": (lambda s: 1.0 + 0.5 * np.sin(s), lambda s: 0.5 * np.cos(s)),
+    "separable_sin": (np.sin, np.cos),
+    "steady_sin": (np.ones_like, np.zeros_like),
+    "zero": (np.zeros_like, np.zeros_like),
+}
 
-    exact_u(t, x) must be vectorized in x, satisfy the period match
-    exact_u(0, x) = exact_u(T, x), and vanish at both boundary ends.  mode
-    "discrete_exact" builds the forcing with the solver's own discrete
+
+@dataclass(frozen=True)
+class MmsSpec:
+    """A named manufactured trajectory u = sin(pi x/L) tau(t) and the recipe
+    for its forcing.  L and T are those of the meshes it is sampled on.
+
+    "separable_bump": tau = 1 + sin(2 pi t/T)/2, good for discrete-exact
+    recovery (no identically zero slice).
+    "separable_sin": tau = sin(2 pi t/T), the linear-instance order study
+    solution.
+    "steady_sin": tau = 1, for spatial order studies.
+    "zero": tau = 0, the zero trajectory.
+
+    mode "discrete_exact" builds the forcing with the solver's own discrete
     operators (recovery then is limited only by solver tolerance);
-    "continuum" differentiates a symbolic expression, which reintroduces
-    discretization error and supports order studies.
+    "continuum" evaluates the continuum equation at the nodes, which
+    reintroduces discretization error and supports order studies.  It needs
+    constant diffusion.
     """
 
-    exact_u: Callable[[float, np.ndarray], np.ndarray]
-    mode: str
-    name: str = ""
-    u_expr: object | None = None
-    a_expr: object | None = None
+    name: str
+    mode: str = "discrete_exact"
 
     def __post_init__(self) -> None:
+        if self.name not in _PROFILES:
+            raise ValueError(f"unknown exact solution {self.name!r}")
         if self.mode not in ("discrete_exact", "continuum"):
             raise ValueError(f"unknown mms mode {self.mode!r}")
-        if self.mode == "continuum" and self.u_expr is None:
-            raise ValueError("continuum mode needs a symbolic expression")
 
 
-def mms_discrete(exact_u, name: str = "") -> MmsSpec:
-    return MmsSpec(exact_u=exact_u, mode="discrete_exact", name=name)
-
-
-_T_SYM, _X_SYM = sym.symbols("t x", real=True)
-
-
-def mms_continuum(u_expr, a_expr=None, name: str = "") -> MmsSpec:
-    """Wrap a sympy expression in (t, x); a_expr defaults to 1."""
-    fn = sym.lambdify((_T_SYM, _X_SYM), u_expr, "numpy")
-
-    def exact(t: float, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.asarray(fn(t, x), dtype=float), x.shape).copy()
-
-    return MmsSpec(
-        exact_u=exact, mode="continuum", name=name, u_expr=u_expr, a_expr=a_expr
-    )
-
-
-def named_exact_solution(name: str, L: float, T: float) -> MmsSpec:
-    """Bundled exact solutions.
-
-    "separable_bump": sin-profile with a positive time modulation, good for
-    discrete-exact recovery (no identically zero slice).
-    "separable_sin": sin(pi x/L) sin(2 pi t/T), the linear-instance order
-    study solution.
-    "steady_sin": time-independent sin profile for spatial order studies.
-    "zero": the zero trajectory.
-    """
-    t, x = _T_SYM, _X_SYM
-    if name == "separable_bump":
-        expr = sym.sin(sym.pi * x / L) * (1 + sym.Rational(1, 2) * sym.sin(2 * sym.pi * t / T))
-    elif name == "separable_sin":
-        expr = sym.sin(sym.pi * x / L) * sym.sin(2 * sym.pi * t / T)
-    elif name == "steady_sin":
-        expr = sym.sin(sym.pi * x / L) + 0 * t
-    elif name == "zero":
-        expr = 0 * t * x
-    else:
-        raise ValueError(f"unknown exact solution {name!r}")
-    spec = mms_continuum(expr, name=name)
-    return spec
+def _profile(mms: MmsSpec, smesh: SpatialMesh, tmesh: TemporalMesh):
+    """sin(pi x/L) at the nodes, tau and its time derivative at the times."""
+    tau, dtau = _PROFILES[mms.name]
+    s = 2 * np.pi * tmesh.times / tmesh.period
+    space = np.sin(np.pi * smesh.nodes / smesh.length)
+    return space, tau(s), 2 * np.pi / tmesh.period * dtau(s)
 
 
 def sample_exact(mms: MmsSpec, smesh: SpatialMesh, tmesh: TemporalMesh) -> np.ndarray:
-    x = smesh.nodes
-    U = np.stack([mms.exact_u(float(tn), x) for tn in tmesh.times])
-    return U
+    space, tau, _ = _profile(mms, smesh, tmesh)
+    return np.outer(tau, space)
+
+
+def _constant_diffusion(a: cc.DiffusionField) -> float:
+    vals = a.midpoint_values
+    if np.any(vals != vals[0]):
+        raise ValueError("continuum mode needs constant diffusion")
+    return float(vals[0])
 
 
 def derived_forcing(
     mms: MmsSpec, prob: ProblemSpec, delta: float
 ) -> np.ndarray:
-    """Forcing that makes mms.exact_u the (discrete or continuum) solution."""
+    """Forcing that makes mms the (discrete or continuum) solution of prob.
+
+    The continuum forcing is alpha(u_t) - a (m-1) |u_x|^(m-2) u_xx for the
+    constant diffusion a; the flux term is 0 where u_xx = 0.
+    """
     smesh, tmesh = prob.smesh, prob.tmesh
     if mms.mode == "discrete_exact":
         U = sample_exact(mms, smesh, tmesh)
@@ -215,22 +196,15 @@ def derived_forcing(
         return prob.nl.alpha_eval(dU) + cc.grad_phi(
             U, prob.a, prob.m, delta, smesh
         )
-    t, x = _T_SYM, _X_SYM
-    u = mms.u_expr
-    a = mms.a_expr if mms.a_expr is not None else sym.Integer(1)
-    ut = sym.diff(u, t)
-    ux = sym.diff(u, x)
-    p, m = prob.p, prob.m
-    alpha_ut = ut if p == 2.0 else sym.Abs(ut) ** (p - 2) * ut
-    flux = a * (sym.Abs(ux) ** (m - 2) * ux if m != 2.0 else ux)
-    f_expr = alpha_ut - sym.diff(flux, x)
-    fn = sym.lambdify((t, x), f_expr, "numpy")
-    xg = smesh.nodes
-    return np.stack(
-        [
-            np.broadcast_to(np.asarray(fn(float(tn), xg), dtype=float), xg.shape)
-            for tn in tmesh.times
-        ]
+    a = _constant_diffusion(prob.a)
+    k = np.pi / smesh.length
+    space, tau, dtau = _profile(mms, smesh, tmesh)
+    u_x = k * np.outer(tau, np.cos(k * smesh.nodes))
+    u_xx = -k * k * np.outer(tau, space)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flux_x = a * (prob.m - 1) * np.abs(u_x) ** (prob.m - 2) * u_xx
+    return prob.nl.alpha_eval(np.outer(dtau, space)) - np.where(
+        u_xx == 0.0, 0.0, flux_x
     )
 
 
@@ -269,8 +243,10 @@ def mms_run(
     Error column is the sup-in-time nodal L^p distance to the exact
     trajectory.  In discrete-exact mode the error is bounded by solver
     tolerance at every level; in continuum mode consecutive level ratios
-    expose the convergence order (meta key "orders").  jobs > 1 solves the
-    levels on that many worker processes; the table is the same.
+    expose the convergence order (meta key "orders").  The steady solution
+    makes the time stepping exact, so its levels isolate the second-order
+    spatial error.  jobs > 1 solves the levels on that many worker
+    processes; the table is the same.
     """
     table = Table(["level", "M", "N", "error", "residual", "converged"])
     table.meta["mode"] = mms.mode
@@ -327,31 +303,6 @@ def mms_temporal_order(
     errs = table.column("error").astype(float)
     table.meta["orders"] = [float(o) for o in np.log2(errs[:-1] / errs[1:])]
     table.meta["slope"] = loglog_slope(table.column("dt"), errs)
-    return table
-
-
-def mms_spatial_order(
-    mms: MmsSpec,
-    prob: ProblemSpec,
-    params: CascadeParams,
-    Ms: tuple[int, ...] = (8, 16, 32),
-    N: int = 4,
-) -> Table:
-    """Grid convergence on a steady manufactured solution.
-
-    A time-independent exact solution makes the time stepping exact, so the
-    nodal error isolates the second-order spatial operator.
-    """
-    table = Table(["M", "dx", "error"])
-    for M in Ms:
-        level = _mms_level(mms, prob, M, N, params.delta)
-        final, _, _ = solve_routed(level, params)
-        U = sample_exact(mms, level.smesh, level.tmesh)
-        err = float(np.max(norm_V(final.u - U, prob.p, level.smesh)))
-        table.add(M, level.smesh.dx, err)
-    errs = table.column("error").astype(float)
-    table.meta["orders"] = [float(o) for o in np.log2(errs[:-1] / errs[1:])]
-    table.meta["slope"] = loglog_slope(table.column("dx"), errs)
     return table
 
 
@@ -609,12 +560,15 @@ def mosco_experiment(
     Error is the sup-in-time nodal L^p distance, the discrete stand-in for
     uniform-in-time state-space convergence.  meta records the trailing to
     leading error ratio and whether errors decrease beyond the noise floor.
-    jobs > 1 solves the instances on that many worker processes with one
-    BLAS thread each; the table is the same as with jobs = 1.
+    jobs > 1 solves the base problem and the instances in one batch on that
+    many worker processes with one BLAS thread each; the table is the same
+    as with jobs = 1.
     """
-    base_final, _, _ = solve_routed(seq.base, params)
     ns = sorted(seq.index_set)
-    outs = _solve_batch([(seq.instance(n), params, "auto") for n in ns], jobs)
+    probs = [seq.base] + [seq.instance(n) for n in ns]
+    (base_final, _, _), *outs = _solve_batch(
+        [(pr, params, "auto") for pr in probs], jobs
+    )
     smesh, tmesh = seq.base.smesh, seq.base.tmesh
     table = Table(["n", "error", "converged", "residual"])
     for n, (final, _, _) in zip(ns, outs):

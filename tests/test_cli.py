@@ -166,6 +166,14 @@ class TestLoadConfig:
             ),
             ({"problem": small_problem(), "mms": {"levels": "x"}}, "mms.levels"),
             ({"problem": small_problem(), "mosco": {"kind": "bogus"}}, "mosco.kind"),
+            # the continuum forcing needs constant diffusion
+            (
+                {
+                    "problem": small_problem(diffusion={"kind": "sin_modulated"}),
+                    "mms": {"mode": "continuum"},
+                },
+                "mms.mode",
+            ),
         ]
         commands = {"sweep": cli.cmd_sweep, "mms": cli.cmd_mms, "mosco": cli.cmd_mosco}
         for doc, key in cases:
@@ -428,6 +436,17 @@ class TestMain:
             ("mms", {"mms": {"levels": []}}, "mms.levels"),
             ("mms", {"mms": 3}, "mms"),
             ("mosco", {"mosco": {"n_max": 0}}, "mosco.n_max"),
+            ("mms", {"mms": {"mode": "symbolic"}}, "mms.mode"),
+            (
+                "mms",
+                {
+                    "problem": small_problem(
+                        M=4, N=4, diffusion={"kind": "sin_modulated"}
+                    ),
+                    "mms": {"mode": "continuum"},
+                },
+                "mms.mode",
+            ),
         ],
     )
     def test_block_errors_exit_1_and_name_the_key(
@@ -438,6 +457,7 @@ class TestMain:
         out = str(tmp_path / "o")
         assert cli.main([command, "--config", path, "--output", out, "--quiet"]) == 1
         assert f"config error: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_jobs_only_where_solves_fan_out(self, tmp_path):
         path = write_config(tmp_path, {"problem": small_problem()})
@@ -500,10 +520,11 @@ def test_console_script_resolves_to_main():
 
 def test_import_leaves_out_sparse_and_optimize():
     # the library solves on band factorizations and closed forms; scipy's
-    # sparse and optimize packages belong to the tests alone
+    # sparse and optimize packages belong to the tests alone, and the
+    # manufactured solutions need no computer algebra
     probe = (
-        "import sys, perisolve; "
-        "print([m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules])"
+        "import sys, perisolve.cli; print([m for m in "
+        "('scipy.sparse', 'scipy.optimize', 'sympy') if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],

@@ -7,7 +7,7 @@ import pytest
 import perisolve.cascade as ca
 import perisolve.convexcore as cc
 import perisolve.verify as vf
-from perisolve.discretize import TemporalMesh, time_derivative
+from perisolve.discretize import SpatialMesh, TemporalMesh, time_derivative
 from util import bump_mms, unit_problem
 
 
@@ -53,20 +53,24 @@ def test_loglog_slope_recovers_power():
 class TestMmsSpecs:
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="unknown mms mode"):
-            vf.MmsSpec(exact_u=lambda t, x: x, mode="exact")
-        with pytest.raises(ValueError, match="symbolic expression"):
-            vf.MmsSpec(exact_u=lambda t, x: x, mode="continuum")
+            vf.MmsSpec("separable_bump", mode="exact")
+        with pytest.raises(ValueError, match="unknown exact solution"):
+            vf.MmsSpec("bump")
 
     def test_named_solutions(self):
-        bump = vf.named_exact_solution("separable_bump", 2.0, 3.0)
-        x = np.array([0.5, 1.0])
-        got = bump.exact_u(0.75, x)
-        want = np.sin(np.pi * x / 2.0) * (1.0 + 0.5 * np.sin(2 * np.pi * 0.75 / 3.0))
-        assert np.allclose(got, want, atol=1e-14)
-        zero = vf.named_exact_solution("zero", 1.0, 1.0)
-        assert np.all(zero.exact_u(0.3, x) == 0.0)
-        with pytest.raises(ValueError, match="unknown exact solution"):
-            vf.named_exact_solution("bump", 1.0, 1.0)
+        # L and T are those of the meshes the spec is sampled on
+        sm, tm = SpatialMesh(2.0, 5), TemporalMesh(3.0, 4)
+        space = np.sin(np.pi * sm.nodes / 2.0)
+        phase = 2 * np.pi * tm.times / 3.0
+        want = {
+            "separable_bump": np.outer(1.0 + 0.5 * np.sin(phase), space),
+            "separable_sin": np.outer(np.sin(phase), space),
+            "steady_sin": np.outer(np.ones(4), space),
+            "zero": np.zeros((4, 5)),
+        }
+        for name, U in want.items():
+            got = vf.sample_exact(vf.MmsSpec(name), sm, tm)
+            assert np.allclose(got, U, rtol=0.0, atol=1e-14), name
 
     def test_sample_exact_shape(self):
         prob = unit_problem(2.0, 3.0, 7, 5)
@@ -81,8 +85,41 @@ class TestMmsSpecs:
         dU = time_derivative(U, prob.tmesh)
         want = prob.nl.alpha_eval(dU) + cc.grad_phi(U, prob.a, prob.m, 1e-8, prob.smesh)
         assert np.array_equal(f, want)
-        zf = vf.derived_forcing(vf.named_exact_solution("zero", 1.0, 1.0), prob, 0.0)
+        zf = vf.derived_forcing(vf.MmsSpec("zero"), prob, 0.0)
         assert np.all(zf == 0.0)
+
+    def test_continuum_forcing_scales_with_the_diffusion(self):
+        mms = vf.MmsSpec("separable_bump", "continuum")
+        prob = unit_problem(2.0, 3.0, 9, 6)
+        x, t = prob.smesh.nodes, prob.tmesh.times
+        u_t = np.outer(np.pi * np.cos(2 * np.pi * t), np.sin(np.pi * x))
+        flux = [
+            vf.derived_forcing(mms, unit_problem(2.0, 3.0, 9, 6, diffusion=a), 0.0)
+            - u_t
+            for a in (1.0, 2.0)
+        ]
+        assert np.max(np.abs(flux[0])) > 1.0
+        np.testing.assert_allclose(flux[1], 2.0 * flux[0], rtol=1e-12, atol=1e-12)
+        vals = 1.0 + 0.5 * np.sin(np.pi * prob.smesh.cell_midpoints)
+        varying = replace(prob, a=cc.DiffusionField(vals, vals.min(), vals.max()))
+        with pytest.raises(ValueError, match="constant diffusion"):
+            vf.derived_forcing(mms, varying, 0.0)
+
+    def test_continuum_forcing_is_finite_below_exponent_two(self):
+        # alpha(0) at p < 2 and the flux of a zero slice at m < 2 are 0
+        f = vf.derived_forcing(
+            vf.MmsSpec("steady_sin", "continuum"), unit_problem(1.5, 3.0, 8, 8), 0.0
+        )
+        assert np.all(np.isfinite(f))
+        prob = unit_problem(2.0, 1.5, 8, 8)
+        f = vf.derived_forcing(vf.MmsSpec("separable_sin", "continuum"), prob, 0.0)
+        assert np.all(np.isfinite(f))
+        # tau(0) = 0: the first slice carries only the rate term
+        np.testing.assert_allclose(
+            f[0], 2 * np.pi * np.sin(np.pi * prob.smesh.nodes), rtol=1e-14
+        )
+        zero = vf.derived_forcing(vf.MmsSpec("zero", "continuum"), prob, 0.0)
+        assert np.all(zero == 0.0)
 
 
 def test_refit_problem_resamples_grid():
@@ -108,9 +145,8 @@ def test_mms_run_discrete_hits_solver_tolerance():
     assert all(tab.column("converged"))
     assert np.all(tab.column("error").astype(float) <= 1e-7)
     assert "orders" not in tab.meta
-    # the spec holds an unpicklable closure: the levels are built here and
-    # only the problems cross to the workers, which return the same rows
-    # and leave the caller's environment as it was
+    # the levels are built here and only the problems cross to the workers,
+    # which return the same rows and leave the caller's environment as it was
     env = dict(os.environ)
     par = vf.mms_run(
         bump_mms(), unit_problem(2.0, 3.0, 8, 8), params, levels=((6, 8), (12, 10)),
@@ -122,7 +158,7 @@ def test_mms_run_discrete_hits_solver_tolerance():
 
 def test_mms_run_continuum_reports_orders():
     params = ca.CascadeParams(fp_tol=1e-9)
-    mms = vf.named_exact_solution("separable_bump", 1.0, 1.0)
+    mms = vf.MmsSpec("separable_bump", "continuum")
     tab = vf.mms_run(
         mms, unit_problem(2.0, 3.0, 6, 6), params, levels=((6, 6), (12, 12)), jobs=2
     )
@@ -133,7 +169,7 @@ def test_mms_run_continuum_reports_orders():
 
 def test_mms_temporal_order_is_first_order():
     params = ca.CascadeParams(fp_tol=1e-9)
-    mms = vf.named_exact_solution("separable_bump", 1.0, 1.0)
+    mms = vf.MmsSpec("separable_bump", "continuum")
     tab = vf.mms_temporal_order(mms, unit_problem(2.0, 3.0, 8, 8), params)
     errs = tab.column("error").astype(float)
     assert np.all(errs[1:] < errs[:-1])
@@ -144,10 +180,18 @@ def test_mms_temporal_order_is_first_order():
 
 
 def test_mms_spatial_order_is_second_order():
+    # the steady solution makes the time stepping exact, so refining M at a
+    # fixed N isolates the spatial error
     params = ca.CascadeParams(fp_tol=1e-9)
-    mms = vf.named_exact_solution("steady_sin", 1.0, 1.0)
-    tab = vf.mms_spatial_order(mms, unit_problem(2.0, 3.0, 8, 4), params)
-    assert tab.meta["slope"] >= 1.8
+    levels = ((8, 4), (16, 4), (32, 4))
+    tab = vf.mms_run(
+        vf.MmsSpec("steady_sin", "continuum"),
+        unit_problem(2.0, 3.0, 8, 4),
+        params,
+        levels=levels,
+    )
+    dx = [1.0 / (M + 1) for M, _ in levels]
+    assert vf.loglog_slope(dx, tab.column("error").astype(float)) >= 1.8
 
 
 class TestInvariantSuite:
@@ -219,6 +263,22 @@ class TestMosco:
         )
         errs = tab.column("error").astype(float)
         assert np.all(errs <= tab.meta["noise_floor"])
+
+    def test_base_solve_shares_the_instance_batch(self, monkeypatch):
+        # one batch, so no worker idles while the base problem solves
+        seq = vf.MoscoSequenceSpec(
+            kind="identity", base=unit_problem(2.0, 3.0, 6, 6), index_set=(1, 2)
+        )
+        sizes = []
+        batch = vf._solve_batch
+
+        def spy(items, jobs):
+            sizes.append(len(items))
+            return batch(items, jobs)
+
+        monkeypatch.setattr(vf, "_solve_batch", spy)
+        vf.mosco_experiment(seq, ca.CascadeParams())
+        assert sizes == [len(seq.index_set) + 1]
 
     @pytest.mark.parametrize(
         "kind",

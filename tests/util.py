@@ -12,12 +12,7 @@ from perisolve.discretize import (
     bochner_norm,
     norm_V,
 )
-from perisolve.verify import (
-    derived_forcing,
-    mms_discrete,
-    named_exact_solution,
-    sample_exact,
-)
+from perisolve.verify import MmsSpec, derived_forcing, sample_exact
 
 
 def unit_problem(p, m, M, N, amp=1.0, diffusion=1.0):
@@ -42,8 +37,7 @@ def unit_problem(p, m, M, N, amp=1.0, diffusion=1.0):
 
 
 def bump_mms():
-    profile = named_exact_solution("separable_bump", 1.0, 1.0)
-    return mms_discrete(profile.exact_u, name="separable_bump")
+    return MmsSpec("separable_bump")
 
 
 def mms_problem(p, m, M, N, delta):
