@@ -6,9 +6,10 @@ attacked in layers:
 
 * stage solve: for a frozen dual forcing h, minimize the strictly convex
   space-time objective of the elliptic-regularized system at parameter eps;
-* fixed point: update h toward -alpha(du) of the stage solution with a
-  damped iteration wrapped in Anderson acceleration, restarting from the
-  best iterate with halved damping whenever the residual blows past it;
+* fixed point: h = -alpha(du) of the stage solution; substituted into the
+  stage equation this is one equation in u, solved by Newton from the stage
+  solution at the incoming h and checked by one more stage solve at
+  h = -alpha(du);
 * continuation: drive eps down a schedule with warm starts, finishing with
   an exact eps = 0 stage, and on the hard exponent branch drive a power
   perturbation of the energy down a mu schedule the same way.
@@ -40,6 +41,7 @@ from .variational import (
     MinimizerReport,
     ObjectiveConfig,
     minimize,
+    newton_fixed_point,
     residual_AP,
 )
 
@@ -82,7 +84,8 @@ class CascadeParams:
     """Tuning knobs of the cascade.
 
     stage_tol = None resolves to 0.05 * fp_tol so stage defects stay well
-    under the fixed point tolerance.  exact_limit_stage appends a final
+    under the fixed point tolerance.  max_fp_iter bounds the Newton steps of
+    one fixed point stage.  exact_limit_stage appends a final
     eps = 0 stage to each epsilon walk and, on the mu route, a final mu = 0
     level.  mu_eps_truncate is how many trailing epsilon entries later mu
     levels reuse; the first mu level always walks the full ladder.  Every
@@ -97,9 +100,6 @@ class CascadeParams:
     fp_tol: float = 1e-10
     stage_tol: float | None = None
     max_fp_iter: int = 400
-    anderson_depth: int = 64
-    omega: float = 0.5
-    omega_floor: float = 2.0**-20
     exact_limit_stage: bool = True
     max_newton: int = 80
     mu_eps_truncate: int = 4
@@ -127,8 +127,6 @@ class CascadeParams:
                 raise ValueError(f"{key} must be positive and finite, got {val}")
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-        if not (0.0 < self.omega <= 1.0):
-            raise ValueError("omega must lie in (0, 1]")
 
     def resolved_stage_tol(self) -> float:
         return 0.05 * self.fp_tol if self.stage_tol is None else self.stage_tol
@@ -206,98 +204,33 @@ def fixed_point_solve(
     h0: np.ndarray | None = None,
     u0: np.ndarray | None = None,
 ) -> StageResult:
-    """Anderson-accelerated damped iteration on h = -alpha(du_h).
+    """Fixed point h = beta(h) of one stage, by Newton on its equation in u.
 
-    The secant history is allowed to grow through transient residual
-    increases (the update map is expansive at small eps, so early iterates
-    overshoot before the subspace forms).  Only a blow-up far beyond the
-    best iterate, or a long stretch without improvement, triggers a restart
-    from the best iterate; blow-ups also halve the damping.  Non-convergence
-    is reported, not raised.
+    One beta evaluation at h0 gives the start.  Newton then solves the stage
+    equation with h = -alpha(du) substituted (newton_fixed_point), and one
+    more beta evaluation at that h checks the result: its distance
+    |beta(h) - h| is the stage's fixed point residual, and the stage has
+    converged when that check solve converged and the residual is within
+    fp_tol.  Non-convergence is reported, not raised.
     """
-    h = np.zeros_like(prob.f) if h0 is None else np.asarray(h0, dtype=float).copy()
+    h = np.zeros_like(prob.f) if h0 is None else np.asarray(h0, dtype=float)
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
     tol = params.fp_tol * scale
     # beta amplifies stage defects by the inverse time step, so the inner
-    # solves must be tighter than fp_tol by that factor; near the target the
-    # tolerance tightens further so beta noise cannot floor the iteration
-    # just above tol
-    st_tol_base = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
-    st_tol = st_tol_base
-    omega = params.omega
-    halvings = 0
-    dh_hist: list[np.ndarray] = []
-    dg_hist: list[np.ndarray] = []
-    patience = max(min(3 * params.anderson_depth, 100), 15)
+    # solves must be tighter than fp_tol by that factor
+    st_tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
 
-    bh, u, rep = beta_map(prob, h, eps, params, pf=pf, u0=u0, stage_tol=st_tol)
-    reports = [rep]
-    g = bh - h
-    res = dual_bochner_norm(g, prob)
-    history = [res]
-    best = {"res": res, "h": h.copy(), "g": g.copy(), "u": u.copy()}
-    converged = res <= tol
-    since_best = 0
-    fruitless_restarts = 0
-
-    for _ in range(params.max_fp_iter):
-        if converged or fruitless_restarts >= 8:
-            break
-        st_tol = st_tol_base if best["res"] > 10.0 * tol else 0.02 * st_tol_base
-        gf = g.ravel()
-        h_next = h + omega * g
-        if dh_hist and params.anderson_depth > 0:
-            dG = np.stack(dg_hist, axis=1)
-            dH = np.stack(dh_hist, axis=1)
-            theta, *_ = np.linalg.lstsq(dG, gf, rcond=None)
-            correction = (dH + omega * dG) @ theta
-            h_next = h_next - correction.reshape(h.shape)
-        bh_next, u_next, rep = beta_map(
-            prob, h_next, eps, params, pf=pf, u0=u, stage_tol=st_tol
-        )
-        reports.append(rep)
-        g_next = bh_next - h_next
-        res_next = dual_bochner_norm(g_next, prob)
-        history.append(res_next)
-        # The update map can be strongly expansive at small eps, so the
-        # accelerated iterates legitimately overshoot by orders of magnitude
-        # while the secant subspace forms; only growth beyond the data scale
-        # (or an absurd multiple of the best iterate) counts as divergence.
-        blew_up = res_next > max(10.0 * scale, 1e3 * best["res"])
-        if params.anderson_depth == 0:
-            # plain damped iteration keeps the residual monotone: any
-            # increase halves the damping instead of being tolerated
-            blew_up = res_next > res
-        stagnant = since_best >= patience
-        if blew_up or stagnant:
-            if blew_up:
-                omega = max(0.5 * omega, params.omega_floor)
-                halvings += 1
-            dh_hist.clear()
-            dg_hist.clear()
-            h, g, u = best["h"].copy(), best["g"].copy(), best["u"].copy()
-            res = best["res"]
-            since_best = 0
-            fruitless_restarts += 1
-            continue
-        dh_hist.append((h_next - h).ravel())
-        dg_hist.append((g_next - g).ravel())
-        while len(dh_hist) > params.anderson_depth:
-            dh_hist.pop(0)
-            dg_hist.pop(0)
-        h, g, u, res = h_next, g_next, u_next, res_next
-        if res < best["res"]:
-            best = {"res": res, "h": h.copy(), "g": g.copy(), "u": u.copy()}
-            since_best = 0
-            fruitless_restarts = 0
-        else:
-            since_best += 1
-        converged = res <= tol
-
-    if not converged and best["res"] <= tol:
-        converged = True
-    h, u, res = best["h"], best["u"], best["res"]
-    xi = prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
+    _, u, rep0 = beta_map(prob, h, eps, params, pf=pf, u0=u0, stage_tol=st_tol)
+    ocfg = ObjectiveConfig(prob, eps, prob.f, params.delta, pf)
+    u, history = newton_fixed_point(u, ocfg, st_tol, params.max_fp_iter)
+    h = -prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
+    bh, u, rep = beta_map(prob, h, eps, params, pf=pf, u0=u, stage_tol=st_tol)
+    reports = [rep0, rep]
+    res = dual_bochner_norm(bh - h, prob)
+    # a check solve that cannot move returns its start, so beta(h) = h says
+    # nothing unless that solve converged
+    converged = rep.converged and res <= tol
+    xi = -bh  # alpha(du) of the checked stage solution
     eta = cc._PhiAt(u, prob.a, prob.m, params.delta, prob.smesh, pf).grad
     mu = 0.0 if pf is None else pf.mu
     diagnostics = {
@@ -305,9 +238,8 @@ def fixed_point_solve(
         "fixed_point_residual": float(res),
         "residual_scale": float(scale),
         "residual_history": [float(r) for r in history],
-        "beta_evaluations": len(history),
-        "omega_final": float(omega),
-        "omega_halvings": int(halvings),
+        "beta_evaluations": len(reports),
+        "fixed_point_newton_steps": len(history) - 1,
         "stage_newton_iterations": sum(r.iterations for r in reports),
         "stage_minimize_unconverged": sum(not r.converged for r in reports),
         "stage_line_search_failures": sum(r.line_search_failures for r in reports),

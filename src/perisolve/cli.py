@@ -34,6 +34,7 @@ from .verify import (
     MoscoSequenceSpec,
     Table,
     _constant_diffusion,
+    _mms_level,
     _solve_batch,
     growth_audit,
     invariant_suite,
@@ -210,8 +211,8 @@ def _build_problem(doc: dict) -> ProblemSpec:
 
 
 _SCHEDULE_KEYS = ("epsilon_schedule", "mu_schedule")
-_NUMBER_KEYS = ("alpha_exp", "delta", "fp_tol", "stage_tol", "omega")
-_INT_KEYS = ("max_fp_iter", "anderson_depth", "max_newton", "mu_eps_truncate")
+_NUMBER_KEYS = ("alpha_exp", "delta", "fp_tol", "stage_tol")
+_INT_KEYS = ("max_fp_iter", "max_newton", "mu_eps_truncate")
 
 
 def _build_cascade(doc: dict) -> CascadeParams:
@@ -379,7 +380,6 @@ def _build_mms_spec(cfg: RunConfig):
     blk = cfg.block("mms")
     name = _get(blk, "exact", "mms", str, "separable_bump")
     mode = _get(blk, "mode", "mms", str, "discrete_exact")
-    L, T = cfg.problem.smesh.length, cfg.problem.tmesh.period
     try:
         MmsSpec(name)
     except ValueError as exc:
@@ -399,8 +399,7 @@ def _build_mms_spec(cfg: RunConfig):
         ):
             raise ConfigError("mms.levels", "expected [M, N] integer pairs")
         try:
-            SpatialMesh(L, lv[0])
-            TemporalMesh(T, lv[1])
+            _mms_level(spec, cfg.problem, *lv, cfg.cascade.delta)
         except ValueError as exc:
             raise ConfigError("mms.levels", str(exc)) from exc
     return spec, tuple(map(tuple, levels))

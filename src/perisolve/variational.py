@@ -13,9 +13,13 @@ equation, so stationarity equals solving the stage system.
 
 The minimizer runs the damped Newton descent of convexcore on the flattened
 trajectory with the cyclic block-tridiagonal Hessian in banded storage, one
-banded Cholesky factorization per distinct band (a stage whose Hessian does
-not change, as at p = m = 2, factors it once), Armijo backtracking on the
-exact objective, and a steepest-descent fallback.
+banded Cholesky solve per step, Armijo backtracking on the exact objective,
+and a steepest-descent fallback.
+
+A fixed point stage ties the dual forcing to the rate, h = -alpha(du), and
+newton_fixed_point solves the resulting stage equation directly: its
+Jacobian is the stage band plus the backward-difference block of alpha,
+which keeps the half-bandwidth N but is no longer symmetric.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from . import convexcore as cc
 from .convexcore import MinimizerReport
@@ -41,6 +45,7 @@ __all__ = [
     "ObjectiveConfig",
     "MinimizerReport",
     "minimize",
+    "newton_fixed_point",
     "residual_AP",
 ]
 
@@ -71,13 +76,21 @@ class ObjectiveConfig:
 
 
 def _duality_diag(u: np.ndarray, p: float, delta: float, smesh) -> np.ndarray:
-    """Diagonal part of the duality map Jacobian, slicewise, rank-one dropped."""
+    """Diagonal part of the duality map Jacobian, slicewise, rank-one dropped.
+
+    Only p < 2 smooths |u|^(p-2) by delta: at p > 2 a smoothed diagonal
+    grows like (delta / |u|_V)^(p-2) on a slice far below delta and freezes
+    that slice in every Newton step.
+    """
     if p == 2.0:
         return np.ones_like(u)
     nrm = np.asarray(norm_V(u, p, smesh))
     nrm = np.maximum(nrm, 1e-150)
-    smooth = (u * u + delta * delta) ** ((p - 2.0) / 2.0)
-    return (p - 1.0) * nrm[..., None] ** (2.0 - p) * smooth
+    if p < 2.0:
+        slope = (u * u + delta * delta) ** ((p - 2.0) / 2.0)
+    else:
+        slope = np.abs(u) ** (p - 2.0)
+    return (p - 1.0) * nrm[..., None] ** (2.0 - p) * slope
 
 
 class _Stage:
@@ -157,47 +170,16 @@ class _Stage:
         return H
 
 
-class _BandFactor:
-    """The last factored band: an owned copy of it, its shift and its lower
-    Cholesky factor.  Both live in buffers kept while the band shape holds,
-    so a refactorization allocates nothing.  A NaN shift marks the entry
-    empty."""
-
-    band: np.ndarray | None = None
-    factor: np.ndarray | None = None
-    shift = math.nan
-
-
-# Module level because the stages of one fixed-point solve are separate
-# minimize calls, and at p = m = 2 they all repeat one band.
-_last = _BandFactor()
-
-
 def _shifted_band_solve(H: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
     """Solve (H + shift I) x = rhs by banded Cholesky; rhs and x time-major.
 
-    One factorization per distinct band: while H and shift equal those of
-    the last factored call, only the triangular solves run, which give the
-    same bits as a fresh factorization.  An indefinite or non-finite H gives
-    LinAlgError or a non-finite x, which the Newton driver's shift ladder
-    catches.
+    An indefinite or non-finite H gives LinAlgError or a non-finite x, which
+    the Newton driver's shift ladder catches.
     """
-    last = _last
-    if not (last.shift == shift and np.array_equal(H, last.band)):
-        last.shift = math.nan
-        if last.band is None or last.band.shape != H.shape:
-            last.band = np.empty_like(H)
-            last.factor = np.empty(H.shape, order="F")
-        last.band[...] = H
-        last.factor[...] = H
-        last.factor[0] += shift
-        last.factor = cholesky_banded(
-            last.factor, overwrite_ab=True, lower=True, check_finite=False
-        )
-        last.shift = shift
     N = H.shape[0] - 1
+    Hs = np.concatenate((H[:1] + shift, H[1:]))
     b = rhs.reshape(N, -1).T.ravel()
-    x = cho_solve_banded((last.factor, True), b, overwrite_b=True, check_finite=False)
+    x = solveh_banded(Hs, b, overwrite_ab=True, lower=True, check_finite=False)
     return x.reshape(-1, N).T.ravel()
 
 
@@ -231,6 +213,79 @@ def minimize(
         tol * scale,
         max_iter,
     )
+
+
+def _fixed_point_band(H: np.ndarray, slope: np.ndarray, dt: float) -> np.ndarray:
+    """The symmetric lower band H plus the Jacobian of alpha(du), in general
+    band storage with l = u = N for solve_banded.
+
+    slope is alpha'(du) per slice.  Row (n, i) of alpha(du) depends on u_n
+    with weight slope/dt and on u_(n-1) with -slope/dt: the sub-diagonal for
+    n > 0, and for n = 0 the periodic wrap to node N-1, N-1 columns right.
+    """
+    N, D = H.shape[0] - 1, H.shape[1]
+    ab = np.zeros((2 * N + 1, D))
+    ab[N] = H[0]
+    for k in range(1, N + 1):
+        ab[N + k, : D - k] = ab[N - k, k:] = H[k, : D - k]
+    c = slope.T / dt
+    ab[N] += c.ravel()
+    ab[N + 1].reshape(-1, N)[:, :-1] -= c[:, 1:]
+    ab[1].reshape(-1, N)[:, -1] -= c[:, 0]
+    return ab
+
+
+def newton_fixed_point(
+    u0: np.ndarray, ocfg: ObjectiveConfig, tol: float, max_iter: int
+) -> tuple[np.ndarray, list[float]]:
+    """Newton on the stage equation at the dual forcing h = -alpha(du).
+
+    ocfg carries the problem's forcing f in f_plus_h, so the equation is
+    F(u) = R(u) + alpha(du) = 0 with R the stage residual at h = 0.  Every
+    step backtracks until the Bochner dual norm of F falls.  Stops when
+    that norm is at most tol * max(1, |f - alpha(du)|), the stationarity
+    test of the stage minimization at h; after max_iter steps; or when a
+    step is singular, non-finite or cannot decrease the norm.  Returns the
+    last iterate and the norm of F at the start and after every step.
+    """
+    prob, delta = ocfg.prob, ocfg.delta
+    tmesh, nl = prob.tmesh, prob.nl
+    u = validate_trajectory(u0, prob.smesh, tmesh, "initial trajectory")
+    N, M = u.shape
+    stage = _Stage(ocfg)
+
+    def equation(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        dv = time_derivative(v, tmesh)
+        F = stage.residual(v) + nl.alpha_eval(dv)
+        return F, dv, dual_bochner_norm(F, prob)
+
+    F, du, res = equation(u)
+    history = [res]
+    for _ in range(max_iter):
+        scale = max(1.0, dual_bochner_norm(ocfg.f_plus_h - nl.alpha_eval(du), prob))
+        if res <= tol * scale:
+            break
+        slope = nl.alpha_derivative(du, delta)
+        ab = _fixed_point_band(stage.hessian(u), slope, tmesh.dt)
+        try:
+            x = solve_banded(
+                (N, N), ab, -F.T.ravel(), overwrite_ab=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(x)):
+            break
+        step = x.reshape(M, N).T
+        for k in range(31):
+            trial = u + 0.5**k * step
+            F_t, du_t, res_t = equation(trial)
+            if res_t < res:
+                break
+        else:
+            break
+        u, F, du, res = trial, F_t, du_t, res_t
+        history.append(res)
+    return u, history
 
 
 def residual_AP(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,10 @@ def test_params_validation_and_stage_tol():
         ca.CascadeParams(mu_schedule=(1e-2, 1e-1))
     with pytest.raises(ValueError, match="fp_tol"):
         ca.CascadeParams(fp_tol=0.0)
-    with pytest.raises(ValueError, match="omega"):
-        ca.CascadeParams(omega=1.5)
+    # the fixed point has no damping or acceleration knobs
+    for key in ("omega", "anderson_depth"):
+        with pytest.raises(TypeError, match=key):
+            ca.CascadeParams(**{key: 1})
     for key, bad, match in (
         ("delta", np.nan, "delta"),
         ("delta", -1.0, "delta"),
@@ -102,10 +106,11 @@ def test_fixed_point_stage_contract():
     du = time_derivative(stage.u, prob.tmesh)
     assert np.allclose(stage.h, -prob.nl.alpha_eval(du), atol=1e-8)
     assert np.array_equal(stage.xi, prob.nl.alpha_eval(du))
+    assert d["beta_evaluations"] == 2
+    assert d["fixed_point_newton_steps"] == len(d["residual_history"]) - 1 > 0
     for key in (
         "beta_evaluations",
-        "omega_final",
-        "omega_halvings",
+        "fixed_point_newton_steps",
         "residual_history",
         "stage_newton_iterations",
         "stage_minimize_unconverged",
@@ -139,16 +144,26 @@ def test_stage_diagnostics_count_inner_solve_failures(monkeypatch):
     assert d["stage_line_search_failures"] == failures
 
 
-def test_damping_halves_on_expansive_iteration():
-    # undamped iteration on the coarse linear instance is expansive; the
-    # guard must halve omega and still converge
+def test_linear_stage_takes_one_newton_step():
+    # at p = m = 2 the stage equation with h = -alpha(du) is linear, so one
+    # full Newton step from the first stage solve lands on the fixed point
     prob = canonical_problem(M=8, N=8)
-    stage = ca.fixed_point_solve(
-        prob, 1e-3, ca.CascadeParams(anderson_depth=0, omega=1.0)
-    )
+    d = ca.fixed_point_solve(prob, 1e-3, ca.CascadeParams()).diagnostics
+    assert d["converged"]
+    assert d["fixed_point_newton_steps"] == 1
+    assert d["beta_evaluations"] == 2
+
+
+def test_stage_with_vanishing_slices_converges_at_p3():
+    # sin(2 pi t) forcing makes the slices at t = 0 and T/2 vanish; the
+    # duality term of the Newton band must not freeze them
+    prob = unit_problem(3.0, 2.0, 8, 8)
+    f = np.outer(np.sin(2 * np.pi * prob.tmesh.times), np.sin(np.pi * prob.smesh.nodes))
+    prob = replace(prob, f=f)
+    pf = cc.PerturbedFunctional(0.1, 1.0)
+    stage = ca.fixed_point_solve(prob, 1.0, ca.CascadeParams(fp_tol=1e-8), pf=pf)
     assert stage.converged
-    assert stage.diagnostics["omega_halvings"] >= 1
-    assert stage.diagnostics["omega_final"] < 1.0
+    assert stage.diagnostics["fixed_point_newton_steps"] <= 10
 
 
 def test_epsilon_continuation_zero_forcing():

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
 
 import perisolve.convexcore as cc
-import perisolve.variational as var
 from oracles import fd_gradient
-from perisolve.cascade import CascadeParams, epsilon_continuation
-from perisolve.discretize import dual_bochner_norm, pairing
+from perisolve.discretize import dual_bochner_norm, pairing, time_derivative
 from perisolve.variational import (
     MinimizerReport,
     ObjectiveConfig,
+    _duality_diag,
+    _fixed_point_band,
     _shifted_band_solve,
     _Stage,
     minimize,
@@ -142,86 +141,45 @@ def test_band_solve_failure_is_left_to_the_shift_ladder(row, bad):
     assert not np.all(np.isfinite(x))
 
 
-def spd_band(rng, N, M):
-    """Random symmetric diagonally dominant band of half-bandwidth N."""
-    H = rng.uniform(-1.0, 1.0, size=(N + 1, N * M))
-    H[0] = 2.0 * (N + 1) + rng.uniform(size=N * M)
-    return H
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_fixed_point_band_matches_fd_jacobian(rng, N):
+    # p = 2, m = 3 with eps, delta > 0 drops no term, so the general band
+    # unpacked to a dense matrix is the Jacobian of F(u) = R(u) + alpha(du);
+    # at N = 2 the wrap and the time coupling share a band row
+    M = 4
+    prob = unit_problem(2.0, 3.0, M, N)
+    stage = _Stage(plain_cfg(prob, 0.3, delta=1e-2))
 
+    def F(v):
+        return stage.residual(v) + prob.nl.alpha_eval(time_derivative(v, prob.tmesh))
 
-def reference_solve(H, rhs, shift):
-    N = H.shape[0] - 1
-    Hs = H.copy()
-    Hs[0] += shift
-    x = solveh_banded(Hs, rhs.reshape(N, -1).T.ravel(), lower=True)
-    return x.reshape(-1, N).T.ravel()
-
-
-@pytest.fixture
-def factorizations(monkeypatch):
-    """Counts banded Cholesky factorizations, starting from an empty memo."""
-    calls = []
-    chol = var.cholesky_banded
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return chol(*args, **kwargs)
-
-    monkeypatch.setattr(var, "_last", var._BandFactor())
-    monkeypatch.setattr(var, "cholesky_banded", counted)
-    return calls
-
-
-@pytest.mark.parametrize("shift", [0.0, 1e-4])
-def test_band_solve_reuses_the_factor_bit_for_bit(rng, factorizations, shift):
-    N, M = 4, 6
-    H = spd_band(rng, N, M)
-    for rhs in rng.normal(size=(3, N * M)):
-        x = _shifted_band_solve(H, rhs, shift)
-        assert np.array_equal(x, reference_solve(H, rhs, shift))
-    assert len(factorizations) == 1
-    # another shift on the same band is another matrix
-    rhs = rng.normal(size=N * M)
-    x = _shifted_band_solve(H, rhs, shift + 1.0)
-    assert np.array_equal(x, reference_solve(H, rhs, shift + 1.0))
-    assert len(factorizations) == 2
-
-
-def test_band_solve_refactors_a_band_mutated_in_place(rng, factorizations):
-    N, M = 3, 5
-    H = spd_band(rng, N, M)
-    rhs = rng.normal(size=N * M)
-    _shifted_band_solve(H, rhs, 0.0)
-    H[1, 2] += 0.25
-    x = _shifted_band_solve(H, rhs, 0.0)
-    assert len(factorizations) == 2
-    assert np.array_equal(x, reference_solve(H, rhs, 0.0))
-
-
-def test_band_solve_failure_leaves_no_stale_factor(rng, factorizations):
-    N, M = 3, 5
-    good = spd_band(rng, N, M)
-    rhs = rng.normal(size=N * M)
-    _shifted_band_solve(good, rhs, 0.0)
-    bad = good.copy()
-    bad[0, 4] = -1.0
-    for _ in range(2):
-        with pytest.raises(np.linalg.LinAlgError):
-            _shifted_band_solve(bad, rhs, 0.0)
-    x = _shifted_band_solve(good, rhs, 0.0)
-    assert np.array_equal(x, reference_solve(good, rhs, 0.0))
-    assert len(factorizations) == 4
-
-
-def test_linear_continuation_factors_once_per_stage(factorizations):
-    # at p = m = 2 every Newton step of one stage sees the same band; at
-    # 16 x 16 weights that are 1 only up to an ulp would refactor
-    prob = unit_problem(2.0, 2.0, 16, 16)
-    stages = epsilon_continuation(
-        prob, CascadeParams(epsilon_schedule=(1.0, 0.1, 0.01))
+    u = rng.normal(size=(N, M))
+    du = time_derivative(u, prob.tmesh)
+    ab = _fixed_point_band(
+        stage.hessian(u), prob.nl.alpha_derivative(du, 1e-2), prob.tmesh.dt
     )
-    steps = sum(s.diagnostics["stage_newton_iterations"] for s in stages)
-    assert steps > len(stages) == len(factorizations)
+    D = N * M
+    A = np.zeros((D, D))
+    for r in range(D):
+        for c in range(max(0, r - N), min(D, r + N + 1)):
+            A[r, c] = ab[N + r - c, c]
+    perm = np.arange(D).reshape(M, N).T.ravel()
+    J = np.zeros((D, D))
+    h = 1e-6
+    for t in range(D):
+        e = np.zeros(D)
+        e[t] = h
+        J[:, t] = (F(u + e.reshape(N, M)) - F(u - e.reshape(N, M))).ravel() / (2 * h)
+    assert np.allclose(A[np.ix_(perm, perm)], J, rtol=1e-6, atol=1e-6)
+
+
+def test_duality_diagonal_is_scale_free_above_two(rng):
+    # at p > 2 the duality map is homogeneous of degree one, so its Jacobian
+    # diagonal stays the same when a slice shrinks far below the smoothing
+    prob = unit_problem(3.0, 2.0, 5, 3)
+    u = rng.normal(size=(3, 5))
+    d = _duality_diag(u, 3.0, 1e-8, prob.smesh)
+    assert np.allclose(_duality_diag(1e-12 * u, 3.0, 1e-8, prob.smesh), d, rtol=1e-12)
 
 
 def test_minimizer_zero_data_and_uniqueness(rng):

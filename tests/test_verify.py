@@ -121,6 +121,20 @@ class TestMmsSpecs:
         zero = vf.derived_forcing(vf.MmsSpec("zero", "continuum"), prob, 0.0)
         assert np.all(zero == 0.0)
 
+    def test_continuum_forcing_rejects_a_midpoint_node_below_m_two(self):
+        # an odd M puts a node at x = L/2, where the flux derivative is
+        # unbounded at m < 2; an even M keeps the forcing moderate
+        def forcing(name, p, m, M):
+            spec = vf.MmsSpec(name, "continuum")
+            return vf.derived_forcing(spec, unit_problem(p, m, M, 4), 0.0)
+
+        for M in (7, 15):
+            with pytest.raises(ValueError, match="x = L/2"):
+                forcing("steady_sin", 2.0, 1.5, M)
+        assert np.max(np.abs(forcing("steady_sin", 2.0, 1.5, 8))) < 20
+        assert np.all(np.isfinite(forcing("steady_sin", 2.0, 2.0, 7)))
+        assert np.all(forcing("zero", 2.0, 1.5, 7) == 0.0)
+
 
 def test_refit_problem_resamples_grid():
     prob = unit_problem(2.0, 3.0, 8, 8, diffusion=2.0)
