@@ -23,7 +23,7 @@ from .convexcore import (
     PhiConfig,
 )
 from .discretize import ProblemSpec, SpatialMesh, TemporalMesh
-from .variational import ObjectiveConfig, minimize, residual_AP
+from .variational import ObjectiveConfig, residual_AP
 from .verify import (
     MmsSpec,
     MoscoSequenceSpec,
@@ -51,7 +51,6 @@ __all__ = [
     "SpatialMesh",
     "TemporalMesh",
     "ObjectiveConfig",
-    "minimize",
     "residual_AP",
     "MmsSpec",
     "MoscoSequenceSpec",

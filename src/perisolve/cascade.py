@@ -4,12 +4,12 @@ The target system couples the rate nonlinearity and the gradient energy:
 alpha(du) + grad Phi(u) = f with one period of self-consistency.  It is
 attacked in layers:
 
-* stage solve: for a frozen dual forcing h, minimize the strictly convex
-  space-time objective of the elliptic-regularized system at parameter eps;
+* stage equation: for a dual forcing h, the stationarity equation of the
+  strictly convex space-time objective of the elliptic-regularized system
+  at parameter eps;
 * fixed point: h = -alpha(du) of the stage solution; substituted into the
-  stage equation this is one equation in u, solved by Newton from the stage
-  solution at the incoming h and checked by one more stage solve at
-  h = -alpha(du);
+  stage equation this is one equation in u, solved by Newton from the
+  previous stage's solution;
 * continuation: drive eps down a schedule with warm starts, finishing with
   an exact eps = 0 stage, and on the hard exponent branch drive a power
   perturbation of the energy down a mu schedule the same way.
@@ -37,20 +37,12 @@ from .discretize import (
     pairing,
     time_derivative,
 )
-from .variational import (
-    MinimizerReport,
-    ObjectiveConfig,
-    minimize,
-    newton_fixed_point,
-    residual_AP,
-)
+from .variational import ObjectiveConfig, newton_fixed_point, residual_AP
 
 __all__ = [
     "CascadeParams",
     "StageResult",
     "default_epsilon_schedule",
-    "solve_APh",
-    "beta_map",
     "fixed_point_solve",
     "epsilon_continuation",
     "solve_routed",
@@ -83,9 +75,11 @@ def default_epsilon_schedule(
 class CascadeParams:
     """Tuning knobs of the cascade.
 
-    stage_tol = None resolves to 0.05 * fp_tol so stage defects stay well
-    under the fixed point tolerance.  max_fp_iter bounds the Newton steps of
-    one fixed point stage.  exact_limit_stage appends a final
+    A fixed point stage has converged when the Bochner dual norm of its
+    equation residual is at most stage_tol * min(1, dt) * max(1,
+    |f - alpha(du)|); stage_tol = None resolves to 0.05 * fp_tol.
+    max_fp_iter bounds the Newton steps of one fixed point stage.
+    exact_limit_stage appends a final
     eps = 0 stage to each epsilon walk and, on the mu route, a final mu = 0
     level.  mu_eps_truncate is how many trailing epsilon entries later mu
     levels reuse; the first mu level always walks the full ladder.  Every
@@ -101,7 +95,6 @@ class CascadeParams:
     stage_tol: float | None = None
     max_fp_iter: int = 400
     exact_limit_stage: bool = True
-    max_newton: int = 80
     mu_eps_truncate: int = 4
 
     def __post_init__(self) -> None:
@@ -158,101 +151,51 @@ class StageResult:
 # single stage
 
 
-def solve_APh(
-    prob: ProblemSpec,
-    h: np.ndarray,
-    eps: float,
-    params: CascadeParams,
-    pf: cc.PerturbedFunctional | None = None,
-    u0: np.ndarray | None = None,
-    stage_tol: float | None = None,
-) -> tuple[np.ndarray, MinimizerReport]:
-    """Solve the regularized stage system at frozen dual forcing h by
-    minimizing its objective from u0 (zero when not given)."""
-    u = np.zeros_like(prob.f) if u0 is None else u0
-    tol = params.resolved_stage_tol() if stage_tol is None else stage_tol
-    ocfg = ObjectiveConfig(
-        prob=prob,
-        epsilon=eps,
-        f_plus_h=prob.f + h,
-        delta=params.delta,
-        pf=pf,
-    )
-    return minimize(u, ocfg, tol=tol, max_iter=params.max_newton)
-
-
-def beta_map(
-    prob: ProblemSpec,
-    h: np.ndarray,
-    eps: float,
-    params: CascadeParams,
-    pf: cc.PerturbedFunctional | None = None,
-    u0: np.ndarray | None = None,
-    stage_tol: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, MinimizerReport]:
-    """Dual forcing update: solve the stage at h, return -alpha(du) with it."""
-    u, rep = solve_APh(prob, h, eps, params, pf=pf, u0=u0, stage_tol=stage_tol)
-    beta = -prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
-    return beta, u, rep
-
-
 def fixed_point_solve(
     prob: ProblemSpec,
     eps: float,
     params: CascadeParams,
     pf: cc.PerturbedFunctional | None = None,
-    h0: np.ndarray | None = None,
     u0: np.ndarray | None = None,
 ) -> StageResult:
-    """Fixed point h = beta(h) of one stage, by Newton on its equation in u.
+    """Fixed point h = -alpha(du) of one stage, by Newton on its equation in u.
 
-    One beta evaluation at h0 gives the start.  Newton then solves the stage
-    equation with h = -alpha(du) substituted (newton_fixed_point), and one
-    more beta evaluation at that h checks the result: its distance
-    |beta(h) - h| is the stage's fixed point residual, and the stage has
-    converged when that check solve converged and the residual is within
-    fp_tol.  Non-convergence is reported, not raised.
+    Newton (newton_fixed_point) starts from u0, zero when not given.  The
+    stage's fixed point residual is the norm of its equation residual at
+    the end, and the stage has converged when that norm is within the
+    stage tolerance.  Non-convergence is reported, not raised.
     """
-    h = np.zeros_like(prob.f) if h0 is None else np.asarray(h0, dtype=float)
+    u = np.zeros_like(prob.f) if u0 is None else u0
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
-    tol = params.fp_tol * scale
-    # beta amplifies stage defects by the inverse time step, so the inner
-    # solves must be tighter than fp_tol by that factor
+    # h = -alpha(du) amplifies defects in u by the inverse time step, so the
+    # stage tolerance is tightened by that factor
     st_tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
-
-    _, u, rep0 = beta_map(prob, h, eps, params, pf=pf, u0=u0, stage_tol=st_tol)
-    ocfg = ObjectiveConfig(prob, eps, prob.f, params.delta, pf)
-    u, history = newton_fixed_point(u, ocfg, st_tol, params.max_fp_iter)
-    h = -prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
-    bh, u, rep = beta_map(prob, h, eps, params, pf=pf, u0=u, stage_tol=st_tol)
-    reports = [rep0, rep]
-    res = dual_bochner_norm(bh - h, prob)
-    # a check solve that cannot move returns its start, so beta(h) = h says
-    # nothing unless that solve converged
-    converged = rep.converged and res <= tol
-    xi = -bh  # alpha(du) of the checked stage solution
+    ocfg = ObjectiveConfig(prob, eps, params.delta, pf)
+    u, history, converged = newton_fixed_point(u, ocfg, st_tol, params.max_fp_iter)
+    xi = prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
+    h = -xi
     eta = cc._PhiAt(u, prob.a, prob.m, params.delta, prob.smesh, pf).grad
     mu = 0.0 if pf is None else pf.mu
+    res = history[-1]
     diagnostics = {
-        "converged": bool(converged),
+        "converged": converged,
         "fixed_point_residual": float(res),
         "residual_scale": float(scale),
         "residual_history": [float(r) for r in history],
-        "beta_evaluations": len(reports),
         "fixed_point_newton_steps": len(history) - 1,
-        "stage_newton_iterations": sum(r.iterations for r in reports),
-        "stage_minimize_unconverged": sum(not r.converged for r in reports),
-        "stage_line_search_failures": sum(r.line_search_failures for r in reports),
+        # no stage minimization is left; the two counts stay, at their true
+        # value 0, because bench/workloads.py still reads them
+        "beta_evaluations": 0,
+        "stage_newton_iterations": 0,
         "energy_margin": energy_margin(u, prob),
         "audit": stage_audit(u, h, prob, eps, params.delta, pf),
     }
     if not converged:
         log.warning(
-            "fixed point at eps=%.3e mu=%.3e stalled at residual %.3e (tol %.3e)",
+            "fixed point at eps=%.3e mu=%.3e stalled at residual %.3e",
             eps,
             mu,
             res,
-            tol,
         )
     return StageResult(u, xi, eta, h, float(eps), float(mu), diagnostics)
 
@@ -369,7 +312,6 @@ def epsilon_continuation(
     prob: ProblemSpec,
     params: CascadeParams,
     pf: cc.PerturbedFunctional | None = None,
-    h0: np.ndarray | None = None,
     u0: np.ndarray | None = None,
     schedule: tuple[float, ...] | None = None,
 ) -> list[StageResult]:
@@ -384,22 +326,22 @@ def epsilon_continuation(
     """
     sched = params.epsilon_schedule if schedule is None else tuple(schedule)
     stages: list[StageResult] = []
-    h, u = h0, u0
+    u = u0
     prev_ap = None
 
     def run(eps: float) -> StageResult:
         t0 = time.perf_counter()
-        stage = fixed_point_solve(prob, eps, params, pf=pf, h0=h, u0=u)
+        stage = fixed_point_solve(prob, eps, params, pf=pf, u0=u)
         d = stage.diagnostics
         d["wall_time"] = time.perf_counter() - t0
         d["residual_AP"] = residual_AP(stage.u, prob, delta=params.delta, pf=pf)
         stages.append(stage)
         log.info(
-            "eps=%.3e fp_res=%.3e ap_res=%.3e evals=%d wall=%.3fs",
+            "eps=%.3e fp_res=%.3e ap_res=%.3e newton=%d wall=%.3fs",
             eps,
             d["fixed_point_residual"],
             d["residual_AP"],
-            d["beta_evaluations"],
+            d["fixed_point_newton_steps"],
             d["wall_time"],
         )
         return stage
@@ -411,7 +353,7 @@ def epsilon_continuation(
         ]
         if diverged:
             return stages
-        h, u = stage.h, stage.u
+        u = stage.u
         ap = stage.diagnostics["residual_AP"]
         stagnated = (
             prev_ap is not None
@@ -464,8 +406,8 @@ def solve_routed(
         levels.append((None, tail))
     stages: list[StageResult] = []
     for pf, sched in levels:
-        h, u = (stages[-1].h, stages[-1].u) if stages else (None, None)
-        stages += epsilon_continuation(prob, params, pf=pf, h0=h, u0=u, schedule=sched)
+        u = stages[-1].u if stages else None
+        stages += epsilon_continuation(prob, params, pf=pf, u0=u, schedule=sched)
         d = stages[-1].diagnostics
         if d["fixed_point_residual"] > d["residual_scale"]:
             break

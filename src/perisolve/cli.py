@@ -212,15 +212,15 @@ def _build_problem(doc: dict) -> ProblemSpec:
 
 _SCHEDULE_KEYS = ("epsilon_schedule", "mu_schedule")
 _NUMBER_KEYS = ("alpha_exp", "delta", "fp_tol", "stage_tol")
-_INT_KEYS = ("max_fp_iter", "max_newton", "mu_eps_truncate")
+_INT_KEYS = ("max_fp_iter", "mu_eps_truncate")
+_CASCADE_KEYS = (*_SCHEDULE_KEYS, *_NUMBER_KEYS, *_INT_KEYS, "exact_limit_stage")
 
 
 def _build_cascade(doc: dict) -> CascadeParams:
     cb = _get(doc, "cascade", "", dict, {})
     path = "cascade"
-    known = (*_SCHEDULE_KEYS, *_NUMBER_KEYS, *_INT_KEYS, "exact_limit_stage")
     for key in cb:
-        if key not in known:
+        if key not in _CASCADE_KEYS:
             raise ConfigError(f"{path}.{key}", "unknown key")
     kwargs = {}
     for key in _SCHEDULE_KEYS:

@@ -5,7 +5,7 @@ and conjugate), the cellwise diffusion coefficient, gradient-energy
 functionals and their gradients, duality maps of the nodal L^r spaces,
 proximal smoothing (envelope, resolvent, Yosida gradient), the
 power-perturbed energy used on the hard exponent branch, and the damped
-Newton descent that runs every convex minimization of the package.
+Newton descent of the single-slice proximal problems.
 
 Gradients are always understood against the pairing <xi, u> = sum_i dx xi_i u_i,
 so a "dual field" returned here pairs with increments through that weighted
@@ -19,7 +19,7 @@ leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -429,26 +429,39 @@ def duality_map(v: np.ndarray, r: float, mesh: SpatialMesh) -> np.ndarray:
     return out
 
 
+def _duality_diag(v: np.ndarray, r: float, delta: float, mesh: SpatialMesh) -> np.ndarray:
+    """Diagonal of the duality map Jacobian, slicewise, rank-one term dropped.
+
+    Only r < 2 smooths |v|^(r-2) by delta: at r > 2 a smoothed diagonal
+    grows like (delta / |v|_r)^(r-2) on a slice far below delta and freezes
+    that slice in every Newton step.  A zero slice has no duality block.
+    """
+    if r == 2.0:
+        return np.ones_like(v)
+    nrm = np.asarray(norm_V(v, r, mesh))[..., None]
+    if r < 2.0:
+        slope = (v * v + delta * delta) ** ((r - 2.0) / 2.0)
+    else:
+        slope = np.abs(v) ** (r - 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(nrm == 0.0, 0.0, (r - 1.0) * nrm ** (2.0 - r) * slope)
+
+
 def _duality_hessian(
     w: np.ndarray, r: float, delta: float, mesh: SpatialMesh
 ) -> np.ndarray:
-    """Dense smoothed Jacobian of the duality map at a single slice.
+    """Dense Jacobian of the duality map at a single slice.
 
-    Exact for r = 2 (identity).  Otherwise diagonal plus rank one, with the
-    pointwise powers delta-smoothed; positive semidefiniteness can degrade
-    marginally under smoothing, which the callers guard with line searches.
+    Exact for r = 2 (identity).  Otherwise _duality_diag plus the rank-one
+    term (2 - r) |w|^(2-2r) dx g g^T, g = |w_i|^(r-2) w_i smoothed as the
+    diagonal is.
     """
-    M = w.shape[-1]
-    if r == 2.0:
-        return np.eye(M)
+    d = _duality_diag(w, r, delta, mesh)
+    H = np.diag(d)
     nrm = float(norm_V(w, r, mesh))
-    if nrm < 1e-150:
-        smooth = (w * w + delta * delta) ** ((r - 2.0) / 2.0)
-        return (r - 1.0) * max(delta, 1e-150) ** (2.0 - r) * np.diag(smooth)
-    smooth = (w * w + delta * delta) ** ((r - 2.0) / 2.0)
-    g = smooth * w
-    H = (r - 1.0) * nrm ** (2.0 - r) * np.diag(smooth)
-    H += (2.0 - r) * nrm ** (2.0 - 2.0 * r) * mesh.dx * np.outer(g, g)
+    if r != 2.0 and nrm > 0.0:
+        g = d * w / nrm
+        H += (2.0 - r) / (r - 1.0) ** 2 * mesh.dx * np.outer(g, g)
     return H
 
 
@@ -475,69 +488,48 @@ def fenchel_psi_star(xi: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh):
 
 
 # ---------------------------------------------------------------------------
-# damped Newton descent (stage objectives and slice proximal problems)
-
-
-@dataclass
-class MinimizerReport:
-    """Outcome of one damped Newton descent.
-
-    iterations counts accepted steps, final_gradient_norm is the dual norm
-    of the last residual, and line_search_failures counts the directions
-    along which backtracking accepted no step.  history holds the residual
-    norm after every accepted step, starting from the initial one.
-    """
-
-    iterations: int
-    final_gradient_norm: float
-    objective_value: float
-    line_search_failures: int
-    converged: bool = True
-    history: list = field(default_factory=list)
+# damped Newton descent (slice proximal problems)
 
 
 def _damped_newton(
     u: np.ndarray,
     value: Callable[[np.ndarray], float],
     residual: Callable[[np.ndarray], np.ndarray],
-    hessian: Callable[[np.ndarray], object],
-    diagonal: Callable[[object], np.ndarray],
-    solve: Callable[[object, np.ndarray, float], np.ndarray],
+    hessian: Callable[[np.ndarray], np.ndarray],
     dual_norm: Callable[[np.ndarray], float],
     pair: Callable[[np.ndarray, np.ndarray], float],
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, MinimizerReport]:
-    """Damped Newton descent of a convex functional to dual_norm(R) <= tol.
+) -> tuple[np.ndarray, float]:
+    """Damped Newton descent of a convex functional of one slice.
 
     residual(u) is the gradient R of value against pair, and hessian(u) its
-    (approximate) Jacobian H, stored however solve(H, rhs, shift) inverts it
-    with a Levenberg shift; diagonal(H) returns its main diagonal.  The
-    shift climbs a six-rung ladder from 1e-8 of the mean diagonal until the
-    solve gives a finite descent direction; with no such rung the step is
-    steepest descent.  Armijo backtracking on the exact value guards every
-    step, and a Newton direction that fails it is retried along -R.  Once
-    the predicted decrease drops below float64 value noise the Armijo test
-    is blind and acceptance falls back to a strict residual decrease.
-    Non-convergence is reported, not raised.
+    (approximate) dense Jacobian H.  A Levenberg shift climbs a six-rung
+    ladder from 1e-8 of the mean diagonal until the solve gives a finite
+    descent direction; with no such rung the step is steepest descent.
+    Armijo backtracking on the exact value guards every step, and a Newton
+    direction that fails it is retried along -R.  Once the predicted
+    decrease drops below float64 value noise the Armijo test is blind and
+    acceptance falls back to a strict residual decrease.  Stops at
+    dual_norm(R) <= tol, after max_iter steps, or when no step is accepted;
+    returns the last iterate and dual_norm(R) there, so the caller reads
+    convergence off the norm.
     """
     fv = value(u)
     R = residual(u)
     res = dual_norm(R)
-    failures = 0
-    history = [res]
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         if res <= tol:
-            return u, MinimizerReport(it - 1, res, fv, failures, True, history)
+            break
         H = hessian(u)
         g = R.ravel()
         step = None
         shift = 0.0
-        diag_mean = max(float(diagonal(H).mean()), 1e-12)
+        diag_mean = max(float(np.diag(H).mean()), 1e-12)
         for _ in range(6):
             try:
-                cand = solve(H, -g, shift)
-            except (RuntimeError, np.linalg.LinAlgError):
+                cand = np.linalg.solve(H + shift * np.eye(H.shape[0]), -g)
+            except np.linalg.LinAlgError:
                 cand = None
             if (
                 cand is not None
@@ -582,18 +574,12 @@ def _damped_newton(
                 t *= 0.5
             if accepted:
                 break
-            failures += 1
         if not accepted:
-            return u, MinimizerReport(it, res, fv, failures, False, history)
+            break
         if not updated:
             R = residual(u)
             res = dual_norm(R)
-        history.append(res)
-    return u, MinimizerReport(max_iter, res, fv, failures, res <= tol, history)
-
-
-def _shifted_dense_solve(H: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
-    return np.linalg.solve(H + shift * np.eye(H.shape[0]), rhs)
+    return u, res
 
 
 # ---------------------------------------------------------------------------
@@ -634,17 +620,15 @@ def moreau_yosida(
 
     scale = max(1.0, float(norm_V(u, p, mesh)) / lam)
     start = u if v0 is None else v0
-    J, rep = _damped_newton(
-        np.array(start, dtype=float), value, grad, hess, np.diag,
-        _shifted_dense_solve,
+    J, res = _damped_newton(
+        np.array(start, dtype=float), value, grad, hess,
         lambda g: float(norm_Vstar(g, pc, mesh)),
         lambda a, b: float(pairing(a, b, mesh)),
         tol * scale, max_iter,
     )
-    if not rep.converged:
+    if res > tol * scale:
         raise RuntimeError(
-            "proximal solve stalled with stationarity residual "
-            f"{rep.final_gradient_norm:.3e}"
+            f"proximal solve stalled with stationarity residual {res:.3e}"
         )
     envelope = value(J)
     yosida = -duality_map(J - u, p, mesh) / lam
@@ -691,17 +675,15 @@ def resolvent_phi_power(
             H = _PhiAt(v, cfg.a, cfg.m, cfg.delta, mesh).matrix()
             return _duality_hessian(v - w, p, cfg.delta, mesh) + (1.0 + lam) * H
 
-        u, rep = _damped_newton(
-            np.array(v0, dtype=float), value, grad, hess, np.diag,
-            _shifted_dense_solve,
+        u, res = _damped_newton(
+            np.array(v0, dtype=float), value, grad, hess,
             lambda g: float(norm_Vstar(g, pc, mesh)),
             lambda a, b: float(pairing(a, b, mesh)),
             inner_tol, 200,
         )
-        if not rep.converged:
+        if res > inner_tol:
             raise RuntimeError(
-                f"auxiliary solve at lam={lam:.3e} stalled, "
-                f"residual {rep.final_gradient_norm:.3e}"
+                f"auxiliary solve at lam={lam:.3e} stalled, residual {res:.3e}"
             )
         return u
 

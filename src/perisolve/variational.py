@@ -1,25 +1,21 @@
-"""Space-time objective for the regularized periodic problem and its solver.
+"""Stage equation of the regularized periodic problem and its Newton solver.
 
-One periodic stage fixes the total forcing (given forcing plus dual update)
-and minimizes, over periodic trajectories, the strictly convex functional
+One periodic stage at parameter eps has the slice residual
 
-    sum_n dt [ eps Psi(du_n) + eps Psi(u_n) + Phi(u_n)
-               + (eps/2) |u_n|_V^2 - <(f+h)_n, u_n> ]
+    R(u)_n = grad Phi(u_n) - f_n + eps [ (xi_n - xi_(n+1)) / dt
+                                         + alpha(u_n) + F_p(u_n) ]
 
-where du is the backward difference with periodic wrap, Psi the nodal
-primitive integral, and Phi the smoothed (possibly power-perturbed)
-gradient energy.  The gradient slice reproduces the discrete Euler
-equation, so stationarity equals solving the stage system.
+with xi = alpha(du), du the backward difference with periodic wrap, Phi the
+smoothed (possibly power-perturbed) gradient energy and F_p the duality map
+of the nodal L^p space.  It is the gradient, over dt, of a strictly convex
+space-time functional.  Its Jacobian is the cyclic block-tridiagonal band
+read from the same evaluation of u.
 
-The minimizer runs the damped Newton descent of convexcore on the flattened
-trajectory with the cyclic block-tridiagonal Hessian in banded storage, one
-banded Cholesky solve per step, Armijo backtracking on the exact objective,
-and a steepest-descent fallback.
-
-A fixed point stage ties the dual forcing to the rate, h = -alpha(du), and
-newton_fixed_point solves the resulting stage equation directly: its
-Jacobian is the stage band plus the backward-difference block of alpha,
-which keeps the half-bandwidth N but is no longer symmetric.
+A fixed point stage ties the dual forcing to the rate, h = -alpha(du), so
+the stage equation becomes F(u) = R(u) + alpha(du) = 0, which
+newton_fixed_point solves directly: its Jacobian is the stage band plus the
+backward-difference block of alpha, which keeps the half-bandwidth N but is
+no longer symmetric.
 """
 
 from __future__ import annotations
@@ -28,23 +24,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solve_banded
 
 from . import convexcore as cc
-from .convexcore import MinimizerReport
 from .discretize import (
     ProblemSpec,
     dual_bochner_norm,
-    norm_V,
-    pairing,
     time_derivative,
     validate_trajectory,
 )
 
 __all__ = [
     "ObjectiveConfig",
-    "MinimizerReport",
-    "minimize",
     "newton_fixed_point",
     "residual_AP",
 ]
@@ -52,16 +43,14 @@ __all__ = [
 
 @dataclass
 class ObjectiveConfig:
-    """Frozen data of one periodic stage minimization.
+    """Frozen data of one periodic stage equation; the forcing is prob.f.
 
-    f_plus_h is the combined forcing trajectory of shape (N, M).  epsilon
-    may be zero, which drops the time coupling and the lower-order terms and
-    decouples the slices.
+    epsilon may be zero, which drops the time coupling and the lower-order
+    terms of R; F keeps the coupling through alpha(du).
     """
 
     prob: ProblemSpec
     epsilon: float
-    f_plus_h: np.ndarray
     delta: float
     pf: cc.PerturbedFunctional | None = None
 
@@ -70,37 +59,15 @@ class ObjectiveConfig:
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not (0.0 <= self.delta < math.inf):
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-        self.f_plus_h = validate_trajectory(
-            self.f_plus_h, self.prob.smesh, self.prob.tmesh, "combined forcing"
-        )
-
-
-def _duality_diag(u: np.ndarray, p: float, delta: float, smesh) -> np.ndarray:
-    """Diagonal part of the duality map Jacobian, slicewise, rank-one dropped.
-
-    Only p < 2 smooths |u|^(p-2) by delta: at p > 2 a smoothed diagonal
-    grows like (delta / |u|_V)^(p-2) on a slice far below delta and freezes
-    that slice in every Newton step.
-    """
-    if p == 2.0:
-        return np.ones_like(u)
-    nrm = np.asarray(norm_V(u, p, smesh))
-    nrm = np.maximum(nrm, 1e-150)
-    if p < 2.0:
-        slope = (u * u + delta * delta) ** ((p - 2.0) / 2.0)
-    else:
-        slope = np.abs(u) ** (p - 2.0)
-    return (p - 1.0) * nrm[..., None] ** (2.0 - p) * slope
 
 
 class _Stage:
-    """Value, slice residual and band Hessian of one stage objective.
+    """Slice residual and band Jacobian of one stage equation.
 
-    All three read one evaluation of the trajectory they are given: du, Du
-    and, through the energy, the base energy per slice and the perturbation
-    factor.  It is kept for the last trajectory object asked about: the
-    damped Newton descent asks for all three at one iterate, and a
-    line-search trial computes only what the value needs.
+    Both read one evaluation of the trajectory they are given: du, Du and,
+    through the energy, the base energy per slice and the perturbation
+    factor.  It is kept for the last trajectory object asked about, so a
+    Newton step reads the residual and the band at one iterate from it.
     """
 
     def __init__(self, ocfg: ObjectiveConfig) -> None:
@@ -117,23 +84,11 @@ class _Stage:
             )
         return self._du, self._phi
 
-    def value(self, u: np.ndarray) -> float:
-        """Value of the stage objective at a periodic trajectory."""
-        prob, eps = self.ocfg.prob, self.ocfg.epsilon
-        du, phi = self._at(u)
-        total = float(np.sum(phi.value))
-        total -= float(np.sum(pairing(self.ocfg.f_plus_h, u, prob.smesh)))
-        if eps > 0.0:
-            total += eps * float(np.sum(cc.eval_psi(du, prob.nl, prob.smesh)))
-            total += eps * float(np.sum(cc.eval_psi(u, prob.nl, prob.smesh)))
-            total += 0.5 * eps * float(np.sum(norm_V(u, prob.p, prob.smesh) ** 2))
-        return prob.tmesh.dt * total
-
     def residual(self, u: np.ndarray) -> np.ndarray:
-        """Stage equation residual per slice: the objective gradient over dt."""
+        """Stage equation residual per slice at h = 0."""
         prob, eps = self.ocfg.prob, self.ocfg.epsilon
         du, phi = self._at(u)
-        R = phi.grad - self.ocfg.f_plus_h
+        R = phi.grad - prob.f
         if eps > 0.0:
             xi = prob.nl.alpha_eval(du)
             R = R + eps * (xi - np.roll(xi, -1, axis=0)) / prob.tmesh.dt
@@ -162,57 +117,12 @@ class _Stage:
             c = eps * prob.nl.alpha_derivative(du, delta) / dt**2
             main = main + c + np.roll(c, -1, axis=0)
             main = main + eps * prob.nl.alpha_derivative(u, delta)
-            main = main + eps * _duality_diag(u, prob.p, delta, prob.smesh)
+            main = main + eps * cc._duality_diag(u, prob.p, delta, prob.smesh)
             H[1].reshape(M, N)[:, :-1] = -c[1:].T
             H[N - 1].reshape(M, N)[:, 0] -= c[0]
         H[0] = main.T.ravel()
         H[N, : N * (M - 1)] = (-w[:, 1:-1] / dx**2).T.ravel()
         return H
-
-
-def _shifted_band_solve(H: np.ndarray, rhs: np.ndarray, shift: float) -> np.ndarray:
-    """Solve (H + shift I) x = rhs by banded Cholesky; rhs and x time-major.
-
-    An indefinite or non-finite H gives LinAlgError or a non-finite x, which
-    the Newton driver's shift ladder catches.
-    """
-    N = H.shape[0] - 1
-    Hs = np.concatenate((H[:1] + shift, H[1:]))
-    b = rhs.reshape(N, -1).T.ravel()
-    x = solveh_banded(Hs, b, overwrite_ab=True, lower=True, check_finite=False)
-    return x.reshape(-1, N).T.ravel()
-
-
-def minimize(
-    u0: np.ndarray,
-    ocfg: ObjectiveConfig,
-    tol: float = 1e-10,
-    max_iter: int = 80,
-) -> tuple[np.ndarray, MinimizerReport]:
-    """Newton descent to stationarity of the stage objective.
-
-    Stops when the Bochner dual norm of the slice residual drops below
-    tol * max(1, |f+h| in the same norm).  Returns the trajectory and a
-    report; a non-converged report is returned rather than raising so the
-    caller can decide.
-    """
-    prob = ocfg.prob
-    u = validate_trajectory(u0, prob.smesh, prob.tmesh, "initial trajectory").copy()
-    smesh, dt = prob.smesh, prob.tmesh.dt
-    scale = max(1.0, dual_bochner_norm(ocfg.f_plus_h, prob))
-    stage = _Stage(ocfg)
-    return cc._damped_newton(
-        u,
-        stage.value,
-        stage.residual,
-        stage.hessian,
-        lambda H: H[0],
-        _shifted_band_solve,
-        lambda R: dual_bochner_norm(R, prob),
-        lambda A, B: dt * float(np.sum(pairing(A, B, smesh))),
-        tol * scale,
-        max_iter,
-    )
 
 
 def _fixed_point_band(H: np.ndarray, slope: np.ndarray, dt: float) -> np.ndarray:
@@ -237,16 +147,15 @@ def _fixed_point_band(H: np.ndarray, slope: np.ndarray, dt: float) -> np.ndarray
 
 def newton_fixed_point(
     u0: np.ndarray, ocfg: ObjectiveConfig, tol: float, max_iter: int
-) -> tuple[np.ndarray, list[float]]:
+) -> tuple[np.ndarray, list[float], bool]:
     """Newton on the stage equation at the dual forcing h = -alpha(du).
 
-    ocfg carries the problem's forcing f in f_plus_h, so the equation is
-    F(u) = R(u) + alpha(du) = 0 with R the stage residual at h = 0.  Every
-    step backtracks until the Bochner dual norm of F falls.  Stops when
-    that norm is at most tol * max(1, |f - alpha(du)|), the stationarity
-    test of the stage minimization at h; after max_iter steps; or when a
-    step is singular, non-finite or cannot decrease the norm.  Returns the
-    last iterate and the norm of F at the start and after every step.
+    The equation is F(u) = R(u) + alpha(du) = 0 with R the stage residual
+    at h = 0.  Every step backtracks until the Bochner dual norm of F falls.
+    Converged when that norm is at most tol * max(1, |f - alpha(du)|);
+    otherwise it stops after max_iter steps, or when a step is singular,
+    non-finite or cannot decrease the norm.  Returns the last iterate, the
+    norm of F at the start and after every step, and whether it converged.
     """
     prob, delta = ocfg.prob, ocfg.delta
     tmesh, nl = prob.tmesh, prob.nl
@@ -261,9 +170,11 @@ def newton_fixed_point(
 
     F, du, res = equation(u)
     history = [res]
-    for _ in range(max_iter):
-        scale = max(1.0, dual_bochner_norm(ocfg.f_plus_h - nl.alpha_eval(du), prob))
+    while True:
+        scale = max(1.0, dual_bochner_norm(prob.f - nl.alpha_eval(du), prob))
         if res <= tol * scale:
+            return u, history, True
+        if len(history) > max_iter:
             break
         slope = nl.alpha_derivative(du, delta)
         ab = _fixed_point_band(stage.hessian(u), slope, tmesh.dt)
@@ -285,7 +196,7 @@ def newton_fixed_point(
             break
         u, F, du, res = trial, F_t, du_t, res_t
         history.append(res)
-    return u, history
+    return u, history, False
 
 
 def residual_AP(

@@ -123,6 +123,38 @@ def fd_gradient(fun, u: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def stage_objective(
+    prob: dz.ProblemSpec,
+    eps: float,
+    delta: float,
+    u: np.ndarray,
+    pf: cc.PerturbedFunctional | None = None,
+) -> float:
+    """Strictly convex space-time functional whose gradient is the stage
+    residual at h = 0 (power rate map only):
+
+        sum_n dt [ eps Psi(du_n) + eps Psi(u_n) + Phi(u_n)
+                   + (eps/2) |u_n|_V^2 - <f_n, u_n> ]
+
+    with Psi(v) = sum_i dx |v_i|^p / p, du the periodic backward difference
+    and Phi the delta-smoothed gradient energy, power-perturbed by pf.
+    """
+    if prob.nl.kind != "power":
+        raise ValueError("the reference objective needs the power rate map")
+    p, m, dx, dt = prob.p, prob.m, prob.smesh.dx, prob.tmesh.dt
+    du = (u - np.roll(u, 1, axis=0)) / dt
+    Du = np.diff(np.pad(u, ((0, 0), (1, 1))), axis=1) / dx
+    a = prob.a.midpoint_values
+    phi = dx / m * np.sum(a * (Du * Du + delta * delta) ** (m / 2.0), axis=1)
+    if pf is not None:
+        e = 1.0 + pf.alpha_exp
+        phi = phi + pf.mu / e * phi**e
+    psi = dx * np.sum(np.abs(du) ** p + np.abs(u) ** p, axis=1) / p
+    sq = (dx * np.sum(np.abs(u) ** p, axis=1)) ** (2.0 / p)
+    total = phi - dx * np.sum(prob.f * u, axis=1) + eps * (psi + 0.5 * sq)
+    return float(dt * np.sum(total))
+
+
 # Frozen reference values, produced by the oracles above (and by sympy for
 # the quadrature limits).  Tests compare against these so regressions in the
 # oracles themselves are also caught.

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -106,15 +107,19 @@ class TestLoadConfig:
                 "cascade.epsilon_schedule",
             ),
             (
-                {"problem": small_problem(), "cascade": {"max_newton": -1}},
-                "cascade.max_newton",
+                {"problem": small_problem(), "cascade": {"max_fp_iter": -1}},
+                "cascade.max_fp_iter",
             ),
-            # the knobs of the retired fixed point iteration
+            # the knobs of the retired fixed point iteration and stage minimizer
             (
                 {"problem": small_problem(), "cascade": {"anderson_depth": 3}},
                 "cascade.anderson_depth",
             ),
             ({"problem": small_problem(), "cascade": {"omega": 0.5}}, "cascade.omega"),
+            (
+                {"problem": small_problem(), "cascade": {"max_newton": 80}},
+                "cascade.max_newton",
+            ),
             ({}, "problem"),
             # JSON admits NaN and Infinity; none of them may reach a solve
             ({"problem": small_problem(L=inf)}, "problem.L"),
@@ -230,8 +235,8 @@ class TestSolve:
         assert rep["config"] == doc  # config echoed verbatim
 
     def test_nonconvergence_exits_2_but_reports(self, tmp_path):
-        # without a Newton step the check at h = -alpha(du) of the first
-        # stage solve cannot meet the fixed point tolerance
+        # without a Newton step the first stage stays at u = 0, where the
+        # stage equation's residual is the forcing
         doc = {
             "output_dir": str(tmp_path / "st"),
             "problem": small_problem(),
@@ -323,6 +328,25 @@ def test_cmd_verify_reports_a_stalled_proximal_solve(tmp_path, monkeypatch):
     assert "stalled" in failed[0]["message"]
 
 
+@pytest.mark.parametrize("p", [2.2, 2.5])
+def test_cmd_verify_passes_the_proximal_sandwich_above_two(tmp_path, p):
+    # at p > 2 the proximal solve starts on a zero slice of the duality map;
+    # a smoothed duality block there stalled it at m = 1.5
+    doc = {"problem": small_problem(p=p, m=1.5, N=6)}
+    out = tmp_path / "v"
+    argv = ["verify", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_OK
+    rep = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in rep["invariants"]["checks"]}
+    assert checks["proximal_sandwich"]["passed"], checks["proximal_sandwich"]
+
+
+def test_cascade_knobs_match_the_config_keys():
+    # every CascadeParams field is a cascade config key and nothing else is
+    fields = {f.name for f in dataclasses.fields(cascade.CascadeParams)}
+    assert fields == set(cli._CASCADE_KEYS)
+
+
 forcing_terms = st.lists(
     st.fixed_dictionaries(
         {
@@ -384,7 +408,7 @@ def test_report_accounts_for_all_the_work(
     tmp_path, monkeypatch, bundled_config_dir, name, route
 ):
     # count what the cascade runs and hold report.json to the same totals
-    counts = {"stages": 0, "beta": 0, "newton": 0}
+    counts = {"stages": 0, "newton": 0}
 
     def count(attr, key, amount):
         fn = getattr(cascade, attr)
@@ -397,8 +421,7 @@ def test_report_accounts_for_all_the_work(
         monkeypatch.setattr(cascade, attr, counted)
 
     count("fixed_point_solve", "stages", lambda out: 1)
-    count("beta_map", "beta", lambda out: 1)
-    count("minimize", "newton", lambda out: out[1].iterations)
+    count("newton_fixed_point", "newton", lambda out: len(out[1]) - 1)
     doc = json.loads((bundled_config_dir / f"{name}.json").read_text())
     doc["problem"].update(M=8, N=8)
     out = tmp_path / "o"
@@ -408,8 +431,10 @@ def test_report_accounts_for_all_the_work(
     stages = rep["stages"]
     assert rep["route"] == route
     assert len(stages) == counts["stages"]
-    assert sum(s["beta_evaluations"] for s in stages) == counts["beta"]
-    assert sum(s["stage_newton_iterations"] for s in stages) == counts["newton"]
+    assert sum(s["fixed_point_newton_steps"] for s in stages) == counts["newton"] > 0
+    # no stage minimization is left to count
+    assert all(s["beta_evaluations"] == 0 for s in stages)
+    assert all(s["stage_newton_iterations"] == 0 for s in stages)
     assert all("epsilon" in s and "mu" in s for s in stages)
 
 

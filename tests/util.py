@@ -11,7 +11,9 @@ from perisolve.discretize import (
     TemporalMesh,
     bochner_norm,
     norm_V,
+    time_derivative,
 )
+from perisolve.variational import _Stage
 from perisolve.verify import MmsSpec, derived_forcing, sample_exact
 
 
@@ -51,6 +53,26 @@ def mms_problem(p, m, M, N, delta):
     f = derived_forcing(mms, prob, delta)
     prob = replace(prob, f=f)
     return prob, sample_exact(mms, prob.smesh, prob.tmesh)
+
+
+def stage_equation(ocfg):
+    """F(u) = R(u) + alpha(du), the stage equation at h = -alpha(du)."""
+    prob = ocfg.prob
+    return lambda v: _Stage(ocfg).residual(v) + prob.nl.alpha_eval(
+        time_derivative(v, prob.tmesh)
+    )
+
+
+def dense_affine_zero(F, shape):
+    """Zero of an affine map F of a trajectory of the given shape, from its
+    dense Jacobian assembled column by column."""
+    F0 = F(np.zeros(shape)).ravel()
+    A = np.zeros((F0.size, F0.size))
+    for j in range(F0.size):
+        e = np.zeros(F0.size)
+        e[j] = 1.0
+        A[:, j] = F(e.reshape(shape)).ravel() - F0
+    return np.linalg.solve(A, -F0).reshape(shape)
 
 
 def linf_l2(u, prob):
