@@ -57,8 +57,17 @@ def test_params_validation_and_stage_tol():
     assert ca.CascadeParams(stage_tol=1e-7).resolved_stage_tol() == 1e-7
 
 
-def test_zero_forcing_stage_is_zero_and_deterministic():
+def test_beta_of_zero_forcing_is_zero():
+    # zero forcing gives a zero stage: u = 0 and h = -alpha(0) = 0
     zero_prob = unit_problem(2.0, 3.0, 5, 5, amp=0.0)
+    zero = ca.fixed_point_solve(zero_prob, 0.1, ca.CascadeParams())
+    assert zero.converged
+    assert np.abs(zero.u).max() <= 1e-9 and np.abs(zero.h).max() <= 1e-9
+
+
+def test_solve_APh_zero_and_deterministic():
+    # the stage solve maps zero forcing to zero and is bitwise repeatable
+    zero_prob = unit_problem(2.5, 3.0, 6, 6, amp=0.0)
     zero = ca.fixed_point_solve(zero_prob, 0.1, ca.CascadeParams())
     assert zero.converged
     assert np.abs(zero.u).max() <= 1e-9 and np.abs(zero.h).max() <= 1e-9
