@@ -15,7 +15,9 @@ A fixed point stage ties the dual forcing to the rate, h = -alpha(du), so
 the stage equation becomes F(u) = R(u) + alpha(du) = 0, which
 newton_fixed_point solves directly: its Jacobian is the stage band plus the
 backward-difference block of alpha, which keeps the half-bandwidth N but is
-no longer symmetric.
+no longer symmetric.  _Stage.write_band writes that Jacobian straight into
+the band storage of LAPACK's dgbsv, one Fortran-ordered workspace per solve,
+and every Newton step factors and solves it there in place.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from . import convexcore as cc
 from .discretize import (
@@ -96,53 +98,48 @@ class _Stage:
             R = R + eps * cc.duality_map(u, prob.p, prob.smesh)
         return R
 
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        """Jacobian of the slice residual (symmetric) in LAPACK lower band storage.
+    def write_band(self, u: np.ndarray, slope: np.ndarray, lu: np.ndarray) -> None:
+        """Write the Jacobian of R plus slope/dt times the backward-difference
+        block into lu, the LAPACK gbsv band with kl = ku = N.
 
         The unknown at time node n and spatial node i sits at i*N + n, so the
-        cyclic block-tridiagonal matrix is banded with half-bandwidth N.  Band
-        row 0 holds the main diagonal, row 1 the coupling of time nodes n-1
-        and n, row N-1 the periodic wrap from node N-1 back to node 0, and row
-        N the spatial off-diagonal.  At N = 2 rows 1 and N-1 coincide and the
-        two time couplings add.
+        cyclic block-tridiagonal matrix is banded with half-bandwidth N, and
+        entry A[r, c] goes to lu[2N + r - c, c]; rows 0 to N-1 are the fill
+        rows of the factorization.  lu is Fortran-ordered with 3N+1 rows and
+        is zeroed first, so it may hold the factors of the previous step.
+        R's Jacobian is symmetric with the couplings of time nodes n-1 and n,
+        the periodic wrap from node N-1 back to node 0, and the spatial
+        couplings; at N = 2 the wrap and the time coupling share a diagonal.
+        slope is alpha'(du) per slice, so that row (n, i) of alpha(du)
+        depends on u_n with weight slope/dt and on u_(n-1) with -slope/dt.
+        A zero slope leaves R's Jacobian.
         """
         prob, eps, delta = self.ocfg.prob, self.ocfg.epsilon, self.ocfg.delta
         N, M = u.shape
         dt, dx = prob.tmesh.dt, prob.smesh.dx
         du, phi = self._at(u)
         w = phi.weights
-        H = np.zeros((N + 1, N * M))
+
+        def diag(k: int) -> np.ndarray:
+            """Diagonal k (A[c + k, c]) as an (M, N) view over the columns c."""
+            return lu[2 * N + k].reshape(M, N)
+
+        lu.fill(0.0)
         main = (w[:, :-1] + w[:, 1:]) / dx**2
         if eps > 0.0:
             c = eps * prob.nl.alpha_derivative(du, delta) / dt**2
             main = main + c + np.roll(c, -1, axis=0)
             main = main + eps * prob.nl.alpha_derivative(u, delta)
             main = main + eps * cc._duality_diag(u, prob.p, delta, prob.smesh)
-            H[1].reshape(M, N)[:, :-1] = -c[1:].T
-            H[N - 1].reshape(M, N)[:, 0] -= c[0]
-        H[0] = main.T.ravel()
-        H[N, : N * (M - 1)] = (-w[:, 1:-1] / dx**2).T.ravel()
-        return H
-
-
-def _fixed_point_band(H: np.ndarray, slope: np.ndarray, dt: float) -> np.ndarray:
-    """The symmetric lower band H plus the Jacobian of alpha(du), in general
-    band storage with l = u = N for solve_banded.
-
-    slope is alpha'(du) per slice.  Row (n, i) of alpha(du) depends on u_n
-    with weight slope/dt and on u_(n-1) with -slope/dt: the sub-diagonal for
-    n > 0, and for n = 0 the periodic wrap to node N-1, N-1 columns right.
-    """
-    N, D = H.shape[0] - 1, H.shape[1]
-    ab = np.zeros((2 * N + 1, D))
-    ab[N] = H[0]
-    for k in range(1, N + 1):
-        ab[N + k, : D - k] = ab[N - k, k:] = H[k, : D - k]
-    c = slope.T / dt
-    ab[N] += c.ravel()
-    ab[N + 1].reshape(-1, N)[:, :-1] -= c[:, 1:]
-    ab[1].reshape(-1, N)[:, -1] -= c[:, 0]
-    return ab
+            diag(1)[:, :-1] = -c[1:].T
+            diag(N - 1)[:, 0] -= c[0]
+        s = slope / dt
+        diag(0)[...] = (main + s).T
+        diag(N)[:-1] = (-w[:, 1:-1] / dx**2).T
+        for k in {1, N - 1, N}:
+            lu[2 * N - k, k:] = lu[2 * N + k, :-k]
+        diag(1)[:, :-1] -= s[1:].T
+        diag(1 - N)[:, -1] -= s[0]
 
 
 def newton_fixed_point(
@@ -162,6 +159,7 @@ def newton_fixed_point(
     u = validate_trajectory(u0, prob.smesh, tmesh, "initial trajectory")
     N, M = u.shape
     stage = _Stage(ocfg)
+    lu = np.zeros((3 * N + 1, N * M), order="F")
 
     def equation(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         dv = time_derivative(v, tmesh)
@@ -176,15 +174,9 @@ def newton_fixed_point(
             return u, history, True
         if len(history) > max_iter:
             break
-        slope = nl.alpha_derivative(du, delta)
-        ab = _fixed_point_band(stage.hessian(u), slope, tmesh.dt)
-        try:
-            x = solve_banded(
-                (N, N), ab, -F.T.ravel(), overwrite_ab=True, check_finite=False
-            )
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(x)):
+        stage.write_band(u, nl.alpha_derivative(du, delta), lu)
+        _, _, x, info = dgbsv(N, N, lu, -F.T.ravel(), overwrite_ab=1, overwrite_b=1)
+        if info != 0 or not np.all(np.isfinite(x)):
             break
         step = x.reshape(M, N).T
         for k in range(31):

@@ -252,10 +252,16 @@ class TestSolve:
     def test_singular_newton_solve_exits_2_but_reports(self, tmp_path, monkeypatch):
         import perisolve.variational as var
 
-        def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular matrix")
+        dgbsv = var.dgbsv
 
-        monkeypatch.setattr(var, "solve_banded", singular)
+        def singular(kl, ku, ab, b, **kwargs):
+            # a zero band: LAPACK itself reports a zero pivot, info > 0
+            ab[...] = 0.0
+            out = dgbsv(kl, ku, ab, b, **kwargs)
+            assert out[3] > 0
+            return out
+
+        monkeypatch.setattr(var, "dgbsv", singular)
         doc = {"problem": small_problem(), "cascade": {"epsilon_schedule": [0.5]}}
         out = tmp_path / "sg"
         argv = ["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]

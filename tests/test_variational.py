@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgbsv
 
 import perisolve.convexcore as cc
+import perisolve.variational as var
 from oracles import fd_gradient, stage_objective
 from perisolve.discretize import dual_bochner_norm, time_derivative
 from perisolve.variational import (
     ObjectiveConfig,
-    _fixed_point_band,
     _Stage,
     newton_fixed_point,
     residual_AP,
@@ -16,6 +17,20 @@ from util import dense_affine_zero, mms_problem, stage_equation, unit_problem
 
 def plain_cfg(prob, eps, delta=1e-6, pf=None):
     return ObjectiveConfig(prob=prob, epsilon=eps, delta=delta, pf=pf)
+
+
+def band_workspace(N, M):
+    return np.zeros((3 * N + 1, N * M), order="F")
+
+
+def unpack_band(lu, N):
+    """Dense matrix of the gbsv band lu with kl = ku = N, in band order."""
+    D = lu.shape[1]
+    A = np.zeros((D, D))
+    for r in range(D):
+        for c in range(max(0, r - N), min(D, r + N + 1)):
+            A[r, c] = lu[2 * N + r - c, c]
+    return A
 
 
 def test_config_validation():
@@ -58,19 +73,19 @@ def test_minimizer_matches_dense_linear_solve(M, N):
 
 
 def test_band_hessian_matches_fd_jacobian(rng):
-    # p = 2, m = 3 with eps, delta > 0 drops no Hessian term, so the band
-    # unpacked to a dense matrix is the Jacobian of the slice residual
+    # p = 2, m = 3 with eps, delta > 0 drops no Hessian term, and a zero
+    # alpha slope leaves R's block, so the band unpacked to a dense matrix
+    # is the Jacobian of the slice residual
     N, M = 4, 5
     prob = unit_problem(2.0, 3.0, M, N)
     stage = _Stage(plain_cfg(prob, 0.3, delta=1e-2))
     u = rng.normal(size=(N, M))
-    band = stage.hessian(u)
-    D = N * M
-    H = np.zeros((D, D))
-    for k in range(N + 1):
-        j = np.arange(D - k)
-        H[j + k, j] = H[j, j + k] = band[k, : D - k]
+    lu = band_workspace(N, M)
+    stage.write_band(u, np.zeros((N, M)), lu)
+    H = unpack_band(lu, N)
+    assert np.array_equal(H, H.T)
     # band index i*N + n of trajectory entry (n, i), in trajectory order
+    D = N * M
     perm = np.arange(D).reshape(M, N).T.ravel()
     J = np.zeros((D, D))
     h = 1e-6
@@ -94,14 +109,11 @@ def test_fixed_point_band_matches_fd_jacobian(rng, N):
     stage, F = _Stage(ocfg), stage_equation(ocfg)
     u = rng.normal(size=(N, M))
     du = time_derivative(u, prob.tmesh)
-    ab = _fixed_point_band(
-        stage.hessian(u), prob.nl.alpha_derivative(du, 1e-2), prob.tmesh.dt
-    )
+    lu = band_workspace(N, M)
+    stage.write_band(u, prob.nl.alpha_derivative(du, 1e-2), lu)
+    assert not lu[:N].any()  # the fill rows of the factorization
     D = N * M
-    A = np.zeros((D, D))
-    for r in range(D):
-        for c in range(max(0, r - N), min(D, r + N + 1)):
-            A[r, c] = ab[N + r - c, c]
+    A = unpack_band(lu, N)
     perm = np.arange(D).reshape(M, N).T.ravel()
     J = np.zeros((D, D))
     h = 1e-6
@@ -110,6 +122,52 @@ def test_fixed_point_band_matches_fd_jacobian(rng, N):
         e[t] = h
         J[:, t] = (F(u + e.reshape(N, M)) - F(u - e.reshape(N, M))).ravel() / (2 * h)
     assert np.allclose(A[np.ix_(perm, perm)], J, rtol=1e-6, atol=1e-6)
+
+
+def test_newton_factors_the_band_in_place(rng, monkeypatch):
+    # every step hands LAPACK one Fortran-ordered workspace, which gbsv
+    # overwrites with its LU factors; any other layout makes f2py copy the
+    # whole band before every solve
+    calls = []
+
+    def spy(kl, ku, ab, b, **kwargs):
+        out = dgbsv(kl, ku, ab, b, **kwargs)
+        calls.append((kl, ku, ab, out[0]))
+        return out
+
+    monkeypatch.setattr(var, "dgbsv", spy)
+    N, M = 3, 5
+    ocfg = plain_cfg(unit_problem(2.5, 3.0, M, N), 0.1, delta=1e-2)
+    _, history, converged = newton_fixed_point(np.zeros((N, M)), ocfg, 1e-10, 50)
+    assert converged and len(calls) == len(history) - 1 >= 2
+    assert all(ab is calls[0][2] for _, _, ab, _ in calls)
+    for kl, ku, ab, lu in calls:
+        assert kl == ku == N
+        assert ab.shape == (3 * N + 1, N * M) and ab.flags.f_contiguous
+        assert np.shares_memory(lu, ab)
+    # the writer re-zeroes the workspace: written over the factors of the
+    # last step, it holds the same band as written into zeros
+    stage, u = _Stage(ocfg), rng.normal(size=(N, M))
+    slope = ocfg.prob.nl.alpha_derivative(time_derivative(u, ocfg.prob.tmesh), 1e-2)
+    fresh = band_workspace(N, M)
+    stage.write_band(u, slope, fresh)
+    lu = fresh.copy(order="F")
+    _, _, _, info = dgbsv(N, N, lu, rng.normal(size=N * M), overwrite_ab=1)
+    assert info == 0 and not np.array_equal(lu, fresh)
+    stage.write_band(u, slope, lu)
+    assert np.array_equal(lu, fresh)
+
+
+def test_singular_jacobian_stops_newton_unconverged():
+    # at eps = delta = 0 and m = 3 the energy has no curvature at u = 0, and
+    # the periodic backward difference annihilates time-constant trajectories,
+    # so F's Jacobian is singular there: gbsv reports it and no step is taken
+    N, M = 3, 4
+    ocfg = plain_cfg(unit_problem(2.0, 3.0, M, N), 0.0, delta=0.0)
+    u, history, converged = newton_fixed_point(np.zeros((N, M)), ocfg, 1e-10, 5)
+    assert not converged
+    assert len(history) == 1 and history[0] > 0.0
+    assert not u.any()
 
 
 def test_duality_diagonal_is_scale_free_above_two(rng):
