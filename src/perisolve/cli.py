@@ -537,7 +537,7 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("mms", "mosco", "sweep"):
             sp.add_argument(
                 "--jobs", type=int, default=1,
-                help="worker processes (one BLAS thread each)",
+                help="processes, this one included (workers get one BLAS thread each)",
             )
     return ap
 

@@ -12,8 +12,8 @@ import csv
 import logging
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -252,8 +252,8 @@ def mms_run(
     tolerance at every level; in continuum mode consecutive level ratios
     expose the convergence order (meta key "orders").  The steady solution
     makes the time stepping exact, so its levels isolate the second-order
-    spatial error.  jobs > 1 solves the levels on that many worker
-    processes; the table is the same.
+    spatial error.  jobs > 1 solves the levels on that many processes, this
+    one included; the table is the same.
     """
     table = Table(["level", "M", "N", "error", "residual", "converged"])
     table.meta["mode"] = mms.mode
@@ -527,39 +527,110 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def _solve_one(prob: ProblemSpec, params: CascadeParams, route: str):
-    # what the pool submits.  Pickle sends it by name, so it is module-level,
-    # and private: instrumentation that rebinds public names to wrappers
+    # the solve of one batch item, in the caller or in a worker.  It is
+    # private, so instrumentation that rebinds public names to wrappers
     # leaves it alone
     return solve_routed(prob, params, route)
+
+
+def _claim(counter) -> int:
+    """The next unclaimed batch index; past the end once all are claimed."""
+    with counter.get_lock():
+        i = counter.value
+        counter.value = i + 1
+    return i
+
+
+def _work(items, counter, results) -> None:
+    # a spawned worker: solve claimed items until the batch runs out.  Pickle
+    # sends it by name, so it is module-level
+    while (i := _claim(counter)) < len(items):
+        try:
+            out = (i, True, _solve_one(*items[i]))
+        except Exception as exc:
+            out = (i, False, exc)
+        results.put(out)
+
+
+def _receive(results, outs: list, pending: set) -> None:
+    """Take every result already sent; re-raise a worker's exception."""
+    while not results.empty():
+        i, ok, value = results.get()
+        if not ok:
+            raise value
+        outs[i] = value
+        pending.discard(i)
 
 
 def _solve_batch(items, jobs: int) -> list:
     """solve_routed over (prob, params, route) items, outputs in input order.
 
-    jobs <= 1 solves inline.  Otherwise the solves run on `jobs` spawned
-    worker processes with one BLAS thread each, so the workers share the
-    cores instead of oversubscribing them.  The pool starts its workers
-    from `submit`, so the thread variables are set only around the submits
-    and then restored: the caller's environment and its already loaded BLAS
-    keep their settings.  As with any spawned pool, a script that calls
-    this with jobs > 1 must guard its entry point with
+    jobs is the number of processes, the caller included: the caller
+    starts min(jobs, len(items)) - 1 spawned workers and solves items
+    itself while they start.  Caller and workers claim items from one
+    shared counter, so a batch too small to pay for a worker's start-up is
+    solved by the caller alone.  Each worker has one BLAS thread, so the
+    processes share the cores instead of oversubscribing them; the thread
+    variables are set only around the starts and then restored, so the
+    caller's environment and its already loaded BLAS keep their settings.
+    A solve that raises, here or in a worker, is re-raised; a worker that
+    dies holding an item raises RuntimeError.  No worker outlives the call.
+    Spawned workers re-import the main module, so a script that calls this
+    with jobs > 1 must guard its entry point with
     ``if __name__ == "__main__"``.
     """
-    if jobs <= 1:
+    n_workers = min(jobs, len(items)) - 1
+    if n_workers <= 0:
         return [_solve_one(*item) for item in items]
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+    counter, results = ctx.Value("i", 0), ctx.Queue()
+    procs = [
+        ctx.Process(target=_work, args=(items, counter, results), daemon=True)
+        for _ in range(n_workers)
+    ]
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    try:
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
-            futures = [pool.submit(_solve_one, *item) for item in items]
+            for p in procs:
+                p.start()
         finally:
             for k, v in saved.items():
                 if v is None:
                     os.environ.pop(k, None)
                 else:
                     os.environ[k] = v
-        return [f.result() for f in futures]
+        outs, pending = [None] * len(items), set(range(len(items)))
+        while (i := _claim(counter)) < len(items):
+            outs[i] = _solve_one(*items[i])
+            pending.discard(i)
+            _receive(results, outs, pending)
+        live = procs
+        while True:
+            # a worker that has exited has flushed its results, so those
+            # still pending after this receive are held by a live worker
+            live = [p for p in live if p.exitcode is None]
+            _receive(results, outs, pending)
+            if not pending:
+                return outs
+            if not live:
+                codes = [p.exitcode for p in procs]
+                raise RuntimeError(
+                    f"batch items {sorted(pending)} were lost: a worker "
+                    f"process exited while solving them (exit codes {codes})"
+                )
+            # wake on a result or on a worker's exit; the queue exposes its
+            # pipe's read end only as _reader
+            wait([results._reader, *(p.sentinel for p in live)])
+    finally:
+        # workers still starting, or still solving after a failure
+        for p in procs:
+            if p.is_alive():
+                p.terminate()
+        for p in procs:
+            if p.pid is not None:
+                p.join()
+        results.close()
 
 
 def mosco_experiment(
@@ -573,8 +644,8 @@ def mosco_experiment(
     uniform-in-time state-space convergence.  meta records the trailing to
     leading error ratio and whether errors decrease beyond the noise floor.
     jobs > 1 solves the base problem and the instances in one batch on that
-    many worker processes with one BLAS thread each; the table is the same
-    as with jobs = 1.
+    many processes, this one included, the spawned workers with one BLAS
+    thread each; the table is the same as with jobs = 1.
     """
     ns = sorted(seq.index_set)
     probs = [seq.base] + [seq.instance(n) for n in ns]

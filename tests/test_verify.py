@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ import perisolve.cascade as ca
 import perisolve.convexcore as cc
 import perisolve.verify as vf
 from perisolve.discretize import SpatialMesh, TemporalMesh, time_derivative
-from util import bump_mms, unit_problem
+from util import ExitsInWorker, bump_mms, claim_into, unit_problem
 
 
 class TestTable:
@@ -312,6 +314,106 @@ class TestMosco:
         assert dict(os.environ) == env
         assert par.rows == tab.rows
         assert par.meta == tab.meta
+
+
+class TestSolveBatch:
+    """The caller is one of the jobs; spawned workers claim what it leaves."""
+
+    @staticmethod
+    def hold_first_caller_solve(monkeypatch, claimed, solve=None):
+        """Patch the caller's side of _solve_batch: record its solves and hold
+        the first until `claimed` items are claimed.  Spawned workers import
+        the real functions, so the patch affects only the caller."""
+        counters, calls = [], []
+        claim, one = vf._claim, solve or vf._solve_one
+
+        def claim_spy(counter):
+            counters.append(counter)
+            return claim(counter)
+
+        def held(*item):
+            if not calls:
+                deadline = time.monotonic() + 60.0
+                while counters[0].value < claimed and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            calls.append(item)
+            return one(*item)
+
+        monkeypatch.setattr(vf, "_claim", claim_spy)
+        monkeypatch.setattr(vf, "_solve_one", held)
+        return calls
+
+    def test_workers_solve_what_the_caller_leaves(self, monkeypatch):
+        seq = vf.MoscoSequenceSpec(
+            kind="diffusion_perturbation",
+            base=unit_problem(2.0, 3.0, 6, 6),
+            index_set=(1, 2, 4),
+        )
+        params = ca.CascadeParams()
+        tab = vf.mosco_experiment(seq, params)
+        calls = self.hold_first_caller_solve(monkeypatch, claimed=4)
+        par = vf.mosco_experiment(seq, params, jobs=2)
+        # the caller solved the base problem; the worker solved the instances
+        assert len(calls) == 1
+        assert repr(par.rows) == repr(tab.rows)
+        assert par.meta == tab.meta
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "jobs, n, workers",
+        [(1, 4, 0), (0, 4, 0), (2, 1, 0), (8, 0, 0), (2, 4, 1), (3, 5, 2), (64, 5, 4)],
+    )
+    def test_starts_at_most_jobs_minus_one_workers(self, monkeypatch, jobs, n, workers):
+        # a spy that starts nothing, so the caller solves every item
+        starts = []
+        monkeypatch.setattr(
+            multiprocessing.context.SpawnProcess, "start", lambda p: starts.append(p)
+        )
+        monkeypatch.setattr(vf, "_solve_one", lambda *item: item)
+        items = [(k, None, None) for k in range(n)]
+        assert vf._solve_batch(items, jobs) == items
+        assert len(starts) == workers
+
+    def test_claims_are_unique_across_processes(self):
+        # more claimants than cores; a lost update would hand out an index twice
+        ctx = multiprocessing.get_context("spawn")
+        counter, out = ctx.Value("i", 0), ctx.Queue()
+        procs = [
+            ctx.Process(target=claim_into, args=(counter, 2000, out)) for _ in range(4)
+        ]
+        for p in procs:
+            p.start()
+        claimed = [i for _ in procs for i in out.get(timeout=120)]
+        for p in procs:
+            p.join(timeout=60)
+            assert not p.is_alive()
+        assert sorted(claimed) == list(range(8000))
+
+    def test_a_failing_caller_solve_is_raised_and_no_worker_is_left(self):
+        items = [(unit_problem(2.0, 3.0, 4, 4), ca.CascadeParams(), "bogus")] * 3
+        with pytest.raises(ValueError, match="route must be"):
+            vf._solve_batch(items, 2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_worker_solve_is_raised(self, monkeypatch):
+        items = [(unit_problem(2.0, 3.0, 4, 4), ca.CascadeParams(), "bogus")] * 3
+        calls = self.hold_first_caller_solve(
+            monkeypatch, claimed=3, solve=lambda *item: None
+        )
+        with pytest.raises(ValueError, match="route must be"):
+            vf._solve_batch(items, 2)
+        assert len(calls) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_holding_an_item_raises(self, monkeypatch):
+        items = [(None, None, ExitsInWorker())] * 3
+        calls = self.hold_first_caller_solve(
+            monkeypatch, claimed=2, solve=lambda *item: None
+        )
+        with pytest.raises(RuntimeError, match=r"batch items \[1\] were lost"):
+            vf._solve_batch(items, 2)
+        assert len(calls) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestGrowthAudit:

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from perisolve.discretize import (
     time_derivative,
 )
 from perisolve.variational import _Stage
-from perisolve.verify import MmsSpec, derived_forcing, sample_exact
+from perisolve.verify import MmsSpec, _claim, derived_forcing, sample_exact
 
 
 def unit_problem(p, m, M, N, amp=1.0, diffusion=1.0):
@@ -36,6 +38,23 @@ def unit_problem(p, m, M, N, amp=1.0, diffusion=1.0):
         smesh=sm,
         tmesh=tm,
     )
+
+
+class ExitsInWorker:
+    """A solve route that ends a spawned worker comparing it, as a crash
+    would.  In the main process it compares unequal to everything."""
+
+    def __eq__(self, other):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return NotImplemented
+
+    __hash__ = object.__hash__
+
+
+def claim_into(counter, count, out):
+    """Claim `count` batch indices from counter and send them to out."""
+    out.put([_claim(counter) for _ in range(count)])
 
 
 def bump_mms():
