@@ -20,7 +20,7 @@ from .convexcore import (
     DiffusionField,
     Nonlinearity,
     PerturbedFunctional,
-    PhiConfig,
+    PhiAt,
 )
 from .discretize import ProblemSpec, SpatialMesh, TemporalMesh
 from .variational import ObjectiveConfig, residual_AP
@@ -46,7 +46,7 @@ __all__ = [
     "DiffusionField",
     "Nonlinearity",
     "PerturbedFunctional",
-    "PhiConfig",
+    "PhiAt",
     "ProblemSpec",
     "SpatialMesh",
     "TemporalMesh",

@@ -174,7 +174,7 @@ def fixed_point_solve(
     u, history, converged = newton_fixed_point(u, ocfg, st_tol, params.max_fp_iter)
     xi = prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
     h = -xi
-    eta = cc._PhiAt(u, prob.a, prob.m, params.delta, prob.smesh, pf).grad
+    eta = cc.PhiAt(u, prob.a, prob.m, params.delta, prob.smesh, pf).grad
     mu = 0.0 if pf is None else pf.mu
     res = history[-1]
     diagnostics = {
@@ -224,7 +224,7 @@ def chain_rule_sum(u: np.ndarray, prob: ProblemSpec, delta: float = 0.0) -> floa
     nonnegative and of size O(dt) for smooth trajectories.
     """
     du = time_derivative(u, prob.tmesh)
-    eta = cc.grad_phi(u, prob.a, prob.m, delta, prob.smesh)
+    eta = cc.PhiAt(u, prob.a, prob.m, delta, prob.smesh).grad
     return float(prob.tmesh.dt * np.sum(pairing(eta, du, prob.smesh)))
 
 
@@ -274,7 +274,7 @@ def stage_audit(
     mc = m / (m - 1.0)
     du = time_derivative(u, tmesh)
     xi = prob.nl.alpha_eval(du)
-    phi = cc._PhiAt(u, prob.a, m, delta, smesh, pf)
+    phi = cc.PhiAt(u, prob.a, m, delta, smesh, pf)
     rate_p = float(dt * np.sum(norm_V(du, p, smesh) ** p))
     rate_dual = float(dt * np.sum(norm_Vstar(xi, pc, smesh) ** pc))
     rate_primitive = float(dt * np.sum(cc.eval_psi(du, prob.nl, smesh)))

@@ -4,8 +4,10 @@ Houses the rate nonlinearity (a nondecreasing scalar map with its primitive
 and conjugate), the cellwise diffusion coefficient, gradient-energy
 functionals and their gradients, duality maps of the nodal L^r spaces,
 proximal smoothing (envelope, resolvent, Yosida gradient), the
-power-perturbed energy used on the hard exponent branch, and the damped
-Newton descent of the single-slice proximal problems.
+power-perturbed energy used on the hard exponent branch, and the one
+Newton loop: it halves each step until the residual's dual norm falls, and
+serves both the single-slice proximal problems here and the stage equation
+of the variational layer.
 
 Gradients are always understood against the pairing <xi, u> = sum_i dx xi_i u_i,
 so a "dual field" returned here pairs with increments through that weighted
@@ -19,29 +21,24 @@ leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .discretize import SpatialMesh, cell_gradient, norm_V, norm_Vstar, pairing
+from .discretize import ProblemSpec, SpatialMesh, cell_gradient, norm_V, norm_Vstar
 
 __all__ = [
     "Nonlinearity",
     "DiffusionField",
     "PerturbedFunctional",
-    "PhiConfig",
+    "PhiAt",
     "eval_psi",
-    "eval_phi",
-    "grad_phi",
-    "phi_hessian_cell_weights",
     "duality_map",
     "moreau_yosida",
     "fenchel_psi_star",
     "resolvent_phi_power",
-    "phi_value",
-    "phi_grad",
 ]
 
 
@@ -248,34 +245,6 @@ class PerturbedFunctional:
             raise ValueError(f"alpha_exp must be positive, got {self.alpha_exp}")
 
 
-@dataclass(frozen=True)
-class PhiConfig:
-    """Everything needed to evaluate the gradient energy on a mesh.
-
-    Bundles the diffusion field, energy exponent m, gradient smoothing delta,
-    the mesh, the state-norm exponent p (for duality maps and prox metrics),
-    and an optional power perturbation applied on top of the base energy.
-    """
-
-    a: DiffusionField
-    m: float
-    delta: float
-    smesh: SpatialMesh
-    p: float = 2.0
-    pf: PerturbedFunctional | None = None
-
-    def __post_init__(self) -> None:
-        if self.m <= 1.0:
-            raise ValueError(f"energy exponent m must exceed 1, got {self.m}")
-        if self.delta < 0.0:
-            raise ValueError(f"smoothing delta must be >= 0, got {self.delta}")
-        if self.p <= 1.0:
-            raise ValueError(f"norm exponent p must exceed 1, got {self.p}")
-
-    def without_perturbation(self) -> "PhiConfig":
-        return replace(self, pf=None) if self.pf is not None else self
-
-
 # ---------------------------------------------------------------------------
 # integral functionals and gradients
 
@@ -286,15 +255,19 @@ def eval_psi(u: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh):
     return mesh.dx * np.sum(nl.primitive_A(u), axis=-1)
 
 
-class _PhiAt:
+class PhiAt:
     """The gradient energy at one field u, over the last axis.
 
-    Every formula of the energy is written here once: the smoothed density,
-    the flux divergence, the Hessian cell weights and, when pf has mu > 0,
-    the power perturbation phi + mu/(1+a) phi^(1+a) with its gradient factor
-    1 + mu phi^a.  The cell gradient is taken once, and every other quantity
-    is computed on first use and kept, so the value, gradient and Hessian at
-    one point share it and one base energy.
+    The energy is (1/m) sum_cells dx a ((Du)^2 + delta^2)^(m/2), convex in u
+    for every delta >= 0 and exact at delta = 0; value, grad (its pairing
+    gradient, the negative weighted nonlinear Laplacian) and weights (the
+    cell weights of its tridiagonal pairing Hessian) are read off one
+    object.  Every formula of the energy is written here once: the smoothed
+    density, the flux divergence, the Hessian cell weights and, when pf has
+    mu > 0, the power perturbation phi + mu/(1+a) phi^(1+a) with its
+    gradient factor 1 + mu phi^a.  The cell gradient is taken once, and
+    every other quantity is computed on first use and kept, so the value,
+    gradient and Hessian at one point share it and one base energy.
     """
 
     def __init__(
@@ -353,7 +326,7 @@ class _PhiAt:
     def weights(self) -> np.ndarray:
         """Cell weights a q'(Du) of the pairing Hessian, scaled by the
         perturbation factor.  The perturbation's rank-one term
-        mu a phi^(a-1) g g^T is dropped, which the line searches absorb.
+        mu a phi^(a-1) g g^T is dropped, which the step halving absorbs.
         At m = 2 q' is exactly 1 for any delta, so a p = m = 2 stage keeps
         one band bit for bit from step to step."""
         Du, m, delta = self.Du, self.m, self.delta
@@ -377,36 +350,6 @@ class _PhiAt:
         H[idx[:-1], idx[:-1] + 1] = off
         H[idx[:-1] + 1, idx[:-1]] = off
         return H
-
-
-def eval_phi(
-    u: np.ndarray, a: DiffusionField, m: float, delta: float, mesh: SpatialMesh
-):
-    """Smoothed gradient energy (1/m) sum_cells dx a ((Du)^2 + delta^2)^(m/2).
-
-    delta = 0 gives the exact discrete functional.  Convex in u for every
-    delta >= 0.
-    """
-    return _PhiAt(u, a, m, delta, mesh).base
-
-
-def grad_phi(
-    u: np.ndarray, a: DiffusionField, m: float, delta: float, mesh: SpatialMesh
-) -> np.ndarray:
-    """Negative discrete weighted nonlinear Laplacian; the pairing gradient
-    of eval_phi at the same delta."""
-    return _PhiAt(u, a, m, delta, mesh).grad
-
-
-def phi_hessian_cell_weights(
-    u: np.ndarray, a: DiffusionField, m: float, delta: float, mesh: SpatialMesh
-) -> np.ndarray:
-    """Cell weights a * q'(Du) of the energy Hessian, shape (..., M+1).
-
-    The (pairing) Hessian is tridiagonal: diag (w_k + w_{k+1})/dx^2 and
-    off-diagonal -w_{k+1}/dx^2.
-    """
-    return _PhiAt(u, a, m, delta, mesh).weights
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +409,6 @@ def _duality_hessian(
 
 
 # ---------------------------------------------------------------------------
-# energy of a configuration
-
-
-def phi_value(u: np.ndarray, cfg: PhiConfig):
-    return _PhiAt(u, cfg.a, cfg.m, cfg.delta, cfg.smesh, cfg.pf).value
-
-
-def phi_grad(u: np.ndarray, cfg: PhiConfig) -> np.ndarray:
-    return _PhiAt(u, cfg.a, cfg.m, cfg.delta, cfg.smesh, cfg.pf).grad
-
-
-# ---------------------------------------------------------------------------
 # fenchel conjugate of the rate functional
 
 
@@ -488,149 +419,113 @@ def fenchel_psi_star(xi: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh):
 
 
 # ---------------------------------------------------------------------------
-# damped Newton descent (slice proximal problems)
+# Newton's method
 
 
-def _damped_newton(
+def _newton(
     u: np.ndarray,
-    value: Callable[[np.ndarray], float],
-    residual: Callable[[np.ndarray], np.ndarray],
-    hessian: Callable[[np.ndarray], np.ndarray],
-    dual_norm: Callable[[np.ndarray], float],
-    pair: Callable[[np.ndarray, np.ndarray], float],
-    tol: float,
+    equation: Callable[[np.ndarray], tuple[object, float]],
+    tol: Callable[[object], float],
+    step: Callable[[np.ndarray, object], np.ndarray | None],
     max_iter: int,
-) -> tuple[np.ndarray, float]:
-    """Damped Newton descent of a convex functional of one slice.
+) -> tuple[np.ndarray, list[float], bool]:
+    """Newton's method that halves each step until a residual norm falls.
 
-    residual(u) is the gradient R of value against pair, and hessian(u) its
-    (approximate) dense Jacobian H.  A Levenberg shift climbs a six-rung
-    ladder from 1e-8 of the mean diagonal until the solve gives a finite
-    descent direction; with no such rung the step is steepest descent.
-    Armijo backtracking on the exact value guards every step, and a Newton
-    direction that fails it is retried along -R.  Once the predicted
-    decrease drops below float64 value noise the Armijo test is blind and
-    acceptance falls back to a strict residual decrease.  Stops at
-    dual_norm(R) <= tol, after max_iter steps, or when no step is accepted;
-    returns the last iterate and dual_norm(R) there, so the caller reads
-    convergence off the norm.
+    equation(v) returns (state, norm): what step needs at v and the dual
+    norm of the equation residual there.  v solves the equation once that
+    norm is at most tol(state).  step(v, state) is the Newton step at v, or
+    None when its linear system is singular, as is a LinAlgError.  Every
+    step is taken in full and halved, up to 30 times, until the norm falls.
+    Stops on convergence, after max_iter steps, or when a step is singular,
+    non-finite or cannot decrease the norm.  Returns the last iterate, the
+    norm at the start and after every step, and whether it converged.
     """
-    fv = value(u)
-    R = residual(u)
-    res = dual_norm(R)
-    for _ in range(max_iter):
-        if res <= tol:
+    state, res = equation(u)
+    history = [res]
+    while True:
+        if res <= tol(state):
+            return u, history, True
+        if len(history) > max_iter:
             break
-        H = hessian(u)
-        g = R.ravel()
-        step = None
-        shift = 0.0
-        diag_mean = max(float(np.diag(H).mean()), 1e-12)
-        for _ in range(6):
-            try:
-                cand = np.linalg.solve(H + shift * np.eye(H.shape[0]), -g)
-            except np.linalg.LinAlgError:
-                cand = None
-            if (
-                cand is not None
-                and np.all(np.isfinite(cand))
-                and float(cand @ g) < 0.0
-            ):
-                step = cand.reshape(u.shape)
-                break
-            shift = diag_mean * 1e-8 if shift == 0.0 else shift * 100.0
-        newton_ok = step is not None
-        if not newton_ok:
-            step = -R
-        accepted = False
-        updated = False
-        # Below this, objective differences drown in float64 roundoff and the
-        # Armijo test becomes meaningless; fall back to residual decrease.
-        noise = 64.0 * np.finfo(float).eps * (abs(fv) + 1.0)
-        for direction in (step, -R) if newton_ok else (step,):
-            slope = pair(R, direction)
-            blind = 1e-4 * abs(slope) <= noise
-            if slope >= 0.0 and not blind:
-                continue
-            t = 1.0
-            res_tries = 0
-            while t > 1e-16 and res_tries < 3:
-                trial = u + t * direction
-                ft = value(trial)
-                if not blind and ft <= fv + 1e-4 * t * slope:
-                    u, fv = trial, ft
-                    accepted = True
-                    break
-                if blind or 1e-4 * t * abs(slope) <= noise:
-                    res_tries += 1
-                    Rt = residual(trial)
-                    rt = dual_norm(Rt)
-                    if rt < res:
-                        u, fv = trial, ft
-                        R, res = Rt, rt
-                        updated = True
-                        accepted = True
-                        break
-                t *= 0.5
-            if accepted:
-                break
-        if not accepted:
+        try:
+            d = step(u, state)
+        except np.linalg.LinAlgError:
             break
-        if not updated:
-            R = residual(u)
-            res = dual_norm(R)
-    return u, res
+        if d is None or not np.all(np.isfinite(d)):
+            break
+        for k in range(31):
+            trial = u + 0.5**k * d
+            state_t, res_t = equation(trial)
+            if res_t < res:
+                break
+        else:
+            break
+        u, state, res = trial, state_t, res_t
+        history.append(res)
+    return u, history, False
 
 
 # ---------------------------------------------------------------------------
 # proximal smoothing
 
 
-def moreau_yosida(
-    u: np.ndarray,
+def _prox_newton(
+    v0: np.ndarray,
+    center: np.ndarray,
     lam: float,
-    cfg: PhiConfig,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-    v0: np.ndarray | None = None,
+    weight: float,
+    wstar: np.ndarray | float,
+    prob: ProblemSpec,
+    delta: float,
+    tol: float,
+) -> tuple[np.ndarray, float, bool]:
+    """Newton on the slice equation F(v - center)/lam + weight grad phi(v) = wstar.
+
+    phi is the unperturbed energy of prob at smoothing delta and F the
+    duality map of its nodal L^p space.  The dense Jacobian is the duality
+    block with its rank-one term plus weight times phi's pairing Hessian.
+    Returns the last iterate, the dual norm of the residual there and
+    whether that norm is at most tol.
+    """
+    mesh, p, pc = prob.smesh, prob.p, prob.p_conj
+
+    def equation(v: np.ndarray) -> tuple[tuple, float]:
+        phi = PhiAt(v, prob.a, prob.m, delta, mesh)
+        R = duality_map(v - center, p, mesh) / lam + weight * phi.grad - wstar
+        return (R, phi), float(norm_Vstar(R, pc, mesh))
+
+    def step(v: np.ndarray, state: tuple) -> np.ndarray:
+        R, phi = state
+        H = _duality_hessian(v - center, p, delta, mesh) / lam
+        return np.linalg.solve(H + weight * phi.matrix(), -R)
+
+    v0 = np.array(v0, dtype=float)  # the result never aliases the caller's array
+    v, history, converged = _newton(v0, equation, lambda _: tol, step, 200)
+    return v, history[-1], converged
+
+
+def moreau_yosida(
+    u: np.ndarray, lam: float, prob: ProblemSpec, delta: float, tol: float = 1e-10
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Resolvent, envelope value, and envelope gradient at parameter lam > 0.
 
-    Solves argmin_v |u - v|^2_V / (2 lam) + phi(v), returns (J, envelope,
-    envelope gradient -F(J - u)/lam).  The sandwich phi(J) <= envelope <=
-    phi(u) holds up to the inner solve tolerance.
+    Solves argmin_v |u - v|^2_V / (2 lam) + phi(v) for the energy phi of
+    prob at smoothing delta and V its nodal L^p space, by Newton from v = u,
+    and returns (J, envelope, envelope gradient -F(J - u)/lam).  The
+    sandwich phi(J) <= envelope <= phi(u) holds up to the solve tolerance.
     """
     if lam <= 0.0:
         raise ValueError(f"envelope parameter must be positive, got {lam}")
     u = _require_finite(u, "field")
-    mesh, p = cfg.smesh, cfg.p
-    pc = p / (p - 1.0)
-
-    def value(v: np.ndarray) -> float:
-        return float(
-            0.5 * norm_V(u - v, p, mesh) ** 2 / lam + phi_value(v, cfg)
-        )
-
-    def grad(v: np.ndarray) -> np.ndarray:
-        return duality_map(v - u, p, mesh) / lam + phi_grad(v, cfg)
-
-    def hess(v: np.ndarray) -> np.ndarray:
-        phi = _PhiAt(v, cfg.a, cfg.m, cfg.delta, mesh, cfg.pf)
-        return _duality_hessian(v - u, p, cfg.delta, mesh) / lam + phi.matrix()
-
+    mesh, p = prob.smesh, prob.p
     scale = max(1.0, float(norm_V(u, p, mesh)) / lam)
-    start = u if v0 is None else v0
-    J, res = _damped_newton(
-        np.array(start, dtype=float), value, grad, hess,
-        lambda g: float(norm_Vstar(g, pc, mesh)),
-        lambda a, b: float(pairing(a, b, mesh)),
-        tol * scale, max_iter,
-    )
-    if res > tol * scale:
+    J, res, converged = _prox_newton(u, u, lam, 1.0, 0.0, prob, delta, tol * scale)
+    if not converged:
         raise RuntimeError(
             f"proximal solve stalled with stationarity residual {res:.3e}"
         )
-    envelope = value(J)
+    phi = PhiAt(J, prob.a, prob.m, delta, mesh)
+    envelope = float(0.5 * norm_V(u - J, p, mesh) ** 2 / lam + phi.value)
     yosida = -duality_map(J - u, p, mesh) / lam
     return J, envelope, yosida
 
@@ -639,59 +534,39 @@ def resolvent_phi_power(
     w: np.ndarray,
     wstar: np.ndarray,
     pf: PerturbedFunctional,
-    cfg: PhiConfig,
+    prob: ProblemSpec,
+    delta: float,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Solve F(u - w) + (1 + mu phi^a(u)) grad_phi(u) = w* by scalar bisection.
+    """Solve F(u - w) + (1 + mu phi^a(u)) grad phi(u) = w* by scalar bisection.
 
-    The auxiliary problem with frozen factor (1 + lam) is a convex
-    minimization; the map lam -> mu phi^a(u_lam) is nonincreasing, so
-    g(lam) = mu phi^a(u_lam) - lam brackets its root on [0, mu phi^a(u_0)]
-    and bisection drives the combined equation residual below tol.
+    phi is the energy of prob at smoothing delta and F the duality map of
+    its nodal L^p space.  The auxiliary problem with frozen factor
+    (1 + lam) is a convex minimization; the map lam -> mu phi^a(u_lam) is
+    nonincreasing, so g(lam) = mu phi^a(u_lam) - lam brackets its root on
+    [0, mu phi^a(u_0)] and bisection drives the combined equation residual
+    below tol.
     """
     w = _require_finite(w, "field")
     wstar = _require_finite(wstar, "dual field")
-    base_cfg = cfg.without_perturbation()
-    mesh, p = cfg.smesh, cfg.p
-    pc = p / (p - 1.0)
+    mesh, p, pc = prob.smesh, prob.p, prob.p_conj
     inner_tol = 0.1 * tol * max(1.0, float(norm_Vstar(wstar, pc, mesh)))
 
     def solve_aux(lam: float, v0: np.ndarray) -> np.ndarray:
-        def value(v):
-            return float(
-                0.5 * norm_V(v - w, p, mesh) ** 2
-                + (1.0 + lam) * phi_value(v, base_cfg)
-                - pairing(wstar, v, mesh)
-            )
-
-        def grad(v):
-            return (
-                duality_map(v - w, p, mesh)
-                + (1.0 + lam) * phi_grad(v, base_cfg)
-                - wstar
-            )
-
-        def hess(v):
-            H = _PhiAt(v, cfg.a, cfg.m, cfg.delta, mesh).matrix()
-            return _duality_hessian(v - w, p, cfg.delta, mesh) + (1.0 + lam) * H
-
-        u, res = _damped_newton(
-            np.array(v0, dtype=float), value, grad, hess,
-            lambda g: float(norm_Vstar(g, pc, mesh)),
-            lambda a, b: float(pairing(a, b, mesh)),
-            inner_tol, 200,
+        u, res, converged = _prox_newton(
+            v0, w, 1.0, 1.0 + lam, wstar, prob, delta, inner_tol
         )
-        if res > inner_tol:
+        if not converged:
             raise RuntimeError(
                 f"auxiliary solve at lam={lam:.3e} stalled, residual {res:.3e}"
             )
         return u
 
     def mu_phi_pow(u: np.ndarray) -> float:
-        return float(_PhiAt(u, cfg.a, cfg.m, cfg.delta, mesh, pf).mu_power)
+        return float(PhiAt(u, prob.a, prob.m, delta, mesh, pf).mu_power)
 
     def equation_residual(u: np.ndarray) -> float:
-        eta = _PhiAt(u, cfg.a, cfg.m, cfg.delta, mesh, pf).grad
+        eta = PhiAt(u, prob.a, prob.m, delta, mesh, pf).grad
         lhs = duality_map(u - w, p, mesh) + eta - wstar
         return float(norm_Vstar(lhs, pc, mesh))
 

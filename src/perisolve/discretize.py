@@ -251,12 +251,23 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
 # forcing ingestion
 
 
+def _term_number(term: Mapping, key: str, default: float) -> float:
+    value = term.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        msg = f"forcing term {key} must be a number, got {value!r}"
+        raise ValueError(msg) from None
+
+
 def _sample_sinusoid_term(
     term: Mapping, smesh: SpatialMesh, tmesh: TemporalMesh
 ) -> np.ndarray:
-    amp = float(term.get("amplitude", 1.0))
-    k = float(term.get("space_mode", 1))
-    j = float(term.get("time_mode", 0))
+    if not isinstance(term, Mapping):
+        raise ValueError(f"forcing term must be an object, got {term!r}")
+    amp = _term_number(term, "amplitude", 1.0)
+    k = _term_number(term, "space_mode", 1)
+    j = _term_number(term, "time_mode", 0)
     space_profile = term.get("space_profile", "sin")
     time_profile = term.get("time_profile", "const")
     x = smesh.nodes
@@ -300,12 +311,18 @@ def sample_forcing(
     if kind == "sinusoid":
         return _sample_sinusoid_term(expr, smesh, tmesh)
     if kind == "terms":
+        terms = expr.get("terms")
+        if not isinstance(terms, list):
+            raise ValueError(f"forcing terms must be a list, got {terms!r}")
         out = np.zeros((tmesh.step_count, smesh.interior_count))
-        for term in expr["terms"]:
+        for term in terms:
             out += _sample_sinusoid_term(term, smesh, tmesh)
         return out
     if kind == "csv":
-        arr, t_read, x_read = read_field_csv(expr["path"])
+        path = expr.get("path")
+        if not isinstance(path, str):
+            raise ValueError(f"forcing kind 'csv' needs a string path, got {path!r}")
+        arr, t_read, x_read = read_field_csv(path)
         if arr.shape != (tmesh.step_count, smesh.interior_count):
             raise ValueError(
                 f"forcing CSV grid {arr.shape} does not match meshes "

@@ -17,7 +17,8 @@ newton_fixed_point solves directly: its Jacobian is the stage band plus the
 backward-difference block of alpha, which keeps the half-bandwidth N but is
 no longer symmetric.  _Stage.write_band writes that Jacobian straight into
 the band storage of LAPACK's dgbsv, one Fortran-ordered workspace per solve,
-and every Newton step factors and solves it there in place.
+and every Newton step factors and solves it there in place; the Newton loop
+itself is convexcore's, the one the slice proximal solves run.
 """
 
 from __future__ import annotations
@@ -76,12 +77,12 @@ class _Stage:
         self.ocfg = ocfg
         self._u = None
 
-    def _at(self, u: np.ndarray) -> tuple[np.ndarray | None, cc._PhiAt]:
+    def _at(self, u: np.ndarray) -> tuple[np.ndarray | None, cc.PhiAt]:
         if u is not self._u:
             ocfg, prob = self.ocfg, self.ocfg.prob
             self._u = u
             self._du = time_derivative(u, prob.tmesh) if ocfg.epsilon > 0.0 else None
-            self._phi = cc._PhiAt(
+            self._phi = cc.PhiAt(
                 u, prob.a, prob.m, ocfg.delta, prob.smesh, ocfg.pf
             )
         return self._du, self._phi
@@ -148,11 +149,12 @@ def newton_fixed_point(
     """Newton on the stage equation at the dual forcing h = -alpha(du).
 
     The equation is F(u) = R(u) + alpha(du) = 0 with R the stage residual
-    at h = 0.  Every step backtracks until the Bochner dual norm of F falls.
-    Converged when that norm is at most tol * max(1, |f - alpha(du)|);
-    otherwise it stops after max_iter steps, or when a step is singular,
-    non-finite or cannot decrease the norm.  Returns the last iterate, the
-    norm of F at the start and after every step, and whether it converged.
+    at h = 0.  convexcore's Newton loop halves every step until the
+    Bochner dual norm of F falls.  Converged when that norm is at most
+    tol * max(1, |f - alpha(du)|); otherwise it stops after max_iter steps,
+    or when a step is singular, non-finite or cannot decrease the norm.
+    Returns the last iterate, the norm of F at the start and after every
+    step, and whether it converged.
     """
     prob, delta = ocfg.prob, ocfg.delta
     tmesh, nl = prob.tmesh, prob.nl
@@ -161,34 +163,22 @@ def newton_fixed_point(
     stage = _Stage(ocfg)
     lu = np.zeros((3 * N + 1, N * M), order="F")
 
-    def equation(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def equation(v: np.ndarray) -> tuple[tuple, float]:
         dv = time_derivative(v, tmesh)
         F = stage.residual(v) + nl.alpha_eval(dv)
-        return F, dv, dual_bochner_norm(F, prob)
+        return (F, dv), dual_bochner_norm(F, prob)
 
-    F, du, res = equation(u)
-    history = [res]
-    while True:
-        scale = max(1.0, dual_bochner_norm(prob.f - nl.alpha_eval(du), prob))
-        if res <= tol * scale:
-            return u, history, True
-        if len(history) > max_iter:
-            break
-        stage.write_band(u, nl.alpha_derivative(du, delta), lu)
+    def stage_tol(state: tuple) -> float:
+        F, dv = state
+        return tol * max(1.0, dual_bochner_norm(prob.f - nl.alpha_eval(dv), prob))
+
+    def step(v: np.ndarray, state: tuple) -> np.ndarray | None:
+        F, dv = state
+        stage.write_band(v, nl.alpha_derivative(dv, delta), lu)
         _, _, x, info = dgbsv(N, N, lu, -F.T.ravel(), overwrite_ab=1, overwrite_b=1)
-        if info != 0 or not np.all(np.isfinite(x)):
-            break
-        step = x.reshape(M, N).T
-        for k in range(31):
-            trial = u + 0.5**k * step
-            F_t, du_t, res_t = equation(trial)
-            if res_t < res:
-                break
-        else:
-            break
-        u, F, du, res = trial, F_t, du_t, res_t
-        history.append(res)
-    return u, history, False
+        return x.reshape(M, N).T if info == 0 else None
+
+    return cc._newton(u, equation, stage_tol, step, max_iter)
 
 
 def residual_AP(
@@ -204,6 +194,6 @@ def residual_AP(
     """
     u = validate_trajectory(u, prob.smesh, prob.tmesh, "trajectory")
     du = time_derivative(u, prob.tmesh)
-    eta = cc._PhiAt(u, prob.a, prob.m, delta, prob.smesh, pf).grad
+    eta = cc.PhiAt(u, prob.a, prob.m, delta, prob.smesh, pf).grad
     R = prob.nl.alpha_eval(du) + eta - prob.f
     return dual_bochner_norm(R, prob)

@@ -195,9 +195,7 @@ def derived_forcing(
     if mms.mode == "discrete_exact":
         U = sample_exact(mms, smesh, tmesh)
         dU = time_derivative(U, tmesh)
-        return prob.nl.alpha_eval(dU) + cc.grad_phi(
-            U, prob.a, prob.m, delta, smesh
-        )
+        return prob.nl.alpha_eval(dU) + cc.PhiAt(U, prob.a, prob.m, delta, smesh).grad
     a = _constant_diffusion(prob.a)
     k = np.pi / smesh.length
     space, tau, dtau = _profile(mms, smesh, tmesh)
@@ -360,7 +358,7 @@ def invariant_suite(
     # chain rule sum: nonnegative and O(dt)
     S = chain_rule_sum(u, prob, params.delta)
     du = time_derivative(u, tmesh)
-    w = cc.phi_hessian_cell_weights(u, prob.a, prob.m, params.delta, smesh)
+    w = cc.PhiAt(u, prob.a, prob.m, params.delta, smesh).weights
     ddu = cell_gradient(du, smesh)
     predicted = 0.5 * tmesh.dt * float(
         tmesh.dt * np.sum(smesh.dx * np.sum(w * ddu * ddu, axis=-1))
@@ -385,20 +383,20 @@ def invariant_suite(
     checks.append(_check("dual_flow_size", lf_upper - defect_total, lf_upper))
 
     # proximal sandwich and parameter monotonicity on sample slices
-    cfg = cc.PhiConfig(
-        a=prob.a, m=prob.m, delta=params.delta, smesh=smesh, p=prob.p
-    )
+    def phi(v: np.ndarray) -> cc.PhiAt:
+        return cc.PhiAt(v, prob.a, prob.m, params.delta, smesh)
+
     lams = (1.0, 0.1, 0.01)
     sandwich_margin = np.inf
     picks = sorted({0, tmesh.step_count // 2, tmesh.step_count - 1})
-    env_tol = 1e-8 * max(1.0, abs(float(cc.phi_value(u[picks[-1]], cfg))))
+    env_tol = 1e-8 * max(1.0, abs(float(phi(u[picks[-1]]).value)))
     try:
         for n in picks:
             envs = []
-            phu = float(cc.phi_value(u[n], cfg))
+            phu = float(phi(u[n]).value)
             for lam in lams:
-                J, env, _ = cc.moreau_yosida(u[n], lam, cfg, tol=1e-11)
-                phJ = float(cc.phi_value(J, cfg))
+                J, env, _ = cc.moreau_yosida(u[n], lam, prob, params.delta, tol=1e-11)
+                phJ = float(phi(J).value)
                 sandwich_margin = min(sandwich_margin, env - phJ, phu - env)
                 envs.append(env)
             # the envelope grows as lam drops
@@ -432,8 +430,8 @@ def invariant_suite(
     for _ in range(5):
         v = rng.standard_normal(smesh.interior_count)
         w2 = rng.standard_normal(smesh.interior_count)
-        gv = cc.phi_grad(v, cfg)
-        gw = cc.phi_grad(w2, cfg)
+        gv = phi(v).grad
+        gw = phi(w2).grad
         mono = min(mono, float(pairing(gv - gw, v - w2, smesh)))
     checks.append(_check("gradient_monotonicity", mono, 1e-12))
 
@@ -725,8 +723,9 @@ def growth_audit(
         dpsi = prob.nl.alpha_eval(u)
         dpsi_n = np.asarray(norm_Vstar(dpsi, pc, smesh)) ** pc
         up = np.asarray(norm_V(u, p, smesh)) ** p
-        phi = np.asarray(cc.eval_phi(u, prob.a, prob.m, 0.0, smesh))
-        eta = cc.grad_phi(u, prob.a, prob.m, 0.0, smesh)
+        energy = cc.PhiAt(u, prob.a, prob.m, 0.0, smesh)
+        phi = np.asarray(energy.value)
+        eta = energy.grad
         eta_n = np.asarray(norm_Vstar(eta, mc, smesh)) ** mc
         xm = np.asarray(norm_X(u, m, smesh)) ** m
         pairs = {

@@ -38,7 +38,7 @@ def direct_newton_oracle(
         dv = time_derivative(v, tmesh)
         return (
             prob.nl.alpha_eval(dv)
-            + cc.grad_phi(v, prob.a, prob.m, delta, smesh)
+            + cc.PhiAt(v, prob.a, prob.m, delta, smesh).grad
             - prob.f
         )
 
@@ -51,7 +51,7 @@ def direct_newton_oracle(
             break
         du = time_derivative(u, tmesh)
         ad = prob.nl.alpha_derivative(du, jac_delta) / dt
-        w = cc.phi_hessian_cell_weights(u, prob.a, prob.m, delta, smesh)
+        w = cc.PhiAt(u, prob.a, prob.m, delta, smesh).weights
         main = ad + (w[:, :-1] + w[:, 1:]) / smesh.dx**2
         rows = [base_idx.ravel()]
         cols = [base_idx.ravel()]

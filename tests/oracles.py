@@ -94,18 +94,22 @@ def scalar_resolvent_oracle(tol: float = 1e-14) -> tuple[float, float]:
     return lam, 1.0 / (2.0 + lam)
 
 
-def scalar_mode_problem() -> tuple[dz.SpatialMesh, cc.PhiConfig]:
+def scalar_mode_problem() -> tuple[dz.SpatialMesh, dz.ProblemSpec]:
     """One-node grid realizing scalar closed forms exactly.
 
     L = 2 with a single interior node gives dx = 1; with a = 1/2 and m = 2
     the energy of the scalar value u is u^2/2 and its pairing gradient is u,
     so scalar prox/envelope/resolvent formulas hold without quadrature
-    correction.
+    correction.  p = 2 and the forcing is zero; the slice solves read only
+    the energy, the mesh and p.
     """
     smesh = dz.SpatialMesh(2.0, 1)
-    a = cc.DiffusionField.constant(0.5, smesh)
-    cfg = cc.PhiConfig(a=a, m=2.0, delta=0.0, smesh=smesh, p=2.0)
-    return smesh, cfg
+    prob = dz.ProblemSpec(
+        p=2.0, m=2.0, nl=cc.Nonlinearity.power(2.0),
+        a=cc.DiffusionField.constant(0.5, smesh), f=np.zeros((2, 1)),
+        smesh=smesh, tmesh=dz.TemporalMesh(1.0, 2),
+    )
+    return smesh, prob
 
 
 def fd_gradient(fun, u: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -26,7 +26,7 @@ from oracles import (
 )
 from perisolve.discretize import SpatialMesh, norm_V, norm_Vstar, pairing
 from perisolve.variational import residual_AP
-from util import linf_l2, unit_problem
+from util import linf_l2, slice_problem, unit_problem
 
 
 def test_criterion_1_linear_reference(linear_cascade_64):
@@ -114,19 +114,16 @@ def test_criterion_5_identity_suite(rng):
 
     # proximal envelope: Phi(J) <= Phi_lam(u) <= Phi(u), monotone in lam
     pmesh = SpatialMesh(1.0, 12)
-    cfg = cc.PhiConfig(
-        a=cc.DiffusionField.constant(1.0, pmesh), m=3.0, delta=1e-6,
-        smesh=pmesh, p=2.0,
-    )
+    pprob = slice_problem(pmesh, 3.0)
     margin = np.inf
     for _ in range(20):
         u = rng.standard_normal(12)
-        phu = float(cc.phi_value(u, cfg))
+        phu = float(cc.PhiAt(u, pprob.a, 3.0, 1e-6, pmesh).value)
         scale = max(1.0, abs(phu))
         envs = []
         for lam in (1.0, 0.1, 0.01):
-            J, env, _ = cc.moreau_yosida(u, lam, cfg, tol=1e-11)
-            phJ = float(cc.phi_value(J, cfg))
+            J, env, _ = cc.moreau_yosida(u, lam, pprob, 1e-6, tol=1e-11)
+            phJ = float(cc.PhiAt(J, pprob.a, 3.0, 1e-6, pmesh).value)
             margin = min(margin, (env - phJ) / scale, (phu - env) / scale)
             envs.append(env)
         margin = min(margin, (envs[1] - envs[0]) / scale, (envs[2] - envs[1]) / scale)
@@ -161,19 +158,19 @@ def test_criterion_5_identity_suite(rng):
     amesh = SpatialMesh(1.0, 10)
     acfg_a = cc.DiffusionField.constant(1.3, amesh)
     u = rng.standard_normal(10)
-    # grad_phi is the pairing gradient; Euclidean FD partials carry the dx
+    # PhiAt.grad is the pairing gradient; Euclidean FD partials carry the dx
     # quadrature weight
-    g = amesh.dx * cc.grad_phi(u, acfg_a, 2.5, 1e-4, amesh)
-    fd = fd_gradient(lambda v: float(cc.eval_phi(v, acfg_a, 2.5, 1e-4, amesh)), u)
+    g = amesh.dx * cc.PhiAt(u, acfg_a, 2.5, 1e-4, amesh).grad
+    fd = fd_gradient(lambda v: float(cc.PhiAt(v, acfg_a, 2.5, 1e-4, amesh).value), u)
     fd_dev = float(np.max(np.abs(g - fd))) / max(1.0, float(np.max(np.abs(g))))
     worst["grad_phi_fd"] = fd_dev
     ok &= fd_dev <= 1e-6
 
     # perturbed resolvent against the frozen scalar oracle
-    _, scfg = scalar_mode_problem()
+    smesh1, sprob = scalar_mode_problem()
     pf = cc.PerturbedFunctional(mu=1.0, alpha_exp=1.0)
-    ur = cc.resolvent_phi_power(np.array([0.0]), np.array([1.0]), pf, scfg)
-    lam = float(cc.phi_value(ur, scfg.without_perturbation()))
+    ur = cc.resolvent_phi_power(np.array([0.0]), np.array([1.0]), pf, sprob, 0.0)
+    lam = float(cc.PhiAt(ur, sprob.a, 2.0, 0.0, smesh1).value)
     res_dev = max(abs(ur[0] - RESOLVENT_U_STAR), abs(lam - RESOLVENT_LAMBDA_STAR))
     worst["resolvent"] = res_dev
     ok &= res_dev <= 1e-6

@@ -347,6 +347,24 @@ def test_cmd_verify_passes_the_proximal_sandwich_above_two(tmp_path, p):
     assert checks["proximal_sandwich"]["passed"], checks["proximal_sandwich"]
 
 
+def test_cmd_verify_passes_the_proximal_sandwich_below_two(tmp_path):
+    # at p < 2 this proximal solve stalled at a residual of 2.7e-11 against
+    # its 1e-11 scaled tolerance under a descent rule that tested the energy;
+    # halving each Newton step until the residual norm falls reaches it
+    term = {
+        "amplitude": 3.07, "space_mode": 1, "space_profile": "cos",
+        "time_mode": 2, "time_profile": "sin",
+    }
+    forcing = {"kind": "terms", "terms": [term]}
+    doc = {"problem": small_problem(p=1.83, m=2.73, M=5, N=6, forcing=forcing)}
+    out = tmp_path / "v"
+    argv = ["verify", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_OK
+    rep = json.loads((out / "report.json").read_text())
+    checks = {c["name"]: c for c in rep["invariants"]["checks"]}
+    assert checks["proximal_sandwich"]["passed"], checks["proximal_sandwich"]
+
+
 def test_cascade_knobs_match_the_config_keys():
     # every CascadeParams field is a cascade config key and nothing else is
     fields = {f.name for f in dataclasses.fields(cascade.CascadeParams)}
@@ -600,6 +618,26 @@ class TestMain:
         assert f"config error: {key}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "forcing",
+        [
+            {"kind": "terms", "terms": 5},
+            {"kind": "terms", "terms": ["x"]},
+            {"kind": "terms", "terms": [{"amplitude": [1]}]},
+            {"kind": "csv"},
+        ],
+    )
+    def test_malformed_forcing_exits_1_and_names_the_key(
+        self, tmp_path, capsys, bundled_config_dir, forcing
+    ):
+        doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
+        doc["problem"]["forcing"] = forcing
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "o")
+        assert cli.main(["solve", "--config", path, "--output", out, "--quiet"]) == 1
+        assert "config error: problem.forcing:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_jobs_only_where_solves_fan_out(self, tmp_path):
         path = write_config(tmp_path, {"problem": small_problem()})
         for command in ("solve", "verify"):
@@ -657,6 +695,18 @@ def test_console_script_resolves_to_main():
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     module, _, attr = scripts["perisolve"].partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+def test_public_names_resolve():
+    # every name a module exports exists, so an import * or a lookup by an
+    # exported name cannot fail
+    modules = [perisolve] + [
+        importlib.import_module(f"perisolve.{name}")
+        for name in ("discretize", "convexcore", "variational", "cascade", "verify", "cli")
+    ]
+    for mod in modules:
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert missing == [], (mod.__name__, missing)
 
 
 def test_import_leaves_out_sparse_and_optimize():

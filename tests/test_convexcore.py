@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +15,7 @@ from oracles import (
     scalar_mode_problem,
 )
 from perisolve.discretize import SpatialMesh, pairing
-from util import unit_problem
+from util import slice_problem, unit_problem
 
 slices = arrays(float, st.integers(2, 8), elements=st.floats(-5.0, 5.0))
 
@@ -200,16 +199,16 @@ def test_grad_psi_is_pointwise_alpha(rng):
 def test_eval_phi_frozen_values():
     sm = SpatialMesh(1.0, 63)
     a = cc.DiffusionField.constant(1.0, sm)
-    assert cc.eval_phi(np.zeros(63), a, 2.0, 0.0, sm) == 0.0
+    assert cc.PhiAt(np.zeros(63), a, 2.0, 0.0, sm).value == 0.0
     u = sm.nodes * (1.0 - sm.nodes)
-    val = cc.eval_phi(u, a, 2.0, 0.0, sm)
+    val = cc.PhiAt(u, a, 2.0, 0.0, sm).value
     assert val == pytest.approx(1.0 / 6.0, abs=sm.dx**2)
     # one-node hat, m = 4, a = 2: (dx/4) * 2 * (2 * 16) = 8
     sm1 = SpatialMesh(1.0, 1)
     a2 = cc.DiffusionField.constant(2.0, sm1)
-    assert cc.eval_phi(np.array([1.0]), a2, 4.0, 0.0, sm1) == pytest.approx(8.0)
+    assert cc.PhiAt(np.array([1.0]), a2, 4.0, 0.0, sm1).value == pytest.approx(8.0)
     with pytest.raises(ValueError, match="energy exponent"):
-        cc.eval_phi(u, a, 1.0, 0.0, sm)
+        cc.PhiAt(u, a, 1.0, 0.0, sm)
 
 
 def test_grad_phi_linear_case_is_second_difference(rng):
@@ -218,7 +217,7 @@ def test_grad_phi_linear_case_is_second_difference(rng):
     u = rng.normal(size=9)
     z = np.concatenate([[0.0], u, [0.0]])
     lap = (z[:-2] - 2.0 * z[1:-1] + z[2:]) / sm.dx**2
-    assert np.allclose(cc.grad_phi(u, a, 2.0, 0.0, sm), -lap, atol=1e-12)
+    assert np.allclose(cc.PhiAt(u, a, 2.0, 0.0, sm).grad, -lap, atol=1e-12)
 
 
 def test_grad_phi_matches_fd(rng):
@@ -226,8 +225,8 @@ def test_grad_phi_matches_fd(rng):
     a = cc.DiffusionField.constant(1.3, sm)
     for m, delta in ((3.0, 0.0), (2.5, 1e-4), (1.5, 1e-3)):
         u = rng.normal(size=8)
-        fd = fd_gradient(lambda v: float(cc.eval_phi(v, a, m, delta, sm)), u)
-        g = sm.dx * cc.grad_phi(u, a, m, delta, sm)
+        fd = fd_gradient(lambda v: float(cc.PhiAt(v, a, m, delta, sm).value), u)
+        g = sm.dx * cc.PhiAt(u, a, m, delta, sm).grad
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7), (m, delta)
 
 
@@ -236,9 +235,9 @@ def test_grad_phi_singular_cell_raises():
     a = cc.DiffusionField.constant(1.0, sm)
     u = np.array([1.0, 1.0, 1.0])  # interior cell gradients vanish
     with pytest.raises(FloatingPointError, match="zero gradient cell"):
-        cc.grad_phi(u, a, 1.5, 0.0, sm)
+        cc.PhiAt(u, a, 1.5, 0.0, sm).grad
     # smoothing removes the singularity
-    out = cc.grad_phi(u, a, 1.5, 1e-6, sm)
+    out = cc.PhiAt(u, a, 1.5, 1e-6, sm).grad
     assert np.all(np.isfinite(out))
 
 
@@ -252,7 +251,7 @@ def test_grad_phi_monotone(u, v, m):
     sm = SpatialMesh(1.0, 5)
     a = cc.DiffusionField.constant(1.0, sm)
     gap = pairing(
-        cc.grad_phi(u, a, m, 0.0, sm) - cc.grad_phi(v, a, m, 0.0, sm),
+        cc.PhiAt(u, a, m, 0.0, sm).grad - cc.PhiAt(v, a, m, 0.0, sm).grad,
         u - v,
         sm,
     )
@@ -265,13 +264,13 @@ def test_phi_weights_are_exact_at_m2(rng, delta):
     vals = 1.0 + 0.5 * np.sin(7.0 * sm.cell_midpoints)
     a = cc.DiffusionField(vals, vals.min(), vals.max())
     u = rng.normal(size=(3, 9))
-    w = cc._PhiAt(u, a, 2.0, delta, sm).weights
+    w = cc.PhiAt(u, a, 2.0, delta, sm).weights
     assert np.array_equal(w, np.broadcast_to(a.midpoint_values, w.shape))
     if delta == 0.0:
         return
     # elsewhere the weights keep the value of s2^((m-4)/2) ((m-1) Du^2 + delta^2)
     for m in (1.5, 3.0):
-        phi = cc._PhiAt(u, a, m, delta, sm)
+        phi = cc.PhiAt(u, a, m, delta, sm)
         s2 = phi.Du**2 + delta**2
         qp = s2 ** ((m - 4.0) / 2.0) * ((m - 1.0) * phi.Du**2 + delta**2)
         old = a.midpoint_values * qp
@@ -283,15 +282,15 @@ def test_phi_hessian_matches_directional_fd(rng):
     a = cc.DiffusionField.constant(1.0, sm)
     u = rng.normal(size=7)
     v = rng.normal(size=7)
-    H = cc._PhiAt(u, a, 3.0, 1e-3, sm).matrix()
+    H = cc.PhiAt(u, a, 3.0, 1e-3, sm).matrix()
     h = 1e-6
     fd = (
-        cc.grad_phi(u + h * v, a, 3.0, 1e-3, sm)
-        - cc.grad_phi(u - h * v, a, 3.0, 1e-3, sm)
+        cc.PhiAt(u + h * v, a, 3.0, 1e-3, sm).grad
+        - cc.PhiAt(u - h * v, a, 3.0, 1e-3, sm).grad
     ) / (2.0 * h)
     assert np.allclose(H @ v, fd, rtol=1e-5, atol=1e-6)
     with pytest.raises(ValueError, match="single slice"):
-        cc._PhiAt(np.zeros((2, 7)), a, 3.0, 1e-3, sm).matrix()
+        cc.PhiAt(np.zeros((2, 7)), a, 3.0, 1e-3, sm).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +324,10 @@ def test_duality_map_edge_cases():
 
 
 def test_moreau_yosida_scalar_closed_forms():
-    _, cfg = scalar_mode_problem()
+    _, prob = scalar_mode_problem()
     u = np.array([1.7])
     for lam in (1.0, 0.25, 0.01):
-        J, env, yg = cc.moreau_yosida(u, lam, cfg)
+        J, env, yg = cc.moreau_yosida(u, lam, prob, 0.0)
         assert J[0] == pytest.approx(1.7 / (1.0 + lam), abs=1e-9)
         assert env == pytest.approx(1.7**2 / (2.0 * (1.0 + lam)), abs=1e-9)
         # envelope gradient equals the energy gradient at the prox point
@@ -337,17 +336,16 @@ def test_moreau_yosida_scalar_closed_forms():
 
 def test_moreau_yosida_sandwich_and_monotonicity(rng):
     sm = SpatialMesh(1.0, 10)
-    a = cc.DiffusionField.constant(1.0, sm)
+    prob = slice_problem(sm, 3.0)
     # delta > 0 keeps the prox Hessian nondegenerate at flat cells, same as
     # every solver-side use of the energy
-    cfg = cc.PhiConfig(a=a, m=3.0, delta=1e-6, smesh=sm, p=2.0)
     for _ in range(5):
         u = rng.normal(size=10)
-        phi_u = float(cc.phi_value(u, cfg))
+        phi_u = float(cc.PhiAt(u, prob.a, 3.0, 1e-6, sm).value)
         prev = -np.inf
         for lam in (1.0, 0.1, 0.01):
-            J, env, _ = cc.moreau_yosida(u, lam, cfg)
-            phi_J = float(cc.phi_value(J, cfg))
+            J, env, _ = cc.moreau_yosida(u, lam, prob, 1e-6)
+            phi_J = float(cc.PhiAt(J, prob.a, 3.0, 1e-6, sm).value)
             slack = 1e-8 * (1.0 + phi_u)
             assert phi_J <= env + slack
             assert env <= phi_u + slack
@@ -357,13 +355,25 @@ def test_moreau_yosida_sandwich_and_monotonicity(rng):
 
 def test_moreau_yosida_gradient_consistency(rng):
     sm = SpatialMesh(1.0, 9)
-    a = cc.DiffusionField.constant(1.0, sm)
-    cfg = cc.PhiConfig(a=a, m=2.0, delta=0.0, smesh=sm, p=2.0)
+    prob = slice_problem(sm, 2.0)
     u = rng.normal(size=9)
-    J, _, yg = cc.moreau_yosida(u, 0.5, cfg)
-    assert np.allclose(yg, cc.phi_grad(J, cfg), atol=1e-8)
+    J, _, yg = cc.moreau_yosida(u, 0.5, prob, 0.0)
+    assert np.allclose(yg, cc.PhiAt(J, prob.a, 2.0, 0.0, sm).grad, atol=1e-8)
     with pytest.raises(ValueError, match="must be positive"):
-        cc.moreau_yosida(u, 0.0, cfg)
+        cc.moreau_yosida(u, 0.0, prob, 0.0)
+
+
+def test_moreau_yosida_singular_step_stalls(rng, monkeypatch):
+    # a singular dense Newton system ends the solve; the caller sees the
+    # stall, not the LinAlgError
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cc.np.linalg, "solve", singular)
+    sm = SpatialMesh(1.0, 9)
+    prob = slice_problem(sm, 3.0)
+    with pytest.raises(RuntimeError, match="stalled"):
+        cc.moreau_yosida(rng.normal(size=9), 0.5, prob, 1e-6)
 
 
 def test_fenchel_psi_star_quadratic_and_zero(rng):
@@ -397,10 +407,10 @@ def test_fenchel_young_for_field_functionals(rng):
 
 
 def test_phi_power_scalar_values():
-    _, cfg = scalar_mode_problem()
-    cfg = replace(cfg, pf=cc.PerturbedFunctional(mu=1.0, alpha_exp=1.0))
-    u = np.array([2.0])
-    val, grad = cc.phi_value(u, cfg), cc.phi_grad(u, cfg)
+    sm, prob = scalar_mode_problem()
+    pf = cc.PerturbedFunctional(mu=1.0, alpha_exp=1.0)
+    phi = cc.PhiAt(np.array([2.0]), prob.a, 2.0, 0.0, sm, pf)
+    val, grad = phi.value, phi.grad
     # phi = 2: value 2 + 4/2 = 4, grad (1 + 2) * 2 = 6
     assert val == pytest.approx(4.0, rel=1e-14)
     assert grad[0] == pytest.approx(6.0, rel=1e-14)
@@ -409,26 +419,23 @@ def test_phi_power_scalar_values():
 def test_phi_power_reduces_to_plain(rng):
     sm = SpatialMesh(1.0, 8)
     a = cc.DiffusionField.constant(1.0, sm)
-    cfg = cc.PhiConfig(a=a, m=3.0, delta=0.0, smesh=sm, p=2.0)
     u = rng.normal(size=8)
-    pcfg = replace(cfg, pf=cc.PerturbedFunctional(0.0, 1.5))
-    val, grad = cc.phi_value(u, pcfg), cc.phi_grad(u, pcfg)
-    assert val == pytest.approx(float(cc.phi_value(u, cfg)), rel=1e-14)
-    assert np.allclose(grad, cc.phi_grad(u, cfg))
+    plain = cc.PhiAt(u, a, 3.0, 0.0, sm)
+    zero_mu = cc.PhiAt(u, a, 3.0, 0.0, sm, cc.PerturbedFunctional(0.0, 1.5))
+    assert zero_mu.value == pytest.approx(float(plain.value), rel=1e-14)
+    assert np.allclose(zero_mu.grad, plain.grad)
 
 
 def test_phi_power_gradient_chain_rule(rng):
     sm = SpatialMesh(1.0, 8)
     a = cc.DiffusionField.constant(1.0, sm)
-    base = cc.PhiConfig(a=a, m=3.0, delta=1e-6, smesh=sm, p=2.0)
     pf = cc.PerturbedFunctional(mu=0.5, alpha_exp=1.5)
     u = rng.normal(size=8)
-    cfg = replace(base, pf=pf)
-    val, grad = cc.phi_value(u, cfg), cc.phi_grad(u, cfg)
-    phi = float(cc.eval_phi(u, a, 3.0, 1e-6, sm))
-    manual = (1.0 + 0.5 * phi**1.5) * cc.grad_phi(u, a, 3.0, 1e-6, sm)
+    grad = cc.PhiAt(u, a, 3.0, 1e-6, sm, pf).grad
+    plain = cc.PhiAt(u, a, 3.0, 1e-6, sm)
+    manual = (1.0 + 0.5 * float(plain.value) ** 1.5) * plain.grad
     assert np.allclose(grad, manual, rtol=1e-14, atol=1e-14)
-    fd = fd_gradient(lambda v: float(cc.phi_value(v, cfg)), u)
+    fd = fd_gradient(lambda v: float(cc.PhiAt(v, a, 3.0, 1e-6, sm, pf).value), u)
     assert np.allclose(sm.dx * grad, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -442,63 +449,60 @@ def test_perturbed_functional_validation():
 
 
 def test_resolvent_reproduces_scalar_oracle():
-    _, cfg = scalar_mode_problem()
+    sm, prob = scalar_mode_problem()
     pf = cc.PerturbedFunctional(mu=1.0, alpha_exp=1.0)
-    u = cc.resolvent_phi_power(np.array([0.0]), np.array([1.0]), pf, cfg)
+    u = cc.resolvent_phi_power(np.array([0.0]), np.array([1.0]), pf, prob, 0.0)
     assert u[0] == pytest.approx(RESOLVENT_U_STAR, abs=1e-9)
-    lam = float(cc.phi_value(u, cfg.without_perturbation()))
+    lam = float(cc.PhiAt(u, prob.a, 2.0, 0.0, sm).value)
     assert lam == pytest.approx(RESOLVENT_LAMBDA_STAR, abs=1e-9)
 
 
 def test_resolvent_mu_zero_reduction():
-    sm, cfg = scalar_mode_problem()
+    sm, prob = scalar_mode_problem()
     pf0 = cc.PerturbedFunctional(mu=0.0, alpha_exp=1.0)
     w, ws = np.array([0.3]), np.array([0.9])
-    u = cc.resolvent_phi_power(w, ws, pf0, cfg)
+    u = cc.resolvent_phi_power(w, ws, pf0, prob, 0.0)
     # scalar equation (u - w) + u = w*
     assert u[0] == pytest.approx(0.6, abs=1e-10)
-    res = cc.duality_map(u - w, 2.0, sm) + cc.phi_grad(u, cfg) - ws
+    res = cc.duality_map(u - w, 2.0, sm) + cc.PhiAt(u, prob.a, 2.0, 0.0, sm).grad - ws
     assert abs(res[0]) <= 1e-10
 
 
 def test_resolvent_field_case_satisfies_equation(rng):
     sm = SpatialMesh(1.0, 6)
-    a = cc.DiffusionField.constant(1.0, sm)
-    cfg = cc.PhiConfig(a=a, m=2.0, delta=0.0, smesh=sm, p=2.0)
+    prob = slice_problem(sm, 2.0)
     pf = cc.PerturbedFunctional(mu=0.8, alpha_exp=1.0)
     w = rng.normal(size=6)
     ws = rng.normal(size=6)
-    u = cc.resolvent_phi_power(w, ws, pf, cfg, tol=1e-8)
-    lam = 0.8 * float(cc.phi_value(u, cfg))
-    res = (
-        cc.duality_map(u - w, 2.0, sm)
-        + (1.0 + lam) * cc.phi_grad(u, cfg)
-        - ws
-    )
+    u = cc.resolvent_phi_power(w, ws, pf, prob, 0.0, tol=1e-8)
+    phi = cc.PhiAt(u, prob.a, 2.0, 0.0, sm)
+    lam = 0.8 * float(phi.value)
+    res = cc.duality_map(u - w, 2.0, sm) + (1.0 + lam) * phi.grad - ws
     from perisolve.discretize import norm_Vstar
 
     assert norm_Vstar(res, 2.0, sm) <= 1e-8 * max(1.0, norm_Vstar(ws, 2.0, sm))
 
 
 # ---------------------------------------------------------------------------
-# configs
+# validation
 
 
 def test_phi_config_validation_and_stripping():
+    # the energy object validates m and delta; a perturbation with mu = 0
+    # is stripped, one with mu > 0 adds energy
     sm = SpatialMesh(1.0, 4)
     a = cc.DiffusionField.constant(1.0, sm)
-    with pytest.raises(ValueError, match="energy exponent"):
-        cc.PhiConfig(a=a, m=1.0, delta=0.0, smesh=sm)
-    with pytest.raises(ValueError, match="delta"):
-        cc.PhiConfig(a=a, m=2.0, delta=-1.0, smesh=sm)
-    with pytest.raises(ValueError, match="norm exponent"):
-        cc.PhiConfig(a=a, m=2.0, delta=0.0, smesh=sm, p=1.0)
-    pf = cc.PerturbedFunctional(mu=0.5, alpha_exp=1.0)
-    cfg = cc.PhiConfig(a=a, m=2.0, delta=0.0, smesh=sm, pf=pf)
-    assert cfg.without_perturbation().pf is None
     u = np.array([1.0, 2.0, 2.0, 1.0])
-    v_plain = cc.phi_value(u, cfg.without_perturbation())
-    assert cc.phi_value(u, cfg) > v_plain  # perturbation adds energy
+    with pytest.raises(ValueError, match="energy exponent"):
+        cc.PhiAt(u, a, 1.0, 0.0, sm)
+    with pytest.raises(ValueError, match="delta"):
+        cc.PhiAt(u, a, 2.0, -1.0, sm)
+    with pytest.raises(ValueError, match="delta"):
+        cc.PhiAt(u, a, 2.0, np.nan, sm)
+    assert cc.PhiAt(u, a, 2.0, 0.0, sm, cc.PerturbedFunctional(0.0, 1.0)).pf is None
+    pf = cc.PerturbedFunctional(mu=0.5, alpha_exp=1.0)
+    v_plain = cc.PhiAt(u, a, 2.0, 0.0, sm).value
+    assert cc.PhiAt(u, a, 2.0, 0.0, sm, pf).value > v_plain  # adds energy
 
 
 def test_diffusion_field_validation():

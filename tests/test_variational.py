@@ -217,7 +217,7 @@ def test_stage_residual_vanishes_at_minimizer():
         F = stage_equation(ocfg)(u)
         assert history[-1] == dual_bochner_norm(F, prob) <= 1e-9
     per_slice = (
-        cc.grad_phi(u, prob.a, prob.m, 1e-6, prob.smesh)
+        cc.PhiAt(u, prob.a, prob.m, 1e-6, prob.smesh).grad
         + prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
         - prob.f
     )

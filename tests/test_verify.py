@@ -85,7 +85,7 @@ class TestMmsSpecs:
         f = vf.derived_forcing(mms, prob, delta=1e-8)
         U = vf.sample_exact(mms, prob.smesh, prob.tmesh)
         dU = time_derivative(U, prob.tmesh)
-        want = prob.nl.alpha_eval(dU) + cc.grad_phi(U, prob.a, prob.m, 1e-8, prob.smesh)
+        want = prob.nl.alpha_eval(dU) + cc.PhiAt(U, prob.a, prob.m, 1e-8, prob.smesh).grad
         assert np.array_equal(f, want)
         zf = vf.derived_forcing(vf.MmsSpec("zero"), prob, 0.0)
         assert np.all(zf == 0.0)

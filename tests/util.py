@@ -40,6 +40,20 @@ def unit_problem(p, m, M, N, amp=1.0, diffusion=1.0):
     )
 
 
+def slice_problem(sm, m, p=2.0):
+    """Problem on mesh sm with a = 1 and zero forcing, for the slice solves,
+    which read only its energy, mesh and exponent p."""
+    return ProblemSpec(
+        p=p,
+        m=m,
+        nl=cc.Nonlinearity.power(p),
+        a=cc.DiffusionField.constant(1.0, sm),
+        f=np.zeros((2, sm.interior_count)),
+        smesh=sm,
+        tmesh=TemporalMesh(1.0, 2),
+    )
+
+
 class ExitsInWorker:
     """A solve route that ends a spawned worker comparing it, as a crash
     would.  In the main process it compares unequal to everything."""
