@@ -127,17 +127,14 @@ class CascadeParams:
 
 @dataclass
 class StageResult:
-    """Solution of one fixed point stage plus its dual selections.
+    """Solution of one fixed point stage plus its rate selection.
 
-    xi = alpha(du) slicewise, eta the energy gradient at the stage smoothing
-    (including the perturbation coefficient when present), h the converged
-    dual forcing.  diagnostics is JSON-friendly throughout.
+    xi = alpha(du) slicewise; the converged dual forcing is h = -xi.
+    diagnostics is JSON-friendly throughout.
     """
 
     u: np.ndarray
     xi: np.ndarray
-    eta: np.ndarray
-    h: np.ndarray
     epsilon: float
     mu: float
     diagnostics: dict = field(default_factory=dict)
@@ -173,8 +170,6 @@ def fixed_point_solve(
     ocfg = ObjectiveConfig(prob, eps, params.delta, pf)
     u, history, converged = newton_fixed_point(u, ocfg, st_tol, params.max_fp_iter)
     xi = prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
-    h = -xi
-    eta = cc.PhiAt(u, prob.a, prob.m, params.delta, prob.smesh, pf).grad
     mu = 0.0 if pf is None else pf.mu
     res = history[-1]
     diagnostics = {
@@ -188,7 +183,7 @@ def fixed_point_solve(
         "beta_evaluations": 0,
         "stage_newton_iterations": 0,
         "energy_margin": energy_margin(u, prob),
-        "audit": stage_audit(u, h, prob, eps, params.delta, pf),
+        "audit": stage_audit(u, prob, eps, params.delta, pf),
     }
     if not converged:
         log.warning(
@@ -197,7 +192,7 @@ def fixed_point_solve(
             mu,
             res,
         )
-    return StageResult(u, xi, eta, h, float(eps), float(mu), diagnostics)
+    return StageResult(u, xi, float(eps), float(mu), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +250,6 @@ def lf_margin(u: np.ndarray, prob: ProblemSpec) -> float:
 
 def stage_audit(
     u: np.ndarray,
-    h: np.ndarray,
     prob: ProblemSpec,
     eps: float,
     delta: float,
@@ -266,7 +260,8 @@ def stage_audit(
     The eps-weighted groups must stay bounded as eps decreases; the
     unweighted state energy and dual integrals must stay bounded on their
     own.  Gradient dual norms in the second-space scale are measured in the
-    nodal dual norm (a surrogate for the gradient-space dual).
+    nodal dual norm (a surrogate for the gradient-space dual).  The dual
+    forcing of a fixed point is h = -xi, so its norm is that of xi.
     """
     smesh, tmesh = prob.smesh, prob.tmesh
     dt = tmesh.dt
@@ -295,7 +290,7 @@ def stage_audit(
         "eps_state_sq": eps * state_sq,
         "eta_dual_integral": eta_dual,
         "psi_grad_dual_integral": psi_grad_dual,
-        "h_dual_norm": dual_bochner_norm(h, prob),
+        "h_dual_norm": dual_bochner_norm(xi, prob),
     }
     if phi.pf is not None:
         term = phi.mu_power[..., None] * phi.base_grad

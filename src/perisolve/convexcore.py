@@ -4,10 +4,11 @@ Houses the rate nonlinearity (a nondecreasing scalar map with its primitive
 and conjugate), the cellwise diffusion coefficient, gradient-energy
 functionals and their gradients, duality maps of the nodal L^r spaces,
 proximal smoothing (envelope, resolvent, Yosida gradient), the
-power-perturbed energy used on the hard exponent branch, and the one
-Newton loop: it halves each step until the residual's dual norm falls, and
-serves both the single-slice proximal problems here and the stage equation
-of the variational layer.
+power-perturbed energy used on the hard exponent branch with its resolvent,
+and the one Newton loop: it halves each step until the residual's dual norm
+falls, and serves both the stage equation of the variational layer and the
+single-slice proximal problems here, each of which is one Newton solve on
+its stationarity equation with that equation's exact dense Jacobian.
 
 Gradients are always understood against the pairing <xi, u> = sum_i dx xi_i u_i,
 so a "dual field" returned here pairs with increments through that weighted
@@ -325,10 +326,11 @@ class PhiAt:
     @cached_property
     def weights(self) -> np.ndarray:
         """Cell weights a q'(Du) of the pairing Hessian, scaled by the
-        perturbation factor.  The perturbation's rank-one term
-        mu a phi^(a-1) g g^T is dropped, which the step halving absorbs.
-        At m = 2 q' is exactly 1 for any delta, so a p = m = 2 stage keeps
-        one band bit for bit from step to step."""
+        perturbation factor.  The band Jacobian built from them drops the
+        perturbation's rank-one term mu a phi^(a-1) dx g g^T, which the step
+        halving absorbs; matrix() keeps it.  At m = 2 q' is exactly 1 for any
+        delta, so a p = m = 2 stage keeps one band bit for bit from step to
+        step."""
         Du, m, delta = self.Du, self.m, self.delta
         if delta > 0.0:
             s2 = Du * Du + delta * delta
@@ -338,7 +340,10 @@ class PhiAt:
         return self._scaled(self.a * qp)
 
     def matrix(self) -> np.ndarray:
-        """Dense (M, M) pairing Hessian of a single slice from the weights."""
+        """Exact dense (M, M) pairing Hessian of a single slice: the
+        tridiagonal matrix of the weights plus, when perturbed, the rank-one
+        term mu a phi^(a-1) dx g g^T with g = base_grad.  At phi = 0 g is 0
+        and the term is dropped."""
         w = self.weights
         if w.ndim != 1:
             raise ValueError("expected a single slice")
@@ -349,6 +354,9 @@ class PhiAt:
         off = -w[1:-1] / self.dx**2
         H[idx[:-1], idx[:-1] + 1] = off
         H[idx[:-1] + 1, idx[:-1]] = off
+        if self.pf is not None and self.base > 0.0:
+            c = self.pf.alpha_exp * self.mu_power / self.base * self.dx
+            H += c * np.outer(self.base_grad, self.base_grad)
         return H
 
 
@@ -473,31 +481,31 @@ def _prox_newton(
     v0: np.ndarray,
     center: np.ndarray,
     lam: float,
-    weight: float,
+    pf: PerturbedFunctional | None,
     wstar: np.ndarray | float,
     prob: ProblemSpec,
     delta: float,
     tol: float,
 ) -> tuple[np.ndarray, float, bool]:
-    """Newton on the slice equation F(v - center)/lam + weight grad phi(v) = wstar.
+    """Newton on the slice equation F(v - center)/lam + grad phi(v) = wstar.
 
-    phi is the unperturbed energy of prob at smoothing delta and F the
-    duality map of its nodal L^p space.  The dense Jacobian is the duality
-    block with its rank-one term plus weight times phi's pairing Hessian.
-    Returns the last iterate, the dual norm of the residual there and
-    whether that norm is at most tol.
+    phi is the energy of prob at smoothing delta, perturbed by pf when given,
+    and F the duality map of its nodal L^p space.  The dense Jacobian is
+    exact: the duality block with its rank-one term plus phi's pairing
+    Hessian.  Returns the last iterate, the dual norm of the residual there
+    and whether that norm is at most tol.
     """
     mesh, p, pc = prob.smesh, prob.p, prob.p_conj
 
     def equation(v: np.ndarray) -> tuple[tuple, float]:
-        phi = PhiAt(v, prob.a, prob.m, delta, mesh)
-        R = duality_map(v - center, p, mesh) / lam + weight * phi.grad - wstar
+        phi = PhiAt(v, prob.a, prob.m, delta, mesh, pf)
+        R = duality_map(v - center, p, mesh) / lam + phi.grad - wstar
         return (R, phi), float(norm_Vstar(R, pc, mesh))
 
     def step(v: np.ndarray, state: tuple) -> np.ndarray:
         R, phi = state
         H = _duality_hessian(v - center, p, delta, mesh) / lam
-        return np.linalg.solve(H + weight * phi.matrix(), -R)
+        return np.linalg.solve(H + phi.matrix(), -R)
 
     v0 = np.array(v0, dtype=float)  # the result never aliases the caller's array
     v, history, converged = _newton(v0, equation, lambda _: tol, step, 200)
@@ -519,7 +527,7 @@ def moreau_yosida(
     u = _require_finite(u, "field")
     mesh, p = prob.smesh, prob.p
     scale = max(1.0, float(norm_V(u, p, mesh)) / lam)
-    J, res, converged = _prox_newton(u, u, lam, 1.0, 0.0, prob, delta, tol * scale)
+    J, res, converged = _prox_newton(u, u, lam, None, 0.0, prob, delta, tol * scale)
     if not converged:
         raise RuntimeError(
             f"proximal solve stalled with stationarity residual {res:.3e}"
@@ -538,79 +546,19 @@ def resolvent_phi_power(
     delta: float,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Solve F(u - w) + (1 + mu phi^a(u)) grad phi(u) = w* by scalar bisection.
+    """Solve F(u - w) + (1 + mu phi^a(u)) grad phi(u) = w* by Newton from u = w.
 
     phi is the energy of prob at smoothing delta and F the duality map of
-    its nodal L^p space.  The auxiliary problem with frozen factor
-    (1 + lam) is a convex minimization; the map lam -> mu phi^a(u_lam) is
-    nonincreasing, so g(lam) = mu phi^a(u_lam) - lam brackets its root on
-    [0, mu phi^a(u_0)] and bisection drives the combined equation residual
-    below tol.
+    its nodal L^p space.  The equation is the stationarity condition of the
+    strictly convex |u - w|^2_V / 2 + phi + mu/(1+a) phi^(1+a) - <w*, u>.
+    One Newton solve with the equation's exact dense Jacobian solves it once
+    the residual's dual norm is at most tol * max(1, |w*|); a solve that
+    stops short raises RuntimeError.
     """
     w = _require_finite(w, "field")
     wstar = _require_finite(wstar, "dual field")
-    mesh, p, pc = prob.smesh, prob.p, prob.p_conj
-    inner_tol = 0.1 * tol * max(1.0, float(norm_Vstar(wstar, pc, mesh)))
-
-    def solve_aux(lam: float, v0: np.ndarray) -> np.ndarray:
-        u, res, converged = _prox_newton(
-            v0, w, 1.0, 1.0 + lam, wstar, prob, delta, inner_tol
-        )
-        if not converged:
-            raise RuntimeError(
-                f"auxiliary solve at lam={lam:.3e} stalled, residual {res:.3e}"
-            )
-        return u
-
-    def mu_phi_pow(u: np.ndarray) -> float:
-        return float(PhiAt(u, prob.a, prob.m, delta, mesh, pf).mu_power)
-
-    def equation_residual(u: np.ndarray) -> float:
-        eta = PhiAt(u, prob.a, prob.m, delta, mesh, pf).grad
-        lhs = duality_map(u - w, p, mesh) + eta - wstar
-        return float(norm_Vstar(lhs, pc, mesh))
-
-    u_lo = solve_aux(0.0, w)
-    if pf.mu == 0.0:
-        return u_lo
-    g_lo = mu_phi_pow(u_lo)
-    if g_lo < -10.0 * inner_tol:
-        raise RuntimeError(
-            f"bracket violation: mu phi^a at lam=0 evaluated to {g_lo:.3e} < 0"
-        )
-    scale = max(1.0, float(norm_Vstar(wstar, pc, mesh)))
-    if equation_residual(u_lo) <= tol * scale:
-        return u_lo
-    lo, hi = 0.0, g_lo
-    u_hi = solve_aux(hi, u_lo)
-    g_hi = mu_phi_pow(u_hi) - hi
-    expand = 0
-    while g_hi > 0.0 and expand < 60:
-        # monotonicity makes this bracket sufficient; expansion only mops up
-        # inner-solve noise
-        lo, u_lo = hi, u_hi
-        hi *= 2.0
-        u_hi = solve_aux(hi, u_hi)
-        g_hi = mu_phi_pow(u_hi) - hi
-        expand += 1
-    u_best, best_res = u_hi, equation_residual(u_hi)
-    for _ in range(200):
-        if best_res <= tol * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        u_mid = solve_aux(mid, u_best)
-        g_mid = mu_phi_pow(u_mid) - mid
-        res_mid = equation_residual(u_mid)
-        if res_mid < best_res:
-            u_best, best_res = u_mid, res_mid
-        if g_mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
-    if best_res > tol * scale:
-        raise RuntimeError(
-            f"resolvent bisection stalled with residual {best_res:.3e}"
-        )
-    return u_best
+    tol *= max(1.0, float(norm_Vstar(wstar, prob.p_conj, prob.smesh)))
+    u, res, converged = _prox_newton(w, w, 1.0, pf, wstar, prob, delta, tol)
+    if not converged:
+        raise RuntimeError(f"resolvent solve stalled with residual {res:.3e}")
+    return u

@@ -67,33 +67,34 @@ class ObjectiveConfig:
 class _Stage:
     """Slice residual and band Jacobian of one stage equation.
 
-    Both read one evaluation of the trajectory they are given: du, Du and,
-    through the energy, the base energy per slice and the perturbation
-    factor.  It is kept for the last trajectory object asked about, so a
-    Newton step reads the residual and the band at one iterate from it.
+    Both read one evaluation of the trajectory they are given: du, its rate
+    xi = alpha(du), Du and, through the energy, the base energy per slice
+    and the perturbation factor.  It is kept for the last trajectory object
+    asked about, so a Newton step reads the residual, its tolerance and the
+    band at one iterate from it.
     """
 
     def __init__(self, ocfg: ObjectiveConfig) -> None:
         self.ocfg = ocfg
         self._u = None
 
-    def _at(self, u: np.ndarray) -> tuple[np.ndarray | None, cc.PhiAt]:
+    def _at(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, cc.PhiAt]:
         if u is not self._u:
             ocfg, prob = self.ocfg, self.ocfg.prob
             self._u = u
-            self._du = time_derivative(u, prob.tmesh) if ocfg.epsilon > 0.0 else None
+            self._du = time_derivative(u, prob.tmesh)
+            self._xi = prob.nl.alpha_eval(self._du)
             self._phi = cc.PhiAt(
                 u, prob.a, prob.m, ocfg.delta, prob.smesh, ocfg.pf
             )
-        return self._du, self._phi
+        return self._du, self._xi, self._phi
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         """Stage equation residual per slice at h = 0."""
         prob, eps = self.ocfg.prob, self.ocfg.epsilon
-        du, phi = self._at(u)
+        _, xi, phi = self._at(u)
         R = phi.grad - prob.f
         if eps > 0.0:
-            xi = prob.nl.alpha_eval(du)
             R = R + eps * (xi - np.roll(xi, -1, axis=0)) / prob.tmesh.dt
             R = R + eps * prob.nl.alpha_eval(u)
             R = R + eps * cc.duality_map(u, prob.p, prob.smesh)
@@ -118,7 +119,7 @@ class _Stage:
         prob, eps, delta = self.ocfg.prob, self.ocfg.epsilon, self.ocfg.delta
         N, M = u.shape
         dt, dx = prob.tmesh.dt, prob.smesh.dx
-        du, phi = self._at(u)
+        du, _, phi = self._at(u)
         w = phi.weights
 
         def diag(k: int) -> np.ndarray:
@@ -164,16 +165,16 @@ def newton_fixed_point(
     lu = np.zeros((3 * N + 1, N * M), order="F")
 
     def equation(v: np.ndarray) -> tuple[tuple, float]:
-        dv = time_derivative(v, tmesh)
-        F = stage.residual(v) + nl.alpha_eval(dv)
-        return (F, dv), dual_bochner_norm(F, prob)
+        dv, xi, _ = stage._at(v)
+        F = stage.residual(v) + xi
+        return (F, dv, xi), dual_bochner_norm(F, prob)
 
     def stage_tol(state: tuple) -> float:
-        F, dv = state
-        return tol * max(1.0, dual_bochner_norm(prob.f - nl.alpha_eval(dv), prob))
+        _, _, xi = state
+        return tol * max(1.0, dual_bochner_norm(prob.f - xi, prob))
 
     def step(v: np.ndarray, state: tuple) -> np.ndarray | None:
-        F, dv = state
+        F, dv, _ = state
         stage.write_band(v, nl.alpha_derivative(dv, delta), lu)
         _, _, x, info = dgbsv(N, N, lu, -F.T.ravel(), overwrite_ab=1, overwrite_b=1)
         return x.reshape(M, N).T if info == 0 else None

@@ -58,11 +58,11 @@ def test_params_validation_and_stage_tol():
 
 
 def test_beta_of_zero_forcing_is_zero():
-    # zero forcing gives a zero stage: u = 0 and h = -alpha(0) = 0
+    # zero forcing gives a zero stage: u = 0 and h = -xi = -alpha(0) = 0
     zero_prob = unit_problem(2.0, 3.0, 5, 5, amp=0.0)
     zero = ca.fixed_point_solve(zero_prob, 0.1, ca.CascadeParams())
     assert zero.converged
-    assert np.abs(zero.u).max() <= 1e-9 and np.abs(zero.h).max() <= 1e-9
+    assert np.abs(zero.u).max() <= 1e-9 and np.abs(-zero.xi).max() <= 1e-9
 
 
 def test_solve_APh_zero_and_deterministic():
@@ -70,11 +70,11 @@ def test_solve_APh_zero_and_deterministic():
     zero_prob = unit_problem(2.5, 3.0, 6, 6, amp=0.0)
     zero = ca.fixed_point_solve(zero_prob, 0.1, ca.CascadeParams())
     assert zero.converged
-    assert np.abs(zero.u).max() <= 1e-9 and np.abs(zero.h).max() <= 1e-9
+    assert np.abs(zero.u).max() <= 1e-9 and np.abs(-zero.xi).max() <= 1e-9
     prob = unit_problem(2.5, 3.0, 6, 6)
     a = ca.fixed_point_solve(prob, 0.1, ca.CascadeParams())
     b = ca.fixed_point_solve(prob, 0.1, ca.CascadeParams())
-    assert np.array_equal(a.u, b.u) and np.array_equal(a.h, b.h)
+    assert np.array_equal(a.u, b.u) and np.array_equal(-a.xi, -b.xi)
 
 
 def test_affine_fixed_point_matches_dense_solve():
@@ -89,7 +89,7 @@ def test_affine_fixed_point_matches_dense_solve():
     assert stage.converged
     assert np.abs(stage.u - u_direct).max() <= 1e-10
     h_direct = -prob.nl.alpha_eval(time_derivative(u_direct, prob.tmesh))
-    assert np.abs(stage.h - h_direct).max() <= 1e-8
+    assert np.abs(-stage.xi - h_direct).max() <= 1e-8
 
 
 def test_fixed_point_stage_contract():
@@ -98,9 +98,9 @@ def test_fixed_point_stage_contract():
     d = stage.diagnostics
     assert stage.converged
     assert d["fixed_point_residual"] <= ca.CascadeParams().fp_tol * d["residual_scale"]
-    # h is the dual forcing selection -alpha(du) at the fixed point
+    # h = -xi is the dual forcing selection -alpha(du) at the fixed point
     du = time_derivative(stage.u, prob.tmesh)
-    assert np.allclose(stage.h, -prob.nl.alpha_eval(du), atol=1e-8)
+    assert np.allclose(-stage.xi, -prob.nl.alpha_eval(du), atol=1e-8)
     assert np.array_equal(stage.xi, prob.nl.alpha_eval(du))
     # no stage minimization is left to count
     assert d["beta_evaluations"] == d["stage_newton_iterations"] == 0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,7 @@ from oracles import (
     fd_gradient,
     scalar_mode_problem,
 )
-from perisolve.discretize import SpatialMesh, pairing
+from perisolve.discretize import SpatialMesh, norm_Vstar, pairing
 from util import slice_problem, unit_problem
 
 slices = arrays(float, st.integers(2, 8), elements=st.floats(-5.0, 5.0))
@@ -478,9 +479,88 @@ def test_resolvent_field_case_satisfies_equation(rng):
     phi = cc.PhiAt(u, prob.a, 2.0, 0.0, sm)
     lam = 0.8 * float(phi.value)
     res = cc.duality_map(u - w, 2.0, sm) + (1.0 + lam) * phi.grad - ws
-    from perisolve.discretize import norm_Vstar
-
     assert norm_Vstar(res, 2.0, sm) <= 1e-8 * max(1.0, norm_Vstar(ws, 2.0, sm))
+
+
+def resolvent_residual(u, w, ws, pf, prob, delta):
+    """Dual norm of F(u - w) + (1 + mu phi^a) grad phi(u) - w* and its bound
+    at the default tolerance."""
+    sm, pc = prob.smesh, prob.p_conj
+    grad = cc.PhiAt(u, prob.a, prob.m, delta, sm, pf).grad
+    res = cc.duality_map(u - w, prob.p, sm) + grad - ws
+    return norm_Vstar(res, pc, sm), 1e-10 * max(1.0, norm_Vstar(ws, pc, sm))
+
+
+def test_resolvent_is_one_newton_solve_off_the_quadratic_case(rng, monkeypatch):
+    # p = 2.5, m = 3 and a non-constant diffusion: the duality block and the
+    # energy are both nonlinear, and one Newton solve meets the equation
+    sm = SpatialMesh(1.0, 8)
+    diffusion = cc.DiffusionField(rng.uniform(0.5, 2.0, 9), 0.5, 2.0)
+    prob = replace(slice_problem(sm, 3.0, p=2.5), a=diffusion)
+    pf = cc.PerturbedFunctional(mu=0.5, alpha_exp=0.75)
+    w, ws = rng.normal(size=8), 3.0 * rng.normal(size=8)
+    solves = []
+    newton = cc._newton
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(cc, "_newton", counted)
+    u = cc.resolvent_phi_power(w, ws, pf, prob, 1e-6)
+    assert len(solves) == 1
+    res, bound = resolvent_residual(u, w, ws, pf, prob, 1e-6)
+    assert res <= bound
+
+
+@pytest.mark.parametrize("m, delta", [(3.0, 1e-6), (1.6, 1e-3), (2.0, 0.0)])
+def test_perturbed_phi_matrix_matches_fd(rng, m, delta):
+    # the dense Hessian of the perturbed energy keeps the rank-one term
+    # mu a phi^(a-1) dx g g^T that the band drops
+    sm = SpatialMesh(1.0, 7)
+    a = cc.DiffusionField(rng.uniform(0.5, 2.0, 8), 0.5, 2.0)
+    pf = cc.PerturbedFunctional(mu=0.7, alpha_exp=0.6)
+    u, h = rng.normal(size=7), 1e-6
+    H = cc.PhiAt(u, a, m, delta, sm, pf).matrix()
+    fd = np.empty((7, 7))
+    for j, e in enumerate(np.eye(7)):
+        fd[:, j] = (
+            cc.PhiAt(u + h * e, a, m, delta, sm, pf).grad
+            - cc.PhiAt(u - h * e, a, m, delta, sm, pf).grad
+        ) / (2.0 * h)
+    assert np.allclose(H, fd, rtol=1e-6, atol=1e-6 * np.abs(H).max())
+    # phi = 0 has g = 0: the rank-one term vanishes, and phi^(a-1) is not
+    # evaluated there
+    zero = cc.PhiAt(np.zeros(7), a, 2.0, 0.0, sm, pf).matrix()
+    assert np.array_equal(zero, cc.PhiAt(np.zeros(7), a, 2.0, 0.0, sm).matrix())
+
+
+@st.composite
+def resolvent_slices(draw):
+    M = draw(st.integers(1, 12))
+    field = arrays(float, M, elements=st.floats(-5.0, 5.0))
+    return (
+        draw(st.floats(1.5, 3.0)),
+        draw(st.floats(1.5, 3.0)),
+        draw(field),
+        draw(field),
+        cc.PerturbedFunctional(draw(st.floats(0.0, 1.0)), draw(st.floats(0.5, 2.0))),
+    )
+
+
+@given(resolvent_slices())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_resolvent_converges_or_reports_a_stall(case):
+    p, m, w, ws, pf = case
+    sm = SpatialMesh(1.0, w.size)
+    prob = slice_problem(sm, m, p=p)
+    try:
+        u = cc.resolvent_phi_power(w, ws, pf, prob, 1e-8)
+    except RuntimeError as exc:
+        assert "stalled" in str(exc)
+        return
+    res, bound = resolvent_residual(u, w, ws, pf, prob, 1e-8)
+    assert res <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,32 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
     assert np.array_equal(lu, fresh)
 
 
+def test_newton_evaluates_each_iterate_once(monkeypatch):
+    # an eps > 0 stage reads du and alpha(du) at an iterate once: for the
+    # residual, its tolerance and the band
+    counts = {"time_derivative": 0, "iterates": 0}
+    time_derivative_ = var.time_derivative
+    newton = cc._newton
+
+    def counted_time_derivative(*args, **kwargs):
+        counts["time_derivative"] += 1
+        return time_derivative_(*args, **kwargs)
+
+    def counted_newton(u, equation, *args):
+        def counted_equation(v):
+            counts["iterates"] += 1
+            return equation(v)
+
+        return newton(u, counted_equation, *args)
+
+    monkeypatch.setattr(var, "time_derivative", counted_time_derivative)
+    monkeypatch.setattr(cc, "_newton", counted_newton)
+    ocfg = plain_cfg(unit_problem(2.5, 3.0, 5, 4), 0.1, delta=1e-2)
+    _, history, converged = newton_fixed_point(np.zeros((4, 5)), ocfg, 1e-10, 50)
+    assert converged and len(history) >= 3
+    assert counts["time_derivative"] == counts["iterates"] >= len(history)
+
+
 def test_singular_jacobian_stops_newton_unconverged():
     # at eps = delta = 0 and m = 3 the energy has no curvature at u = 0, and
     # the periodic backward difference annihilates time-constant trajectories,
