@@ -23,7 +23,7 @@ from .convexcore import (
     PhiAt,
 )
 from .discretize import ProblemSpec, SpatialMesh, TemporalMesh
-from .variational import ObjectiveConfig, residual_AP
+from .variational import residual_AP
 from .verify import (
     MmsSpec,
     MoscoSequenceSpec,
@@ -50,7 +50,6 @@ __all__ = [
     "ProblemSpec",
     "SpatialMesh",
     "TemporalMesh",
-    "ObjectiveConfig",
     "residual_AP",
     "MmsSpec",
     "MoscoSequenceSpec",

@@ -14,8 +14,10 @@ attacked in layers:
   an exact eps = 0 stage, and on the hard exponent branch drive a power
   perturbation of the energy down a mu schedule the same way.
 
-solve_routed is the one walker of both routes: it returns every fixed point
-stage in the order solved, each tagged with its (eps, mu).
+A stage's diagnostics read the stage equation at Newton's last iterate, as
+Newton evaluated it.  solve_routed is the one walker of both routes, each a
+list of levels (the plain route is one unperturbed level): it returns every
+fixed point stage in the order solved, each tagged with its (eps, mu).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .discretize import (
     pairing,
     time_derivative,
 )
-from .variational import ObjectiveConfig, newton_fixed_point, residual_AP
+from .variational import _StageAt, newton_fixed_point
 
 __all__ = [
     "CascadeParams",
@@ -49,12 +51,26 @@ __all__ = [
     "energy_margin",
     "chain_rule_sum",
     "lf_margin",
-    "stage_audit",
 ]
 
 DEFAULT_MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 
 log = logging.getLogger(__name__)
+
+
+def _perturbation_exponent(p: float, m: float, alpha_exp: float | None) -> float:
+    """Exponent a of the mu route's perturbed energy phi + mu/(1+a) phi^(1+a).
+
+    alpha_exp when set, else max(p/m - 1, 0) + 1/2; either must satisfy
+    m (1 + a) > p, or ValueError is raised.
+    """
+    a = max(p / m - 1.0, 0.0) + 0.5 if alpha_exp is None else alpha_exp
+    if m * (1.0 + a) <= p:
+        raise ValueError(
+            "alpha_exp too small: need m (1 + alpha_exp) > p, got "
+            f"m={m:g}, alpha_exp={a:g}, p={p:g}"
+        )
+    return a
 
 
 def default_epsilon_schedule(
@@ -127,14 +143,14 @@ class CascadeParams:
 
 @dataclass
 class StageResult:
-    """Solution of one fixed point stage plus its rate selection.
+    """Solution u of one fixed point stage at its (epsilon, mu).
 
-    xi = alpha(du) slicewise; the converged dual forcing is h = -xi.
-    diagnostics is JSON-friendly throughout.
+    The converged dual forcing is h = -alpha(du), one line from u:
+    -prob.nl.alpha_eval(time_derivative(u, prob.tmesh)).  diagnostics is
+    JSON-friendly throughout.
     """
 
     u: np.ndarray
-    xi: np.ndarray
     epsilon: float
     mu: float
     diagnostics: dict = field(default_factory=dict)
@@ -160,16 +176,18 @@ def fixed_point_solve(
     Newton (newton_fixed_point) starts from u0, zero when not given.  The
     stage's fixed point residual is the norm of its equation residual at
     the end, and the stage has converged when that norm is within the
-    stage tolerance.  Non-convergence is reported, not raised.
+    stage tolerance.  The diagnostics, residual_AP and the audit among
+    them, read the stage at Newton's last iterate.  Non-convergence is
+    reported, not raised.
     """
     u = np.zeros_like(prob.f) if u0 is None else u0
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
     # h = -alpha(du) amplifies defects in u by the inverse time step, so the
     # stage tolerance is tightened by that factor
     st_tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
-    ocfg = ObjectiveConfig(prob, eps, params.delta, pf)
-    u, history, converged = newton_fixed_point(u, ocfg, st_tol, params.max_fp_iter)
-    xi = prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
+    stage, history, converged = newton_fixed_point(
+        u, prob, eps, params.delta, pf, st_tol, params.max_fp_iter
+    )
     mu = 0.0 if pf is None else pf.mu
     res = history[-1]
     diagnostics = {
@@ -182,8 +200,9 @@ def fixed_point_solve(
         # value 0, because bench/workloads.py still reads them
         "beta_evaluations": 0,
         "stage_newton_iterations": 0,
-        "energy_margin": energy_margin(u, prob),
-        "audit": stage_audit(u, prob, eps, params.delta, pf),
+        "energy_margin": energy_margin(stage.u, prob),
+        "residual_AP": stage.residual_AP,
+        "audit": stage_audit(stage),
     }
     if not converged:
         log.warning(
@@ -192,7 +211,7 @@ def fixed_point_solve(
             mu,
             res,
         )
-    return StageResult(u, xi, float(eps), float(mu), diagnostics)
+    return StageResult(stage.u, float(eps), float(mu), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +267,8 @@ def lf_margin(u: np.ndarray, prob: ProblemSpec) -> float:
     return worst
 
 
-def stage_audit(
-    u: np.ndarray,
-    prob: ProblemSpec,
-    eps: float,
-    delta: float,
-    pf: cc.PerturbedFunctional | None = None,
-) -> dict:
-    """A priori quantities tracked along the continuation.
+def stage_audit(stage: _StageAt) -> dict:
+    """A priori quantities tracked along the continuation, at one stage.
 
     The eps-weighted groups must stay bounded as eps decreases; the
     unweighted state energy and dual integrals must stay bounded on their
@@ -263,13 +276,10 @@ def stage_audit(
     nodal dual norm (a surrogate for the gradient-space dual).  The dual
     forcing of a fixed point is h = -xi, so its norm is that of xi.
     """
-    smesh, tmesh = prob.smesh, prob.tmesh
-    dt = tmesh.dt
+    prob, u, du, xi, phi = stage.prob, stage.u, stage.du, stage.xi, stage.phi
+    smesh, dt, eps = prob.smesh, prob.tmesh.dt, stage.eps
     p, pc, m = prob.p, prob.p_conj, prob.m
     mc = m / (m - 1.0)
-    du = time_derivative(u, tmesh)
-    xi = prob.nl.alpha_eval(du)
-    phi = cc.PhiAt(u, prob.a, m, delta, smesh, pf)
     rate_p = float(dt * np.sum(norm_V(du, p, smesh) ** p))
     rate_dual = float(dt * np.sum(norm_Vstar(xi, pc, smesh) ** pc))
     rate_primitive = float(dt * np.sum(cc.eval_psi(du, prob.nl, smesh)))
@@ -329,7 +339,6 @@ def epsilon_continuation(
         stage = fixed_point_solve(prob, eps, params, pf=pf, u0=u)
         d = stage.diagnostics
         d["wall_time"] = time.perf_counter() - t0
-        d["residual_AP"] = residual_AP(stage.u, prob, delta=params.delta, pf=pf)
         stages.append(stage)
         log.info(
             "eps=%.3e fp_res=%.3e ap_res=%.3e newton=%d wall=%.3fs",
@@ -368,37 +377,33 @@ def solve_routed(
 ) -> tuple[StageResult, list[StageResult], str]:
     """Walk the cascade for the exponent pair in one continuation loop.
 
-    m > p runs the plain epsilon ladder.  m <= p, or route="mu" for any pair
-    (a consistency check against the plain route when m > p), walks the
-    perturbation path: one epsilon continuation per mu level, each warm
-    started from the last stage.  The first level walks the full ladder,
-    later ones its last mu_eps_truncate entries, and exact_limit_stage adds a
-    mu = 0 level on that tail.  A default mu schedule and a default exponent
-    with m (1 + alpha_exp) > p fill in what the params leave unset; a set
-    exponent must satisfy that bound too.  A level whose last stage diverges
-    ends the walk.  Returns the final stage, every fixed point stage walked
-    in order, each tagged with its (epsilon, mu), and the route name.
+    The walk is a list of levels, each one epsilon continuation warm started
+    from the last stage.  m > p runs the plain route: one unperturbed level
+    on the full ladder.  m <= p, or route="mu" for any pair (a consistency
+    check against the plain route when m > p), walks the perturbation path:
+    one level per mu.  The first level walks the full ladder, later ones its
+    last mu_eps_truncate entries, and exact_limit_stage adds a mu = 0 level
+    on that tail.  A default mu schedule and the default exponent of
+    _perturbation_exponent fill in what the params leave unset.  A level
+    whose last stage diverges ends the walk.  Returns the final stage, every
+    fixed point stage walked in order, each tagged with its (epsilon, mu),
+    and the route name.
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")
+    full = params.epsilon_schedule
     if route == "auto" and prob.m > prob.p:
-        stages = epsilon_continuation(prob, params)
-        return stages[-1], stages, "plain"
-    alpha_exp = params.alpha_exp
-    if alpha_exp is None:
-        alpha_exp = max(prob.p / prob.m - 1.0, 0.0) + 0.5
-    if prob.m * (1.0 + alpha_exp) <= prob.p:
-        raise ValueError(
-            "alpha_exp too small: need m (1 + alpha_exp) > p, got "
-            f"m={prob.m}, alpha_exp={alpha_exp}, p={prob.p}"
-        )
-    tail = params.epsilon_schedule[-max(1, params.mu_eps_truncate):]
-    levels = [
-        (cc.PerturbedFunctional(mu, alpha_exp), tail if k else params.epsilon_schedule)
-        for k, mu in enumerate(params.mu_schedule or DEFAULT_MU_SCHEDULE)
-    ]
-    if params.exact_limit_stage:
-        levels.append((None, tail))
+        route, levels = "plain", [(None, full)]
+    else:
+        route = "mu"
+        alpha_exp = _perturbation_exponent(prob.p, prob.m, params.alpha_exp)
+        tail = full[-max(1, params.mu_eps_truncate):]
+        levels = [
+            (cc.PerturbedFunctional(mu, alpha_exp), tail if k else full)
+            for k, mu in enumerate(params.mu_schedule or DEFAULT_MU_SCHEDULE)
+        ]
+        if params.exact_limit_stage:
+            levels.append((None, tail))
     stages: list[StageResult] = []
     for pf, sched in levels:
         u = stages[-1].u if stages else None
@@ -406,4 +411,4 @@ def solve_routed(
         d = stages[-1].diagnostics
         if d["fixed_point_residual"] > d["residual_scale"]:
             break
-    return stages[-1], stages, "mu"
+    return stages[-1], stages, route

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convexcore as cc
-from .cascade import CascadeParams, StageResult, solve_routed
+from .cascade import CascadeParams, StageResult, _perturbation_exponent, solve_routed
 from .discretize import (
     ProblemSpec,
     SpatialMesh,
@@ -249,13 +249,6 @@ _SINGULAR_FLUX = (
 )
 
 
-# m (1 + alpha_exp) <= p forces m < p, so every such pair takes the mu route
-_SMALL_ALPHA = (
-    "the mu route needs m (1 + alpha_exp) > p, got m={m:g}, alpha_exp={a:g}, "
-    "p={p:g}"
-)
-
-
 def load_config(path: str, output_override: str | None = None) -> RunConfig:
     try:
         with open(path) as fh:
@@ -278,9 +271,11 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
     cascade = _build_cascade(doc)
     if problem.m < 2.0 and cascade.delta == 0.0:
         raise ConfigError("cascade.delta", _SINGULAR_FLUX.format(m=problem.m))
-    a, m, p = cascade.alpha_exp, problem.m, problem.p
-    if a is not None and m * (1.0 + a) <= p:
-        raise ConfigError("cascade.alpha_exp", _SMALL_ALPHA.format(m=m, a=a, p=p))
+    # m (1 + alpha_exp) <= p forces m < p, so every such pair takes the mu route
+    try:
+        _perturbation_exponent(problem.p, problem.m, cascade.alpha_exp)
+    except ValueError as exc:
+        raise ConfigError("cascade.alpha_exp", str(exc)) from exc
     return RunConfig(
         problem=problem, cascade=cascade, seed=seed, output_dir=out, raw=doc,
         route=route,
@@ -469,11 +464,9 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
         p, m = float(pm[0]), float(pm[1])
         if m < 2.0 and cfg.cascade.delta == 0.0:
             raise ConfigError("sweep.pairs", _SINGULAR_FLUX.format(m=m))
-        a = cfg.cascade.alpha_exp
-        if a is not None and m * (1.0 + a) <= p:
-            raise ConfigError("sweep.pairs", _SMALL_ALPHA.format(m=m, a=a, p=p))
         try:
             prob = replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p))
+            _perturbation_exponent(p, m, cfg.cascade.alpha_exp)
         except ValueError as exc:
             raise ConfigError("sweep.pairs", str(exc)) from exc
         for ef in map(float, eps_finals):

@@ -436,7 +436,7 @@ def _newton(
     tol: Callable[[object], float],
     step: Callable[[np.ndarray, object], np.ndarray | None],
     max_iter: int,
-) -> tuple[np.ndarray, list[float], bool]:
+) -> tuple[np.ndarray, list[float], bool, object]:
     """Newton's method that halves each step until a residual norm falls.
 
     equation(v) returns (state, norm): what step needs at v and the dual
@@ -446,13 +446,14 @@ def _newton(
     step is taken in full and halved, up to 30 times, until the norm falls.
     Stops on convergence, after max_iter steps, or when a step is singular,
     non-finite or cannot decrease the norm.  Returns the last iterate, the
-    norm at the start and after every step, and whether it converged.
+    norm at the start and after every step, whether it converged, and the
+    state of the last iterate.
     """
     state, res = equation(u)
     history = [res]
     while True:
         if res <= tol(state):
-            return u, history, True
+            return u, history, True, state
         if len(history) > max_iter:
             break
         try:
@@ -470,7 +471,7 @@ def _newton(
             break
         u, state, res = trial, state_t, res_t
         history.append(res)
-    return u, history, False
+    return u, history, False, state
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +509,7 @@ def _prox_newton(
         return np.linalg.solve(H + phi.matrix(), -R)
 
     v0 = np.array(v0, dtype=float)  # the result never aliases the caller's array
-    v, history, converged = _newton(v0, equation, lambda _: tol, step, 200)
+    v, history, converged, _ = _newton(v0, equation, lambda _: tol, step, 200)
     return v, history[-1], converged
 
 

@@ -15,16 +15,17 @@ A fixed point stage ties the dual forcing to the rate, h = -alpha(du), so
 the stage equation becomes F(u) = R(u) + alpha(du) = 0, which
 newton_fixed_point solves directly: its Jacobian is the stage band plus the
 backward-difference block of alpha, which keeps the half-bandwidth N but is
-no longer symmetric.  _Stage.write_band writes that Jacobian straight into
-the band storage of LAPACK's dgbsv, one Fortran-ordered workspace per solve,
-and every Newton step factors and solves it there in place; the Newton loop
-itself is convexcore's, the one the slice proximal solves run.
+no longer symmetric.  _StageAt, the stage at one iterate, writes it
+straight into the band storage of LAPACK's dgbsv, one Fortran-ordered
+workspace per solve, and every Newton step factors and solves it there in
+place; the Newton loop itself is convexcore's, the one the slice proximal
+solves run, and its state is the _StageAt of the current iterate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
@@ -38,69 +39,53 @@ from .discretize import (
 )
 
 __all__ = [
-    "ObjectiveConfig",
     "newton_fixed_point",
     "residual_AP",
 ]
 
 
-@dataclass
-class ObjectiveConfig:
-    """Frozen data of one periodic stage equation; the forcing is prob.f.
+class _StageAt:
+    """The stage equation at parameter eps, read at one trajectory u.
 
-    epsilon may be zero, which drops the time coupling and the lower-order
-    terms of R; F keeps the coupling through alpha(du).
+    du, its rate xi = alpha(du) and the energy phi (smoothing delta,
+    perturbed by pf when given) are computed once, here; residual, F and
+    residual_AP are computed on first use and kept, and write_band writes
+    the band from the same evaluation.  eps may be zero, which drops the
+    time coupling and the lower-order terms of R; F keeps the coupling
+    through alpha(du).
     """
 
-    prob: ProblemSpec
-    epsilon: float
-    delta: float
-    pf: cc.PerturbedFunctional | None = None
+    def __init__(
+        self, u: np.ndarray, prob: ProblemSpec, eps: float, delta: float,
+        pf: cc.PerturbedFunctional | None = None,
+    ) -> None:
+        self.u, self.prob, self.eps, self.delta = u, prob, eps, delta
+        self.du = time_derivative(u, prob.tmesh)
+        self.xi = prob.nl.alpha_eval(self.du)
+        self.phi = cc.PhiAt(u, prob.a, prob.m, delta, prob.smesh, pf)
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not (0.0 <= self.delta < math.inf):
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-
-
-class _Stage:
-    """Slice residual and band Jacobian of one stage equation.
-
-    Both read one evaluation of the trajectory they are given: du, its rate
-    xi = alpha(du), Du and, through the energy, the base energy per slice
-    and the perturbation factor.  It is kept for the last trajectory object
-    asked about, so a Newton step reads the residual, its tolerance and the
-    band at one iterate from it.
-    """
-
-    def __init__(self, ocfg: ObjectiveConfig) -> None:
-        self.ocfg = ocfg
-        self._u = None
-
-    def _at(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, cc.PhiAt]:
-        if u is not self._u:
-            ocfg, prob = self.ocfg, self.ocfg.prob
-            self._u = u
-            self._du = time_derivative(u, prob.tmesh)
-            self._xi = prob.nl.alpha_eval(self._du)
-            self._phi = cc.PhiAt(
-                u, prob.a, prob.m, ocfg.delta, prob.smesh, ocfg.pf
-            )
-        return self._du, self._xi, self._phi
-
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        """Stage equation residual per slice at h = 0."""
-        prob, eps = self.ocfg.prob, self.ocfg.epsilon
-        _, xi, phi = self._at(u)
-        R = phi.grad - prob.f
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """Stage equation residual R per slice at h = 0."""
+        prob, eps, u, xi = self.prob, self.eps, self.u, self.xi
+        R = self.phi.grad - prob.f
         if eps > 0.0:
             R = R + eps * (xi - np.roll(xi, -1, axis=0)) / prob.tmesh.dt
             R = R + eps * prob.nl.alpha_eval(u)
             R = R + eps * cc.duality_map(u, prob.p, prob.smesh)
         return R
 
-    def write_band(self, u: np.ndarray, slope: np.ndarray, lu: np.ndarray) -> None:
+    @cached_property
+    def F(self) -> np.ndarray:
+        """Fixed point stage equation F = R + alpha(du) per slice."""
+        return self.residual + self.xi
+
+    @cached_property
+    def residual_AP(self) -> float:
+        """Dual norm of alpha(du) + eta - f, as residual_AP; eps plays no part."""
+        return dual_bochner_norm(self.xi + self.phi.grad - self.prob.f, self.prob)
+
+    def write_band(self, slope: np.ndarray, lu: np.ndarray) -> None:
         """Write the Jacobian of R plus slope/dt times the backward-difference
         block into lu, the LAPACK gbsv band with kl = ku = N.
 
@@ -116,11 +101,10 @@ class _Stage:
         depends on u_n with weight slope/dt and on u_(n-1) with -slope/dt.
         A zero slope leaves R's Jacobian.
         """
-        prob, eps, delta = self.ocfg.prob, self.ocfg.epsilon, self.ocfg.delta
+        prob, eps, delta, u, du = self.prob, self.eps, self.delta, self.u, self.du
         N, M = u.shape
         dt, dx = prob.tmesh.dt, prob.smesh.dx
-        du, _, phi = self._at(u)
-        w = phi.weights
+        w = self.phi.weights
 
         def diag(k: int) -> np.ndarray:
             """Diagonal k (A[c + k, c]) as an (M, N) view over the columns c."""
@@ -145,41 +129,50 @@ class _Stage:
 
 
 def newton_fixed_point(
-    u0: np.ndarray, ocfg: ObjectiveConfig, tol: float, max_iter: int
-) -> tuple[np.ndarray, list[float], bool]:
+    u0: np.ndarray,
+    prob: ProblemSpec,
+    eps: float,
+    delta: float,
+    pf: cc.PerturbedFunctional | None,
+    tol: float,
+    max_iter: int,
+) -> tuple[_StageAt, list[float], bool]:
     """Newton on the stage equation at the dual forcing h = -alpha(du).
 
     The equation is F(u) = R(u) + alpha(du) = 0 with R the stage residual
-    at h = 0.  convexcore's Newton loop halves every step until the
-    Bochner dual norm of F falls.  Converged when that norm is at most
+    at h = 0, the parameter eps and smoothing delta finite and >= 0, and
+    the forcing prob.f.  convexcore's Newton loop halves every step until
+    the Bochner dual norm of F falls.  Converged when that norm is at most
     tol * max(1, |f - alpha(du)|); otherwise it stops after max_iter steps,
     or when a step is singular, non-finite or cannot decrease the norm.
-    Returns the last iterate, the norm of F at the start and after every
+    Returns the stage at the last iterate (its u, du, xi, energy and F, as
+    Newton evaluated them), the norm of F at the start and after every
     step, and whether it converged.
     """
-    prob, delta = ocfg.prob, ocfg.delta
-    tmesh, nl = prob.tmesh, prob.nl
-    u = validate_trajectory(u0, prob.smesh, tmesh, "initial trajectory")
+    if not (0.0 <= eps < math.inf):
+        raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
+    if not (0.0 <= delta < math.inf):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    u = validate_trajectory(u0, prob.smesh, prob.tmesh, "initial trajectory")
     N, M = u.shape
-    stage = _Stage(ocfg)
     lu = np.zeros((3 * N + 1, N * M), order="F")
 
-    def equation(v: np.ndarray) -> tuple[tuple, float]:
-        dv, xi, _ = stage._at(v)
-        F = stage.residual(v) + xi
-        return (F, dv, xi), dual_bochner_norm(F, prob)
+    def equation(v: np.ndarray) -> tuple[_StageAt, float]:
+        stage = _StageAt(v, prob, eps, delta, pf)
+        return stage, dual_bochner_norm(stage.F, prob)
 
-    def stage_tol(state: tuple) -> float:
-        _, _, xi = state
-        return tol * max(1.0, dual_bochner_norm(prob.f - xi, prob))
+    def stage_tol(stage: _StageAt) -> float:
+        return tol * max(1.0, dual_bochner_norm(prob.f - stage.xi, prob))
 
-    def step(v: np.ndarray, state: tuple) -> np.ndarray | None:
-        F, dv, _ = state
-        stage.write_band(v, nl.alpha_derivative(dv, delta), lu)
-        _, _, x, info = dgbsv(N, N, lu, -F.T.ravel(), overwrite_ab=1, overwrite_b=1)
+    def step(v: np.ndarray, stage: _StageAt) -> np.ndarray | None:
+        stage.write_band(prob.nl.alpha_derivative(stage.du, delta), lu)
+        _, _, x, info = dgbsv(
+            N, N, lu, -stage.F.T.ravel(), overwrite_ab=1, overwrite_b=1
+        )
         return x.reshape(M, N).T if info == 0 else None
 
-    return cc._newton(u, equation, stage_tol, step, max_iter)
+    _, history, converged, stage = cc._newton(u, equation, stage_tol, step, max_iter)
+    return stage, history, converged
 
 
 def residual_AP(
@@ -194,7 +187,4 @@ def residual_AP(
     gradient at smoothing delta, in the p'-in-time V*-in-space norm.
     """
     u = validate_trajectory(u, prob.smesh, prob.tmesh, "trajectory")
-    du = time_derivative(u, prob.tmesh)
-    eta = cc.PhiAt(u, prob.a, prob.m, delta, prob.smesh, pf).grad
-    R = prob.nl.alpha_eval(du) + eta - prob.f
-    return dual_bochner_norm(R, prob)
+    return _StageAt(u, prob, 0.0, delta, pf).residual_AP

@@ -5,11 +5,17 @@ import pytest
 
 import perisolve.cascade as ca
 import perisolve.convexcore as cc
+import perisolve.variational as var
 from newton_oracle import direct_newton_oracle
 from oracles import canonical_problem, cyclic_heat_solve
-from perisolve.discretize import pairing, time_derivative
-from perisolve.variational import ObjectiveConfig, residual_AP
+from perisolve.discretize import dual_bochner_norm, pairing, time_derivative
+from perisolve.variational import residual_AP
 from util import dense_affine_zero, linf_l2, stage_equation, unit_problem
+
+
+def rate(stage, prob):
+    """alpha(du) of a stage's trajectory; its dual forcing is h = -rate."""
+    return prob.nl.alpha_eval(time_derivative(stage.u, prob.tmesh))
 
 
 def test_default_epsilon_schedule_shape():
@@ -62,7 +68,8 @@ def test_beta_of_zero_forcing_is_zero():
     zero_prob = unit_problem(2.0, 3.0, 5, 5, amp=0.0)
     zero = ca.fixed_point_solve(zero_prob, 0.1, ca.CascadeParams())
     assert zero.converged
-    assert np.abs(zero.u).max() <= 1e-9 and np.abs(-zero.xi).max() <= 1e-9
+    h = -rate(zero, zero_prob)
+    assert np.abs(zero.u).max() <= 1e-9 and np.abs(h).max() <= 1e-9
 
 
 def test_solve_APh_zero_and_deterministic():
@@ -70,11 +77,12 @@ def test_solve_APh_zero_and_deterministic():
     zero_prob = unit_problem(2.5, 3.0, 6, 6, amp=0.0)
     zero = ca.fixed_point_solve(zero_prob, 0.1, ca.CascadeParams())
     assert zero.converged
-    assert np.abs(zero.u).max() <= 1e-9 and np.abs(-zero.xi).max() <= 1e-9
+    h = -rate(zero, zero_prob)
+    assert np.abs(zero.u).max() <= 1e-9 and np.abs(h).max() <= 1e-9
     prob = unit_problem(2.5, 3.0, 6, 6)
     a = ca.fixed_point_solve(prob, 0.1, ca.CascadeParams())
     b = ca.fixed_point_solve(prob, 0.1, ca.CascadeParams())
-    assert np.array_equal(a.u, b.u) and np.array_equal(-a.xi, -b.xi)
+    assert np.array_equal(a.u, b.u) and np.array_equal(-rate(a, prob), -rate(b, prob))
 
 
 def test_affine_fixed_point_matches_dense_solve():
@@ -82,14 +90,14 @@ def test_affine_fixed_point_matches_dense_solve():
     # assemble its dense Jacobian column by column, not through the band,
     # and solve F(u) = 0 independently
     prob = unit_problem(2.0, 2.0, 4, 4)
-    ocfg = ObjectiveConfig(prob, 0.25, ca.CascadeParams().delta)
-    u_direct = dense_affine_zero(stage_equation(ocfg), (4, 4))
+    F = stage_equation(prob, 0.25, ca.CascadeParams().delta)
+    u_direct = dense_affine_zero(F, (4, 4))
     params = ca.CascadeParams(fp_tol=1e-12, stage_tol=1e-13)
     stage = ca.fixed_point_solve(prob, 0.25, params)
     assert stage.converged
     assert np.abs(stage.u - u_direct).max() <= 1e-10
     h_direct = -prob.nl.alpha_eval(time_derivative(u_direct, prob.tmesh))
-    assert np.abs(-stage.xi - h_direct).max() <= 1e-8
+    assert np.abs(-rate(stage, prob) - h_direct).max() <= 1e-8
 
 
 def test_fixed_point_stage_contract():
@@ -98,10 +106,12 @@ def test_fixed_point_stage_contract():
     d = stage.diagnostics
     assert stage.converged
     assert d["fixed_point_residual"] <= ca.CascadeParams().fp_tol * d["residual_scale"]
-    # h = -xi is the dual forcing selection -alpha(du) at the fixed point
-    du = time_derivative(stage.u, prob.tmesh)
-    assert np.allclose(-stage.xi, -prob.nl.alpha_eval(du), atol=1e-8)
-    assert np.array_equal(stage.xi, prob.nl.alpha_eval(du))
+    # h = -xi is the dual forcing selection -alpha(du) at the fixed point;
+    # the bookkeeping reads it, and the residual, at the returned iterate
+    xi = rate(stage, prob)
+    assert d["audit"]["h_dual_norm"] == dual_bochner_norm(xi, prob)
+    delta = ca.CascadeParams().delta
+    assert d["residual_AP"] == residual_AP(stage.u, prob, delta=delta)
     # no stage minimization is left to count
     assert d["beta_evaluations"] == d["stage_newton_iterations"] == 0
     assert d["fixed_point_newton_steps"] == len(d["residual_history"]) - 1 > 0
@@ -242,7 +252,7 @@ def test_lf_margin_matches_brute_force(rng):
 def test_lf_margin_nonnegative_on_solutions():
     prob = unit_problem(2.0, 3.0, 8, 8)
     stages = ca.epsilon_continuation(prob, ca.CascadeParams())
-    scale = 1.0 + abs(float(np.sum(np.abs(stages[-1].xi))))
+    scale = 1.0 + abs(float(np.sum(np.abs(rate(stages[-1], prob)))))
     assert ca.lf_margin(stages[-1].u, prob) >= -1e-10 * scale
 
 
@@ -290,9 +300,38 @@ def test_stage_audit_mu_keys():
 
 
 def test_residual_AP_matches_diagnostics():
+    # every unperturbed stage reports the residual_AP of its trajectory, bit
+    # for bit: both read one formula at one evaluation of u
     prob = unit_problem(2.0, 3.0, 8, 8)
     stages = ca.epsilon_continuation(prob, ca.CascadeParams())
-    final = stages[-1]
-    assert final.diagnostics["residual_AP"] == pytest.approx(
-        residual_AP(final.u, prob, delta=ca.CascadeParams().delta), rel=1e-9
-    )
+    for stage in stages:
+        assert stage.mu == 0.0
+        assert stage.diagnostics["residual_AP"] == residual_AP(
+            stage.u, prob, delta=ca.CascadeParams().delta
+        )
+
+
+def test_stage_bookkeeping_reads_newtons_last_evaluation(monkeypatch):
+    # the diagnostics of a stage read Newton's last evaluation of the stage
+    # equation (du, alpha(du), the energy, residual_AP, the audit); only the
+    # public energy_margin takes du once more per stage
+    counts = {"time_derivative": 0, "iterates": 0}
+    newton = cc._newton
+
+    def counted_time_derivative(*args, **kwargs):
+        counts["time_derivative"] += 1
+        return time_derivative(*args, **kwargs)
+
+    def counted_newton(u, equation, *args):
+        def counted_equation(v):
+            counts["iterates"] += 1
+            return equation(v)
+
+        return newton(u, counted_equation, *args)
+
+    for mod in (ca, var):
+        monkeypatch.setattr(mod, "time_derivative", counted_time_derivative)
+    monkeypatch.setattr(cc, "_newton", counted_newton)
+    stages = ca.epsilon_continuation(unit_problem(2.5, 3.0, 5, 4), ca.CascadeParams())
+    assert len(stages) == 16 and counts["iterates"] > 0
+    assert counts["time_derivative"] == counts["iterates"] + len(stages)

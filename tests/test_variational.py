@@ -6,17 +6,14 @@ import perisolve.convexcore as cc
 import perisolve.variational as var
 from oracles import fd_gradient, stage_objective
 from perisolve.discretize import dual_bochner_norm, time_derivative
-from perisolve.variational import (
-    ObjectiveConfig,
-    _Stage,
-    newton_fixed_point,
-    residual_AP,
-)
+from perisolve.variational import _StageAt, newton_fixed_point, residual_AP
 from util import dense_affine_zero, mms_problem, stage_equation, unit_problem
 
 
-def plain_cfg(prob, eps, delta=1e-6, pf=None):
-    return ObjectiveConfig(prob=prob, epsilon=eps, delta=delta, pf=pf)
+def stage_args(prob, eps, delta=1e-6, pf=None):
+    """(prob, eps, delta, pf) of one stage equation, as _StageAt and
+    newton_fixed_point take them."""
+    return prob, eps, delta, pf
 
 
 def band_workspace(N, M):
@@ -35,14 +32,15 @@ def unpack_band(lu, N):
 
 def test_config_validation():
     prob = unit_problem(2.0, 2.0, 4, 3)
+    u0 = np.zeros((3, 4))
     with pytest.raises(ValueError, match="epsilon"):
-        ObjectiveConfig(prob, -0.1, 0.0)
+        newton_fixed_point(u0, prob, -0.1, 0.0, None, 1e-10, 5)
     for eps in (np.nan, np.inf):
         with pytest.raises(ValueError, match="epsilon"):
-            ObjectiveConfig(prob, eps, 0.0)
+            newton_fixed_point(u0, prob, eps, 0.0, None, 1e-10, 5)
     for delta in (-1e-8, np.nan, np.inf):
         with pytest.raises(ValueError, match="delta"):
-            ObjectiveConfig(prob, 0.1, delta)
+            newton_fixed_point(u0, prob, 0.1, delta, None, 1e-10, 5)
 
 
 def test_gradient_matches_fd_plain(rng):
@@ -53,7 +51,7 @@ def test_gradient_matches_fd_plain(rng):
         prob = unit_problem(p, m, 6, 5)
         u = 0.3 * rng.normal(size=(5, 6))
         fd = fd_gradient(lambda v: stage_objective(prob, 0.1, delta, v, pf), u)
-        R = _Stage(plain_cfg(prob, 0.1, delta=delta, pf=pf)).residual(u)
+        R = _StageAt(u, prob, 0.1, delta, pf).residual
         assert np.allclose(fd, prob.smesh.dx * prob.tmesh.dt * R, rtol=1e-6, atol=1e-9)
 
 
@@ -64,12 +62,12 @@ def test_minimizer_matches_dense_linear_solve(M, N):
     # exactly, and the exact band Jacobian gets there in one Newton step.
     # At N = 2 both time couplings of a node pair share one band row.
     prob = unit_problem(2.0, 2.0, M, N)
-    ocfg = plain_cfg(prob, 0.25, delta=0.0)
-    u_direct = dense_affine_zero(stage_equation(ocfg), (N, M))
-    u, history, converged = newton_fixed_point(np.zeros((N, M)), ocfg, 1e-12, 1)
+    args = stage_args(prob, 0.25, delta=0.0)
+    u_direct = dense_affine_zero(stage_equation(*args), (N, M))
+    stage, history, converged = newton_fixed_point(np.zeros((N, M)), *args, 1e-12, 1)
     assert converged
     assert len(history) == 2
-    assert np.abs(u - u_direct).max() <= 1e-10
+    assert np.abs(stage.u - u_direct).max() <= 1e-10
 
 
 def test_band_hessian_matches_fd_jacobian(rng):
@@ -78,10 +76,10 @@ def test_band_hessian_matches_fd_jacobian(rng):
     # is the Jacobian of the slice residual
     N, M = 4, 5
     prob = unit_problem(2.0, 3.0, M, N)
-    stage = _Stage(plain_cfg(prob, 0.3, delta=1e-2))
+    args = stage_args(prob, 0.3, delta=1e-2)
     u = rng.normal(size=(N, M))
     lu = band_workspace(N, M)
-    stage.write_band(u, np.zeros((N, M)), lu)
+    _StageAt(u, *args).write_band(np.zeros((N, M)), lu)
     H = unpack_band(lu, N)
     assert np.array_equal(H, H.T)
     # band index i*N + n of trajectory entry (n, i), in trajectory order
@@ -92,8 +90,8 @@ def test_band_hessian_matches_fd_jacobian(rng):
     for t in range(D):
         e = np.zeros(D)
         e[t] = h
-        plus = stage.residual(u + e.reshape(N, M))
-        minus = stage.residual(u - e.reshape(N, M))
+        plus = _StageAt(u + e.reshape(N, M), *args).residual
+        minus = _StageAt(u - e.reshape(N, M), *args).residual
         J[:, t] = (plus - minus).ravel() / (2.0 * h)
     assert np.allclose(H[np.ix_(perm, perm)], J, rtol=1e-6, atol=1e-6)
 
@@ -105,12 +103,12 @@ def test_fixed_point_band_matches_fd_jacobian(rng, N):
     # at N = 2 the wrap and the time coupling share a band row
     M = 4
     prob = unit_problem(2.0, 3.0, M, N)
-    ocfg = plain_cfg(prob, 0.3, delta=1e-2)
-    stage, F = _Stage(ocfg), stage_equation(ocfg)
+    args = stage_args(prob, 0.3, delta=1e-2)
+    F = stage_equation(*args)
     u = rng.normal(size=(N, M))
     du = time_derivative(u, prob.tmesh)
     lu = band_workspace(N, M)
-    stage.write_band(u, prob.nl.alpha_derivative(du, 1e-2), lu)
+    _StageAt(u, *args).write_band(prob.nl.alpha_derivative(du, 1e-2), lu)
     assert not lu[:N].any()  # the fill rows of the factorization
     D = N * M
     A = unpack_band(lu, N)
@@ -137,8 +135,9 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
 
     monkeypatch.setattr(var, "dgbsv", spy)
     N, M = 3, 5
-    ocfg = plain_cfg(unit_problem(2.5, 3.0, M, N), 0.1, delta=1e-2)
-    _, history, converged = newton_fixed_point(np.zeros((N, M)), ocfg, 1e-10, 50)
+    prob = unit_problem(2.5, 3.0, M, N)
+    args = stage_args(prob, 0.1, delta=1e-2)
+    _, history, converged = newton_fixed_point(np.zeros((N, M)), *args, 1e-10, 50)
     assert converged and len(calls) == len(history) - 1 >= 2
     assert all(ab is calls[0][2] for _, _, ab, _ in calls)
     for kl, ku, ab, lu in calls:
@@ -147,14 +146,15 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
         assert np.shares_memory(lu, ab)
     # the writer re-zeroes the workspace: written over the factors of the
     # last step, it holds the same band as written into zeros
-    stage, u = _Stage(ocfg), rng.normal(size=(N, M))
-    slope = ocfg.prob.nl.alpha_derivative(time_derivative(u, ocfg.prob.tmesh), 1e-2)
+    u = rng.normal(size=(N, M))
+    stage = _StageAt(u, *args)
+    slope = prob.nl.alpha_derivative(time_derivative(u, prob.tmesh), 1e-2)
     fresh = band_workspace(N, M)
-    stage.write_band(u, slope, fresh)
+    stage.write_band(slope, fresh)
     lu = fresh.copy(order="F")
     _, _, _, info = dgbsv(N, N, lu, rng.normal(size=N * M), overwrite_ab=1)
     assert info == 0 and not np.array_equal(lu, fresh)
-    stage.write_band(u, slope, lu)
+    stage.write_band(slope, lu)
     assert np.array_equal(lu, fresh)
 
 
@@ -178,8 +178,8 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
     monkeypatch.setattr(var, "time_derivative", counted_time_derivative)
     monkeypatch.setattr(cc, "_newton", counted_newton)
-    ocfg = plain_cfg(unit_problem(2.5, 3.0, 5, 4), 0.1, delta=1e-2)
-    _, history, converged = newton_fixed_point(np.zeros((4, 5)), ocfg, 1e-10, 50)
+    args = stage_args(unit_problem(2.5, 3.0, 5, 4), 0.1, delta=1e-2)
+    _, history, converged = newton_fixed_point(np.zeros((4, 5)), *args, 1e-10, 50)
     assert converged and len(history) >= 3
     assert counts["time_derivative"] == counts["iterates"] >= len(history)
 
@@ -189,11 +189,11 @@ def test_singular_jacobian_stops_newton_unconverged():
     # the periodic backward difference annihilates time-constant trajectories,
     # so F's Jacobian is singular there: gbsv reports it and no step is taken
     N, M = 3, 4
-    ocfg = plain_cfg(unit_problem(2.0, 3.0, M, N), 0.0, delta=0.0)
-    u, history, converged = newton_fixed_point(np.zeros((N, M)), ocfg, 1e-10, 5)
+    args = stage_args(unit_problem(2.0, 3.0, M, N), 0.0, delta=0.0)
+    stage, history, converged = newton_fixed_point(np.zeros((N, M)), *args, 1e-10, 5)
     assert not converged
     assert len(history) == 1 and history[0] > 0.0
-    assert not u.any()
+    assert not stage.u.any()
 
 
 def test_duality_diagonal_is_scale_free_above_two(rng):
@@ -214,16 +214,16 @@ def test_minimizer_zero_data_and_uniqueness(rng):
     # the stage equation is strictly monotone: zero forcing has the zero
     # solution, and Newton from two arbitrary starts meets at one point
     zero = unit_problem(2.5, 3.0, 6, 5, amp=0.0)
-    uz, _, conv_z = newton_fixed_point(
-        0.1 * rng.normal(size=(5, 6)), plain_cfg(zero, 0.1), 1e-10, 100
+    sz, _, conv_z = newton_fixed_point(
+        0.1 * rng.normal(size=(5, 6)), *stage_args(zero, 0.1), 1e-10, 100
     )
     assert conv_z
-    assert np.abs(uz).max() <= 1e-6
-    ocfg = plain_cfg(unit_problem(2.5, 3.0, 6, 5), 0.1)
-    ua, _, conv_a = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), ocfg, 1e-12, 100)
-    ub, _, conv_b = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), ocfg, 1e-12, 100)
+    assert np.abs(sz.u).max() <= 1e-6
+    args = stage_args(unit_problem(2.5, 3.0, 6, 5), 0.1)
+    sa, _, conv_a = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), *args, 1e-12, 100)
+    sb, _, conv_b = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), *args, 1e-12, 100)
     assert conv_a and conv_b
-    assert np.abs(ua - ub).max() <= 1e-9
+    assert np.abs(sa.u - sb.u).max() <= 1e-9
 
 
 def test_residual_AP_vanishes_on_manufactured_solution():
@@ -237,10 +237,13 @@ def test_stage_residual_vanishes_at_minimizer():
     # solution; at eps = 0 the slices satisfy alpha(du) + grad Phi(u) = f
     prob = unit_problem(2.5, 3.0, 6, 5)
     for eps in (0.1, 0.0):
-        ocfg = plain_cfg(prob, eps)
-        u, history, converged = newton_fixed_point(np.zeros((5, 6)), ocfg, 1e-11, 100)
+        args = stage_args(prob, eps)
+        stage, history, converged = newton_fixed_point(
+            np.zeros((5, 6)), *args, 1e-11, 100
+        )
         assert converged
-        F = stage_equation(ocfg)(u)
+        u = stage.u
+        F = stage_equation(*args)(u)
         assert history[-1] == dual_bochner_norm(F, prob) <= 1e-9
     per_slice = (
         cc.PhiAt(u, prob.a, prob.m, 1e-6, prob.smesh).grad

@@ -237,7 +237,7 @@ class TestInvariantSuite:
         params = ca.CascadeParams()
         final = ca.epsilon_continuation(prob, params)[-1]
         bad = ca.StageResult(
-            final.u + 0.05, final.xi, 0.0, 0.0,
+            final.u + 0.05, 0.0, 0.0,
             dict(final.diagnostics),
         )
         rep = vf.invariant_suite(bad, prob, params)

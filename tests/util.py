@@ -13,9 +13,8 @@ from perisolve.discretize import (
     TemporalMesh,
     bochner_norm,
     norm_V,
-    time_derivative,
 )
-from perisolve.variational import _Stage
+from perisolve.variational import _StageAt
 from perisolve.verify import MmsSpec, _claim, derived_forcing, sample_exact
 
 
@@ -88,12 +87,9 @@ def mms_problem(p, m, M, N, delta):
     return prob, sample_exact(mms, prob.smesh, prob.tmesh)
 
 
-def stage_equation(ocfg):
+def stage_equation(prob, eps, delta, pf=None):
     """F(u) = R(u) + alpha(du), the stage equation at h = -alpha(du)."""
-    prob = ocfg.prob
-    return lambda v: _Stage(ocfg).residual(v) + prob.nl.alpha_eval(
-        time_derivative(v, prob.tmesh)
-    )
+    return lambda v: _StageAt(v, prob, eps, delta, pf).F
 
 
 def dense_affine_zero(F, shape):
