@@ -11,7 +11,6 @@ growth audits.
 from .cascade import (
     CascadeParams,
     StageResult,
-    default_epsilon_schedule,
     epsilon_continuation,
     fixed_point_solve,
     solve_routed,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CascadeParams",
     "StageResult",
-    "default_epsilon_schedule",
     "epsilon_continuation",
     "fixed_point_solve",
     "solve_routed",

@@ -44,7 +44,6 @@ from .variational import _StageAt, newton_fixed_point
 __all__ = [
     "CascadeParams",
     "StageResult",
-    "default_epsilon_schedule",
     "fixed_point_solve",
     "epsilon_continuation",
     "solve_routed",
@@ -53,6 +52,7 @@ __all__ = [
     "lf_margin",
 ]
 
+DEFAULT_EPSILON_SCHEDULE = (*(0.5**k for k in range(14)), 1e-4)
 DEFAULT_MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 
 log = logging.getLogger(__name__)
@@ -73,23 +73,13 @@ def _perturbation_exponent(p: float, m: float, alpha_exp: float | None) -> float
     return a
 
 
-def default_epsilon_schedule(
-    start: float = 1.0, stop: float = 1e-4, factor: float = 0.5
-) -> tuple[float, ...]:
-    """Geometric ladder from start down to stop, clamping the last entry."""
-    if not (0.0 < stop <= start and 0.0 < factor < 1.0):
-        raise ValueError("need 0 < stop <= start and factor in (0, 1)")
-    out = [start]
-    while out[-1] * factor > stop * (1.0 + 1e-12):
-        out.append(out[-1] * factor)
-    if out[-1] > stop * (1.0 + 1e-12):
-        out.append(stop)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class CascadeParams:
     """Tuning knobs of the cascade.
+
+    epsilon_schedule defaults to DEFAULT_EPSILON_SCHEDULE, the 15 rungs
+    1, 1/2, ..., 2^-13, 1e-4; an empty mu_schedule walks
+    DEFAULT_MU_SCHEDULE on the mu route.
 
     A fixed point stage has converged when the Bochner dual norm of its
     equation residual is at most stage_tol * min(1, dt) * max(1,
@@ -103,7 +93,7 @@ class CascadeParams:
     a schedule must walk at least one stage.
     """
 
-    epsilon_schedule: tuple[float, ...] = default_epsilon_schedule()
+    epsilon_schedule: tuple[float, ...] = DEFAULT_EPSILON_SCHEDULE
     mu_schedule: tuple[float, ...] = ()
     alpha_exp: float | None = None
     delta: float = 1e-8

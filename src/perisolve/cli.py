@@ -161,7 +161,7 @@ def _build_diffusion(spec: dict, smesh: SpatialMesh, path: str) -> cc.DiffusionF
                     f"{path}.values",
                     f"need {smesh.interior_count + 1} midpoint values, got {vals.size}",
                 )
-            return cc.DiffusionField(vals, float(vals.min()), float(vals.max()))
+            return cc.DiffusionField(vals)
         if kind == "sin_modulated":
             base = _number(spec, "base", path, 1.0)
             amp = _number(spec, "amplitude", path, 0.5)
@@ -169,7 +169,7 @@ def _build_diffusion(spec: dict, smesh: SpatialMesh, path: str) -> cc.DiffusionF
             vals = base * (
                 1.0 + amp * np.sin(np.pi * mode * smesh.cell_midpoints / smesh.length)
             )
-            return cc.DiffusionField(vals, float(vals.min()), float(vals.max()))
+            return cc.DiffusionField(vals)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -306,6 +306,22 @@ def _write_report(outdir: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_study(outdir: Path, name: str, table: Table, cfg: RunConfig) -> int:
+    """Write a study's table to <name>.csv and <name>.dat and its report;
+    the exit code says whether every row converged."""
+    table.to_csv(str(outdir / f"{name}.csv"))
+    table.to_dat(str(outdir / f"{name}.dat"))
+    code = EXIT_OK if np.all(table.column("converged")) else EXIT_NOCONV
+    payload = {
+        "command": name,
+        "table": table.as_dict(),
+        "config": cfg.raw,
+        "exit_code": code,
+    }
+    _write_report(outdir, payload)
+    return code
+
+
 def _solve_payload(
     prob: ProblemSpec,
     params: CascadeParams,
@@ -403,18 +419,8 @@ def _build_mms_spec(cfg: RunConfig):
 def cmd_mms(cfg: RunConfig, jobs: int = 1) -> int:
     spec, levels = _build_mms_spec(cfg)
     outdir = _ensure_dir(cfg.output_dir)
-    table = mms_run(spec, cfg.problem, cfg.cascade, levels=levels, jobs=jobs)
-    table.to_csv(str(outdir / "mms.csv"))
-    table.to_dat(str(outdir / "mms.dat"))
-    ok = bool(np.all(table.column("converged")))
-    payload = {
-        "command": "mms",
-        "table": table.as_dict(),
-        "config": cfg.raw,
-        "exit_code": EXIT_OK if ok else EXIT_NOCONV,
-    }
-    _write_report(outdir, payload)
-    return payload["exit_code"]
+    table = mms_run(spec, cfg.problem, cfg.cascade, levels, jobs=jobs)
+    return _write_study(outdir, "mms", table, cfg)
 
 
 def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
@@ -429,17 +435,7 @@ def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
         raise ConfigError("mosco.kind", str(exc)) from exc
     outdir = _ensure_dir(cfg.output_dir)
     table = mosco_experiment(seq, cfg.cascade, jobs=jobs)
-    table.to_csv(str(outdir / "mosco.csv"))
-    table.to_dat(str(outdir / "mosco.dat"))
-    ok = bool(np.all(table.column("converged")))
-    payload = {
-        "command": "mosco",
-        "table": table.as_dict(),
-        "config": cfg.raw,
-        "exit_code": EXIT_OK if ok else EXIT_NOCONV,
-    }
-    _write_report(outdir, payload)
-    return payload["exit_code"]
+    return _write_study(outdir, "mosco", table, cfg)
 
 
 def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:

@@ -203,27 +203,21 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class DiffusionField:
-    """Cellwise diffusion coefficient with uniform positive bounds."""
+    """Cellwise diffusion coefficient, finite and positive on every cell."""
 
     midpoint_values: np.ndarray
-    lower_bound: float
-    upper_bound: float
 
     def __post_init__(self) -> None:
         vals = _require_finite(self.midpoint_values, "diffusion values")
         object.__setattr__(self, "midpoint_values", vals)
-        if not self.lower_bound > 0.0:
-            raise ValueError(f"lower bound must be positive, got {self.lower_bound}")
-        slack = 1e-12 * max(1.0, self.upper_bound)
-        if np.any(vals < self.lower_bound - slack) or np.any(
-            vals > self.upper_bound + slack
-        ):
-            raise ValueError("diffusion values violate the stated bounds")
+        if not np.all(vals > 0.0):
+            raise ValueError(
+                f"diffusion values must be positive on every cell, got {vals.min():g}"
+            )
 
     @classmethod
     def constant(cls, value: float, smesh: SpatialMesh) -> "DiffusionField":
-        vals = np.full(smesh.interior_count + 1, float(value))
-        return cls(vals, float(value), float(value))
+        return cls(np.full(smesh.interior_count + 1, float(value)))
 
 
 @dataclass(frozen=True)
@@ -479,7 +473,6 @@ def _newton(
 
 
 def _prox_newton(
-    v0: np.ndarray,
     center: np.ndarray,
     lam: float,
     pf: PerturbedFunctional | None,
@@ -493,8 +486,9 @@ def _prox_newton(
     phi is the energy of prob at smoothing delta, perturbed by pf when given,
     and F the duality map of its nodal L^p space.  The dense Jacobian is
     exact: the duality block with its rank-one term plus phi's pairing
-    Hessian.  Returns the last iterate, the dual norm of the residual there
-    and whether that norm is at most tol.
+    Hessian.  Newton starts from a copy of center.  Returns the last
+    iterate, the dual norm of the residual there and whether that norm is
+    at most tol.
     """
     mesh, p, pc = prob.smesh, prob.p, prob.p_conj
 
@@ -508,7 +502,7 @@ def _prox_newton(
         H = _duality_hessian(v - center, p, delta, mesh) / lam
         return np.linalg.solve(H + phi.matrix(), -R)
 
-    v0 = np.array(v0, dtype=float)  # the result never aliases the caller's array
+    v0 = np.array(center, dtype=float)  # the result never aliases the caller's array
     v, history, converged, _ = _newton(v0, equation, lambda _: tol, step, 200)
     return v, history[-1], converged
 
@@ -528,7 +522,7 @@ def moreau_yosida(
     u = _require_finite(u, "field")
     mesh, p = prob.smesh, prob.p
     scale = max(1.0, float(norm_V(u, p, mesh)) / lam)
-    J, res, converged = _prox_newton(u, u, lam, None, 0.0, prob, delta, tol * scale)
+    J, res, converged = _prox_newton(u, lam, None, 0.0, prob, delta, tol * scale)
     if not converged:
         raise RuntimeError(
             f"proximal solve stalled with stationarity residual {res:.3e}"
@@ -559,7 +553,7 @@ def resolvent_phi_power(
     w = _require_finite(w, "field")
     wstar = _require_finite(wstar, "dual field")
     tol *= max(1.0, float(norm_Vstar(wstar, prob.p_conj, prob.smesh)))
-    u, res, converged = _prox_newton(w, w, 1.0, pf, wstar, prob, delta, tol)
+    u, res, converged = _prox_newton(w, 1.0, pf, wstar, prob, delta, tol)
     if not converged:
         raise RuntimeError(f"resolvent solve stalled with residual {res:.3e}")
     return u

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -211,22 +211,17 @@ def norm_X(v: np.ndarray, m: float, smesh: SpatialMesh) -> float | np.ndarray:
     return (smesh.dx * np.sum(np.abs(dv) ** m, axis=-1)) ** (1.0 / m)
 
 
-def bochner_norm(
-    u: np.ndarray,
-    spatial_norm: Callable[[np.ndarray], float | np.ndarray],
-    r: float,
-    tmesh: TemporalMesh,
-) -> float:
+def bochner_norm(slice_norms: np.ndarray, r: float, tmesh: TemporalMesh) -> float:
     """Time-integrated norm (sum_n dt |u_n|^r)^(1/r); r = inf gives max_n.
 
-    `spatial_norm` maps a trajectory to per-slice norms; it receives the
-    full (N, M) array and must reduce over the last axis.
+    `slice_norms` holds the spatial norm |u_n| of every slice, shape (N,),
+    as norm_V or norm_Vstar return it for a trajectory.
     """
-    slice_norms = np.asarray(spatial_norm(u), dtype=float)
+    slice_norms = np.asarray(slice_norms, dtype=float)
     if slice_norms.shape != (tmesh.step_count,):
         raise ValueError(
-            "spatial_norm must reduce slices to shape "
-            f"({tmesh.step_count},), got {slice_norms.shape}"
+            f"slice norms must have shape ({tmesh.step_count},), "
+            f"got {slice_norms.shape}"
         )
     if math.isinf(r):
         return float(np.max(slice_norms))
@@ -242,9 +237,7 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
     measured in.
     """
     pc = prob.p_conj
-    return float(
-        bochner_norm(xi, lambda s: norm_Vstar(s, pc, prob.smesh), pc, prob.tmesh)
-    )
+    return bochner_norm(norm_Vstar(xi, pc, prob.smesh), pc, prob.tmesh)
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +283,15 @@ def _sample_sinusoid_term(
 
 
 def sample_forcing(
-    expr: Mapping | Callable[[np.ndarray, float], np.ndarray],
-    smesh: SpatialMesh,
-    tmesh: TemporalMesh,
+    expr: Mapping, smesh: SpatialMesh, tmesh: TemporalMesh
 ) -> np.ndarray:
     """Sample a forcing specification on the space-time grid.
 
-    `expr` is either a callable f(x_array, t) -> array, or a mapping with a
-    "kind" key: "zero", "sinusoid" (one product term), "terms" (sum of
-    sinusoid terms), or "csv" (grid file with header t,x,value matching the
-    meshes).  Time-periodic extension is implied by sampling only t_0..t_{N-1}.
+    `expr` is a mapping with a "kind" key: "zero", "sinusoid" (one product
+    term), "terms" (sum of sinusoid terms), or "csv" (grid file with header
+    t,x,value matching the meshes).  Time-periodic extension is implied by
+    sampling only t_0..t_{N-1}.
     """
-    if callable(expr):
-        rows = [np.asarray(expr(smesh.nodes, t), dtype=float) for t in tmesh.times]
-        out = np.stack(rows, axis=0)
-        return validate_trajectory(out, smesh, tmesh, "forcing")
     kind = expr.get("kind")
     if kind == "zero":
         return np.zeros((tmesh.step_count, smesh.interior_count))

@@ -175,16 +175,11 @@ def newton_fixed_point(
     return stage, history, converged
 
 
-def residual_AP(
-    u: np.ndarray,
-    prob: ProblemSpec,
-    delta: float = 0.0,
-    pf: cc.PerturbedFunctional | None = None,
-) -> float:
+def residual_AP(u: np.ndarray, prob: ProblemSpec, delta: float = 0.0) -> float:
     """Bochner dual norm of the unregularized equation residual.
 
-    Measures alpha(du) + eta - f with eta the (possibly perturbed) energy
-    gradient at smoothing delta, in the p'-in-time V*-in-space norm.
+    Measures alpha(du) + eta - f with eta the unperturbed energy gradient
+    at smoothing delta, in the p'-in-time V*-in-space norm.
     """
     u = validate_trajectory(u, prob.smesh, prob.tmesh, "trajectory")
-    return _StageAt(u, prob, 0.0, delta, pf).residual_AP
+    return _StageAt(u, prob, 0.0, delta).residual_AP

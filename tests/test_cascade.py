@@ -19,17 +19,14 @@ def rate(stage, prob):
 
 
 def test_default_epsilon_schedule_shape():
-    sched = ca.default_epsilon_schedule()
+    sched = ca.DEFAULT_EPSILON_SCHEDULE
     assert len(sched) == 15
     assert sched[0] == 1.0
     assert sched[-1] == 1e-4
     ratios = np.array(sched[1:]) / np.array(sched[:-1])
     assert np.all(ratios < 1.0)
-    assert np.allclose(ratios[:-1], 0.5)  # last entry clamps to stop
-    with pytest.raises(ValueError, match="factor"):
-        ca.default_epsilon_schedule(factor=1.5)
-    with pytest.raises(ValueError, match="stop"):
-        ca.default_epsilon_schedule(start=1e-5, stop=1e-4)
+    assert np.all(ratios[:-1] == 0.5)  # halving until the clamp at 1e-4
+    assert ca.CascadeParams().epsilon_schedule == sched
 
 
 def test_params_validation_and_stage_tol():

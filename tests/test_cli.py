@@ -91,6 +91,23 @@ class TestLoadConfig:
                 },
                 "problem.diffusion.values",
             ),
+            # the diffusion coefficient must be positive on every cell
+            (
+                {
+                    "problem": small_problem(
+                        diffusion={"kind": "values", "values": [1.0] * 8 + [0.0]}
+                    )
+                },
+                "problem.diffusion",
+            ),
+            (
+                {
+                    "problem": small_problem(
+                        diffusion={"kind": "sin_modulated", "amplitude": -2.0}
+                    )
+                },
+                "problem.diffusion",
+            ),
             (
                 {"problem": small_problem(nonlinearity={"kind": "cubic"})},
                 "problem.nonlinearity.kind",

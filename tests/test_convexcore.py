@@ -263,7 +263,7 @@ def test_grad_phi_monotone(u, v, m):
 def test_phi_weights_are_exact_at_m2(rng, delta):
     sm = SpatialMesh(1.0, 9)
     vals = 1.0 + 0.5 * np.sin(7.0 * sm.cell_midpoints)
-    a = cc.DiffusionField(vals, vals.min(), vals.max())
+    a = cc.DiffusionField(vals)
     u = rng.normal(size=(3, 9))
     w = cc.PhiAt(u, a, 2.0, delta, sm).weights
     assert np.array_equal(w, np.broadcast_to(a.midpoint_values, w.shape))
@@ -495,7 +495,7 @@ def test_resolvent_is_one_newton_solve_off_the_quadratic_case(rng, monkeypatch):
     # p = 2.5, m = 3 and a non-constant diffusion: the duality block and the
     # energy are both nonlinear, and one Newton solve meets the equation
     sm = SpatialMesh(1.0, 8)
-    diffusion = cc.DiffusionField(rng.uniform(0.5, 2.0, 9), 0.5, 2.0)
+    diffusion = cc.DiffusionField(rng.uniform(0.5, 2.0, 9))
     prob = replace(slice_problem(sm, 3.0, p=2.5), a=diffusion)
     pf = cc.PerturbedFunctional(mu=0.5, alpha_exp=0.75)
     w, ws = rng.normal(size=8), 3.0 * rng.normal(size=8)
@@ -518,7 +518,7 @@ def test_perturbed_phi_matrix_matches_fd(rng, m, delta):
     # the dense Hessian of the perturbed energy keeps the rank-one term
     # mu a phi^(a-1) dx g g^T that the band drops
     sm = SpatialMesh(1.0, 7)
-    a = cc.DiffusionField(rng.uniform(0.5, 2.0, 8), 0.5, 2.0)
+    a = cc.DiffusionField(rng.uniform(0.5, 2.0, 8))
     pf = cc.PerturbedFunctional(mu=0.7, alpha_exp=0.6)
     u, h = rng.normal(size=7), 1e-6
     H = cc.PhiAt(u, a, m, delta, sm, pf).matrix()
@@ -587,9 +587,12 @@ def test_phi_config_validation_and_stripping():
 
 def test_diffusion_field_validation():
     sm = SpatialMesh(1.0, 3)
-    with pytest.raises(ValueError, match="lower bound"):
-        cc.DiffusionField(np.ones(4), 0.0, 1.0)
-    with pytest.raises(ValueError, match="violate"):
-        cc.DiffusionField(np.full(4, 0.5), 1.0, 2.0)
+    for bad in (0.0, -0.5):
+        vals = np.ones(4)
+        vals[2] = bad
+        with pytest.raises(ValueError, match="positive on every cell"):
+            cc.DiffusionField(vals)
+    with pytest.raises(ValueError, match="non-finite"):
+        cc.DiffusionField(np.array([1.0, np.nan, 1.0, 1.0]))
     vals = 1.0 + 0.5 * sm.cell_midpoints
-    cc.DiffusionField(vals, vals.min(), vals.max())  # attained bounds are admitted
+    assert np.array_equal(cc.DiffusionField(vals).midpoint_values, vals)

@@ -105,9 +105,7 @@ def dense_affine_zero(F, shape):
 
 
 def linf_l2(u, prob):
-    return bochner_norm(
-        u, lambda v: norm_V(v, 2.0, prob.smesh), np.inf, prob.tmesh
-    )
+    return bochner_norm(norm_V(u, 2.0, prob.smesh), np.inf, prob.tmesh)
 
 
 def rel_linf_l2(u, u_ref, prob):
