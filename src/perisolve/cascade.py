@@ -8,11 +8,13 @@ attacked in layers:
   strictly convex space-time objective of the elliptic-regularized system
   at parameter eps;
 * fixed point: h = -alpha(du) of the stage solution; substituted into the
-  stage equation this is one equation in u, solved by Newton from the
-  previous stage's solution;
-* continuation: drive eps down a schedule with warm starts, finishing with
-  an exact eps = 0 stage, and on the hard exponent branch drive a power
-  perturbation of the energy down a mu schedule the same way.
+  stage equation this is one equation in u, solved by Newton from a warm
+  start;
+* continuation: each epsilon walk first solves its target stage (the exact
+  eps = 0 stage) from its warm start, and only when that fails drives eps
+  down a schedule with warm starts; on the hard exponent branch a power
+  perturbation of the energy is driven down a mu schedule, one epsilon
+  walk per mu.
 
 A stage's diagnostics read the stage equation at Newton's last iterate, as
 Newton evaluated it.  solve_routed is the one walker of both routes, each a
@@ -84,13 +86,15 @@ class CascadeParams:
     A fixed point stage has converged when the Bochner dual norm of its
     equation residual is at most stage_tol * min(1, dt) * max(1,
     |f - alpha(du)|); stage_tol = None resolves to 0.05 * fp_tol.
-    max_fp_iter bounds the Newton steps of one fixed point stage.
-    exact_limit_stage appends a final
-    eps = 0 stage to each epsilon walk and, on the mu route, a final mu = 0
-    level.  mu_eps_truncate is how many trailing epsilon entries later mu
-    levels reuse; the first mu level always walks the full ladder.  Every
-    stage walked, on either route, is one StageResult tagged (eps, mu), so
-    a schedule must walk at least one stage.
+    max_fp_iter bounds the Newton steps of one fixed point stage, the target
+    attempt of an epsilon walk included.  exact_limit_stage makes eps = 0
+    the target of each epsilon walk (else its last rung), ends a climb of
+    the ladder with an eps = 0 stage and, on the mu route, appends a final
+    mu = 0 level.  mu_eps_truncate is how many trailing epsilon entries
+    later mu levels climb when their target fails; the first mu level
+    climbs the full ladder.  Every stage walked, on either route, is one
+    StageResult tagged (eps, mu), so a schedule must walk at least one
+    stage.
     """
 
     epsilon_schedule: tuple[float, ...] = DEFAULT_EPSILON_SCHEDULE
@@ -310,7 +314,33 @@ def epsilon_continuation(
     u0: np.ndarray | None = None,
     schedule: tuple[float, ...] | None = None,
 ) -> list[StageResult]:
-    """Walk the epsilon ladder with warm starts; optionally end at eps = 0.
+    """Solve the walk's target stage from u0; climb the ladder if that fails.
+
+    The target is eps = 0 under exact_limit_stage and the last rung of the
+    schedule otherwise.  Newton usually converges on it straight from the
+    warm start, and the walk then returns it as its only stage.  When it
+    does not converge within max_fp_iter steps, the failed attempt stays
+    first in the returned list and the walk climbs the ladder from the same
+    u0 (_climb), not from the failed iterate.
+    """
+    sched = params.epsilon_schedule if schedule is None else tuple(schedule)
+    # the target attempt is a climb with no rung but its target
+    rungs = () if params.exact_limit_stage else sched[-1:]
+    target = _climb(prob, params, rungs, pf, u0)
+    if target[-1].converged:
+        return target
+    return target + _climb(prob, params, sched, pf, u0)
+
+
+def _climb(
+    prob: ProblemSpec,
+    params: CascadeParams,
+    sched: tuple[float, ...],
+    pf: cc.PerturbedFunctional | None,
+    u0: np.ndarray | None,
+) -> list[StageResult]:
+    """Walk the epsilon ladder sched from u0 with warm starts, ending at
+    eps = 0 under exact_limit_stage.
 
     A stage that stalls short of tolerance still hands its best iterate to
     the next stage (the failure stays recorded in its diagnostics); only a
@@ -319,7 +349,6 @@ def epsilon_continuation(
     the attainable residual is floor-limited, and further epsilon stages
     add nothing the exact-limit stage would not.
     """
-    sched = params.epsilon_schedule if schedule is None else tuple(schedule)
     stages: list[StageResult] = []
     u = u0
     prev_ap = None
@@ -371,13 +400,13 @@ def solve_routed(
     from the last stage.  m > p runs the plain route: one unperturbed level
     on the full ladder.  m <= p, or route="mu" for any pair (a consistency
     check against the plain route when m > p), walks the perturbation path:
-    one level per mu.  The first level walks the full ladder, later ones its
-    last mu_eps_truncate entries, and exact_limit_stage adds a mu = 0 level
-    on that tail.  A default mu schedule and the default exponent of
-    _perturbation_exponent fill in what the params leave unset.  A level
-    whose last stage diverges ends the walk.  Returns the final stage, every
-    fixed point stage walked in order, each tagged with its (epsilon, mu),
-    and the route name.
+    one level per mu.  The first level climbs the full ladder when it has
+    to, later ones its last mu_eps_truncate entries, and exact_limit_stage
+    adds a mu = 0 level on that tail.  A default mu schedule and the default
+    exponent of _perturbation_exponent fill in what the params leave unset.
+    A level whose last stage diverges ends the walk.  Returns the final
+    stage, every fixed point stage walked in order, each tagged with its
+    (epsilon, mu), and the route name.
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")

@@ -154,9 +154,16 @@ def test_epsilon_continuation_zero_forcing():
     assert all(np.abs(s.u).max() == 0.0 for s in stages)
 
 
+def climb(prob):
+    """The full default epsilon ladder from u = 0, as a failed target
+    attempt makes epsilon_continuation walk it."""
+    params = ca.CascadeParams()
+    return ca._climb(prob, params, params.epsilon_schedule, None, None)
+
+
 def test_epsilon_continuation_drives_residual_down():
     prob = unit_problem(2.0, 3.0, 12, 12)
-    stages = ca.epsilon_continuation(prob, ca.CascadeParams())
+    stages = climb(prob)
     assert stages[-1].epsilon == 0.0  # exact limit stage appended
     assert all(s.converged for s in stages)
     aps = [s.diagnostics["residual_AP"] for s in stages]
@@ -177,6 +184,37 @@ def test_epsilon_continuation_drives_residual_down():
         "h_dual_norm",
     ):
         assert np.isfinite(audit[key]), key
+
+
+def test_epsilon_continuation_solves_its_target_first():
+    # Newton converges on the eps = 0 stage straight from the warm start:
+    # the walk is that one stage, and it agrees with the ladder's answer
+    prob = unit_problem(2.0, 3.0, 12, 12)
+    (stage,) = ca.epsilon_continuation(prob, ca.CascadeParams())
+    assert stage.converged and stage.epsilon == 0.0
+    assert np.abs(stage.u - climb(prob)[-1].u).max() <= 1e-9
+
+
+def test_failed_target_climbs_the_ladder_from_the_warm_start(monkeypatch):
+    # at p < 1.6 with a time-constant forcing, Newton stalls on the eps = 0
+    # stage from u = 0 but converges along the ladder
+    prob = unit_problem(1.5469, 2.752, 3, 3)
+    f = np.broadcast_to(0.6459 * np.sin(np.pi * prob.smesh.nodes), prob.f.shape)
+    prob = replace(prob, f=f.copy())
+    starts = []
+    solve = ca.fixed_point_solve
+
+    def recorded_solve(prob, eps, params, pf=None, u0=None):
+        starts.append(u0)
+        return solve(prob, eps, params, pf=pf, u0=u0)
+
+    monkeypatch.setattr(ca, "fixed_point_solve", recorded_solve)
+    u0 = np.zeros_like(prob.f)
+    stages = ca.epsilon_continuation(prob, ca.CascadeParams(), u0=u0)
+    assert stages[0].epsilon == 0.0 and not stages[0].converged
+    assert stages[1].epsilon == 1.0
+    assert starts[0] is u0 and starts[1] is u0
+    assert stages[-1].epsilon == 0.0 and stages[-1].converged
 
 
 def test_epsilon_continuation_respects_exact_limit_flag():
@@ -300,7 +338,7 @@ def test_residual_AP_matches_diagnostics():
     # every unperturbed stage reports the residual_AP of its trajectory, bit
     # for bit: both read one formula at one evaluation of u
     prob = unit_problem(2.0, 3.0, 8, 8)
-    stages = ca.epsilon_continuation(prob, ca.CascadeParams())
+    stages = climb(prob)
     for stage in stages:
         assert stage.mu == 0.0
         assert stage.diagnostics["residual_AP"] == residual_AP(
@@ -329,6 +367,6 @@ def test_stage_bookkeeping_reads_newtons_last_evaluation(monkeypatch):
     for mod in (ca, var):
         monkeypatch.setattr(mod, "time_derivative", counted_time_derivative)
     monkeypatch.setattr(cc, "_newton", counted_newton)
-    stages = ca.epsilon_continuation(unit_problem(2.5, 3.0, 5, 4), ca.CascadeParams())
+    stages = climb(unit_problem(2.5, 3.0, 5, 4))
     assert len(stages) == 16 and counts["iterates"] > 0
     assert counts["time_derivative"] == counts["iterates"] + len(stages)
