@@ -526,7 +526,9 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("mms", "mosco", "sweep"):
             sp.add_argument(
                 "--jobs", type=int, default=1,
-                help="processes, this one included (workers get one BLAS thread each)",
+                help="at most this many processes, this one included; workers "
+                "start only when the solves left can pay for them, with one BLAS "
+                "thread each",
             )
     return ap
 

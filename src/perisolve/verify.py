@@ -12,6 +12,7 @@ import csv
 import logging
 import multiprocessing
 import os
+import time
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
 
@@ -250,8 +251,9 @@ def mms_run(
     tolerance at every level; in continuum mode consecutive level ratios
     expose the convergence order (meta key "orders").  The steady solution
     makes the time stepping exact, so its levels isolate the second-order
-    spatial error.  jobs > 1 solves the levels on that many processes, this
-    one included; the table is the same.
+    spatial error.  jobs > 1 solves the levels on up to that many processes,
+    this one included, starting workers only when the solves left can pay
+    for them; the table is the same.
     """
     table = Table(["level", "M", "N", "error", "residual", "converged"])
     table.meta["mode"] = mms.mode
@@ -507,6 +509,13 @@ class MoscoSequenceSpec:
 # BLAS libraries read these once, when they load
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# A worker's start-up, read once: the CPU this process has spent by the time
+# this module is imported.  That is starting an interpreter and importing
+# numpy, scipy and this package, which a spawned worker repeats before its
+# first claim (on 2 cores: 0.4-0.5 s read here, 0.4-0.5 s from a worker's
+# start() to its first claim)
+_WORKER_START_S = time.process_time()
+
 
 def _solve_one(prob: ProblemSpec, params: CascadeParams, route: str):
     # the solve of one batch item, in the caller or in a worker.  It is
@@ -547,28 +556,47 @@ def _receive(results, outs: list, pending: set) -> None:
 def _solve_batch(items, jobs: int) -> list:
     """solve_routed over (prob, params, route) items, outputs in input order.
 
-    jobs is the number of processes, the caller included: the caller
-    starts min(jobs, len(items)) - 1 spawned workers and solves items
-    itself while they start.  Caller and workers claim items from one
-    shared counter, so a batch too small to pay for a worker's start-up is
-    solved by the caller alone.  Each worker has one BLAS thread, so the
-    processes share the cores instead of oversubscribing them; the thread
-    variables are set only around the starts and then restored, so the
-    caller's environment and its already loaded BLAS keep their settings.
-    A solve that raises, here or in a worker, is re-raised; a worker that
-    dies holding an item raises RuntimeError.  No worker outlives the call.
-    Spawned workers re-import the main module, so a script that calls this
-    with jobs > 1 must guard its entry point with
-    ``if __name__ == "__main__"``.
+    jobs is a ceiling on the processes, the caller included.  The caller
+    solves the items in order and starts workers only when the solves left
+    can pay for them: before each item after the first, with at least two
+    left, it estimates their serial time as the mean wall time of its own
+    solves so far times their number.  Once that exceeds twice a worker's
+    start-up, it hands the items left to _solve_pooled.  A worker is of use
+    only after its start-up, and while it starts it slows the caller down,
+    so a batch that cannot pay for a worker is solved without starting any
+    process.  A solve that raises is re-raised.  Spawned workers re-import
+    the main module, so a script that calls this with jobs > 1 must guard
+    its entry point with ``if __name__ == "__main__"``.
     """
-    n_workers = min(jobs, len(items)) - 1
-    if n_workers <= 0:
-        return [_solve_one(*item) for item in items]
+    outs, t0 = [], time.perf_counter()
+    for k, item in enumerate(items):
+        left = len(items) - k
+        if k and jobs > 1 and left > 1:
+            pace = (time.perf_counter() - t0) / k
+            if pace * left > 2.0 * _WORKER_START_S:
+                return outs + _solve_pooled(items, k, jobs)
+        outs.append(_solve_one(*item))
+    return outs
+
+
+def _solve_pooled(items, first: int, jobs: int) -> list:
+    """The outputs of items[first:] in order, solved by the caller and
+    min(jobs, len(items) - first) - 1 spawned workers.
+
+    Caller and workers claim indices from one shared counter that starts at
+    first, so the caller solves items while the workers start.  Each worker
+    has one BLAS thread, so the processes share the cores instead of
+    oversubscribing them; the thread variables are set only around the
+    starts and then restored, so the caller's environment and its already
+    loaded BLAS keep their settings.  A solve that raises, here or in a
+    worker, is re-raised; a worker that dies holding an item raises
+    RuntimeError.  No worker outlives the call.
+    """
     ctx = multiprocessing.get_context("spawn")
-    counter, results = ctx.Value("i", 0), ctx.Queue()
+    counter, results = ctx.Value("i", first), ctx.Queue()
     procs = [
         ctx.Process(target=_work, args=(items, counter, results), daemon=True)
-        for _ in range(n_workers)
+        for _ in range(min(jobs, len(items) - first) - 1)
     ]
     saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
     try:
@@ -582,7 +610,7 @@ def _solve_batch(items, jobs: int) -> list:
                     os.environ.pop(k, None)
                 else:
                     os.environ[k] = v
-        outs, pending = [None] * len(items), set(range(len(items)))
+        outs, pending = [None] * len(items), set(range(first, len(items)))
         while (i := _claim(counter)) < len(items):
             outs[i] = _solve_one(*items[i])
             pending.discard(i)
@@ -594,7 +622,7 @@ def _solve_batch(items, jobs: int) -> list:
             live = [p for p in live if p.exitcode is None]
             _receive(results, outs, pending)
             if not pending:
-                return outs
+                return outs[first:]
             if not live:
                 codes = [p.exitcode for p in procs]
                 raise RuntimeError(
@@ -625,9 +653,10 @@ def mosco_experiment(
     Error is the sup-in-time nodal L^p distance, the discrete stand-in for
     uniform-in-time state-space convergence.  meta records the trailing to
     leading error ratio and whether errors decrease beyond the noise floor.
-    jobs > 1 solves the base problem and the instances in one batch on that
-    many processes, this one included, the spawned workers with one BLAS
-    thread each; the table is the same as with jobs = 1.
+    jobs > 1 solves the base problem and the instances in one batch on up
+    to that many processes, this one included, starting workers only when
+    the solves left can pay for them, each with one BLAS thread; the table
+    is the same as with jobs = 1.
     """
     ns = sorted(seq.index_set)
     probs = [seq.base] + [seq.instance(n) for n in ns]

@@ -676,31 +676,51 @@ def _child_env() -> dict:
     )
 
 
+# `python -m perisolve.cli` with the worker start-up taken as 0, so the
+# caller hands the runs after the first to a pool, whose spawned workers
+# re-import perisolve.cli as their main module.  The caller holds its first
+# pooled solve until the worker has claimed the last run, and prints how
+# many runs it solved itself
+_POOLED_CLI = """
+import runpy, sys
+sys.path.insert(0, sys.argv.pop(1))
+import perisolve.verify as vf
+from util import hold_first_pool_solve
+vf._WORKER_START_S = 0.0
+calls = hold_first_pool_solve(setattr, claimed=3)
+try:
+    runpy.run_module("perisolve.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(len(calls))
+"""
+
+
 def test_sweep_outputs_are_byte_identical_under_jobs(tmp_path):
-    # the worker processes run under `python -m perisolve.cli`, whose main
-    # module each spawned worker re-imports
     doc = {
         "problem": small_problem(),
         "cascade": {"fp_tol": 1e-8},
-        "sweep": {"pairs": [[2, 3], [3, 2]]},
+        "sweep": {"pairs": [[2, 3], [3, 2], [2.5, 3]]},
     }
     path = write_config(tmp_path, doc)
     serial, pooled = tmp_path / "serial", tmp_path / "pooled"
     assert cli.cmd_sweep(cli.load_config(path, output_override=str(serial))) == 0
     proc = subprocess.run(
-        [sys.executable, "-m", "perisolve.cli", "sweep", "--config", path,
-         "--output", str(pooled), "--jobs", "2", "--quiet"],
+        [sys.executable, "-c", _POOLED_CLI, str(Path(__file__).parent),
+         "sweep", "--config", path, "--output", str(pooled), "--jobs", "2",
+         "--quiet"],
         capture_output=True,
         text=True,
         timeout=240,
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+    # the caller solved the first two runs and a spawned worker the third
+    assert proc.stdout.split()[-1] == "2"
     def trajectories(root):
         return sorted(p.relative_to(root) for p in root.glob("*/trajectory.csv"))
 
     names = trajectories(serial)
-    assert len(names) == 2 and trajectories(pooled) == names
+    assert len(names) == 3 and trajectories(pooled) == names
     for name in [Path("summary.csv"), *names]:
         assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
 

@@ -1,7 +1,7 @@
 import multiprocessing
 import os
-import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +10,13 @@ import perisolve.cascade as ca
 import perisolve.convexcore as cc
 import perisolve.verify as vf
 from perisolve.discretize import SpatialMesh, TemporalMesh, time_derivative
-from util import ExitsInWorker, bump_mms, claim_into, unit_problem
+from util import (
+    ExitsInWorker,
+    bump_mms,
+    claim_into,
+    hold_first_pool_solve,
+    unit_problem,
+)
 
 
 class TestTable:
@@ -161,8 +167,8 @@ def test_mms_run_discrete_hits_solver_tolerance():
     assert all(tab.column("converged"))
     assert np.all(tab.column("error").astype(float) <= 1e-7)
     assert "orders" not in tab.meta
-    # the levels are built here and only the problems cross to the workers,
-    # which return the same rows and leave the caller's environment as it was
+    # the levels are built here and only the problems go to the batch, which
+    # returns the same rows and leaves the caller's environment as it was
     env = dict(os.environ)
     par = vf.mms_run(
         bump_mms(), unit_problem(2.0, 3.0, 8, 8), params, levels=((6, 8), (12, 10)),
@@ -300,7 +306,7 @@ class TestMosco:
         "kind",
         ["forcing_perturbation", "diffusion_perturbation", "nonlinearity_perturbation"],
     )
-    def test_perturbed_solutions_converge_back(self, kind):
+    def test_perturbed_solutions_converge_back(self, monkeypatch, kind):
         base = unit_problem(2.0, 3.0, 12, 12)
         seq = vf.MoscoSequenceSpec(kind=kind, base=base, index_set=(1, 2, 4))
         tab = vf.mosco_experiment(seq, ca.CascadeParams())
@@ -309,6 +315,7 @@ class TestMosco:
         assert tab.meta["last_over_first"] <= 0.5
         # worker processes return the serial table, row for row, and leave
         # the caller's environment as it was
+        monkeypatch.setattr(vf, "_WORKER_START_S", 0.0)
         env = dict(os.environ)
         par = vf.mosco_experiment(seq, ca.CascadeParams(), jobs=2)
         assert dict(os.environ) == env
@@ -317,31 +324,8 @@ class TestMosco:
 
 
 class TestSolveBatch:
-    """The caller is one of the jobs; spawned workers claim what it leaves."""
-
-    @staticmethod
-    def hold_first_caller_solve(monkeypatch, claimed, solve=None):
-        """Patch the caller's side of _solve_batch: record its solves and hold
-        the first until `claimed` items are claimed.  Spawned workers import
-        the real functions, so the patch affects only the caller."""
-        counters, calls = [], []
-        claim, one = vf._claim, solve or vf._solve_one
-
-        def claim_spy(counter):
-            counters.append(counter)
-            return claim(counter)
-
-        def held(*item):
-            if not calls:
-                deadline = time.monotonic() + 60.0
-                while counters[0].value < claimed and time.monotonic() < deadline:
-                    time.sleep(0.01)
-            calls.append(item)
-            return one(*item)
-
-        monkeypatch.setattr(vf, "_claim", claim_spy)
-        monkeypatch.setattr(vf, "_solve_one", held)
-        return calls
+    """The caller is one of the jobs; it starts workers only when the solves
+    left can pay for them, and they claim what it leaves."""
 
     def test_workers_solve_what_the_caller_leaves(self, monkeypatch):
         seq = vf.MoscoSequenceSpec(
@@ -351,13 +335,38 @@ class TestSolveBatch:
         )
         params = ca.CascadeParams()
         tab = vf.mosco_experiment(seq, params)
-        calls = self.hold_first_caller_solve(monkeypatch, claimed=4)
+        monkeypatch.setattr(vf, "_WORKER_START_S", 0.0)
+        calls = hold_first_pool_solve(monkeypatch.setattr, claimed=4)
         par = vf.mosco_experiment(seq, params, jobs=2)
-        # the caller solved the base problem; the worker solved the instances
-        assert len(calls) == 1
+        # the caller solved the base problem before the pool and the first
+        # instance in it; the worker solved the other two
+        assert len(calls) == 2
         assert repr(par.rows) == repr(tab.rows)
         assert par.meta == tab.meta
         assert multiprocessing.active_children() == []
+
+    def test_a_batch_that_cannot_pay_for_a_worker_starts_no_process(
+        self, monkeypatch
+    ):
+        seq = vf.MoscoSequenceSpec(
+            kind="diffusion_perturbation",
+            base=unit_problem(2.0, 3.0, 6, 6),
+            index_set=(1, 2, 4),
+        )
+        params = ca.CascadeParams()
+        tab = vf.mosco_experiment(seq, params)
+        starts, start = [], multiprocessing.context.SpawnProcess.start
+
+        def spy(p):
+            starts.append(p)
+            start(p)
+
+        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", spy)
+        par = vf.mosco_experiment(seq, params, jobs=2)
+        assert starts == []
+        assert multiprocessing.active_children() == []
+        assert repr(par.rows) == repr(tab.rows)
+        assert par.meta == tab.meta
 
     @pytest.mark.parametrize(
         "jobs, n, workers",
@@ -371,7 +380,46 @@ class TestSolveBatch:
         )
         monkeypatch.setattr(vf, "_solve_one", lambda *item: item)
         items = [(k, None, None) for k in range(n)]
+        assert vf._solve_pooled(items, 0, jobs) == items
+        assert len(starts) == workers
+
+    @pytest.mark.parametrize(
+        "jobs, seconds, start_s, alone, workers",
+        [
+            (2, [1, 1, 1, 1, 1], 1.0, 1, 1),  # 4 s left against 2 s
+            (2, [1, 1, 1, 1, 1], 2.0, 5, 0),  # 4 s left, never more than 4 s
+            (4, [1, 1, 1, 1, 1, 1], 1.5, 1, 3),
+            (2, [0.1, 3, 3, 3, 3], 1.0, 2, 1),  # 1.55 s a solve, 3 left
+            (2, [9, 9], 0.0, 2, 0),  # one solve left needs no worker
+            (1, [9, 9, 9], 0.0, 3, 0),  # jobs is a ceiling
+        ],
+    )
+    def test_caller_starts_workers_once_the_solves_left_pay(
+        self, monkeypatch, jobs, seconds, start_s, alone, workers
+    ):
+        # items take a known time on a fake clock; the caller solves the
+        # first `alone` of them and hands exactly the rest to the pool
+        now, starts, handed = [0.0], [], []
+        pooled = vf._solve_pooled
+
+        def solve(*item):
+            now[0] += item[0]
+            return item
+
+        def pool(items, first, jobs):
+            handed.append(items[first:])
+            return pooled(items, first, jobs)
+
+        monkeypatch.setattr(vf, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        monkeypatch.setattr(vf, "_WORKER_START_S", start_s)
+        monkeypatch.setattr(vf, "_solve_one", solve)
+        monkeypatch.setattr(vf, "_solve_pooled", pool)
+        monkeypatch.setattr(
+            multiprocessing.context.SpawnProcess, "start", lambda p: starts.append(p)
+        )
+        items = [(s, None, None) for s in seconds]
         assert vf._solve_batch(items, jobs) == items
+        assert handed == ([items[alone:]] if alone < len(items) else [])
         assert len(starts) == workers
 
     def test_claims_are_unique_across_processes(self):
@@ -392,26 +440,26 @@ class TestSolveBatch:
     def test_a_failing_caller_solve_is_raised_and_no_worker_is_left(self):
         items = [(unit_problem(2.0, 3.0, 4, 4), ca.CascadeParams(), "bogus")] * 3
         with pytest.raises(ValueError, match="route must be"):
-            vf._solve_batch(items, 2)
+            vf._solve_pooled(items, 0, 2)
         assert multiprocessing.active_children() == []
 
     def test_a_failing_worker_solve_is_raised(self, monkeypatch):
         items = [(unit_problem(2.0, 3.0, 4, 4), ca.CascadeParams(), "bogus")] * 3
-        calls = self.hold_first_caller_solve(
-            monkeypatch, claimed=3, solve=lambda *item: None
+        calls = hold_first_pool_solve(
+            monkeypatch.setattr, claimed=3, solve=lambda *item: None
         )
         with pytest.raises(ValueError, match="route must be"):
-            vf._solve_batch(items, 2)
+            vf._solve_pooled(items, 0, 2)
         assert len(calls) == 1
         assert multiprocessing.active_children() == []
 
     def test_a_worker_that_dies_holding_an_item_raises(self, monkeypatch):
         items = [(None, None, ExitsInWorker())] * 3
-        calls = self.hold_first_caller_solve(
-            monkeypatch, claimed=2, solve=lambda *item: None
+        calls = hold_first_pool_solve(
+            monkeypatch.setattr, claimed=2, solve=lambda *item: None
         )
         with pytest.raises(RuntimeError, match=r"batch items \[1\] were lost"):
-            vf._solve_batch(items, 2)
+            vf._solve_pooled(items, 0, 2)
         assert len(calls) == 2
         assert multiprocessing.active_children() == []
 
