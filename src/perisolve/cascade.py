@@ -14,7 +14,8 @@ attacked in layers:
   eps = 0 stage) from its warm start, and only when that fails drives eps
   down a schedule with warm starts; on the hard exponent branch a power
   perturbation of the energy is driven down a mu schedule, one epsilon
-  walk per mu.
+  walk per mu.  The default route solves that branch's unperturbed target
+  first too, and walks the mu schedule only when that fails.
 
 A stage's diagnostics read the stage equation at Newton's last iterate, as
 Newton evaluated it.  solve_routed is the one walker of both routes, each a
@@ -90,9 +91,10 @@ class CascadeParams:
     attempt of an epsilon walk included.  exact_limit_stage makes eps = 0
     the target of each epsilon walk (else its last rung), ends a climb of
     the ladder with an eps = 0 stage and, on the mu route, appends a final
-    mu = 0 level.  mu_eps_truncate is how many trailing epsilon entries
-    later mu levels climb when their target fails; the first mu level
-    climbs the full ladder.  Every stage walked, on either route, is one
+    mu = 0 level, whose target route="auto" attempts before any mu > 0
+    level (solve_routed).  mu_eps_truncate is how many trailing epsilon
+    entries later mu levels climb when their target fails; the first mu
+    level climbs the full ladder.  Every stage walked, on either route, is one
     StageResult tagged (eps, mu), so a schedule must walk at least one
     stage.
     """
@@ -399,22 +401,31 @@ def solve_routed(
     The walk is a list of levels, each one epsilon continuation warm started
     from the last stage.  m > p runs the plain route: one unperturbed level
     on the full ladder.  m <= p, or route="mu" for any pair (a consistency
-    check against the plain route when m > p), walks the perturbation path:
+    check against the plain route when m > p), takes the perturbation path:
     one level per mu.  The first level climbs the full ladder when it has
     to, later ones its last mu_eps_truncate entries, and exact_limit_stage
     adds a mu = 0 level on that tail.  A default mu schedule and the default
     exponent of _perturbation_exponent fill in what the params leave unset.
-    A level whose last stage diverges ends the walk.  Returns the final
+    A level whose last stage diverges ends the walk.
+
+    route="auto" takes the shortest path there: under exact_limit_stage it
+    first solves the mu = 0 level's target, the unperturbed eps = 0 stage,
+    from u = 0.  The perturbation is there for coercivity in the existence
+    proof; at a fixed grid that stage is the finite equation F(u) = 0 the
+    plain route solves too.  When it converges it is the whole walk.  When
+    it does not, it stays first in the returned list and the mu levels are
+    walked from u = 0, not from the failed iterate, exactly as route="mu"
+    walks them.  route="mu" always walks the mu levels.  Returns the final
     stage, every fixed point stage walked in order, each tagged with its
     (epsilon, mu), and the route name.
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")
     full = params.epsilon_schedule
+    stages: list[StageResult] = []
     if route == "auto" and prob.m > prob.p:
         route, levels = "plain", [(None, full)]
     else:
-        route = "mu"
         alpha_exp = _perturbation_exponent(prob.p, prob.m, params.alpha_exp)
         tail = full[-max(1, params.mu_eps_truncate):]
         levels = [
@@ -423,11 +434,19 @@ def solve_routed(
         ]
         if params.exact_limit_stage:
             levels.append((None, tail))
-    stages: list[StageResult] = []
+            if route == "auto":
+                # the mu = 0 level's target attempt, as epsilon_continuation
+                # makes it
+                stages = _climb(prob, params, (), None, None)
+                if stages[-1].converged:
+                    return stages[-1], stages, "mu"
+        route = "mu"
+    u = None
     for pf, sched in levels:
-        u = stages[-1].u if stages else None
-        stages += epsilon_continuation(prob, params, pf=pf, u0=u, schedule=sched)
-        d = stages[-1].diagnostics
+        walk = epsilon_continuation(prob, params, pf=pf, u0=u, schedule=sched)
+        stages += walk
+        u = walk[-1].u
+        d = walk[-1].diagnostics
         if d["fixed_point_residual"] > d["residual_scale"]:
             break
     return stages[-1], stages, route

@@ -210,9 +210,12 @@ def test_criterion_6_mosco_stability():
 
 
 def test_criterion_7_perturbation_vanishes(mms_matrix):
+    # the default route solves the unperturbed stage directly; the mu walk
+    # is what carries the perturbation, so read it on its own route
     fx = mms_matrix[(3.0, 2.0)]
+    _, stages, _ = ca.solve_routed(fx.prob, fx.params, route="mu")
     mus, norms = [], []
-    for stage in fx.stages:
+    for stage in stages:
         # the exact eps = 0 stage of each mu level carries the mu-term itself
         if stage.mu > 0.0 and stage.epsilon == 0.0:
             mus.append(stage.mu)

@@ -225,10 +225,47 @@ def test_epsilon_continuation_respects_exact_limit_flag():
     assert stages[-1].epsilon == 0.25
 
 
-def test_mu_path_validation():
+def test_mu_path_validation(monkeypatch):
     bad = ca.CascadeParams(mu_schedule=(0.1,), alpha_exp=0.2)
     with pytest.raises(ValueError, match="alpha_exp too small"):
         ca.solve_routed(unit_problem(3.0, 2.0, 4, 4), bad, route="mu")
+    # the default route, which may never reach a mu level, checks the
+    # exponent before it solves anything too
+    monkeypatch.setattr(ca, "fixed_point_solve", None)
+    with pytest.raises(ValueError, match="alpha_exp too small"):
+        ca.solve_routed(unit_problem(3.0, 2.0, 4, 4), bad, route="auto")
+
+
+def test_mu_route_solves_the_unperturbed_target_first():
+    # at a fixed grid the mu = 0, eps = 0 stage is the finite equation the
+    # perturbation path converges to; Newton solves it straight from u = 0
+    prob = unit_problem(3.0, 2.0, 8, 8)
+    final, stages, route = ca.solve_routed(prob, ca.CascadeParams())
+    assert route == "mu" and len(stages) == 1 and stages[0] is final
+    assert final.converged and (final.epsilon, final.mu) == (0.0, 0.0)
+    walked, _, _ = ca.solve_routed(prob, ca.CascadeParams(), route="mu")
+    assert np.linalg.norm(final.u - walked.u) <= 1e-9 * np.linalg.norm(walked.u)
+
+
+def test_failed_unperturbed_target_walks_the_mu_levels_from_zero():
+    # p, m < 1.7 with a steady forcing: Newton stalls on the unperturbed
+    # stage from u = 0, and the mu walk converges; started from the failed
+    # iterate instead, its first level takes 184 steps rather than 66
+    prob = unit_problem(1.6393521324548206, 1.5269430534788342, 6, 8)
+    f = 2.8459252439774487 * np.sin(2.0 * np.pi * prob.smesh.nodes)
+    prob = replace(prob, f=np.broadcast_to(f, prob.f.shape).copy())
+    final, stages, route = ca.solve_routed(prob, ca.CascadeParams())
+    _, walked, _ = ca.solve_routed(prob, ca.CascadeParams(), route="mu")
+    assert route == "mu"
+    assert (stages[0].epsilon, stages[0].mu) == (0.0, 0.0)
+    assert not stages[0].converged
+    assert len(stages) == len(walked) + 1
+    for stage, ref in zip(stages[1:], walked):
+        assert (stage.epsilon, stage.mu) == (ref.epsilon, ref.mu)
+        assert np.array_equal(stage.u, ref.u)
+    steps = [s.diagnostics["fixed_point_newton_steps"] for s in walked]
+    assert steps == [66, 4, 3, 2, 2]
+    assert final is stages[-1] and final.converged
 
 
 def test_mu_route_agrees_with_plain_when_both_apply():
