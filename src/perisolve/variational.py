@@ -15,20 +15,28 @@ A fixed point stage ties the dual forcing to the rate, h = -alpha(du), so
 the stage equation becomes F(u) = R(u) + alpha(du) = 0, which
 newton_fixed_point solves directly: its Jacobian is the stage band plus the
 backward-difference block of alpha, which keeps the half-bandwidth N but is
-no longer symmetric.  _StageAt, the stage at one iterate, writes it
-straight into the band storage of LAPACK's dgbsv, one Fortran-ordered
-workspace per solve, and every Newton step factors and solves it there in
-place; the Newton loop itself is convexcore's, the one the slice proximal
-solves run, and its state is the _StageAt of the current iterate.
+no longer symmetric.  _StageAt, the stage at one iterate, reads it as a
+_Jacobian: a tridiagonal spatial block per slice, coupled in time.  Each
+Newton step solves it one of two ways, chosen from those coefficients.
+When none of them varies in time, bit for bit, the Jacobian is a Kronecker
+sum of the spatial block and a circulant in time, which a DFT in time and
+the spatial block's eigenvectors solve exactly in O(N M (M + log N)): so
+at p = m = 2 and at every time-constant iterate, the first one from u = 0
+included.  Otherwise the Jacobian is written straight into the band
+storage of LAPACK's dgbsv, one Fortran-ordered workspace per solve made at
+its first such step, and factored and solved there in place, in
+O(N^3 M).  The Newton loop itself is convexcore's, the one the slice
+proximal solves run, and its state is the _StageAt of the current iterate.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dstevd
 
 from . import convexcore as cc
 from .discretize import (
@@ -49,8 +57,8 @@ class _StageAt:
 
     du, its rate xi = alpha(du) and the energy phi (smoothing delta,
     perturbed by pf when given) are computed once, here; residual, F and
-    residual_AP are computed on first use and kept, and write_band writes
-    the band from the same evaluation.  eps may be zero, which drops the
+    residual_AP are computed on first use and kept, and jacobian reads F's
+    Jacobian from the same evaluation.  eps may be zero, which drops the
     time coupling and the lower-order terms of R; F keeps the coupling
     through alpha(du).
     """
@@ -85,43 +93,99 @@ class _StageAt:
         """Dual norm of alpha(du) + eta - f, as residual_AP; eps plays no part."""
         return dual_bochner_norm(self.xi + self.phi.grad - self.prob.f, self.prob)
 
-    def write_band(self, slope: np.ndarray, lu: np.ndarray) -> None:
-        """Write the Jacobian of R plus slope/dt times the backward-difference
-        block into lu, the LAPACK gbsv band with kl = ku = N.
+    def jacobian(self, slope: np.ndarray) -> _Jacobian:
+        """The Jacobian of R plus slope/dt times the backward-difference
+        block, by its coefficients per slice.
+
+        slope is alpha'(du) per slice, so that row (n, i) of alpha(du)
+        depends on u_n with weight slope/dt and on u_(n-1) with -slope/dt.
+        A zero slope leaves R's Jacobian.
+        """
+        prob, eps, delta, u = self.prob, self.eps, self.delta, self.u
+        dt, dx = prob.tmesh.dt, prob.smesh.dx
+        w = self.phi.weights
+        d = (w[:, :-1] + w[:, 1:]) / dx**2
+        c = None
+        if eps > 0.0:
+            c = eps * prob.nl.alpha_derivative(self.du, delta) / dt**2
+            d = d + c + np.roll(c, -1, axis=0)
+            d = d + eps * prob.nl.alpha_derivative(u, delta)
+            d = d + eps * cc._duality_diag(u, prob.p, delta, prob.smesh)
+        return _Jacobian(d, -w[:, 1:-1] / dx**2, slope / dt, c)
+
+
+class _Jacobian(NamedTuple):
+    """F's Jacobian: a tridiagonal spatial block per slice, coupled in time.
+
+    d (N, M) and e (N, M-1) are the diagonal and off-diagonal of each
+    slice's block: the cell weights' tridiagonal matrix over dx^2 plus, at
+    eps > 0, c_n + c_(n+1), eps alpha'(u) and the duality diagonal.  Row
+    (n, i) couples to u_(n-1) with -s, and s is on the diagonal too.  At
+    eps > 0 c (None at eps = 0) couples time nodes n-1 and n symmetrically
+    with -c_n, the periodic wrap from node N-1 back to node 0 included.
+    """
+
+    d: np.ndarray
+    e: np.ndarray
+    s: np.ndarray
+    c: np.ndarray | None
+
+    def time_invariant(self) -> bool:
+        """Whether no coefficient varies in time, bit for bit: every slice
+        has the same block, and s and c are one scalar each over the grid
+        (a spatially varying s or c would not commute with the block)."""
+        d, e, s, c = self
+        return bool(
+            (s == s.flat[0]).all() and (c is None or (c == c.flat[0]).all())
+            and (d == d[0]).all() and (e == e[0]).all()
+        )
+
+    def solve_time_invariant(self, b: np.ndarray) -> np.ndarray | None:
+        """Solve J x = b (N, M) exactly when time_invariant(); None when J
+        is singular or LAPACK finds no eigenpairs of its spatial block.
+
+        J is then the Kronecker sum I_N (x) K + C (x) I_M, with K the block
+        of every slice and C the circulant s (I - P) - c (P + P^T), P the
+        shift from node n-1 to node n.  K = Q diag(lam) Q^T, and C's symbol
+        at theta_k = 2 pi k / N is s (1 - exp(-i theta_k)) - 2 c cos
+        theta_k, so a real DFT in time and Q diagonalize J.
+        """
+        d, e, s, c = self
+        N = b.shape[0]
+        # dstevd takes an off-diagonal of length at least 1, unread at M = 1
+        lam, Q, info = dstevd(d[0], e[0] if e.shape[1] else np.zeros(1))
+        theta = 2.0 * np.pi * np.arange(N // 2 + 1) / N
+        sigma = s.flat[0] * (1.0 - np.exp(-1j * theta))
+        if c is not None:
+            sigma = sigma - 2.0 * c.flat[0] * np.cos(theta)
+        symbol = sigma[:, None] + lam
+        if info != 0 or not symbol.all():
+            return None
+        return np.fft.irfft(np.fft.rfft(b @ Q, axis=0) / symbol, N, axis=0) @ Q.T
+
+    def write_band(self, lu: np.ndarray) -> None:
+        """Write J into lu, the LAPACK gbsv band with kl = ku = N.
 
         The unknown at time node n and spatial node i sits at i*N + n, so the
         cyclic block-tridiagonal matrix is banded with half-bandwidth N, and
         entry A[r, c] goes to lu[2N + r - c, c]; rows 0 to N-1 are the fill
         rows of the factorization.  lu is Fortran-ordered with 3N+1 rows and
         is zeroed first, so it may hold the factors of the previous step.
-        R's Jacobian is symmetric with the couplings of time nodes n-1 and n,
-        the periodic wrap from node N-1 back to node 0, and the spatial
-        couplings; at N = 2 the wrap and the time coupling share a diagonal.
-        slope is alpha'(du) per slice, so that row (n, i) of alpha(du)
-        depends on u_n with weight slope/dt and on u_(n-1) with -slope/dt.
-        A zero slope leaves R's Jacobian.
+        At N = 2 the wrap and the time coupling share a diagonal.
         """
-        prob, eps, delta, u, du = self.prob, self.eps, self.delta, self.u, self.du
-        N, M = u.shape
-        dt, dx = prob.tmesh.dt, prob.smesh.dx
-        w = self.phi.weights
+        d, e, s, c = self
+        N, M = d.shape
 
         def diag(k: int) -> np.ndarray:
             """Diagonal k (A[c + k, c]) as an (M, N) view over the columns c."""
             return lu[2 * N + k].reshape(M, N)
 
         lu.fill(0.0)
-        main = (w[:, :-1] + w[:, 1:]) / dx**2
-        if eps > 0.0:
-            c = eps * prob.nl.alpha_derivative(du, delta) / dt**2
-            main = main + c + np.roll(c, -1, axis=0)
-            main = main + eps * prob.nl.alpha_derivative(u, delta)
-            main = main + eps * cc._duality_diag(u, prob.p, delta, prob.smesh)
+        if c is not None:
             diag(1)[:, :-1] = -c[1:].T
             diag(N - 1)[:, 0] -= c[0]
-        s = slope / dt
-        diag(0)[...] = (main + s).T
-        diag(N)[:-1] = (-w[:, 1:-1] / dx**2).T
+        diag(0)[...] = (d + s).T
+        diag(N)[:-1] = e.T
         for k in {1, N - 1, N}:
             lu[2 * N - k, k:] = lu[2 * N + k, :-k]
         diag(1)[:, :-1] -= s[1:].T
@@ -145,9 +209,11 @@ def newton_fixed_point(
     the Bochner dual norm of F falls.  Converged when that norm is at most
     tol * max(1, |f - alpha(du)|); otherwise it stops after max_iter steps,
     or when a step is singular, non-finite or cannot decrease the norm.
-    Returns the stage at the last iterate (its u, du, xi, energy and F, as
-    Newton evaluated them), the norm of F at the start and after every
-    step, and whether it converged.
+    Each step solves the Jacobian exactly by a DFT in time when its
+    coefficients do not vary in time, and through the dgbsv band
+    otherwise.  Returns the stage at the last iterate (its u, du, xi,
+    energy and F, as Newton evaluated them), the norm of F at the start and
+    after every step, and whether it converged.
     """
     if not (0.0 <= eps < math.inf):
         raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
@@ -155,7 +221,7 @@ def newton_fixed_point(
         raise ValueError(f"delta must be finite and >= 0, got {delta}")
     u = validate_trajectory(u0, prob.smesh, prob.tmesh, "initial trajectory")
     N, M = u.shape
-    lu = np.zeros((3 * N + 1, N * M), order="F")
+    lu = None
 
     def equation(v: np.ndarray) -> tuple[_StageAt, float]:
         stage = _StageAt(v, prob, eps, delta, pf)
@@ -165,7 +231,13 @@ def newton_fixed_point(
         return tol * max(1.0, dual_bochner_norm(prob.f - stage.xi, prob))
 
     def step(v: np.ndarray, stage: _StageAt) -> np.ndarray | None:
-        stage.write_band(prob.nl.alpha_derivative(stage.du, delta), lu)
+        nonlocal lu
+        jac = stage.jacobian(prob.nl.alpha_derivative(stage.du, delta))
+        if jac.time_invariant():
+            return jac.solve_time_invariant(-stage.F)
+        if lu is None:
+            lu = np.zeros((3 * N + 1, N * M), order="F")
+        jac.write_band(lu)
         _, _, x, info = dgbsv(
             N, N, lu, -stage.F.T.ravel(), overwrite_ab=1, overwrite_b=1
         )

@@ -195,12 +195,27 @@ def test_epsilon_continuation_solves_its_target_first():
     assert np.abs(stage.u - climb(prob)[-1].u).max() <= 1e-9
 
 
-def test_failed_target_climbs_the_ladder_from_the_warm_start(monkeypatch):
-    # at p < 1.6 with a time-constant forcing, Newton stalls on the eps = 0
-    # stage from u = 0 but converges along the ladder
+def test_steady_forcing_converges_its_target():
+    # a time-constant forcing keeps every iterate time-constant, each step
+    # solved exactly: Newton converges the eps = 0 stage from u = 0, where
+    # the band's roundoff once made it creep for 400 steps
     prob = unit_problem(1.5469, 2.752, 3, 3)
     f = np.broadcast_to(0.6459 * np.sin(np.pi * prob.smesh.nodes), prob.f.shape)
     prob = replace(prob, f=f.copy())
+    stages = ca.epsilon_continuation(prob, ca.CascadeParams())
+    assert len(stages) == 1 and stages[0].epsilon == 0.0 and stages[0].converged
+    assert stages[0].diagnostics["fixed_point_newton_steps"] <= 10
+
+
+def test_failed_target_climbs_the_ladder_from_the_warm_start(monkeypatch):
+    # at p < 1.7, Newton stalls on the eps = 0 stage from u = 0 but
+    # converges along the ladder.  The forcing's sin(2 pi t) vanishes at
+    # both time nodes but for roundoff, so the iterates vary in time
+    prob = unit_problem(1.6321698645661629, 1.6441639943239328, 6, 2)
+    x, t = prob.smesh.nodes[None, :], prob.tmesh.times[:, None]
+    f = (4.031714902854928 * np.sin(np.pi * x) * np.sin(2.0 * np.pi * t)
+         + 2.623325731293733 * np.sin(2.0 * np.pi * x))
+    prob = replace(prob, f=f)
     starts = []
     solve = ca.fixed_point_solve
 
@@ -247,13 +262,26 @@ def test_mu_route_solves_the_unperturbed_target_first():
     assert np.linalg.norm(final.u - walked.u) <= 1e-9 * np.linalg.norm(walked.u)
 
 
-def test_failed_unperturbed_target_walks_the_mu_levels_from_zero():
-    # p, m < 1.7 with a steady forcing: Newton stalls on the unperturbed
-    # stage from u = 0, and the mu walk converges; started from the failed
-    # iterate instead, its first level takes 184 steps rather than 66
+def test_steady_forcing_converges_its_unperturbed_target():
+    # p, m < 1.7 with a steady forcing: every iterate stays time-constant,
+    # so Newton solves the unperturbed stage from u = 0 and no mu level is
+    # walked; the band's roundoff once made it creep for 400 steps
     prob = unit_problem(1.6393521324548206, 1.5269430534788342, 6, 8)
     f = 2.8459252439774487 * np.sin(2.0 * np.pi * prob.smesh.nodes)
     prob = replace(prob, f=np.broadcast_to(f, prob.f.shape).copy())
+    final, stages, route = ca.solve_routed(prob, ca.CascadeParams())
+    assert route == "mu" and stages == [final] and final.converged
+    assert (final.epsilon, final.mu) == (0.0, 0.0)
+    assert final.diagnostics["fixed_point_newton_steps"] <= 10
+
+
+def test_failed_unperturbed_target_walks_the_mu_levels_from_zero():
+    # m < p < 1.75 with a time-varying forcing: Newton stalls on the
+    # unperturbed stage from u = 0, and the mu walk converges
+    prob = unit_problem(1.714351619603352, 1.6726892970292777, 5, 3)
+    x, t = prob.smesh.nodes[None, :], prob.tmesh.times[:, None]
+    f = -3.563404816899705 * np.sin(2.0 * np.pi * x) * np.sin(2.0 * np.pi * t)
+    prob = replace(prob, f=f)
     final, stages, route = ca.solve_routed(prob, ca.CascadeParams())
     _, walked, _ = ca.solve_routed(prob, ca.CascadeParams(), route="mu")
     assert route == "mu"
@@ -264,7 +292,7 @@ def test_failed_unperturbed_target_walks_the_mu_levels_from_zero():
         assert (stage.epsilon, stage.mu) == (ref.epsilon, ref.mu)
         assert np.array_equal(stage.u, ref.u)
     steps = [s.diagnostics["fixed_point_newton_steps"] for s in walked]
-    assert steps == [66, 4, 3, 2, 2]
+    assert steps == [26, 32, 116, 15, 16]
     assert final is stages[-1] and final.converged
 
 

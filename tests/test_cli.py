@@ -279,7 +279,25 @@ class TestSolve:
             return out
 
         monkeypatch.setattr(var, "dgbsv", singular)
+        # every stage starts from u = 0, whose time-constant Jacobian the
+        # exact step would solve: take the band there too
+        monkeypatch.setattr(var._Jacobian, "time_invariant", lambda jac: False)
         doc = {"problem": small_problem(), "cascade": {"epsilon_schedule": [0.5]}}
+        self.assert_singular_at_the_start(tmp_path, doc)
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_exact_step_exits_2_but_reports(self, tmp_path):
+        # p = m = 3 at delta = 0: at u = 0 the spatial block, alpha's slope
+        # and, at eps > 0, the lower-order terms all vanish, so the exact
+        # step's symbol is zero at theta = 0 on every stage
+        doc = {
+            "problem": small_problem(p=3.0, m=3.0),
+            "cascade": {"epsilon_schedule": [0.5], "delta": 0.0},
+        }
+        self.assert_singular_at_the_start(tmp_path, doc)
+
+    @staticmethod
+    def assert_singular_at_the_start(tmp_path, doc):
         out = tmp_path / "sg"
         argv = ["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]
         assert cli.main([*argv, "--quiet"]) == cli.EXIT_NOCONV

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dgbsv
@@ -18,6 +21,16 @@ def stage_args(prob, eps, delta=1e-6, pf=None):
 
 def band_workspace(N, M):
     return np.zeros((3 * N + 1, N * M), order="F")
+
+
+def band_solve(jac, b):
+    """Solve the Jacobian jac at right side b (N, M) through its gbsv band."""
+    N, M = b.shape
+    lu = band_workspace(N, M)
+    jac.write_band(lu)
+    _, _, x, info = dgbsv(N, N, lu, b.T.ravel())
+    assert info == 0
+    return x.reshape(M, N).T
 
 
 def unpack_band(lu, N):
@@ -59,8 +72,9 @@ def test_gradient_matches_fd_plain(rng):
 def test_minimizer_matches_dense_linear_solve(M, N):
     # p = m = 2: the stage equation is affine, so its dense Jacobian,
     # assembled column by column without the band, pins the stage solution
-    # exactly, and the exact band Jacobian gets there in one Newton step.
-    # At N = 2 both time couplings of a node pair share one band row.
+    # exactly, and the exact Jacobian, whose coefficients do not vary in
+    # time, gets there in one Newton step by the DFT solve.  At N = 2 both
+    # time couplings of a node pair share one band row.
     prob = unit_problem(2.0, 2.0, M, N)
     args = stage_args(prob, 0.25, delta=0.0)
     u_direct = dense_affine_zero(stage_equation(*args), (N, M))
@@ -79,7 +93,7 @@ def test_band_hessian_matches_fd_jacobian(rng):
     args = stage_args(prob, 0.3, delta=1e-2)
     u = rng.normal(size=(N, M))
     lu = band_workspace(N, M)
-    _StageAt(u, *args).write_band(np.zeros((N, M)), lu)
+    _StageAt(u, *args).jacobian(np.zeros((N, M))).write_band(lu)
     H = unpack_band(lu, N)
     assert np.array_equal(H, H.T)
     # band index i*N + n of trajectory entry (n, i), in trajectory order
@@ -108,7 +122,7 @@ def test_fixed_point_band_matches_fd_jacobian(rng, N):
     u = rng.normal(size=(N, M))
     du = time_derivative(u, prob.tmesh)
     lu = band_workspace(N, M)
-    _StageAt(u, *args).write_band(prob.nl.alpha_derivative(du, 1e-2), lu)
+    _StageAt(u, *args).jacobian(prob.nl.alpha_derivative(du, 1e-2)).write_band(lu)
     assert not lu[:N].any()  # the fill rows of the factorization
     D = N * M
     A = unpack_band(lu, N)
@@ -122,23 +136,112 @@ def test_fixed_point_band_matches_fd_jacobian(rng, N):
     assert np.allclose(A[np.ix_(perm, perm)], J, rtol=1e-6, atol=1e-6)
 
 
-def test_newton_factors_the_band_in_place(rng, monkeypatch):
-    # every step hands LAPACK one Fortran-ordered workspace, which gbsv
-    # overwrites with its LU factors; any other layout makes f2py copy the
-    # whole band before every solve
+# (p, m, eps, varying diffusion, time-constant iterate): p = m = 2 at either
+# eps, with the Mosco family's spatially varying diffusion too, and
+# time-constant iterates at p != 2, where at eps > 0 the lower-order terms
+# vary in space but not in time
+EXACT_CASES = [
+    (2.0, 2.0, 0.0, False, False),
+    (2.0, 2.0, 0.3, False, False),
+    (2.0, 2.0, 0.0, True, False),
+    (2.0, 2.0, 0.3, True, False),
+    (2.5, 3.0, 0.0, False, True),
+    (1.7, 2.4, 0.0, True, True),
+    (3.0, 2.0, 0.3, False, True),
+]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("p, m, eps, varying, constant", EXACT_CASES)
+def test_exact_step_matches_the_band(rng, N, p, m, eps, varying, constant):
+    # the DFT in time and the eigenvectors of the spatial block solve a
+    # time-invariant Jacobian as the band does: odd N, the Nyquist term of
+    # even N, and N = 2, where the wrap and the time coupling share a
+    # diagonal
+    M = 6
+    prob = unit_problem(p, m, M, N)
+    if varying:
+        prob = dataclasses.replace(prob, a=cc.DiffusionField(1.0 + rng.random(M + 1)))
+    u = np.tile(rng.normal(size=M), (N, 1)) if constant else rng.normal(size=(N, M))
+    stage = _StageAt(u, prob, eps, 1e-6)
+    jac = stage.jacobian(prob.nl.alpha_derivative(stage.du, 1e-6))
+    assert jac.time_invariant()
+    b = rng.normal(size=(N, M))
+    x = jac.solve_time_invariant(b)
+    ref = band_solve(jac, b)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("p, m", [(2.5, 2.0), (2.0, 3.0)])
+def test_time_varying_coefficients_take_the_band(rng, monkeypatch, p, m):
+    # at m = 2 every slice has the same weights, but alpha's slope varies in
+    # time at p != 2; at p = 2 the slope is 1, but the weights vary at m != 2
     calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[2])
+        return dgbsv(*args, **kwargs)
+
+    monkeypatch.setattr(var, "dgbsv", spy)
+    N, M = 4, 5
+    args = stage_args(unit_problem(p, m, M, N), 0.0)
+    u = rng.normal(size=(N, M))
+    stage = _StageAt(u, *args)
+    assert not stage.jacobian(args[0].nl.alpha_derivative(stage.du, 1e-6)).time_invariant()
+    newton_fixed_point(u, *args, 1e-10, 1)
+    assert len(calls) == 1
+
+
+def test_linear_stage_never_factors_a_band(monkeypatch):
+    # at p = m = 2 no coefficient varies in time, at any iterate: no step
+    # calls gbsv, and no band workspace is allocated
+    def no_band(*args, **kwargs):
+        raise AssertionError("gbsv called")
+
+    monkeypatch.setattr(var, "dgbsv", no_band)
+    N = M = 32
+    band_bytes = band_workspace(N, M).nbytes
+    for eps in (0.0, 0.25):
+        args = stage_args(unit_problem(2.0, 2.0, M, N), eps)
+        tracemalloc.start()
+        try:
+            _, history, converged = newton_fixed_point(
+                np.zeros((N, M)), *args, 1e-12, 5
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert converged and len(history) == 2
+        assert peak < band_bytes / 4
+
+
+def test_newton_factors_the_band_in_place(rng, monkeypatch):
+    # every band step hands LAPACK one Fortran-ordered workspace, which gbsv
+    # overwrites with its LU factors; any other layout makes f2py copy the
+    # whole band before every solve.  The step from u = 0 has time-constant
+    # coefficients and is solved exactly; the band starts where u begins to
+    # vary in time
+    calls, order = [], []
+    exact = var._Jacobian.solve_time_invariant
 
     def spy(kl, ku, ab, b, **kwargs):
         out = dgbsv(kl, ku, ab, b, **kwargs)
         calls.append((kl, ku, ab, out[0]))
+        order.append("band")
         return out
 
+    def exact_spy(jac, b):
+        order.append("exact")
+        return exact(jac, b)
+
     monkeypatch.setattr(var, "dgbsv", spy)
+    monkeypatch.setattr(var._Jacobian, "solve_time_invariant", exact_spy)
     N, M = 3, 5
     prob = unit_problem(2.5, 3.0, M, N)
     args = stage_args(prob, 0.1, delta=1e-2)
     _, history, converged = newton_fixed_point(np.zeros((N, M)), *args, 1e-10, 50)
-    assert converged and len(calls) == len(history) - 1 >= 2
+    assert converged and len(order) == len(history) - 1
+    assert order == ["exact"] + ["band"] * len(calls) and len(calls) >= 2
     assert all(ab is calls[0][2] for _, _, ab, _ in calls)
     for kl, ku, ab, lu in calls:
         assert kl == ku == N
@@ -147,14 +250,14 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
     # the writer re-zeroes the workspace: written over the factors of the
     # last step, it holds the same band as written into zeros
     u = rng.normal(size=(N, M))
-    stage = _StageAt(u, *args)
     slope = prob.nl.alpha_derivative(time_derivative(u, prob.tmesh), 1e-2)
+    jac = _StageAt(u, *args).jacobian(slope)
     fresh = band_workspace(N, M)
-    stage.write_band(slope, fresh)
+    jac.write_band(fresh)
     lu = fresh.copy(order="F")
     _, _, _, info = dgbsv(N, N, lu, rng.normal(size=N * M), overwrite_ab=1)
     assert info == 0 and not np.array_equal(lu, fresh)
-    stage.write_band(slope, lu)
+    jac.write_band(lu)
     assert np.array_equal(lu, fresh)
 
 
@@ -184,16 +287,25 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     assert counts["time_derivative"] == counts["iterates"] >= len(history)
 
 
+@pytest.mark.filterwarnings("error")
 def test_singular_jacobian_stops_newton_unconverged():
-    # at eps = delta = 0 and m = 3 the energy has no curvature at u = 0, and
-    # the periodic backward difference annihilates time-constant trajectories,
-    # so F's Jacobian is singular there: gbsv reports it and no step is taken
+    # at delta = 0 and m = 3 the energy has no curvature at u = 0, and the
+    # periodic backward difference annihilates time-constant trajectories;
+    # at p = 3 alpha has no slope at 0 and the duality map no block at a
+    # zero slice, so eps adds nothing.  F's Jacobian is singular there: the
+    # exact step reports it, without a warning, and no step is taken
     N, M = 3, 4
-    args = stage_args(unit_problem(2.0, 3.0, M, N), 0.0, delta=0.0)
-    stage, history, converged = newton_fixed_point(np.zeros((N, M)), *args, 1e-10, 5)
-    assert not converged
-    assert len(history) == 1 and history[0] > 0.0
-    assert not stage.u.any()
+    for p, eps in ((2.0, 0.0), (3.0, 0.5)):
+        args = stage_args(unit_problem(p, 3.0, M, N), eps, delta=0.0)
+        stage = _StageAt(np.zeros((N, M)), *args)
+        jac = stage.jacobian(args[0].nl.alpha_derivative(stage.du, 0.0))
+        assert jac.time_invariant() and jac.solve_time_invariant(-stage.F) is None
+        stage, history, converged = newton_fixed_point(
+            np.zeros((N, M)), *args, 1e-10, 5
+        )
+        assert not converged
+        assert len(history) == 1 and history[0] > 0.0
+        assert not stage.u.any()
 
 
 def test_duality_diagonal_is_scale_free_above_two(rng):
