@@ -2,9 +2,10 @@
 
 Subcommands: solve, verify, mms, mosco, sweep.  Every run is driven by a
 versioned JSON config; validation failures name the offending key and exit
-with code 1, solver non-convergence exits with code 2 (the report is still
-written), success exits 0.  All randomness flows from the single seed, and
-identical configs produce byte-identical CSV outputs.
+with code 1, as a malformed command line does, solver non-convergence exits
+with code 2 (the report is still written), success exits 0.  All randomness
+flows from the single seed, and identical configs produce byte-identical CSV
+outputs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .verify import (
     Table,
     _constant_diffusion,
     _mms_level,
-    _solve_batch,
     growth_audit,
     invariant_suite,
     mms_run,
@@ -416,14 +416,14 @@ def _build_mms_spec(cfg: RunConfig):
     return spec, tuple(map(tuple, levels))
 
 
-def cmd_mms(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_mms(cfg: RunConfig) -> int:
     spec, levels = _build_mms_spec(cfg)
     outdir = _ensure_dir(cfg.output_dir)
-    table = mms_run(spec, cfg.problem, cfg.cascade, levels, jobs=jobs)
+    table = mms_run(spec, cfg.problem, cfg.cascade, levels)
     return _write_study(outdir, "mms", table, cfg)
 
 
-def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_mosco(cfg: RunConfig) -> int:
     blk = cfg.block("mosco")
     kind = _get(blk, "kind", "mosco", str, "diffusion_perturbation")
     n_max = _int(blk, "n_max", "mosco", 8, minimum=1)
@@ -434,11 +434,11 @@ def cmd_mosco(cfg: RunConfig, jobs: int = 1) -> int:
     except ValueError as exc:
         raise ConfigError("mosco.kind", str(exc)) from exc
     outdir = _ensure_dir(cfg.output_dir)
-    table = mosco_experiment(seq, cfg.cascade, jobs=jobs)
+    table = mosco_experiment(seq, cfg.cascade)
     return _write_study(outdir, "mosco", table, cfg)
 
 
-def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     blk = cfg.block("sweep")
     default_pairs = [[2, 2], [2, 3], [2.5, 3], [3, 2], [2, 1.5]]
     pairs = _get(blk, "pairs", "sweep", list, default_pairs)
@@ -476,7 +476,7 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
             runs.append((p, m, ef, prob, params))
 
     outdir = _ensure_dir(cfg.output_dir)
-    outs = _solve_batch([(prob, params, cfg.route) for *_, prob, params in runs], jobs)
+    outs = [solve_routed(prob, params, cfg.route) for *_, prob, params in runs]
     summary = Table(["p", "m", "epsilon_final", "route", "converged", "residual"])
     for (p, m, ef, prob, params), (final, stages, route) in zip(runs, outs):
         sub = _ensure_dir(str(outdir / f"p{p:g}_m{m:g}_eps{ef:g}"))
@@ -505,8 +505,20 @@ def cmd_sweep(cfg: RunConfig, jobs: int = 1) -> int:
 # entry point
 
 
+class _UsageError(Exception):
+    """A malformed command line, as argparse words it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built from this class too, so every usage error reaches
+    # main, which exits 1 as for an invalid config: 2 means non-convergence
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="perisolve",
         description="Time-periodic doubly nonlinear diffusion solver and "
         "verification harness",
@@ -523,18 +535,15 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--output", default=None, help="output directory override")
         sp.add_argument("--quiet", action="store_true", help="warnings only")
-        if name in ("mms", "mosco", "sweep"):
-            sp.add_argument(
-                "--jobs", type=int, default=1,
-                help="at most this many processes, this one included; workers "
-                "start only when the solves left can pay for them, with one BLAS "
-                "thread each",
-            )
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -546,11 +555,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "mms":
-            return cmd_mms(cfg, jobs=args.jobs)
+            return cmd_mms(cfg)
         if args.command == "mosco":
-            return cmd_mosco(cfg, jobs=args.jobs)
+            return cmd_mosco(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, jobs=args.jobs)
+            return cmd_sweep(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-import multiprocessing
-import os
-import time
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -48,7 +44,6 @@ __all__ = [
     "MoscoSequenceSpec",
     "derived_forcing",
     "mms_run",
-    "mms_temporal_order",
     "invariant_suite",
     "mosco_experiment",
     "growth_audit",
@@ -242,7 +237,6 @@ def mms_run(
     prob: ProblemSpec,
     params: CascadeParams,
     levels: tuple[tuple[int, int], ...],
-    jobs: int = 1,
 ) -> Table:
     """Solve the manufactured problem across the (M, N) refinement levels.
 
@@ -251,15 +245,13 @@ def mms_run(
     tolerance at every level; in continuum mode consecutive level ratios
     expose the convergence order (meta key "orders").  The steady solution
     makes the time stepping exact, so its levels isolate the second-order
-    spatial error.  jobs > 1 solves the levels on up to that many processes,
-    this one included, starting workers only when the solves left can pay
-    for them; the table is the same.
+    spatial error.
     """
     table = Table(["level", "M", "N", "error", "residual", "converged"])
     table.meta["mode"] = mms.mode
     table.meta["name"] = mms.name
     probs = [_mms_level(mms, prob, M, N, params.delta) for M, N in levels]
-    outs = _solve_batch([(lp, params, "auto") for lp in probs], jobs)
+    outs = [solve_routed(lp, params) for lp in probs]
     for lv, ((M, N), lp, (final, _, _)) in enumerate(zip(levels, probs, outs)):
         U = sample_exact(mms, lp.smesh, lp.tmesh)
         err = bochner_norm(norm_V(final.u - U, lp.p, lp.smesh), np.inf, lp.tmesh)
@@ -270,44 +262,6 @@ def mms_run(
         with np.errstate(divide="ignore", invalid="ignore"):
             orders = np.log2(errs[:-1] / errs[1:])
         table.meta["orders"] = [float(o) for o in orders]
-    return table
-
-
-def mms_temporal_order(
-    mms: MmsSpec,
-    prob: ProblemSpec,
-    params: CascadeParams,
-    M: int = 8,
-    Ns: tuple[int, ...] = (8, 16, 32),
-    N_ref: int = 128,
-) -> Table:
-    """Self-convergence in dt against a fine-step reference on the same grid.
-
-    Holding M fixed cancels the spatial error, so the distance to the
-    reference isolates the first-order time stepping.  Every N must divide
-    N_ref so slices align.  The ladder starts at N = 8: coarser steps sit
-    outside the asymptotic range and pollute the fitted order.
-    """
-    for N in Ns:
-        if N_ref % N != 0 or N >= N_ref:
-            raise ValueError(f"each N must divide N_ref and be smaller, got {N}")
-
-    def solve(N: int) -> np.ndarray:
-        final, _, _ = solve_routed(_mms_level(mms, prob, M, N, params.delta), params)
-        return final.u
-
-    u_ref = solve(N_ref)
-    smesh = SpatialMesh(prob.smesh.length, M)
-    table = Table(["N", "dt", "error"])
-    for N in Ns:
-        u = solve(N)
-        stride = N_ref // N
-        diff = u - u_ref[::stride]
-        err = float(np.max(norm_V(diff, prob.p, smesh)))
-        table.add(N, prob.tmesh.period / N, err)
-    errs = table.column("error").astype(float)
-    table.meta["orders"] = [float(o) for o in np.log2(errs[:-1] / errs[1:])]
-    table.meta["slope"] = loglog_slope(table.column("dt"), errs)
     return table
 
 
@@ -506,143 +460,6 @@ class MoscoSequenceSpec:
         )
 
 
-# BLAS libraries read these once, when they load
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# A worker's start-up, read once: the CPU this process has spent by the time
-# this module is imported.  That is starting an interpreter and importing
-# numpy, scipy and this package, which a spawned worker repeats before its
-# first claim (on 2 cores: 0.4-0.5 s read here, 0.4-0.5 s from a worker's
-# start() to its first claim)
-_WORKER_START_S = time.process_time()
-
-
-def _solve_one(prob: ProblemSpec, params: CascadeParams, route: str):
-    # the solve of one batch item, in the caller or in a worker.  It is
-    # private, so instrumentation that rebinds public names to wrappers
-    # leaves it alone
-    return solve_routed(prob, params, route)
-
-
-def _claim(counter) -> int:
-    """The next unclaimed batch index; past the end once all are claimed."""
-    with counter.get_lock():
-        i = counter.value
-        counter.value = i + 1
-    return i
-
-
-def _work(items, counter, results) -> None:
-    # a spawned worker: solve claimed items until the batch runs out.  Pickle
-    # sends it by name, so it is module-level
-    while (i := _claim(counter)) < len(items):
-        try:
-            out = (i, True, _solve_one(*items[i]))
-        except Exception as exc:
-            out = (i, False, exc)
-        results.put(out)
-
-
-def _receive(results, outs: list, pending: set) -> None:
-    """Take every result already sent; re-raise a worker's exception."""
-    while not results.empty():
-        i, ok, value = results.get()
-        if not ok:
-            raise value
-        outs[i] = value
-        pending.discard(i)
-
-
-def _solve_batch(items, jobs: int) -> list:
-    """solve_routed over (prob, params, route) items, outputs in input order.
-
-    jobs is a ceiling on the processes, the caller included.  The caller
-    solves the items in order and starts workers only when the solves left
-    can pay for them: before each item after the first, with at least two
-    left, it estimates their serial time as the mean wall time of its own
-    solves so far times their number.  Once that exceeds twice a worker's
-    start-up, it hands the items left to _solve_pooled.  A worker is of use
-    only after its start-up, and while it starts it slows the caller down,
-    so a batch that cannot pay for a worker is solved without starting any
-    process.  A solve that raises is re-raised.  Spawned workers re-import
-    the main module, so a script that calls this with jobs > 1 must guard
-    its entry point with ``if __name__ == "__main__"``.
-    """
-    outs, t0 = [], time.perf_counter()
-    for k, item in enumerate(items):
-        left = len(items) - k
-        if k and jobs > 1 and left > 1:
-            pace = (time.perf_counter() - t0) / k
-            if pace * left > 2.0 * _WORKER_START_S:
-                return outs + _solve_pooled(items, k, jobs)
-        outs.append(_solve_one(*item))
-    return outs
-
-
-def _solve_pooled(items, first: int, jobs: int) -> list:
-    """The outputs of items[first:] in order, solved by the caller and
-    min(jobs, len(items) - first) - 1 spawned workers.
-
-    Caller and workers claim indices from one shared counter that starts at
-    first, so the caller solves items while the workers start.  Each worker
-    has one BLAS thread, so the processes share the cores instead of
-    oversubscribing them; the thread variables are set only around the
-    starts and then restored, so the caller's environment and its already
-    loaded BLAS keep their settings.  A solve that raises, here or in a
-    worker, is re-raised; a worker that dies holding an item raises
-    RuntimeError.  No worker outlives the call.
-    """
-    ctx = multiprocessing.get_context("spawn")
-    counter, results = ctx.Value("i", first), ctx.Queue()
-    procs = [
-        ctx.Process(target=_work, args=(items, counter, results), daemon=True)
-        for _ in range(min(jobs, len(items) - first) - 1)
-    ]
-    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
-    try:
-        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-        try:
-            for p in procs:
-                p.start()
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    os.environ.pop(k, None)
-                else:
-                    os.environ[k] = v
-        outs, pending = [None] * len(items), set(range(first, len(items)))
-        while (i := _claim(counter)) < len(items):
-            outs[i] = _solve_one(*items[i])
-            pending.discard(i)
-            _receive(results, outs, pending)
-        live = procs
-        while True:
-            # a worker that has exited has flushed its results, so those
-            # still pending after this receive are held by a live worker
-            live = [p for p in live if p.exitcode is None]
-            _receive(results, outs, pending)
-            if not pending:
-                return outs[first:]
-            if not live:
-                codes = [p.exitcode for p in procs]
-                raise RuntimeError(
-                    f"batch items {sorted(pending)} were lost: a worker "
-                    f"process exited while solving them (exit codes {codes})"
-                )
-            # wake on a result or on a worker's exit; the queue exposes its
-            # pipe's read end only as _reader
-            wait([results._reader, *(p.sentinel for p in live)])
-    finally:
-        # workers still starting, or still solving after a failure
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            if p.pid is not None:
-                p.join()
-        results.close()
-
-
 def mosco_experiment(
     seq: MoscoSequenceSpec,
     params: CascadeParams,
@@ -653,16 +470,12 @@ def mosco_experiment(
     Error is the sup-in-time nodal L^p distance, the discrete stand-in for
     uniform-in-time state-space convergence.  meta records the trailing to
     leading error ratio and whether errors decrease beyond the noise floor.
-    jobs > 1 solves the base problem and the instances in one batch on up
-    to that many processes, this one included, starting workers only when
-    the solves left can pay for them, each with one BLAS thread; the table
-    is the same as with jobs = 1.
+    Every solve runs in this process.  jobs is ignored; it remains only
+    because the Mosco workload of bench/workloads.py still passes it.
     """
     ns = sorted(seq.index_set)
     probs = [seq.base] + [seq.instance(n) for n in ns]
-    (base_final, _, _), *outs = _solve_batch(
-        [(pr, params, "auto") for pr in probs], jobs
-    )
+    (base_final, _, _), *outs = [solve_routed(pr, params) for pr in probs]
     smesh, tmesh = seq.base.smesh, seq.base.tmesh
     table = Table(["n", "error", "converged", "residual"])
     for n, (final, _, _) in zip(ns, outs):

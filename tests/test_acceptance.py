@@ -190,7 +190,7 @@ def test_criterion_6_mosco_stability():
         kind="diffusion_perturbation", base=base, index_set=tuple(range(1, 9))
     )
     t0 = time.perf_counter()
-    tab = vf.mosco_experiment(seq, params, jobs=2)
+    tab = vf.mosco_experiment(seq, params)
     wall = time.perf_counter() - t0
     errs = tab.column("error").astype(float)
     ratio = tab.meta["last_over_first"]

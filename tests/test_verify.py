@@ -1,7 +1,4 @@
-import multiprocessing
-import os
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +7,7 @@ import perisolve.cascade as ca
 import perisolve.convexcore as cc
 import perisolve.verify as vf
 from perisolve.discretize import SpatialMesh, TemporalMesh, time_derivative
-from util import (
-    ExitsInWorker,
-    bump_mms,
-    claim_into,
-    hold_first_pool_solve,
-    unit_problem,
-)
+from util import bump_mms, unit_problem
 
 
 class TestTable:
@@ -167,38 +158,17 @@ def test_mms_run_discrete_hits_solver_tolerance():
     assert all(tab.column("converged"))
     assert np.all(tab.column("error").astype(float) <= 1e-7)
     assert "orders" not in tab.meta
-    # the levels are built here and only the problems go to the batch, which
-    # returns the same rows and leaves the caller's environment as it was
-    env = dict(os.environ)
-    par = vf.mms_run(
-        bump_mms(), unit_problem(2.0, 3.0, 8, 8), params, levels=((6, 8), (12, 10)),
-        jobs=2,
-    )
-    assert dict(os.environ) == env
-    assert par.rows == tab.rows
 
 
 def test_mms_run_continuum_reports_orders():
     params = ca.CascadeParams(fp_tol=1e-9)
     mms = vf.MmsSpec("separable_bump", "continuum")
     tab = vf.mms_run(
-        mms, unit_problem(2.0, 3.0, 6, 6), params, levels=((6, 6), (12, 12)), jobs=2
+        mms, unit_problem(2.0, 3.0, 6, 6), params, levels=((6, 6), (12, 12))
     )
     assert len(tab.meta["orders"]) == 1
     errs = tab.column("error").astype(float)
     assert errs[1] < errs[0]
-
-
-def test_mms_temporal_order_is_first_order():
-    params = ca.CascadeParams(fp_tol=1e-9)
-    mms = vf.MmsSpec("separable_bump", "continuum")
-    tab = vf.mms_temporal_order(mms, unit_problem(2.0, 3.0, 8, 8), params)
-    errs = tab.column("error").astype(float)
-    assert np.all(errs[1:] < errs[:-1])
-    assert tab.meta["slope"] >= 0.85
-
-    with pytest.raises(ValueError, match="each N must divide N_ref"):
-        vf.mms_temporal_order(mms, unit_problem(2.0, 3.0, 8, 8), params, Ns=(12,))
 
 
 def test_mms_spatial_order_is_second_order():
@@ -286,182 +256,17 @@ class TestMosco:
         errs = tab.column("error").astype(float)
         assert np.all(errs <= tab.meta["noise_floor"])
 
-    def test_base_solve_shares_the_instance_batch(self, monkeypatch):
-        # one batch, so no worker idles while the base problem solves
-        seq = vf.MoscoSequenceSpec(
-            kind="identity", base=unit_problem(2.0, 3.0, 6, 6), index_set=(1, 2)
-        )
-        sizes = []
-        batch = vf._solve_batch
-
-        def spy(items, jobs):
-            sizes.append(len(items))
-            return batch(items, jobs)
-
-        monkeypatch.setattr(vf, "_solve_batch", spy)
-        vf.mosco_experiment(seq, ca.CascadeParams())
-        assert sizes == [len(seq.index_set) + 1]
-
     @pytest.mark.parametrize(
         "kind",
         ["forcing_perturbation", "diffusion_perturbation", "nonlinearity_perturbation"],
     )
-    def test_perturbed_solutions_converge_back(self, monkeypatch, kind):
+    def test_perturbed_solutions_converge_back(self, kind):
         base = unit_problem(2.0, 3.0, 12, 12)
         seq = vf.MoscoSequenceSpec(kind=kind, base=base, index_set=(1, 2, 4))
         tab = vf.mosco_experiment(seq, ca.CascadeParams())
         assert all(tab.column("converged"))
         assert tab.meta["monotone_beyond_floor"]
         assert tab.meta["last_over_first"] <= 0.5
-        # worker processes return the serial table, row for row, and leave
-        # the caller's environment as it was
-        monkeypatch.setattr(vf, "_WORKER_START_S", 0.0)
-        env = dict(os.environ)
-        par = vf.mosco_experiment(seq, ca.CascadeParams(), jobs=2)
-        assert dict(os.environ) == env
-        assert par.rows == tab.rows
-        assert par.meta == tab.meta
-
-
-class TestSolveBatch:
-    """The caller is one of the jobs; it starts workers only when the solves
-    left can pay for them, and they claim what it leaves."""
-
-    def test_workers_solve_what_the_caller_leaves(self, monkeypatch):
-        seq = vf.MoscoSequenceSpec(
-            kind="diffusion_perturbation",
-            base=unit_problem(2.0, 3.0, 6, 6),
-            index_set=(1, 2, 4),
-        )
-        params = ca.CascadeParams()
-        tab = vf.mosco_experiment(seq, params)
-        monkeypatch.setattr(vf, "_WORKER_START_S", 0.0)
-        calls = hold_first_pool_solve(monkeypatch.setattr, claimed=4)
-        par = vf.mosco_experiment(seq, params, jobs=2)
-        # the caller solved the base problem before the pool and the first
-        # instance in it; the worker solved the other two
-        assert len(calls) == 2
-        assert repr(par.rows) == repr(tab.rows)
-        assert par.meta == tab.meta
-        assert multiprocessing.active_children() == []
-
-    def test_a_batch_that_cannot_pay_for_a_worker_starts_no_process(
-        self, monkeypatch
-    ):
-        seq = vf.MoscoSequenceSpec(
-            kind="diffusion_perturbation",
-            base=unit_problem(2.0, 3.0, 6, 6),
-            index_set=(1, 2, 4),
-        )
-        params = ca.CascadeParams()
-        tab = vf.mosco_experiment(seq, params)
-        starts, start = [], multiprocessing.context.SpawnProcess.start
-
-        def spy(p):
-            starts.append(p)
-            start(p)
-
-        monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", spy)
-        par = vf.mosco_experiment(seq, params, jobs=2)
-        assert starts == []
-        assert multiprocessing.active_children() == []
-        assert repr(par.rows) == repr(tab.rows)
-        assert par.meta == tab.meta
-
-    @pytest.mark.parametrize(
-        "jobs, n, workers",
-        [(1, 4, 0), (0, 4, 0), (2, 1, 0), (8, 0, 0), (2, 4, 1), (3, 5, 2), (64, 5, 4)],
-    )
-    def test_starts_at_most_jobs_minus_one_workers(self, monkeypatch, jobs, n, workers):
-        # a spy that starts nothing, so the caller solves every item
-        starts = []
-        monkeypatch.setattr(
-            multiprocessing.context.SpawnProcess, "start", lambda p: starts.append(p)
-        )
-        monkeypatch.setattr(vf, "_solve_one", lambda *item: item)
-        items = [(k, None, None) for k in range(n)]
-        assert vf._solve_pooled(items, 0, jobs) == items
-        assert len(starts) == workers
-
-    @pytest.mark.parametrize(
-        "jobs, seconds, start_s, alone, workers",
-        [
-            (2, [1, 1, 1, 1, 1], 1.0, 1, 1),  # 4 s left against 2 s
-            (2, [1, 1, 1, 1, 1], 2.0, 5, 0),  # 4 s left, never more than 4 s
-            (4, [1, 1, 1, 1, 1, 1], 1.5, 1, 3),
-            (2, [0.1, 3, 3, 3, 3], 1.0, 2, 1),  # 1.55 s a solve, 3 left
-            (2, [9, 9], 0.0, 2, 0),  # one solve left needs no worker
-            (1, [9, 9, 9], 0.0, 3, 0),  # jobs is a ceiling
-        ],
-    )
-    def test_caller_starts_workers_once_the_solves_left_pay(
-        self, monkeypatch, jobs, seconds, start_s, alone, workers
-    ):
-        # items take a known time on a fake clock; the caller solves the
-        # first `alone` of them and hands exactly the rest to the pool
-        now, starts, handed = [0.0], [], []
-        pooled = vf._solve_pooled
-
-        def solve(*item):
-            now[0] += item[0]
-            return item
-
-        def pool(items, first, jobs):
-            handed.append(items[first:])
-            return pooled(items, first, jobs)
-
-        monkeypatch.setattr(vf, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-        monkeypatch.setattr(vf, "_WORKER_START_S", start_s)
-        monkeypatch.setattr(vf, "_solve_one", solve)
-        monkeypatch.setattr(vf, "_solve_pooled", pool)
-        monkeypatch.setattr(
-            multiprocessing.context.SpawnProcess, "start", lambda p: starts.append(p)
-        )
-        items = [(s, None, None) for s in seconds]
-        assert vf._solve_batch(items, jobs) == items
-        assert handed == ([items[alone:]] if alone < len(items) else [])
-        assert len(starts) == workers
-
-    def test_claims_are_unique_across_processes(self):
-        # more claimants than cores; a lost update would hand out an index twice
-        ctx = multiprocessing.get_context("spawn")
-        counter, out = ctx.Value("i", 0), ctx.Queue()
-        procs = [
-            ctx.Process(target=claim_into, args=(counter, 2000, out)) for _ in range(4)
-        ]
-        for p in procs:
-            p.start()
-        claimed = [i for _ in procs for i in out.get(timeout=120)]
-        for p in procs:
-            p.join(timeout=60)
-            assert not p.is_alive()
-        assert sorted(claimed) == list(range(8000))
-
-    def test_a_failing_caller_solve_is_raised_and_no_worker_is_left(self):
-        items = [(unit_problem(2.0, 3.0, 4, 4), ca.CascadeParams(), "bogus")] * 3
-        with pytest.raises(ValueError, match="route must be"):
-            vf._solve_pooled(items, 0, 2)
-        assert multiprocessing.active_children() == []
-
-    def test_a_failing_worker_solve_is_raised(self, monkeypatch):
-        items = [(unit_problem(2.0, 3.0, 4, 4), ca.CascadeParams(), "bogus")] * 3
-        calls = hold_first_pool_solve(
-            monkeypatch.setattr, claimed=3, solve=lambda *item: None
-        )
-        with pytest.raises(ValueError, match="route must be"):
-            vf._solve_pooled(items, 0, 2)
-        assert len(calls) == 1
-        assert multiprocessing.active_children() == []
-
-    def test_a_worker_that_dies_holding_an_item_raises(self, monkeypatch):
-        items = [(None, None, ExitsInWorker())] * 3
-        calls = hold_first_pool_solve(
-            monkeypatch.setattr, claimed=2, solve=lambda *item: None
-        )
-        with pytest.raises(RuntimeError, match=r"batch items \[1\] were lost"):
-            vf._solve_pooled(items, 0, 2)
-        assert len(calls) == 2
-        assert multiprocessing.active_children() == []
 
 
 class TestGrowthAudit:

@@ -1,14 +1,10 @@
 """Shared builders for the test suite."""
 
-import multiprocessing
-import os
-import time
 from dataclasses import replace
 
 import numpy as np
 
 import perisolve.convexcore as cc
-import perisolve.verify as vf
 from perisolve.discretize import (
     ProblemSpec,
     SpatialMesh,
@@ -17,7 +13,7 @@ from perisolve.discretize import (
     norm_V,
 )
 from perisolve.variational import _StageAt
-from perisolve.verify import MmsSpec, _claim, derived_forcing, sample_exact
+from perisolve.verify import MmsSpec, derived_forcing, sample_exact
 
 
 def unit_problem(p, m, M, N, amp=1.0, diffusion=1.0):
@@ -53,49 +49,6 @@ def slice_problem(sm, m, p=2.0):
         smesh=sm,
         tmesh=TemporalMesh(1.0, 2),
     )
-
-
-class ExitsInWorker:
-    """A solve route that ends a spawned worker comparing it, as a crash
-    would.  In the main process it compares unequal to everything."""
-
-    def __eq__(self, other):
-        if multiprocessing.parent_process() is not None:
-            os._exit(3)
-        return NotImplemented
-
-    __hash__ = object.__hash__
-
-
-def claim_into(counter, count, out):
-    """Claim `count` batch indices from counter and send them to out."""
-    out.put([_claim(counter) for _ in range(count)])
-
-
-def hold_first_pool_solve(setattr, claimed, solve=None):
-    """Patch the caller's side of a batch: record its solves and hold the
-    solve of its first claim until the shared counter reads `claimed`.
-    Spawned workers import the real functions, so the patch affects only
-    the caller.  setattr is monkeypatch.setattr in a test and the builtin
-    in a child interpreter."""
-    counters, calls = [], []
-    claim, one = vf._claim, solve or vf._solve_one
-
-    def claim_spy(counter):
-        counters.append(counter)
-        return claim(counter)
-
-    def held(*item):
-        if len(counters) == 1:
-            deadline = time.monotonic() + 60.0
-            while counters[0].value < claimed and time.monotonic() < deadline:
-                time.sleep(0.01)
-        calls.append(item)
-        return one(*item)
-
-    setattr(vf, "_claim", claim_spy)
-    setattr(vf, "_solve_one", held)
-    return calls
 
 
 def bump_mms():
