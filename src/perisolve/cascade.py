@@ -18,9 +18,9 @@ attacked in layers:
   first too, and walks the mu schedule only when that fails.
 
 A stage's diagnostics read the stage equation at Newton's last iterate, as
-Newton evaluated it.  solve_routed is the one walker of both routes, each a
-list of levels (the plain route is one unperturbed level): it returns every
-fixed point stage in the order solved, each tagged with its (eps, mu).
+Newton evaluated it.  solve_routed is the one walker of both routes: it
+returns every fixed point stage in the order solved, each tagged with its
+(eps, mu).
 """
 
 from __future__ import annotations
@@ -81,22 +81,18 @@ class CascadeParams:
     """Tuning knobs of the cascade.
 
     epsilon_schedule defaults to DEFAULT_EPSILON_SCHEDULE, the 15 rungs
-    1, 1/2, ..., 2^-13, 1e-4; an empty mu_schedule walks
-    DEFAULT_MU_SCHEDULE on the mu route.
+    1, 1/2, ..., 2^-13, 1e-4; an empty one leaves every epsilon walk its
+    eps = 0 target alone.  An empty mu_schedule walks DEFAULT_MU_SCHEDULE
+    on the mu route.
 
     A fixed point stage has converged when the Bochner dual norm of its
     equation residual is at most stage_tol * min(1, dt) * max(1,
     |f - alpha(du)|); stage_tol = None resolves to 0.05 * fp_tol.
     max_fp_iter bounds the Newton steps of one fixed point stage, the target
-    attempt of an epsilon walk included.  exact_limit_stage makes eps = 0
-    the target of each epsilon walk (else its last rung), ends a climb of
-    the ladder with an eps = 0 stage and, on the mu route, appends a final
-    mu = 0 level, whose target route="auto" attempts before any mu > 0
-    level (solve_routed).  mu_eps_truncate is how many trailing epsilon
-    entries later mu levels climb when their target fails; the first mu
-    level climbs the full ladder.  Every stage walked, on either route, is one
-    StageResult tagged (eps, mu), so a schedule must walk at least one
-    stage.
+    attempt of an epsilon walk included.  mu_eps_truncate is how many
+    trailing epsilon entries the mu levels after the first, and the final
+    mu = 0 level, climb when their target fails; the first mu level climbs
+    the full ladder.
     """
 
     epsilon_schedule: tuple[float, ...] = DEFAULT_EPSILON_SCHEDULE
@@ -106,7 +102,6 @@ class CascadeParams:
     fp_tol: float = 1e-10
     stage_tol: float | None = None
     max_fp_iter: int = 400
-    exact_limit_stage: bool = True
     mu_eps_truncate: int = 4
 
     def __post_init__(self) -> None:
@@ -115,10 +110,6 @@ class CascadeParams:
             raise ValueError("epsilon schedule entries must be positive and finite")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("epsilon schedule must be strictly decreasing")
-        if not eps and not self.exact_limit_stage:
-            raise ValueError(
-                "an empty epsilon schedule walks no stage without exact_limit_stage"
-            )
         object.__setattr__(self, "epsilon_schedule", eps)
         mus = tuple(float(x) for x in self.mu_schedule)
         if any(not (0.0 < x < 1.0) for x in mus):
@@ -132,6 +123,9 @@ class CascadeParams:
                 raise ValueError(f"{key} must be positive and finite, got {val}")
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
+        for key, low in (("max_fp_iter", 0), ("mu_eps_truncate", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
     def resolved_stage_tol(self) -> float:
         return 0.05 * self.fp_tol if self.stage_tol is None else self.stage_tol
@@ -316,20 +310,19 @@ def epsilon_continuation(
     u0: np.ndarray | None = None,
     schedule: tuple[float, ...] | None = None,
 ) -> list[StageResult]:
-    """Solve the walk's target stage from u0; climb the ladder if that fails.
+    """Solve the walk's eps = 0 target from u0; climb the ladder if that fails.
 
-    The target is eps = 0 under exact_limit_stage and the last rung of the
-    schedule otherwise.  Newton usually converges on it straight from the
-    warm start, and the walk then returns it as its only stage.  When it
-    does not converge within max_fp_iter steps, the failed attempt stays
-    first in the returned list and the walk climbs the ladder from the same
-    u0 (_climb), not from the failed iterate.
+    Newton usually converges on the target straight from the warm start,
+    and the walk then returns it as its only stage.  When it does not
+    converge within max_fp_iter steps, the failed attempt stays first in
+    the returned list and the walk climbs the ladder from the same u0
+    (_climb), not from the failed iterate.  With no rung to climb the walk
+    is the failed attempt alone: another attempt from u0 would repeat it.
     """
     sched = params.epsilon_schedule if schedule is None else tuple(schedule)
     # the target attempt is a climb with no rung but its target
-    rungs = () if params.exact_limit_stage else sched[-1:]
-    target = _climb(prob, params, rungs, pf, u0)
-    if target[-1].converged:
+    target = _climb(prob, params, (), pf, u0)
+    if target[-1].converged or not sched:
         return target
     return target + _climb(prob, params, sched, pf, u0)
 
@@ -342,14 +335,14 @@ def _climb(
     u0: np.ndarray | None,
 ) -> list[StageResult]:
     """Walk the epsilon ladder sched from u0 with warm starts, ending at
-    eps = 0 under exact_limit_stage.
+    eps = 0.
 
     A stage that stalls short of tolerance still hands its best iterate to
     the next stage (the failure stays recorded in its diagnostics); only a
     wild divergence aborts the walk and returns the partial list.  The walk
     also stops early once residual_AP stagnates below the stage tolerance:
     the attainable residual is floor-limited, and further epsilon stages
-    add nothing the exact-limit stage would not.
+    add nothing the eps = 0 stage would not.
     """
     stages: list[StageResult] = []
     u = u0
@@ -388,8 +381,7 @@ def _climb(
         if stagnated:
             break
         prev_ap = ap
-    if params.exact_limit_stage:
-        run(0.0)
+    run(0.0)
     return stages
 
 
@@ -398,49 +390,46 @@ def solve_routed(
 ) -> tuple[StageResult, list[StageResult], str]:
     """Walk the cascade for the exponent pair in one continuation loop.
 
-    The walk is a list of levels, each one epsilon continuation warm started
-    from the last stage.  m > p runs the plain route: one unperturbed level
-    on the full ladder.  m <= p, or route="mu" for any pair (a consistency
-    check against the plain route when m > p), takes the perturbation path:
-    one level per mu.  The first level climbs the full ladder when it has
-    to, later ones its last mu_eps_truncate entries, and exact_limit_stage
-    adds a mu = 0 level on that tail.  A default mu schedule and the default
-    exponent of _perturbation_exponent fill in what the params leave unset.
-    A level whose last stage diverges ends the walk.
+    m > p runs the plain route: one unperturbed epsilon continuation on the
+    full ladder.  m <= p, or route="mu" for any pair (a consistency check
+    against the plain route when m > p), takes the perturbation path: a
+    list of levels, one per mu and then a mu = 0 level, each an epsilon
+    continuation warm started from the last stage.  The first level climbs
+    the full ladder when it has to, later ones its last mu_eps_truncate
+    entries.  A default mu schedule and the default exponent of
+    _perturbation_exponent fill in what the params leave unset.  A level
+    whose last stage diverges ends the walk.
 
-    route="auto" takes the shortest path there: under exact_limit_stage it
-    first solves the mu = 0 level's target, the unperturbed eps = 0 stage,
-    from u = 0.  The perturbation is there for coercivity in the existence
-    proof; at a fixed grid that stage is the finite equation F(u) = 0 the
-    plain route solves too.  When it converges it is the whole walk.  When
-    it does not, it stays first in the returned list and the mu levels are
-    walked from u = 0, not from the failed iterate, exactly as route="mu"
-    walks them.  route="mu" always walks the mu levels.  Returns the final
-    stage, every fixed point stage walked in order, each tagged with its
-    (epsilon, mu), and the route name.
+    route="auto" takes the shortest path there: it first solves the
+    unperturbed eps = 0 stage from u = 0.  The perturbation is there for
+    coercivity in the existence proof; at a fixed grid that stage is the
+    finite equation F(u) = 0 that both routes converge to.  When it
+    converges it is the whole walk.  When it does not, it stays first in
+    the returned list, and the plain route climbs its ladder, or the mu
+    levels are walked, from u = 0, not from the failed iterate, exactly as
+    route="mu" walks them.  route="mu" always walks the mu levels.  Returns
+    the final stage, every fixed point stage walked in order, each tagged
+    with its (epsilon, mu), and the route name.
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")
     full = params.epsilon_schedule
-    stages: list[StageResult] = []
-    if route == "auto" and prob.m > prob.p:
-        route, levels = "plain", [(None, full)]
-    else:
+    plain = route == "auto" and prob.m > prob.p
+    if not plain:
         alpha_exp = _perturbation_exponent(prob.p, prob.m, params.alpha_exp)
-        tail = full[-max(1, params.mu_eps_truncate):]
+        tail = full[-params.mu_eps_truncate:]
         levels = [
             (cc.PerturbedFunctional(mu, alpha_exp), tail if k else full)
             for k, mu in enumerate(params.mu_schedule or DEFAULT_MU_SCHEDULE)
         ]
-        if params.exact_limit_stage:
-            levels.append((None, tail))
-            if route == "auto":
-                # the mu = 0 level's target attempt, as epsilon_continuation
-                # makes it
-                stages = _climb(prob, params, (), None, None)
-                if stages[-1].converged:
-                    return stages[-1], stages, "mu"
-        route = "mu"
+        levels.append((None, tail))
+    stages: list[StageResult] = []
+    if route == "auto":
+        # the unperturbed target from u = 0; the plain route's continuation
+        # climbs its ladder from there when the target fails
+        stages = epsilon_continuation(prob, params, schedule=full if plain else ())
+        if plain or stages[-1].converged:
+            return stages[-1], stages, "plain" if plain else "mu"
     u = None
     for pf, sched in levels:
         walk = epsilon_continuation(prob, params, pf=pf, u0=u, schedule=sched)
@@ -449,4 +438,4 @@ def solve_routed(
         d = walk[-1].diagnostics
         if d["fixed_point_residual"] > d["residual_scale"]:
             break
-    return stages[-1], stages, route
+    return stages[-1], stages, "mu"

@@ -80,10 +80,9 @@ def _get(d: dict, key: str, path: str, typ=None, default=_SENTINEL):
         raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
     val = d[key]
     names = typ if isinstance(typ, tuple) else (typ,)
-    # JSON true and false load as bool, which is a subclass of int
-    if typ is not None and (
-        not isinstance(val, typ) or isinstance(val, bool) and bool not in names
-    ):
+    # JSON true and false load as bool, which is a subclass of int; no key
+    # takes a boolean
+    if typ is not None and (not isinstance(val, typ) or isinstance(val, bool)):
         raise ConfigError(
             f"{path}.{key}" if path else key,
             f"expected {'/'.join(t.__name__ for t in names)}, got {type(val).__name__}",
@@ -113,6 +112,14 @@ def _int(d: dict, key: str, path: str, default=_SENTINEL, minimum: int = 0) -> i
     return val
 
 
+def _known(d: dict, keys: tuple[str, ...], path: str) -> None:
+    """Reject a key of block d that is not in keys: a misspelt or retired key
+    would otherwise leave its default in force without notice."""
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration plus the raw document for echoing."""
@@ -124,21 +131,29 @@ class RunConfig:
     raw: dict
     route: str = "auto"
 
-    def block(self, name: str) -> dict:
-        return _get(self.raw, name, "", dict, {})
+    def block(self, name: str, keys: tuple[str, ...]) -> dict:
+        """Block name of the config, {} when absent, with no key outside keys."""
+        blk = _get(self.raw, name, "", dict, {})
+        _known(blk, keys, name)
+        return blk
+
 
 
 def _build_nonlinearity(spec: dict, p: float, path: str) -> cc.Nonlinearity:
     kind = _get(spec, "kind", path, str, "power")
     try:
         if kind == "power":
+            _known(spec, ("kind",), path)
             return cc.Nonlinearity.power(p)
         if kind == "piecewise_linear":
+            _known(spec, ("kind", "breakpoints"), path)
             pts = _get(spec, "breakpoints", path, list)
             return cc.Nonlinearity.piecewise_linear(pts, p_exponent=p)
         if kind == "custom_tabulated":
             if "path" in spec:
+                _known(spec, ("kind", "path"), path)
                 return cc.Nonlinearity.from_csv(spec["path"], p_exponent=p)
+            _known(spec, ("kind", "s_values", "alpha_values"), path)
             s = _get(spec, "s_values", path, list)
             al = _get(spec, "alpha_values", path, list)
             return cc.Nonlinearity.custom_tabulated(s, al, p_exponent=p)
@@ -153,8 +168,10 @@ def _build_diffusion(spec: dict, smesh: SpatialMesh, path: str) -> cc.DiffusionF
     kind = _get(spec, "kind", path, str, "constant")
     try:
         if kind == "constant":
+            _known(spec, ("kind", "value"), path)
             return cc.DiffusionField.constant(_number(spec, "value", path, 1.0), smesh)
         if kind == "values":
+            _known(spec, ("kind", "values"), path)
             vals = np.asarray(_get(spec, "values", path, list), dtype=float)
             if vals.size != smesh.interior_count + 1:
                 raise ConfigError(
@@ -163,6 +180,7 @@ def _build_diffusion(spec: dict, smesh: SpatialMesh, path: str) -> cc.DiffusionF
                 )
             return cc.DiffusionField(vals)
         if kind == "sin_modulated":
+            _known(spec, ("kind", "base", "amplitude", "mode"), path)
             base = _number(spec, "base", path, 1.0)
             amp = _number(spec, "amplitude", path, 0.5)
             mode = _number(spec, "mode", path, 1.0)
@@ -180,6 +198,8 @@ def _build_diffusion(spec: dict, smesh: SpatialMesh, path: str) -> cc.DiffusionF
 def _build_problem(doc: dict) -> ProblemSpec:
     pb = _get(doc, "problem", "", dict)
     path = "problem"
+    keys = ("p", "m", "L", "T", "M", "N", "nonlinearity", "diffusion", "forcing")
+    _known(pb, keys, path)
     p = _number(pb, "p", path, 2.0)
     m = _number(pb, "m", path, 2.0)
     if p <= 1.0:
@@ -195,6 +215,20 @@ def _build_problem(doc: dict) -> ProblemSpec:
         tmesh = TemporalMesh(T, N)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
+    try:
+        return _build_fields(pb, p, m, smesh, tmesh, path)
+    except MemoryError as exc:
+        # the coefficient and forcing arrays are the grid's first allocations;
+        # the larger count is the one to shrink
+        raise ConfigError(
+            f"{path}.{'M' if M >= N else 'N'}",
+            f"an N x M = {N} x {M} grid is too large to allocate",
+        ) from exc
+
+
+def _build_fields(
+    pb: dict, p: float, m: float, smesh: SpatialMesh, tmesh: TemporalMesh, path: str
+) -> ProblemSpec:
     nl = _build_nonlinearity(
         _get(pb, "nonlinearity", path, dict, {}), p, f"{path}.nonlinearity"
     )
@@ -212,16 +246,14 @@ def _build_problem(doc: dict) -> ProblemSpec:
 
 _SCHEDULE_KEYS = ("epsilon_schedule", "mu_schedule")
 _NUMBER_KEYS = ("alpha_exp", "delta", "fp_tol", "stage_tol")
-_INT_KEYS = ("max_fp_iter", "mu_eps_truncate")
-_CASCADE_KEYS = (*_SCHEDULE_KEYS, *_NUMBER_KEYS, *_INT_KEYS, "exact_limit_stage")
+_INT_MINIMUMS = {"max_fp_iter": 0, "mu_eps_truncate": 1}
+_CASCADE_KEYS = (*_SCHEDULE_KEYS, *_NUMBER_KEYS, *_INT_MINIMUMS)
 
 
 def _build_cascade(doc: dict) -> CascadeParams:
     cb = _get(doc, "cascade", "", dict, {})
     path = "cascade"
-    for key in cb:
-        if key not in _CASCADE_KEYS:
-            raise ConfigError(f"{path}.{key}", "unknown key")
+    _known(cb, _CASCADE_KEYS, path)
     kwargs = {}
     for key in _SCHEDULE_KEYS:
         if key in cb:
@@ -232,17 +264,17 @@ def _build_cascade(doc: dict) -> CascadeParams:
     for key in _NUMBER_KEYS:
         if key in cb and cb[key] is not None:
             kwargs[key] = _number(cb, key, path)
-    for key in _INT_KEYS:
+    for key, minimum in _INT_MINIMUMS.items():
         if key in cb:
-            kwargs[key] = _int(cb, key, path)
-    if "exact_limit_stage" in cb:
-        kwargs["exact_limit_stage"] = _get(cb, "exact_limit_stage", path, bool)
+            kwargs[key] = _int(cb, key, path, minimum=minimum)
     try:
         return CascadeParams(**kwargs)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
+_TOP_KEYS = ("schema", "seed", "output_dir", "route", "problem", "cascade",
+             "verify", "mms", "mosco", "sweep")
 _SINGULAR_FLUX = (
     "delta = 0 with m = {m:g} < 2: the flux slope is singular at a zero "
     "cell gradient, and the solve starts from u = 0"
@@ -259,6 +291,7 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
+    _known(doc, _TOP_KEYS, "")
     schema = _get(doc, "schema", "", int, 1)
     if schema != 1:
         raise ConfigError("schema", f"unsupported schema version {schema}")
@@ -368,7 +401,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    samples = _int(cfg.block("verify"), "sample_count", "verify", 40, minimum=1)
+    blk = cfg.block("verify", ("sample_count",))
+    samples = _int(blk, "sample_count", "verify", 40, minimum=1)
     outdir = _ensure_dir(cfg.output_dir)
     final, payload = _solve_and_dump(cfg, outdir)
     suite = invariant_suite(
@@ -388,7 +422,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _build_mms_spec(cfg: RunConfig):
-    blk = cfg.block("mms")
+    blk = cfg.block("mms", ("exact", "mode", "levels"))
     name = _get(blk, "exact", "mms", str, "separable_bump")
     mode = _get(blk, "mode", "mms", str, "discrete_exact")
     try:
@@ -424,7 +458,7 @@ def cmd_mms(cfg: RunConfig) -> int:
 
 
 def cmd_mosco(cfg: RunConfig) -> int:
-    blk = cfg.block("mosco")
+    blk = cfg.block("mosco", ("kind", "n_max"))
     kind = _get(blk, "kind", "mosco", str, "diffusion_perturbation")
     n_max = _int(blk, "n_max", "mosco", 8, minimum=1)
     try:
@@ -439,21 +473,14 @@ def cmd_mosco(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    blk = cfg.block("sweep")
+    blk = cfg.block("sweep", ("pairs",))
     default_pairs = [[2, 2], [2, 3], [2.5, 3], [3, 2], [2, 1.5]]
     pairs = _get(blk, "pairs", "sweep", list, default_pairs)
     if not pairs:
         raise ConfigError("sweep.pairs", "expected at least one [p, m] pair")
-    eps_finals = _get(
-        blk, "epsilon_final", "sweep", list, list(cfg.cascade.epsilon_schedule[-1:])
-    )
-    if not eps_finals or not all(_is_number(e) for e in eps_finals):
-        raise ConfigError(
-            "sweep.epsilon_final", "expected a non-empty list of finite numbers"
-        )
     if cfg.problem.nl.kind != "power":
         raise ConfigError("sweep", "sweep varies p and requires the power rate map")
-    runs = []
+    probs = []
     for pm in pairs:
         if not isinstance(pm, list) or len(pm) != 2 or not all(map(_is_number, pm)):
             raise ConfigError("sweep.pairs", "expected [p, m] pairs of finite numbers")
@@ -461,30 +488,22 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if m < 2.0 and cfg.cascade.delta == 0.0:
             raise ConfigError("sweep.pairs", _SINGULAR_FLUX.format(m=m))
         try:
-            prob = replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p))
+            probs.append(replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p)))
             _perturbation_exponent(p, m, cfg.cascade.alpha_exp)
         except ValueError as exc:
             raise ConfigError("sweep.pairs", str(exc)) from exc
-        for ef in map(float, eps_finals):
-            sched = tuple(e for e in cfg.cascade.epsilon_schedule if e >= ef)
-            if not sched or sched[-1] != ef:
-                sched = sched + (ef,)
-            try:
-                params = replace(cfg.cascade, epsilon_schedule=sched)
-            except ValueError as exc:
-                raise ConfigError("sweep.epsilon_final", str(exc)) from exc
-            runs.append((p, m, ef, prob, params))
 
     outdir = _ensure_dir(cfg.output_dir)
-    outs = [solve_routed(prob, params, cfg.route) for *_, prob, params in runs]
-    summary = Table(["p", "m", "epsilon_final", "route", "converged", "residual"])
-    for (p, m, ef, prob, params), (final, stages, route) in zip(runs, outs):
-        sub = _ensure_dir(str(outdir / f"p{p:g}_m{m:g}_eps{ef:g}"))
+    summary = Table(["p", "m", "route", "converged", "residual"])
+    for prob in probs:
+        final, stages, route = solve_routed(prob, cfg.cascade, cfg.route)
+        sub = _ensure_dir(str(outdir / f"p{prob.p:g}_m{prob.m:g}"))
         write_field_csv(str(sub / "trajectory.csv"), final.u, prob.smesh, prob.tmesh)
-        payload = _solve_payload(prob, params, final, stages, route)
+        payload = _solve_payload(prob, cfg.cascade, final, stages, route)
         payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV
         _write_report(sub, payload)
-        summary.add(p, m, ef, route, final.converged, payload["final_residual_AP"])
+        residual = payload["final_residual_AP"]
+        summary.add(prob.p, prob.m, route, final.converged, residual)
     summary.to_csv(str(outdir / "summary.csv"))
     summary.to_dat(str(outdir / "summary.dat"))
     ok = bool(np.all(summary.column("converged")))
@@ -492,7 +511,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         outdir,
         {
             "command": "sweep",
-            "runs": len(runs),
+            "runs": len(probs),
             "all_converged": ok,
             "config": cfg.raw,
             "exit_code": EXIT_OK if ok else EXIT_NOCONV,
@@ -529,7 +548,7 @@ def _parser() -> argparse.ArgumentParser:
         ("verify", "solve, then run the invariant suite and growth audit"),
         ("mms", "manufactured-solution convergence study"),
         ("mosco", "structural-stability experiment"),
-        ("sweep", "solve over a grid of (p, m, final epsilon) values"),
+        ("sweep", "solve once per (p, m) pair"),
     ):
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", required=True, help="JSON config path")

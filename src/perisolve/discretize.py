@@ -253,11 +253,26 @@ def _term_number(term: Mapping, key: str, default: float) -> float:
         raise ValueError(msg) from None
 
 
+_TERM_KEYS = (
+    "kind", "amplitude", "space_mode", "time_mode", "space_profile", "time_profile"
+)
+
+
+def _known_keys(spec: Mapping, keys: tuple[str, ...], what: str) -> None:
+    for key in spec:
+        if key not in keys:
+            raise ValueError(f"unknown {what} key {key!r}")
+
+
 def _sample_sinusoid_term(
     term: Mapping, smesh: SpatialMesh, tmesh: TemporalMesh
 ) -> np.ndarray:
+    """One sinusoid product term; a "terms" entry may state its kind too."""
     if not isinstance(term, Mapping):
         raise ValueError(f"forcing term must be an object, got {term!r}")
+    _known_keys(term, _TERM_KEYS, "forcing term")
+    if term.get("kind", "sinusoid") != "sinusoid":
+        raise ValueError(f"forcing term kind must be 'sinusoid', got {term!r}")
     amp = _term_number(term, "amplitude", 1.0)
     k = _term_number(term, "space_mode", 1)
     j = _term_number(term, "time_mode", 0)
@@ -290,14 +305,17 @@ def sample_forcing(
     `expr` is a mapping with a "kind" key: "zero", "sinusoid" (one product
     term), "terms" (sum of sinusoid terms), or "csv" (grid file with header
     t,x,value matching the meshes).  Time-periodic extension is implied by
-    sampling only t_0..t_{N-1}.
+    sampling only t_0..t_{N-1}.  A key that the kind does not read is an
+    error.
     """
     kind = expr.get("kind")
     if kind == "zero":
+        _known_keys(expr, ("kind",), "forcing")
         return np.zeros((tmesh.step_count, smesh.interior_count))
     if kind == "sinusoid":
         return _sample_sinusoid_term(expr, smesh, tmesh)
     if kind == "terms":
+        _known_keys(expr, ("kind", "terms"), "forcing")
         terms = expr.get("terms")
         if not isinstance(terms, list):
             raise ValueError(f"forcing terms must be a list, got {terms!r}")
@@ -306,6 +324,7 @@ def sample_forcing(
             out += _sample_sinusoid_term(term, smesh, tmesh)
         return out
     if kind == "csv":
+        _known_keys(expr, ("kind", "path"), "forcing")
         path = expr.get("path")
         if not isinstance(path, str):
             raise ValueError(f"forcing kind 'csv' needs a string path, got {path!r}")

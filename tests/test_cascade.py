@@ -53,9 +53,13 @@ def test_params_validation_and_stage_tol():
         ("epsilon_schedule", (1.0, np.nan), "epsilon schedule"),
         ("alpha_exp", -1.0, "alpha_exp"),
         ("alpha_exp", 0.0, "alpha_exp"),
+        ("max_fp_iter", -1, "max_fp_iter"),
+        ("mu_eps_truncate", 0, "mu_eps_truncate"),
     ):
         with pytest.raises(ValueError, match=match):
             ca.CascadeParams(**{key: bad})
+    # an empty ladder leaves each walk its eps = 0 target
+    assert ca.CascadeParams(epsilon_schedule=()).epsilon_schedule == ()
     assert ca.CascadeParams().resolved_stage_tol() == pytest.approx(0.05 * 1e-10)
     assert ca.CascadeParams(stage_tol=1e-7).resolved_stage_tol() == 1e-7
 
@@ -164,7 +168,7 @@ def climb(prob):
 def test_epsilon_continuation_drives_residual_down():
     prob = unit_problem(2.0, 3.0, 12, 12)
     stages = climb(prob)
-    assert stages[-1].epsilon == 0.0  # exact limit stage appended
+    assert stages[-1].epsilon == 0.0  # the climb ends at eps = 0
     assert all(s.converged for s in stages)
     aps = [s.diagnostics["residual_AP"] for s in stages]
     assert all(b <= a * 1.001 for a, b in zip(aps, aps[1:]))
@@ -232,12 +236,17 @@ def test_failed_target_climbs_the_ladder_from_the_warm_start(monkeypatch):
     assert stages[-1].epsilon == 0.0 and stages[-1].converged
 
 
-def test_epsilon_continuation_respects_exact_limit_flag():
-    prob = unit_problem(2.0, 3.0, 6, 6)
-    stages = ca.epsilon_continuation(
-        prob, ca.CascadeParams(epsilon_schedule=(0.5, 0.25), exact_limit_stage=False)
-    )
-    assert stages[-1].epsilon == 0.25
+def test_failed_target_with_no_rung_left_is_not_retried():
+    # with no rung to climb, a second eps = 0 attempt from the same start
+    # would repeat the failed one bit for bit
+    params = ca.CascadeParams(epsilon_schedule=(), max_fp_iter=2)
+    (stage,) = ca.epsilon_continuation(unit_problem(2.5, 3.0, 8, 8), params)
+    assert stage.epsilon == 0.0 and not stage.converged
+    # likewise every mu level walks its target alone, the first ones failing
+    _, stages, _ = ca.solve_routed(unit_problem(3.0, 2.0, 8, 8), params, route="mu")
+    levels = (*ca.DEFAULT_MU_SCHEDULE, 0.0)
+    assert [(s.epsilon, s.mu) for s in stages] == [(0.0, mu) for mu in levels]
+    assert not stages[0].converged and stages[-1].converged
 
 
 def test_mu_path_validation(monkeypatch):

@@ -174,22 +174,51 @@ class TestLoadConfig:
                 },
                 "sweep.pairs",
             ),
-            # a ladder that walks no stage
+            # retired knobs: every epsilon walk ends at eps = 0, and a sweep
+            # solves each pair once
             (
-                {
-                    "problem": small_problem(),
-                    "cascade": {"epsilon_schedule": [], "exact_limit_stage": False},
-                },
-                "cascade",
+                {"problem": small_problem(), "cascade": {"exact_limit_stage": False}},
+                "cascade.exact_limit_stage",
             ),
-            # an empty ladder leaves a sweep no final epsilon to default to
+            (
+                {"problem": small_problem(), "sweep": {"epsilon_final": [1e-4]}},
+                "sweep.epsilon_final",
+            ),
+            (
+                {"problem": small_problem(), "cascade": {"mu_eps_truncate": 0}},
+                "cascade.mu_eps_truncate",
+            ),
+            # a misspelt key anywhere would leave its default in force
+            ({"problem": small_problem(), "cascde": {}}, "cascde"),
+            ({"problem": {"MM": 64}}, "problem.MM"),
+            (
+                {"problem": small_problem(nonlinearity={"kind": "power", "p": 3})},
+                "problem.nonlinearity.p",
+            ),
             (
                 {
-                    "problem": small_problem(),
-                    "cascade": {"epsilon_schedule": []},
-                    "sweep": {},
+                    "problem": small_problem(
+                        nonlinearity={"breakpoints": [[-1.0, -1.0], [1.0, 1.0]]}
+                    )
                 },
-                "sweep.epsilon_final",
+                "problem.nonlinearity.breakpoints",
+            ),
+            (
+                {"problem": small_problem(diffusion={"kind": "constant", "base": 2})},
+                "problem.diffusion.base",
+            ),
+            # a tabulated map read from a file reads no inline table
+            (
+                {
+                    "problem": small_problem(
+                        nonlinearity={
+                            "kind": "custom_tabulated",
+                            "path": "table.csv",
+                            "s_values": [0.0, 1.0],
+                        }
+                    )
+                },
+                "problem.nonlinearity.s_values",
             ),
             ({"problem": small_problem(), "mms": {"levels": "x"}}, "mms.levels"),
             ({"problem": small_problem(), "mosco": {"kind": "bogus"}}, "mosco.kind"),
@@ -543,19 +572,13 @@ def test_cmd_sweep_default_pair_matrix(tmp_path):
     code = cli.cmd_sweep(cli.load_config(write_config(tmp_path, doc)))
     assert code == cli.EXIT_OK
     subdirs = sorted(d.name for d in (tmp_path / "sw").iterdir() if d.is_dir())
-    assert subdirs == [
-        "p2.5_m3_eps0.0001",
-        "p2_m1.5_eps0.0001",
-        "p2_m2_eps0.0001",
-        "p2_m3_eps0.0001",
-        "p3_m2_eps0.0001",
-    ]
+    assert subdirs == ["p2.5_m3", "p2_m1.5", "p2_m2", "p2_m3", "p3_m2"]
     summary = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
-    assert summary[0] == "p,m,epsilon_final,route,converged,residual"
+    assert summary[0] == "p,m,route,converged,residual"
     assert len(summary) == 6
-    routes = {line.split(",")[3] for line in summary[1:]}
+    routes = {line.split(",")[2] for line in summary[1:]}
     assert routes == {"plain", "mu"}
-    assert all(line.split(",")[4] == "1" for line in summary[1:])
+    assert all(line.split(",")[3] == "1" for line in summary[1:])
     for sub in subdirs:
         assert (tmp_path / "sw" / sub / "trajectory.csv").exists()
 
@@ -571,7 +594,7 @@ def test_cmd_sweep_follows_the_configured_route(tmp_path):
     }
     cli.cmd_sweep(cli.load_config(write_config(tmp_path, doc)))
     summary = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
-    assert [line.split(",")[3] for line in summary[1:]] == ["mu"]
+    assert [line.split(",")[2] for line in summary[1:]] == ["mu"]
 
 
 def test_cmd_sweep_requires_power_map(tmp_path):
@@ -641,6 +664,12 @@ class TestMain:
                 },
                 "mms.levels",
             ),
+            # an unknown key in the block that the subcommand reads
+            ("verify", {"verify": {"samples": 3}}, "verify.samples"),
+            ("mms", {"mms": {"exact": "separable_bump", "level": []}}, "mms.level"),
+            ("mosco", {"mosco": {"kind": "identity", "n": 2}}, "mosco.n"),
+            ("sweep", {"sweep": {"epsilon_finl": [0.1]}}, "sweep.epsilon_finl"),
+            ("solve", {"cascde": {"fp_tol": 1e-8}}, "cascde"),
         ],
     )
     def test_block_errors_exit_1_and_name_the_key(
@@ -660,6 +689,10 @@ class TestMain:
             {"kind": "terms", "terms": ["x"]},
             {"kind": "terms", "terms": [{"amplitude": [1]}]},
             {"kind": "csv"},
+            # keys the forcing kind does not read
+            {"kind": "terms", "terms": [{"amplitude": 1.0, "time_mod": 1}]},
+            {"kind": "terms", "terms": [{"kind": "zero"}]},
+            {"kind": "zero", "amplitude": 1.0},
         ],
     )
     def test_malformed_forcing_exits_1_and_names_the_key(
@@ -702,6 +735,33 @@ def _child_env() -> dict:
         os.environ,
         PYTHONPATH=pkg_root + (os.pathsep + inherited if inherited else ""),
     )
+
+
+def test_grid_too_large_to_allocate_is_a_config_error(tmp_path):
+    # the child caps its own address space at 3 GB, so the 8 GB coefficient
+    # array of a 10**9-node grid fails to allocate whatever the machine's
+    # overcommit policy; the run exits 1 naming the grid key
+    path = write_config(tmp_path, {"problem": small_problem(M=10**9)})
+    out = tmp_path / "o"
+    probe = (
+        "import resource, sys\n"
+        "from perisolve import cli\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "sys.exit(cli.main(['solve', '--config', sys.argv[1], '--output', "
+        "sys.argv[2], '--quiet']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, path, str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "config error: problem.M: an N x M = 8 x 1000000000 grid" in proc.stderr
+    assert not out.exists()
 
 
 def test_console_script_resolves_to_main():
