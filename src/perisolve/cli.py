@@ -11,6 +11,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -26,7 +27,7 @@ from .discretize import (
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
-    sample_forcing,
+    read_field_csv,
     write_field_csv,
     write_field_dat,
 )
@@ -73,18 +74,22 @@ class ConfigError(ValueError):
 _SENTINEL = object()
 
 
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _get(d: dict, key: str, path: str, typ=None, default=_SENTINEL):
     if key not in d:
         if default is not _SENTINEL:
             return default
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
+        raise ConfigError(_dotted(path, key), "missing required key")
     val = d[key]
     names = typ if isinstance(typ, tuple) else (typ,)
     # JSON true and false load as bool, which is a subclass of int; no key
     # takes a boolean
     if typ is not None and (not isinstance(val, typ) or isinstance(val, bool)):
         raise ConfigError(
-            f"{path}.{key}" if path else key,
+            _dotted(path, key),
             f"expected {'/'.join(t.__name__ for t in names)}, got {type(val).__name__}",
         )
     return val
@@ -101,14 +106,28 @@ def _is_number(val) -> bool:
 def _number(d: dict, key: str, path: str, default=_SENTINEL) -> float:
     val = _get(d, key, path, (int, float), default)
     if not _is_number(val):
-        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val}")
+        raise ConfigError(_dotted(path, key), f"expected a finite number, got {val}")
     return float(val)
+
+
+def _numbers(d: dict, key: str, path: str, default=_SENTINEL, pairs=False) -> list:
+    """List key of d of finite numbers, or with pairs of [a, b] pairs of them."""
+    vals = _get(d, key, path, list, default)
+    if pairs:
+        ok = all(isinstance(e, list) and len(e) == 2 and all(map(_is_number, e))
+                 for e in vals)
+    else:
+        ok = all(map(_is_number, vals))
+    if not ok:
+        what = "[a, b] pairs of finite numbers" if pairs else "finite numbers"
+        raise ConfigError(_dotted(path, key), f"expected a list of {what}")
+    return vals
 
 
 def _int(d: dict, key: str, path: str, default=_SENTINEL, minimum: int = 0) -> int:
     val = _get(d, key, path, int, default)
     if val < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
+        raise ConfigError(_dotted(path, key), f"must be >= {minimum}, got {val}")
     return val
 
 
@@ -117,7 +136,7 @@ def _known(d: dict, keys: tuple[str, ...], path: str) -> None:
     would otherwise leave its default in force without notice."""
     for key in d:
         if key not in keys:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+            raise ConfigError(_dotted(path, key), "unknown key")
 
 
 @dataclass
@@ -138,61 +157,131 @@ class RunConfig:
         return blk
 
 
+def _checked(key: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError or OSError a ConfigError
+    naming key."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(key, str(exc)) from exc
+
 
 def _build_nonlinearity(spec: dict, p: float, path: str) -> cc.Nonlinearity:
     kind = _get(spec, "kind", path, str, "power")
-    try:
-        if kind == "power":
-            _known(spec, ("kind",), path)
-            return cc.Nonlinearity.power(p)
-        if kind == "piecewise_linear":
-            _known(spec, ("kind", "breakpoints"), path)
-            pts = _get(spec, "breakpoints", path, list)
-            return cc.Nonlinearity.piecewise_linear(pts, p_exponent=p)
-        if kind == "custom_tabulated":
-            if "path" in spec:
-                _known(spec, ("kind", "path"), path)
-                return cc.Nonlinearity.from_csv(spec["path"], p_exponent=p)
-            _known(spec, ("kind", "s_values", "alpha_values"), path)
-            s = _get(spec, "s_values", path, list)
-            al = _get(spec, "alpha_values", path, list)
-            return cc.Nonlinearity.custom_tabulated(s, al, p_exponent=p)
-    except ConfigError:
-        raise
-    except (ValueError, OSError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+    if kind == "power":
+        _known(spec, ("kind",), path)
+        return cc.Nonlinearity.power(p)
+    if kind == "piecewise_linear":
+        _known(spec, ("kind", "breakpoints"), path)
+        pts = _numbers(spec, "breakpoints", path, pairs=True)
+        return _checked(path, cc.Nonlinearity.piecewise_linear, pts, p_exponent=p)
+    if kind == "custom_tabulated":
+        if "path" in spec:
+            _known(spec, ("kind", "path"), path)
+            table = _get(spec, "path", path, str)
+            return _checked(
+                f"{path}.path", cc.Nonlinearity.from_csv, table, p_exponent=p
+            )
+        _known(spec, ("kind", "s_values", "alpha_values"), path)
+        s = _numbers(spec, "s_values", path)
+        al = _numbers(spec, "alpha_values", path)
+        return _checked(path, cc.Nonlinearity.custom_tabulated, s, al, p_exponent=p)
     raise ConfigError(f"{path}.kind", f"unknown nonlinearity kind {kind!r}")
 
 
 def _build_diffusion(spec: dict, smesh: SpatialMesh, path: str) -> cc.DiffusionField:
     kind = _get(spec, "kind", path, str, "constant")
-    try:
-        if kind == "constant":
-            _known(spec, ("kind", "value"), path)
-            return cc.DiffusionField.constant(_number(spec, "value", path, 1.0), smesh)
-        if kind == "values":
-            _known(spec, ("kind", "values"), path)
-            vals = np.asarray(_get(spec, "values", path, list), dtype=float)
-            if vals.size != smesh.interior_count + 1:
-                raise ConfigError(
-                    f"{path}.values",
-                    f"need {smesh.interior_count + 1} midpoint values, got {vals.size}",
-                )
-            return cc.DiffusionField(vals)
-        if kind == "sin_modulated":
-            _known(spec, ("kind", "base", "amplitude", "mode"), path)
-            base = _number(spec, "base", path, 1.0)
-            amp = _number(spec, "amplitude", path, 0.5)
-            mode = _number(spec, "mode", path, 1.0)
-            vals = base * (
-                1.0 + amp * np.sin(np.pi * mode * smesh.cell_midpoints / smesh.length)
+    if kind == "constant":
+        _known(spec, ("kind", "value"), path)
+        value = _number(spec, "value", path, 1.0)
+        return _checked(path, cc.DiffusionField.constant, value, smesh)
+    if kind == "values":
+        _known(spec, ("kind", "values"), path)
+        vals = np.asarray(_numbers(spec, "values", path), dtype=float)
+        if vals.size != smesh.interior_count + 1:
+            raise ConfigError(
+                f"{path}.values",
+                f"need {smesh.interior_count + 1} midpoint values, got {vals.size}",
             )
-            return cc.DiffusionField(vals)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        return _checked(path, cc.DiffusionField, vals)
+    if kind == "sin_modulated":
+        _known(spec, ("kind", "base", "amplitude", "mode"), path)
+        base = _number(spec, "base", path, 1.0)
+        amp = _number(spec, "amplitude", path, 0.5)
+        mode = _number(spec, "mode", path, 1.0)
+        vals = base * (
+            1.0 + amp * np.sin(np.pi * mode * smesh.cell_midpoints / smesh.length)
+        )
+        return _checked(path, cc.DiffusionField, vals)
     raise ConfigError(f"{path}.kind", f"unknown diffusion kind {kind!r}")
+
+
+_WAVES = {"sin": np.sin, "cos": np.cos}
+
+
+def _sinusoid(
+    term: dict, smesh: SpatialMesh, tmesh: TemporalMesh, path: str
+) -> np.ndarray:
+    """One product term amplitude * time_profile(2 pi j t / T) *
+    space_profile(pi k x / L); it may state its kind, "sinusoid"."""
+    keys = ("kind", "amplitude", "space_mode", "time_mode", "space_profile",
+            "time_profile")
+    _known(term, keys, path)
+    kind = _get(term, "kind", path, str, "sinusoid")
+    if kind != "sinusoid":
+        raise ConfigError(_dotted(path, "kind"), f"expected 'sinusoid', got {kind!r}")
+    amp = _number(term, "amplitude", path, 1.0)
+    k = _number(term, "space_mode", path, 1)
+    j = _number(term, "time_mode", path, 0)
+    space = _get(term, "space_profile", path, str, "sin")
+    time = _get(term, "time_profile", path, str, "const")
+    if space not in _WAVES:
+        raise ConfigError(_dotted(path, "space_profile"), f"unknown profile {space!r}")
+    if time != "const" and time not in _WAVES:
+        raise ConfigError(_dotted(path, "time_profile"), f"unknown profile {time!r}")
+    sx = _WAVES[space](np.pi * k * smesh.nodes / smesh.length)
+    st = _WAVES.get(time, np.ones_like)(2.0 * np.pi * j * tmesh.times / tmesh.period)
+    return amp * st[:, None] * sx[None, :]
+
+
+def _build_forcing(
+    spec: dict, smesh: SpatialMesh, tmesh: TemporalMesh, path: str
+) -> np.ndarray:
+    """The forcing sampled at t_0..t_{N-1}, which implies its periodic
+    extension.  Kinds: "zero", "sinusoid" (one product term), "terms" (their
+    sum) and "csv" (a t,x,value grid file on the meshes)."""
+    kind = _get(spec, "kind", path, str)
+    shape = (tmesh.step_count, smesh.interior_count)
+    if kind == "zero":
+        _known(spec, ("kind",), path)
+        return np.zeros(shape)
+    if kind == "sinusoid":
+        return _sinusoid(spec, smesh, tmesh, path)
+    if kind == "terms":
+        _known(spec, ("kind", "terms"), path)
+        key = f"{path}.terms"
+        f = np.zeros(shape)
+        for n, term in enumerate(_get(spec, "terms", path, list)):
+            if not isinstance(term, dict):
+                raise ConfigError(key, f"term {n} must be an object, got {term!r}")
+            try:
+                f += _sinusoid(term, smesh, tmesh, "")
+            except ConfigError as exc:
+                raise ConfigError(key, f"term {n}: {exc}") from exc
+        return f
+    if kind == "csv":
+        _known(spec, ("kind", "path"), path)
+        key = f"{path}.path"
+        f, t, x = _checked(key, read_field_csv, _get(spec, "path", path, str))
+        if f.shape != shape:
+            raise ConfigError(key, f"grid {f.shape} does not match the meshes {shape}")
+        if not (
+            np.allclose(t, tmesh.times, atol=1e-12)
+            and np.allclose(x, smesh.nodes, atol=1e-12)
+        ):
+            raise ConfigError(key, "coordinates do not match the meshes")
+        return f
+    raise ConfigError(f"{path}.kind", f"unknown forcing kind {kind!r}")
 
 
 def _build_problem(doc: dict) -> ProblemSpec:
@@ -210,75 +299,74 @@ def _build_problem(doc: dict) -> ProblemSpec:
     T = _number(pb, "T", path, 1.0)
     M = _int(pb, "M", path, 32)
     N = _int(pb, "N", path, 32)
-    try:
-        smesh = SpatialMesh(L, M)
-        tmesh = TemporalMesh(T, N)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    try:
-        return _build_fields(pb, p, m, smesh, tmesh, path)
-    except MemoryError as exc:
-        # the coefficient and forcing arrays are the grid's first allocations;
-        # the larger count is the one to shrink
-        raise ConfigError(
-            f"{path}.{'M' if M >= N else 'N'}",
-            f"an N x M = {N} x {M} grid is too large to allocate",
-        ) from exc
-
-
-def _build_fields(
-    pb: dict, p: float, m: float, smesh: SpatialMesh, tmesh: TemporalMesh, path: str
-) -> ProblemSpec:
+    smesh = _checked(path, SpatialMesh, L, M)
+    tmesh = _checked(path, TemporalMesh, T, N)
+    # the larger count is the one to shrink
+    too_large = ConfigError(
+        f"{path}.{'M' if M >= N else 'N'}",
+        f"an N x M = {N} x {M} grid is too large to allocate",
+    )
+    # numpy cannot size an array of more bytes than an index can count
+    if 8 * N * (M + 2) > sys.maxsize:
+        raise too_large
     nl = _build_nonlinearity(
         _get(pb, "nonlinearity", path, dict, {}), p, f"{path}.nonlinearity"
     )
-    a = _build_diffusion(_get(pb, "diffusion", path, dict, {}), smesh, f"{path}.diffusion")
-    fspec = _get(pb, "forcing", path, dict, {"kind": "zero"})
     try:
-        f = sample_forcing(fspec, smesh, tmesh)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"{path}.forcing", str(exc)) from exc
-    try:
-        return ProblemSpec(p=p, m=m, nl=nl, a=a, f=f, smesh=smesh, tmesh=tmesh)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-_SCHEDULE_KEYS = ("epsilon_schedule", "mu_schedule")
-_NUMBER_KEYS = ("alpha_exp", "delta", "fp_tol", "stage_tol")
-_INT_MINIMUMS = {"max_fp_iter": 0, "mu_eps_truncate": 1}
-_CASCADE_KEYS = (*_SCHEDULE_KEYS, *_NUMBER_KEYS, *_INT_MINIMUMS)
+        # the coefficient and forcing arrays are the grid's first allocations
+        a = _build_diffusion(
+            _get(pb, "diffusion", path, dict, {}), smesh, f"{path}.diffusion"
+        )
+        fspec = _get(pb, "forcing", path, dict, {"kind": "zero"})
+        f = _build_forcing(fspec, smesh, tmesh, f"{path}.forcing")
+    except MemoryError as exc:
+        raise too_large from exc
+    return _checked(
+        path, ProblemSpec, p=p, m=m, nl=nl, a=a, f=f, smesh=smesh, tmesh=tmesh
+    )
 
 
 def _build_cascade(doc: dict) -> CascadeParams:
+    """One key per CascadeParams field, of the JSON type of the field's
+    default, each checked by CascadeParams itself."""
     cb = _get(doc, "cascade", "", dict, {})
     path = "cascade"
-    _known(cb, _CASCADE_KEYS, path)
+    fields = dataclasses.fields(CascadeParams)
+    _known(cb, tuple(fld.name for fld in fields), path)
     kwargs = {}
-    for key in _SCHEDULE_KEYS:
-        if key in cb:
-            sched = _get(cb, key, path, list)
-            if not all(_is_number(e) for e in sched):
-                raise ConfigError(f"{path}.{key}", "expected a list of finite numbers")
-            kwargs[key] = tuple(sched)
-    for key in _NUMBER_KEYS:
-        if key in cb and cb[key] is not None:
-            kwargs[key] = _number(cb, key, path)
-    for key, minimum in _INT_MINIMUMS.items():
-        if key in cb:
-            kwargs[key] = _int(cb, key, path, minimum=minimum)
-    try:
-        return CascadeParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    for fld in fields:
+        if fld.name not in cb:
+            continue
+        if isinstance(fld.default, tuple):
+            val = tuple(_numbers(cb, fld.name, path))
+        elif isinstance(fld.default, int):
+            val = _get(cb, fld.name, path, int)
+        elif cb[fld.name] is None:  # null leaves a number at its default
+            continue
+        else:
+            val = _number(cb, fld.name, path)
+        # no rule of CascadeParams spans two fields, so a field alone is checked
+        _checked(f"{path}.{fld.name}", CascadeParams, **{fld.name: val})
+        kwargs[fld.name] = val
+    return CascadeParams(**kwargs)
+
+
+def _check_pair(
+    prob: ProblemSpec, params: CascadeParams, delta_key: str, alpha_key: str
+) -> None:
+    """Reject an exponent pair that the cascade cannot start under params."""
+    if prob.m < 2.0 and params.delta == 0.0:
+        raise ConfigError(
+            delta_key,
+            f"delta = 0 with m = {prob.m:g} < 2: the flux slope is singular at a "
+            "zero cell gradient, and the solve starts from u = 0",
+        )
+    # m (1 + alpha_exp) <= p forces m < p, so every such pair takes the mu route
+    _checked(alpha_key, _perturbation_exponent, prob.p, prob.m, params.alpha_exp)
 
 
 _TOP_KEYS = ("schema", "seed", "output_dir", "route", "problem", "cascade",
              "verify", "mms", "mosco", "sweep")
-_SINGULAR_FLUX = (
-    "delta = 0 with m = {m:g} < 2: the flux slope is singular at a zero "
-    "cell gradient, and the solve starts from u = 0"
-)
 
 
 def load_config(path: str, output_override: str | None = None) -> RunConfig:
@@ -287,7 +375,9 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides bad syntax: an integer of more digits than Python converts,
+        # or nesting deeper than the parser recurses
         raise ConfigError("config", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be an object")
@@ -302,13 +392,7 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
         raise ConfigError("route", f"must be 'auto' or 'mu', got {route!r}")
     problem = _build_problem(doc)
     cascade = _build_cascade(doc)
-    if problem.m < 2.0 and cascade.delta == 0.0:
-        raise ConfigError("cascade.delta", _SINGULAR_FLUX.format(m=problem.m))
-    # m (1 + alpha_exp) <= p forces m < p, so every such pair takes the mu route
-    try:
-        _perturbation_exponent(problem.p, problem.m, cascade.alpha_exp)
-    except ValueError as exc:
-        raise ConfigError("cascade.alpha_exp", str(exc)) from exc
+    _check_pair(problem, cascade, "cascade.delta", "cascade.alpha_exp")
     return RunConfig(
         problem=problem, cascade=cascade, seed=seed, output_dir=out, raw=doc,
         route=route,
@@ -425,16 +509,10 @@ def _build_mms_spec(cfg: RunConfig):
     blk = cfg.block("mms", ("exact", "mode", "levels"))
     name = _get(blk, "exact", "mms", str, "separable_bump")
     mode = _get(blk, "mode", "mms", str, "discrete_exact")
-    try:
-        MmsSpec(name)
-    except ValueError as exc:
-        raise ConfigError("mms.exact", str(exc)) from exc
-    try:
-        spec = MmsSpec(name, mode)
-        if mode == "continuum":
-            _constant_diffusion(cfg.problem.a)
-    except ValueError as exc:
-        raise ConfigError("mms.mode", str(exc)) from exc
+    _checked("mms.exact", MmsSpec, name)
+    spec = _checked("mms.mode", MmsSpec, name, mode)
+    if mode == "continuum":
+        _checked("mms.mode", _constant_diffusion, cfg.problem.a)
     levels = _get(blk, "levels", "mms", list, [[8, 8], [16, 16], [32, 32]])
     if not levels:
         raise ConfigError("mms.levels", "expected at least one [M, N] level")
@@ -443,10 +521,7 @@ def _build_mms_spec(cfg: RunConfig):
             type(v) is not int for v in lv
         ):
             raise ConfigError("mms.levels", "expected [M, N] integer pairs")
-        try:
-            _mms_level(spec, cfg.problem, *lv, cfg.cascade.delta)
-        except ValueError as exc:
-            raise ConfigError("mms.levels", str(exc)) from exc
+        _checked("mms.levels", _mms_level, spec, cfg.problem, *lv, cfg.cascade.delta)
     return spec, tuple(map(tuple, levels))
 
 
@@ -462,11 +537,10 @@ def cmd_mosco(cfg: RunConfig) -> int:
     kind = _get(blk, "kind", "mosco", str, "diffusion_perturbation")
     n_max = _int(blk, "n_max", "mosco", 8, minimum=1)
     try:
-        seq = MoscoSequenceSpec(
-            kind=kind, base=cfg.problem, index_set=tuple(range(1, n_max + 1))
-        )
-    except ValueError as exc:
-        raise ConfigError("mosco.kind", str(exc)) from exc
+        index_set = tuple(range(1, n_max + 1))
+    except OverflowError as exc:  # more instances than a tuple can index
+        raise ConfigError("mosco.n_max", str(exc)) from exc
+    seq = _checked("mosco.kind", MoscoSequenceSpec, kind, cfg.problem, index_set)
     outdir = _ensure_dir(cfg.output_dir)
     table = mosco_experiment(seq, cfg.cascade)
     return _write_study(outdir, "mosco", table, cfg)
@@ -475,23 +549,19 @@ def cmd_mosco(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     blk = cfg.block("sweep", ("pairs",))
     default_pairs = [[2, 2], [2, 3], [2.5, 3], [3, 2], [2, 1.5]]
-    pairs = _get(blk, "pairs", "sweep", list, default_pairs)
+    pairs = _numbers(blk, "pairs", "sweep", default_pairs, pairs=True)
     if not pairs:
         raise ConfigError("sweep.pairs", "expected at least one [p, m] pair")
     if cfg.problem.nl.kind != "power":
         raise ConfigError("sweep", "sweep varies p and requires the power rate map")
     probs = []
     for pm in pairs:
-        if not isinstance(pm, list) or len(pm) != 2 or not all(map(_is_number, pm)):
-            raise ConfigError("sweep.pairs", "expected [p, m] pairs of finite numbers")
         p, m = float(pm[0]), float(pm[1])
-        if m < 2.0 and cfg.cascade.delta == 0.0:
-            raise ConfigError("sweep.pairs", _SINGULAR_FLUX.format(m=m))
         try:
             probs.append(replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p)))
-            _perturbation_exponent(p, m, cfg.cascade.alpha_exp)
         except ValueError as exc:
             raise ConfigError("sweep.pairs", str(exc)) from exc
+        _check_pair(probs[-1], cfg.cascade, "sweep.pairs", "sweep.pairs")
 
     outdir = _ensure_dir(cfg.output_dir)
     summary = Table(["p", "m", "route", "converged", "residual"])

@@ -134,6 +134,10 @@ class Nonlinearity:
     @classmethod
     def from_csv(cls, path: str, p_exponent: float = 2.0) -> "Nonlinearity":
         data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError(
+                f"{path} has {data.shape[1]} columns, expected two: s, alpha(s)"
+            )
         return cls.custom_tabulated(data[:, 0], data[:, 1], p_exponent)
 
     # -- piecewise helpers
@@ -436,12 +440,14 @@ def _newton(
     equation(v) returns (state, norm): what step needs at v and the dual
     norm of the equation residual there.  v solves the equation once that
     norm is at most tol(state).  step(v, state) is the Newton step at v, or
-    None when its linear system is singular, as is a LinAlgError.  Every
-    step is taken in full and halved, up to 30 times, until the norm falls.
-    Stops on convergence, after max_iter steps, or when a step is singular,
-    non-finite or cannot decrease the norm.  Returns the last iterate, the
-    norm at the start and after every step, whether it converged, and the
-    state of the last iterate.
+    None when its linear system is singular, as is a LinAlgError; a
+    MemoryError is a system too large to allocate, a step that cannot be
+    taken either.  Every step is taken in full and halved, up to 30 times,
+    until the norm falls.  Stops on convergence, after max_iter steps, or
+    when a step is singular, cannot be allocated, is non-finite or cannot
+    decrease the norm.  Returns the last iterate, the norm at the start and
+    after every step, whether it converged, and the state of the last
+    iterate.
     """
     state, res = equation(u)
     history = [res]
@@ -452,7 +458,7 @@ def _newton(
             break
         try:
             d = step(u, state)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, MemoryError):
             break
         if d is None or not np.all(np.isfinite(d)):
             break

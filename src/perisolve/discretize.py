@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "pairing",
     "bochner_norm",
     "dual_bochner_norm",
-    "sample_forcing",
     "write_field_csv",
     "read_field_csv",
     "write_field_dat",
@@ -241,109 +240,6 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# forcing ingestion
-
-
-def _term_number(term: Mapping, key: str, default: float) -> float:
-    value = term.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        msg = f"forcing term {key} must be a number, got {value!r}"
-        raise ValueError(msg) from None
-
-
-_TERM_KEYS = (
-    "kind", "amplitude", "space_mode", "time_mode", "space_profile", "time_profile"
-)
-
-
-def _known_keys(spec: Mapping, keys: tuple[str, ...], what: str) -> None:
-    for key in spec:
-        if key not in keys:
-            raise ValueError(f"unknown {what} key {key!r}")
-
-
-def _sample_sinusoid_term(
-    term: Mapping, smesh: SpatialMesh, tmesh: TemporalMesh
-) -> np.ndarray:
-    """One sinusoid product term; a "terms" entry may state its kind too."""
-    if not isinstance(term, Mapping):
-        raise ValueError(f"forcing term must be an object, got {term!r}")
-    _known_keys(term, _TERM_KEYS, "forcing term")
-    if term.get("kind", "sinusoid") != "sinusoid":
-        raise ValueError(f"forcing term kind must be 'sinusoid', got {term!r}")
-    amp = _term_number(term, "amplitude", 1.0)
-    k = _term_number(term, "space_mode", 1)
-    j = _term_number(term, "time_mode", 0)
-    space_profile = term.get("space_profile", "sin")
-    time_profile = term.get("time_profile", "const")
-    x = smesh.nodes
-    t = tmesh.times
-    if space_profile == "sin":
-        sx = np.sin(np.pi * k * x / smesh.length)
-    elif space_profile == "cos":
-        sx = np.cos(np.pi * k * x / smesh.length)
-    else:
-        raise ValueError(f"unknown space_profile {space_profile!r}")
-    if time_profile == "const":
-        st = np.ones_like(t)
-    elif time_profile == "sin":
-        st = np.sin(2.0 * np.pi * j * t / tmesh.period)
-    elif time_profile == "cos":
-        st = np.cos(2.0 * np.pi * j * t / tmesh.period)
-    else:
-        raise ValueError(f"unknown time_profile {time_profile!r}")
-    return amp * st[:, None] * sx[None, :]
-
-
-def sample_forcing(
-    expr: Mapping, smesh: SpatialMesh, tmesh: TemporalMesh
-) -> np.ndarray:
-    """Sample a forcing specification on the space-time grid.
-
-    `expr` is a mapping with a "kind" key: "zero", "sinusoid" (one product
-    term), "terms" (sum of sinusoid terms), or "csv" (grid file with header
-    t,x,value matching the meshes).  Time-periodic extension is implied by
-    sampling only t_0..t_{N-1}.  A key that the kind does not read is an
-    error.
-    """
-    kind = expr.get("kind")
-    if kind == "zero":
-        _known_keys(expr, ("kind",), "forcing")
-        return np.zeros((tmesh.step_count, smesh.interior_count))
-    if kind == "sinusoid":
-        return _sample_sinusoid_term(expr, smesh, tmesh)
-    if kind == "terms":
-        _known_keys(expr, ("kind", "terms"), "forcing")
-        terms = expr.get("terms")
-        if not isinstance(terms, list):
-            raise ValueError(f"forcing terms must be a list, got {terms!r}")
-        out = np.zeros((tmesh.step_count, smesh.interior_count))
-        for term in terms:
-            out += _sample_sinusoid_term(term, smesh, tmesh)
-        return out
-    if kind == "csv":
-        _known_keys(expr, ("kind", "path"), "forcing")
-        path = expr.get("path")
-        if not isinstance(path, str):
-            raise ValueError(f"forcing kind 'csv' needs a string path, got {path!r}")
-        arr, t_read, x_read = read_field_csv(path)
-        if arr.shape != (tmesh.step_count, smesh.interior_count):
-            raise ValueError(
-                f"forcing CSV grid {arr.shape} does not match meshes "
-                f"({tmesh.step_count}, {smesh.interior_count})"
-            )
-        if not (
-            np.allclose(t_read, tmesh.times, atol=1e-12)
-            and np.allclose(x_read, smesh.nodes, atol=1e-12)
-        ):
-            raise ValueError("forcing CSV coordinates do not match the meshes")
-        return arr
-    raise ValueError(f"unknown forcing kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # file formats: CSV with header t,x,value (row-major by time slice) and a
 # gnuplot-ready .dat mirror. Floats carry 17 significant digits so that a
 # round trip is bit exact.
@@ -373,12 +269,17 @@ def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vals: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["t", "x", "value"]:
             raise ValueError(f"bad field CSV header {header!r} in {path}")
         for row in reader:
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(
+                    f"field CSV {path} line {reader.line_num} has {len(row)} "
+                    "fields, expected 3"
+                )
             ts.append(float(row[0]))
             xs.append(float(row[1]))
             vals.append(float(row[2]))

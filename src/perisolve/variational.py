@@ -208,7 +208,8 @@ def newton_fixed_point(
     the forcing prob.f.  convexcore's Newton loop halves every step until
     the Bochner dual norm of F falls.  Converged when that norm is at most
     tol * max(1, |f - alpha(du)|); otherwise it stops after max_iter steps,
-    or when a step is singular, non-finite or cannot decrease the norm.
+    or when a step is singular, too large to allocate, non-finite or cannot
+    decrease the norm.
     Each step solves the Jacobian exactly by a DFT in time when its
     coefficients do not vary in time, and through the dgbsv band
     otherwise.  Returns the stage at the last iterate (its u, du, xi,

@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 import tempfile
+from copy import deepcopy
 from math import inf, nan
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,13 @@ from hypothesis import strategies as st
 
 import perisolve
 from perisolve import cascade, cli
-from perisolve.discretize import dual_bochner_norm, read_field_csv
+from perisolve.discretize import (
+    SpatialMesh,
+    TemporalMesh,
+    dual_bochner_norm,
+    read_field_csv,
+    write_field_csv,
+)
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
@@ -56,9 +64,12 @@ class TestLoadConfig:
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "bad.json"
-        p.write_text("{")
-        with pytest.raises(cli.ConfigError, match="invalid JSON"):
-            cli.load_config(str(p))
+        # besides bad syntax: an integer of more digits than Python converts,
+        # nesting deeper than the parser recurses, and bytes that are not UTF-8
+        for text in (b"{", b"1" * 5000, b"[" * 100000 + b"]" * 100000, b"\xff"):
+            p.write_bytes(text)
+            with pytest.raises(cli.ConfigError, match="invalid JSON"):
+                cli.load_config(str(p))
 
     def test_top_level_must_be_object(self, tmp_path):
         p = tmp_path / "list.json"
@@ -82,7 +93,7 @@ class TestLoadConfig:
     def test_errors_name_the_dotted_key(self, tmp_path):
         cases = [
             ({"problem": small_problem(m=0.5)}, "problem.m"),
-            ({"problem": small_problem(forcing={"kind": "blob"})}, "problem.forcing"),
+            ({"problem": small_problem(forcing={"kind": "blob"})}, "problem.forcing.kind"),
             (
                 {
                     "problem": small_problem(
@@ -112,12 +123,15 @@ class TestLoadConfig:
                 {"problem": small_problem(nonlinearity={"kind": "cubic"})},
                 "problem.nonlinearity.kind",
             ),
-            ({"problem": small_problem(), "cascade": {"fp_tol": 0.0}}, "cascade"),
+            ({"problem": small_problem(), "cascade": {"fp_tol": 0.0}}, "cascade.fp_tol"),
             (
                 {"problem": small_problem(), "cascade": {"lambda_schedule": [0.1]}},
                 "cascade.lambda_schedule",
             ),
             ({"problem": small_problem(M="8")}, "problem.M"),
+            # a grid whose arrays numpy cannot even size
+            ({"problem": small_problem(M=10**400)}, "problem.M"),
+            ({"problem": small_problem(N=2**62)}, "problem.N"),
             ({"problem": small_problem(M=True)}, "problem.M"),
             (
                 {"problem": small_problem(), "cascade": {"epsilon_schedule": [None]}},
@@ -150,7 +164,10 @@ class TestLoadConfig:
                 {"problem": small_problem(), "cascade": {"epsilon_schedule": [1.0, nan]}},
                 "cascade.epsilon_schedule",
             ),
-            ({"problem": small_problem(), "cascade": {"alpha_exp": -1}}, "cascade"),
+            (
+                {"problem": small_problem(), "cascade": {"alpha_exp": -1}},
+                "cascade.alpha_exp",
+            ),
             # m < 2 with delta = 0: the flux slope is singular at u = 0
             (
                 {"problem": small_problem(M=4, N=4, m=1.5), "cascade": {"delta": 0}},
@@ -260,6 +277,66 @@ class TestLoadConfig:
         assert cfg.output_dir == str(tmp_path / "o")
         assert cfg.problem.m == 3.0
         assert cfg.cascade.fp_tol == 1e-10
+
+
+def load_forcing(tmp_path: Path, forcing: dict, M: int, N: int) -> np.ndarray:
+    """The forcing array that load_config samples on an M x N unit grid."""
+    doc = {"problem": small_problem(M=M, N=N, forcing=forcing)}
+    return cli.load_config(write_config(tmp_path, doc)).problem.f
+
+
+def test_forcing_zero_and_sinusoid(tmp_path):
+    assert np.all(load_forcing(tmp_path, {"kind": "zero"}, 9, 4) == 0.0)
+    spec = {
+        "kind": "sinusoid",
+        "amplitude": 2.0,
+        "space_mode": 1,
+        "time_mode": 1,
+        "space_profile": "sin",
+        "time_profile": "cos",
+    }
+    f = load_forcing(tmp_path, spec, 9, 4)
+    sm, tm = SpatialMesh(1.0, 9), TemporalMesh(1.0, 4)
+    expect = (
+        2.0
+        * np.cos(2.0 * np.pi * tm.times[:, None])
+        * np.sin(np.pi * sm.nodes[None, :])
+    )
+    assert np.array_equal(f, expect)
+
+
+def test_forcing_terms_sum(tmp_path):
+    t1 = {"kind": "sinusoid", "amplitude": 1.0}
+    t2 = {"kind": "sinusoid", "amplitude": 0.5, "time_profile": "sin", "time_mode": 1}
+    total = load_forcing(tmp_path, {"kind": "terms", "terms": [t1, t2]}, 5, 3)
+    parts = load_forcing(tmp_path, t1, 5, 3) + load_forcing(tmp_path, t2, 5, 3)
+    assert np.array_equal(total, parts)
+
+
+def test_forcing_rejects_bad_specs(tmp_path):
+    for spec, key in [
+        ({"kind": "mystery"}, "problem.forcing.kind"),
+        ({"kind": "sinusoid", "space_profile": "tan"}, "problem.forcing.space_profile"),
+        ({"kind": "sinusoid", "time_profile": "ramp"}, "problem.forcing.time_profile"),
+    ]:
+        with pytest.raises(cli.ConfigError) as err:
+            load_forcing(tmp_path, spec, 5, 3)
+        assert err.value.key == key
+
+
+def test_field_csv_feeds_forcing_and_rejects_mismatch(tmp_path, rng):
+    values = rng.normal(size=(3, 4))
+    path = tmp_path / "f.csv"
+    write_field_csv(str(path), values, SpatialMesh(1.0, 4), TemporalMesh(1.0, 3))
+    back = load_forcing(tmp_path, {"kind": "csv", "path": str(path)}, 4, 3)
+    assert np.array_equal(back, values)
+    with pytest.raises(cli.ConfigError, match="does not match") as err:
+        load_forcing(tmp_path, {"kind": "csv", "path": str(path)}, 4, 4)
+    assert err.value.key == "problem.forcing.path"
+    (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
+    with pytest.raises(cli.ConfigError, match="header") as err:
+        load_forcing(tmp_path, {"kind": "csv", "path": str(tmp_path / "bad.csv")}, 4, 3)
+    assert err.value.key == "problem.forcing.path"
 
 
 class TestSolve:
@@ -429,10 +506,27 @@ def test_cmd_verify_passes_the_proximal_sandwich_below_two(tmp_path):
     assert checks["proximal_sandwich"]["passed"], checks["proximal_sandwich"]
 
 
-def test_cascade_knobs_match_the_config_keys():
-    # every CascadeParams field is a cascade config key and nothing else is
-    fields = {f.name for f in dataclasses.fields(cascade.CascadeParams)}
-    assert fields == set(cli._CASCADE_KEYS)
+def test_cascade_knobs_match_the_config_keys(tmp_path):
+    # every CascadeParams field is a cascade config key, read as the JSON
+    # type of its default
+    knobs = {
+        "epsilon_schedule": (0.5, 0.25),
+        "mu_schedule": (0.1,),
+        "alpha_exp": 0.75,
+        "delta": 1e-6,
+        "fp_tol": 1e-9,
+        "stage_tol": 1e-11,
+        "max_fp_iter": 50,
+        "mu_eps_truncate": 2,
+    }
+    assert {f.name for f in dataclasses.fields(cascade.CascadeParams)} == set(knobs)
+    doc = {"problem": small_problem(), "cascade": knobs}
+    loaded = cli.load_config(write_config(tmp_path, doc)).cascade
+    assert loaded == cascade.CascadeParams(**knobs)
+    # null leaves a number at its default
+    doc["cascade"] = {"alpha_exp": None, "delta": None}
+    loaded = cli.load_config(write_config(tmp_path, doc)).cascade
+    assert loaded == cascade.CascadeParams()
 
 
 forcing_terms = st.lists(
@@ -487,6 +581,82 @@ def test_random_small_problems_converge_or_report(p, m, M, N, terms):
             assert check["passed"] or (
                 check["name"] == "proximal_sandwich" and "stalled" in check["message"]
             ), check
+
+
+# the bundled configs, each with every subcommand block at its defaults
+FUZZ_BASES = [
+    {
+        **json.loads(path.read_text()),
+        "verify": {"sample_count": 40},
+        "mms": {"exact": "separable_bump", "mode": "discrete_exact",
+                "levels": [[8, 8], [16, 16], [32, 32]]},
+        "mosco": {"kind": "diffusion_perturbation", "n_max": 8},
+        "sweep": {"pairs": [[2, 2], [2, 3], [2.5, 3], [3, 2], [2, 1.5]]},
+    }
+    for path in sorted((Path(perisolve.__file__).parent / "configs").glob("*.json"))
+]
+# values that are not a JSON number the program can read as a float
+NON_NUMBERS = [True, False, "x", "2", [1.0], [[1.0]], {}, nan, inf, -inf]
+DELETE = object()
+
+
+def config_nodes(node, path=()):
+    """(path, value) of every node below node, path of keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from config_nodes(value, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A bundled config with one node retyped or deleted."""
+    doc = deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    path, old = draw(st.sampled_from(list(config_nodes(doc))))
+    new = draw(st.sampled_from([*NON_NUMBERS, 10**400, DELETE]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc, path, old, new
+
+
+class Validated(Exception):
+    """Raised where a subcommand, its config validated, would start writing."""
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=mutated_configs())
+def test_mutated_configs_load_or_name_the_key(case):
+    # every mutated config loads and passes its subcommand validators, or
+    # raises ConfigError naming a dotted key; a non-number where the program
+    # reads a number is always a ConfigError naming that number's key or
+    # the block entry that holds it
+    doc, path, old, new = case
+    commands = {"verify": cli.cmd_verify, "mms": cli.cmd_mms,
+                "mosco": cli.cmd_mosco, "sweep": cli.cmd_sweep}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        try:
+            cfg = cli.load_config(config, output_override=str(Path(tmp) / "o"))
+            with mock.patch.object(cli, "_ensure_dir", side_effect=Validated):
+                for block in commands.keys() & doc.keys():
+                    with pytest.raises(Validated):
+                        commands[block](cfg)
+        except cli.ConfigError as err:
+            assert err.key and all(err.key.split(".")), err
+            error = err
+        else:
+            error = None
+    is_number = type(old) in (int, float)
+    if is_number and any(new is v for v in NON_NUMBERS):
+        dotted = ".".join(k for k in path if isinstance(k, str))
+        assert error is not None, (path, new)
+        assert dotted == error.key or dotted.startswith(error.key + "."), error
 
 
 @pytest.mark.parametrize(
@@ -610,6 +780,31 @@ def test_cmd_sweep_requires_power_map(tmp_path):
         cli.cmd_sweep(cli.load_config(write_config(tmp_path, doc)))
 
 
+MALFORMED_FORCINGS = [
+    ({"kind": "terms", "terms": 5}, "problem.forcing.terms"),
+    ({"kind": "terms", "terms": ["x"]}, "problem.forcing.terms"),
+    ({"kind": "terms", "terms": [{"amplitude": [1]}]}, "problem.forcing.terms"),
+    ({"kind": "csv"}, "problem.forcing.path"),
+    # keys the forcing kind does not read
+    ({"kind": "terms", "terms": [{"amplitude": 1.0, "time_mod": 1}]},
+     "problem.forcing.terms"),
+    ({"kind": "terms", "terms": [{"kind": "zero"}]}, "problem.forcing.terms"),
+    ({"kind": "zero", "amplitude": 1.0}, "problem.forcing.amplitude"),
+    # a boolean, a numeric string, NaN or an integer too large for a float is
+    # not a number
+    ({"kind": "sinusoid", "amplitude": True}, "problem.forcing.amplitude"),
+    ({"kind": "sinusoid", "amplitude": "2"}, "problem.forcing.amplitude"),
+    ({"kind": "sinusoid", "amplitude": nan}, "problem.forcing.amplitude"),
+    ({"kind": "sinusoid", "space_mode": False}, "problem.forcing.space_mode"),
+    ({"kind": "sinusoid", "space_mode": 10**400}, "problem.forcing.space_mode"),
+    ({"kind": "terms", "terms": [{"amplitude": True}]}, "problem.forcing.terms"),
+    ({"kind": "terms", "terms": [{"amplitude": "2"}]}, "problem.forcing.terms"),
+    ({"kind": "terms", "terms": [{"space_mode": 10**400}]}, "problem.forcing.terms"),
+    ({"kind": "sinusoid", "time_profile": 1}, "problem.forcing.time_profile"),
+    ({"kind": "sinusoid", "amplitude": "nan"}, "problem.forcing.amplitude"),
+]
+
+
 class TestMain:
     def test_dispatch_and_quiet(self, tmp_path):
         doc = {"problem": small_problem(forcing={"kind": "zero"})}
@@ -670,6 +865,8 @@ class TestMain:
             ("mosco", {"mosco": {"kind": "identity", "n": 2}}, "mosco.n"),
             ("sweep", {"sweep": {"epsilon_finl": [0.1]}}, "sweep.epsilon_finl"),
             ("solve", {"cascde": {"fp_tol": 1e-8}}, "cascde"),
+            # more perturbed instances than a tuple can index
+            ("mosco", {"mosco": {"n_max": 10**400}}, "mosco.n_max"),
         ],
     )
     def test_block_errors_exit_1_and_name_the_key(
@@ -683,27 +880,86 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "forcing",
-        [
-            {"kind": "terms", "terms": 5},
-            {"kind": "terms", "terms": ["x"]},
-            {"kind": "terms", "terms": [{"amplitude": [1]}]},
-            {"kind": "csv"},
-            # keys the forcing kind does not read
-            {"kind": "terms", "terms": [{"amplitude": 1.0, "time_mod": 1}]},
-            {"kind": "terms", "terms": [{"kind": "zero"}]},
-            {"kind": "zero", "amplitude": 1.0},
-        ],
+        "forcing, key",
+        MALFORMED_FORCINGS,
+        ids=[f"forcing{n}" for n in range(len(MALFORMED_FORCINGS))],
     )
     def test_malformed_forcing_exits_1_and_names_the_key(
-        self, tmp_path, capsys, bundled_config_dir, forcing
+        self, tmp_path, capsys, bundled_config_dir, forcing, key
     ):
         doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
         doc["problem"]["forcing"] = forcing
         path = write_config(tmp_path, doc)
         out = str(tmp_path / "o")
         assert cli.main(["solve", "--config", path, "--output", out, "--quiet"]) == 1
-        assert "config error: problem.forcing:" in capsys.readouterr().err
+        assert f"config error: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "problem, key",
+        [
+            # a boolean, a numeric string, an integer too large for a float or
+            # a nested list is not a number
+            ({"diffusion": {"kind": "values", "values": [True] * 5}},
+             "problem.diffusion.values"),
+            ({"diffusion": {"kind": "values", "values": ["1", "2", "3", "4", "5"]}},
+             "problem.diffusion.values"),
+            ({"diffusion": {"kind": "values", "values": [1, 1, 10**400, 1, 1]}},
+             "problem.diffusion.values"),
+            ({"diffusion": {"kind": "values", "values": [[1.0]] * 5}},
+             "problem.diffusion.values"),
+            (
+                {"nonlinearity": {"kind": "piecewise_linear",
+                                  "breakpoints": [[False, False], [True, True]]}},
+                "problem.nonlinearity.breakpoints",
+            ),
+            (
+                {"nonlinearity": {"kind": "piecewise_linear",
+                                  "breakpoints": [["-1", "-1"], ["1", "1"]]}},
+                "problem.nonlinearity.breakpoints",
+            ),
+            (
+                {"nonlinearity": {"kind": "custom_tabulated",
+                                  "s_values": [-1, 0, 1], "alpha_values": [-1, 0, "1"]}},
+                "problem.nonlinearity.alpha_values",
+            ),
+        ],
+    )
+    def test_non_numbers_exit_1_and_name_the_key(self, tmp_path, capsys, problem, key):
+        doc = {"problem": small_problem(M=4, N=4, **problem)}
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "o")
+        assert cli.main(["solve", "--config", path, "--output", out, "--quiet"]) == 1
+        assert f"config error: {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "block, text, key",
+        [
+            # a tabulated rate map of one column
+            ("nonlinearity", "-1\n0\n1\n", "problem.nonlinearity.path"),
+            # a forcing grid row of two fields
+            ("forcing", "t,x,value\n0,0.5,1\n0.5,0.5\n", "problem.forcing.path"),
+            ("forcing", "", "problem.forcing.path"),
+        ],
+        ids=["one_column_rate_table", "short_forcing_row", "empty_forcing_file"],
+    )
+    def test_malformed_csv_exits_1_and_names_the_key(
+        self, tmp_path, capsys, block, text, key
+    ):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        spec = (
+            {"kind": "custom_tabulated", "path": str(table)}
+            if block == "nonlinearity"
+            else {"kind": "csv", "path": str(table)}
+        )
+        doc = {"problem": small_problem(M=1, N=2, **{block: spec})}
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "o")
+        assert cli.main(["solve", "--config", path, "--output", out, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {key}:" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_missing_subcommand_is_usage_error(self, capsys):
@@ -737,31 +993,58 @@ def _child_env() -> dict:
     )
 
 
-def test_grid_too_large_to_allocate_is_a_config_error(tmp_path):
-    # the child caps its own address space at 3 GB, so the 8 GB coefficient
-    # array of a 10**9-node grid fails to allocate whatever the machine's
-    # overcommit policy; the run exits 1 naming the grid key
-    path = write_config(tmp_path, {"problem": small_problem(M=10**9)})
-    out = tmp_path / "o"
+def run_capped(config: str, out: Path, cap: int) -> subprocess.CompletedProcess:
+    """perisolve solve in a child that caps its own address space at cap
+    bytes, so an array beyond it fails to allocate whatever the machine's
+    overcommit policy."""
     probe = (
         "import resource, sys\n"
         "from perisolve import cli\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-        "cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
+        "cap = int(sys.argv[3])\n"
+        "cap = cap if hard == resource.RLIM_INFINITY else min(cap, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
         "sys.exit(cli.main(['solve', '--config', sys.argv[1], '--output', "
         "sys.argv[2], '--quiet']))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, path, str(out)],
+    return subprocess.run(
+        [sys.executable, "-c", probe, config, str(out), str(cap)],
         capture_output=True,
         text=True,
         timeout=120,
         env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"),
     )
+
+
+def test_grid_too_large_to_allocate_is_a_config_error(tmp_path):
+    # the 8 GB coefficient array of a 10**9-node grid fails to allocate under
+    # a 3 GB cap; the run exits 1 naming the grid key
+    path = write_config(tmp_path, {"problem": small_problem(M=10**9)})
+    out = tmp_path / "o"
+    proc = run_capped(path, out, 3 << 30)
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "config error: problem.M: an N x M = 8 x 1000000000 grid" in proc.stderr
     assert not out.exists()
+
+
+def test_band_too_large_to_allocate_exits_2_but_reports(tmp_path, bundled_config_dir):
+    # the grid loads under a 512 MB cap, and a stage that starts from u = 0
+    # takes its first step, which is exact; the 619 MiB band of any later
+    # step cannot be allocated, which ends the stage unconverged as a
+    # singular step does.  The last stage starts from the time-varying end
+    # of the rung before, so it takes no step.
+    doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
+    doc["problem"].update(M=300, N=300)
+    doc["cascade"]["epsilon_schedule"] = [0.5]
+    out = tmp_path / "o"
+    proc = run_capped(write_config(tmp_path, doc), out, 512 << 20)
+    assert proc.returncode == cli.EXIT_NOCONV, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["exit_code"] == 2 and rep["converged"] is False
+    assert [s["epsilon"] for s in rep["stages"]] == [0.0, 0.5, 0.0]
+    assert [s["fixed_point_newton_steps"] for s in rep["stages"]] == [1, 1, 0]
+    assert (out / "trajectory.csv").exists()
 
 
 def test_console_script_resolves_to_main():

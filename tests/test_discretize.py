@@ -16,7 +16,6 @@ from perisolve.discretize import (
     norm_X,
     pairing,
     read_field_csv,
-    sample_forcing,
     time_derivative,
     validate_trajectory,
     write_field_csv,
@@ -165,49 +164,6 @@ def test_bochner_norm_values_and_validation():
         bochner_norm(np.zeros(3), 2.0, tm)
 
 
-def test_sample_forcing_zero_and_sinusoid():
-    sm = SpatialMesh(1.0, 9)
-    tm = TemporalMesh(1.0, 4)
-    assert np.all(sample_forcing({"kind": "zero"}, sm, tm) == 0.0)
-    spec = {
-        "kind": "sinusoid",
-        "amplitude": 2.0,
-        "space_mode": 1,
-        "time_mode": 1,
-        "space_profile": "sin",
-        "time_profile": "cos",
-    }
-    f = sample_forcing(spec, sm, tm)
-    expect = (
-        2.0
-        * np.cos(2.0 * np.pi * tm.times[:, None])
-        * np.sin(np.pi * sm.nodes[None, :])
-    )
-    assert np.array_equal(f, expect)
-
-
-def test_sample_forcing_terms_sum_and_callable():
-    sm = SpatialMesh(1.0, 5)
-    tm = TemporalMesh(1.0, 3)
-    t1 = {"kind": "sinusoid", "amplitude": 1.0}
-    t2 = {"kind": "sinusoid", "amplitude": 0.5, "time_profile": "sin", "time_mode": 1}
-    total = sample_forcing({"kind": "terms", "terms": [t1, t2]}, sm, tm)
-    assert np.allclose(
-        total, sample_forcing(t1, sm, tm) + sample_forcing(t2, sm, tm)
-    )
-
-
-def test_sample_forcing_rejects_bad_specs():
-    sm = SpatialMesh(1.0, 5)
-    tm = TemporalMesh(1.0, 3)
-    with pytest.raises(ValueError, match="unknown forcing kind"):
-        sample_forcing({"kind": "mystery"}, sm, tm)
-    with pytest.raises(ValueError, match="space_profile"):
-        sample_forcing({"kind": "sinusoid", "space_profile": "tan"}, sm, tm)
-    with pytest.raises(ValueError, match="time_profile"):
-        sample_forcing({"kind": "sinusoid", "time_profile": "ramp"}, sm, tm)
-
-
 def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     sm = SpatialMesh(np.pi, 6)
     tm = TemporalMesh(np.e, 5)
@@ -219,21 +175,6 @@ def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(arr, values)
     assert np.array_equal(t_read, tm.times)
     assert np.array_equal(x_read, sm.nodes)
-
-
-def test_field_csv_feeds_forcing_and_rejects_mismatch(tmp_path, rng):
-    sm = SpatialMesh(1.0, 4)
-    tm = TemporalMesh(1.0, 3)
-    values = rng.normal(size=(3, 4))
-    path = tmp_path / "f.csv"
-    write_field_csv(str(path), values, sm, tm)
-    back = sample_forcing({"kind": "csv", "path": str(path)}, sm, tm)
-    assert np.array_equal(back, values)
-    with pytest.raises(ValueError, match="does not match"):
-        sample_forcing({"kind": "csv", "path": str(path)}, sm, TemporalMesh(1.0, 4))
-    (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        read_field_csv(str(tmp_path / "bad.csv"))
 
 
 def test_write_field_dat_mirrors_values(tmp_path, rng):
