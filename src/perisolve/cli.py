@@ -599,11 +599,20 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # subparsers are built from this class too, so every usage error reaches
-    # main, which exits 1 as for an invalid config: 2 means non-convergence
+    # every usage error reaches main, which exits 1 as for an invalid config:
+    # 2 means non-convergence
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(f"{self.prog}: error: {message}")
+
+
+_COMMANDS = {
+    "solve": "run the regularization cascade and write the trajectory",
+    "verify": "solve, then run the invariant suite and growth audit",
+    "mms": "manufactured-solution convergence study",
+    "mosco": "structural-stability experiment",
+    "sweep": "solve once per (p, m) pair",
+}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -611,19 +620,14 @@ def _parser() -> argparse.ArgumentParser:
         prog="perisolve",
         description="Time-periodic doubly nonlinear diffusion solver and "
         "verification harness",
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<8}{text}" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("solve", "run the regularization cascade and write the trajectory"),
-        ("verify", "solve, then run the invariant suite and growth audit"),
-        ("mms", "manufactured-solution convergence study"),
-        ("mosco", "structural-stability experiment"),
-        ("sweep", "solve once per (p, m) pair"),
-    ):
-        sp = sub.add_parser(name, help=helptext)
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--output", default=None, help="output directory override")
-        sp.add_argument("--quiet", action="store_true", help="warnings only")
+    ap.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    ap.add_argument("--config", required=True, help="JSON config path")
+    ap.add_argument("--output", default=None, help="output directory override")
+    ap.add_argument("--quiet", action="store_true", help="warnings only")
     return ap
 
 

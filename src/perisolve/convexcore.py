@@ -5,10 +5,12 @@ and conjugate), the cellwise diffusion coefficient, gradient-energy
 functionals and their gradients, duality maps of the nodal L^r spaces,
 proximal smoothing (envelope, resolvent, Yosida gradient), the
 power-perturbed energy used on the hard exponent branch with its resolvent,
-and the one Newton loop: it halves each step until the residual's dual norm
-falls, and serves both the stage equation of the variational layer and the
-single-slice proximal problems here, each of which is one Newton solve on
-its stationarity equation with that equation's exact dense Jacobian.
+and the one Newton loop: it halves each step, or cuts it faster where the
+trial residual grows like a power of the step length, until the residual's
+dual norm falls.  It serves both the stage equation of the variational
+layer and the single-slice proximal problems here, each of which is one
+Newton solve on its stationarity equation with that equation's exact dense
+Jacobian.
 
 Gradients are always understood against the pairing <xi, u> = sum_i dx xi_i u_i,
 so a "dual field" returned here pairs with increments through that weighted
@@ -22,6 +24,7 @@ leading axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -428,6 +431,11 @@ def fenchel_psi_star(xi: np.ndarray, nl: Nonlinearity, mesh: SpatialMesh):
 # Newton's method
 
 
+# the smallest trial factor of a Newton step, 30 halvings of the full step;
+# a step that does not decrease the norm there is given up
+_MIN_STEP = 0.5**30
+
+
 def _newton(
     u: np.ndarray,
     equation: Callable[[np.ndarray], tuple[object, float]],
@@ -435,19 +443,20 @@ def _newton(
     step: Callable[[np.ndarray, object], np.ndarray | None],
     max_iter: int,
 ) -> tuple[np.ndarray, list[float], bool, object]:
-    """Newton's method that halves each step until a residual norm falls.
+    """Newton's method that backtracks each step until a residual norm falls.
 
     equation(v) returns (state, norm): what step needs at v and the dual
     norm of the equation residual there.  v solves the equation once that
     norm is at most tol(state).  step(v, state) is the Newton step at v, or
     None when its linear system is singular, as is a LinAlgError; a
     MemoryError is a system too large to allocate, a step that cannot be
-    taken either.  Every step is taken in full and halved, up to 30 times,
-    until the norm falls.  Stops on convergence, after max_iter steps, or
-    when a step is singular, cannot be allocated, is non-finite or cannot
-    decrease the norm.  Returns the last iterate, the norm at the start and
-    after every step, whether it converged, and the state of the last
-    iterate.
+    taken either.  Every step is tried in full, then at factors that halve,
+    or fall faster where the trial norm grows like a power of the factor,
+    down to _MIN_STEP, until the norm falls.  Stops on convergence, after
+    max_iter steps, or when a step is singular, cannot be allocated, is
+    non-finite or cannot decrease the norm.  Returns the last iterate, the
+    norm at the start and after every step, whether it converged, and the
+    state of the last iterate.
     """
     state, res = equation(u)
     history = [res]
@@ -462,12 +471,23 @@ def _newton(
             break
         if d is None or not np.all(np.isfinite(d)):
             break
-        for k in range(31):
-            trial = u + 0.5**k * d
+        t, last, last_res = 1.0, math.inf, math.inf
+        while True:
+            trial = u + t * d
             state_t, res_t = equation(trial)
-            if res_t < res:
+            if res_t < res or t == _MIN_STEP:
                 break
-        else:
+            nxt = 0.5 * t
+            # Far from a root (from u = 0, where the smoothed Hessians almost
+            # vanish) the full step can be millions of times too long.  Finite
+            # norms at 2t and t with res(2t) >= 2 res(t) fix the power law
+            # res(s) = res(t) (s/t)^q, q = log2(res(2t) / res(t)): go straight
+            # to where it meets res.  A NaN or infinite norm halves.
+            if last == 2.0 * t and math.isfinite(last_res) and last_res >= 2.0 * res_t:
+                q = math.log2(last_res / res_t)
+                nxt = min(nxt, t * (res / res_t) ** (1.0 / q))
+            last, last_res, t = t, res_t, max(nxt, _MIN_STEP)
+        if not res_t < res:
             break
         u, state, res = trial, state_t, res_t
         history.append(res)

@@ -247,19 +247,30 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
 _FMT = "%.17g"
 
 
+def _field_blocks(
+    values: np.ndarray, smesh: SpatialMesh, tmesh: TemporalMesh, sep: str
+) -> list[str]:
+    """The rows t<sep>x<sep>value of a field, one string of lines per slice.
+
+    Each node is formatted once, each time once and each value once.
+    """
+    values = validate_trajectory(values, smesh, tmesh, "field")
+    xs = [_FMT % x + sep for x in smesh.nodes.tolist()]
+    blocks = []
+    for t, row in zip(tmesh.times.tolist(), values.tolist()):
+        head = _FMT % t + sep
+        blocks.append("".join([f"{head}{x}{_FMT % v}\n" for x, v in zip(xs, row)]))
+    return blocks
+
+
 def write_field_csv(
     path: str, values: np.ndarray, smesh: SpatialMesh, tmesh: TemporalMesh
 ) -> None:
-    values = validate_trajectory(values, smesh, tmesh, "field")
-    x = smesh.nodes
-    t = tmesh.times
+    # the fields are numbers, which csv never quotes
+    blocks = _field_blocks(values, smesh, tmesh, ",")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "x", "value"])
-        for n in range(tmesh.step_count):
-            tn = _FMT % t[n]
-            for i in range(smesh.interior_count):
-                writer.writerow([tn, _FMT % x[i], _FMT % values[n, i]])
+        fh.write("t,x,value\n")
+        fh.writelines(blocks)
 
 
 def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,14 +307,7 @@ def write_field_dat(
     path: str, values: np.ndarray, smesh: SpatialMesh, tmesh: TemporalMesh
 ) -> None:
     """Gnuplot mirror: blank-line separated time blocks, columns t x value."""
-    values = validate_trajectory(values, smesh, tmesh, "field")
-    x = smesh.nodes
-    t = tmesh.times
-    lines = ["# t x value"]
-    for n in range(tmesh.step_count):
-        tn = _FMT % t[n]
-        for i in range(smesh.interior_count):
-            lines.append(f"{tn} {_FMT % x[i]} {_FMT % values[n, i]}")
-        lines.append("")
+    blocks = _field_blocks(values, smesh, tmesh, " ")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
+        fh.write("# t x value\n")
+        fh.write("\n".join(blocks))

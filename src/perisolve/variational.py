@@ -205,11 +205,12 @@ def newton_fixed_point(
 
     The equation is F(u) = R(u) + alpha(du) = 0 with R the stage residual
     at h = 0, the parameter eps and smoothing delta finite and >= 0, and
-    the forcing prob.f.  convexcore's Newton loop halves every step until
-    the Bochner dual norm of F falls.  Converged when that norm is at most
-    tol * max(1, |f - alpha(du)|); otherwise it stops after max_iter steps,
-    or when a step is singular, too large to allocate, non-finite or cannot
-    decrease the norm.
+    the forcing prob.f.  convexcore's Newton loop backtracks every step
+    until the Bochner dual norm of F falls (halving it, or faster where the
+    trial norms grow like a power of the step length).  Converged when that
+    norm is at most tol * max(1, |f - alpha(du)|); otherwise it stops after
+    max_iter steps, or when a step is singular, too large to allocate,
+    non-finite or cannot decrease the norm.
     Each step solves the Jacobian exactly by a DFT in time when its
     coefficients do not vary in time, and through the dgbsv band
     otherwise.  Returns the stage at the last iterate (its u, du, xi,

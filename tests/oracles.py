@@ -8,6 +8,9 @@ these oracles.
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
@@ -164,3 +167,27 @@ def stage_objective(
 # oracles themselves are also caught.
 RESOLVENT_LAMBDA_STAR = 0.11208493554429694
 RESOLVENT_U_STAR = 0.47346580772942753
+
+
+def field_file_oracle(
+    values: np.ndarray, smesh: dz.SpatialMesh, tmesh: dz.TemporalMesh
+) -> tuple[str, str]:
+    """The text of a field's CSV file and of its .dat mirror.
+
+    Formats every number of every row on its own with "%.17g" and writes
+    the CSV one csv.writer row at a time, the .dat one joined line at a
+    time.
+    """
+    x, t = smesh.nodes, tmesh.times
+    fmt = "%.17g"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "x", "value"])
+    lines = ["# t x value"]
+    for n in range(tmesh.step_count):
+        for i in range(smesh.interior_count):
+            row = [fmt % t[n], fmt % x[i], fmt % values[n, i]]
+            writer.writerow(row)
+            lines.append(" ".join(row))
+        lines.append("")
+    return buf.getvalue(), "\n".join(lines)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import perisolve.cascade as ca
+import perisolve.cli as cli
 import perisolve.convexcore as cc
 import perisolve.variational as var
 from newton_oracle import direct_newton_oracle
@@ -444,3 +445,24 @@ def test_stage_bookkeeping_reads_newtons_last_evaluation(monkeypatch):
     stages = climb(unit_problem(2.5, 3.0, 5, 4))
     assert len(stages) == 16 and counts["iterates"] > 0
     assert counts["time_derivative"] == counts["iterates"] + len(stages)
+
+
+def test_target_from_zero_skips_the_halvings_of_an_overlong_step(
+    monkeypatch, bundled_config_dir
+):
+    # the bundled p = 2.5, m = 3 config's eps = 0 target from u = 0: both
+    # smoothed Hessians almost vanish there, so the first full step is about
+    # 2^26 times too long; halving alone evaluated the stage 35 times over
+    # the target's 7 steps
+    cfg = cli.load_config(str(bundled_config_dir / "nonlinear_diffusion.json"))
+    built = []
+
+    class CountedStage(var._StageAt):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(var, "_StageAt", CountedStage)
+    (target,) = ca.epsilon_continuation(cfg.problem, cfg.cascade, schedule=())
+    assert target.converged
+    assert len(built) <= 12

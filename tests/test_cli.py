@@ -982,6 +982,16 @@ class TestMain:
         assert exit_.value.code == 0
         assert "--config" in capsys.readouterr().out
 
+    def test_help_lists_every_command_with_its_help(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--help"])
+        assert exit_.value.code == 0
+        lines = [ln.split(None, 1) for ln in capsys.readouterr().out.splitlines()]
+        listed = {ln[0]: ln[1] for ln in lines if len(ln) == 2}
+        assert set(cli._COMMANDS) == {"solve", "verify", "mms", "mosco", "sweep"}
+        for name, text in cli._COMMANDS.items():
+            assert listed[name] == text
+
 
 def _child_env() -> dict:
     # the imported package first on a child interpreter's path, installed or not

@@ -564,6 +564,71 @@ def test_resolvent_converges_or_reports_a_stall(case):
 
 
 # ---------------------------------------------------------------------------
+# the Newton loop's backtracking
+
+# g(v) = v |v| + delta v - 1 from v = 0: g'(0) = delta, so the full Newton
+# step 1/delta is 1e8 times too long and the trial norm grows like t^2
+DELTA = 1e-8
+ROOT = (-DELTA + np.sqrt(DELTA**2 + 4.0)) / 2.0
+
+
+def g_norm(v):
+    return abs(v * abs(v) + DELTA * v - 1.0)
+
+
+def traced_newton(norm_at, step, max_iter, tol=0.0):
+    """_newton on a scalar with the given norm and step; returns its result
+    and every argument the equation was evaluated at."""
+    points = []
+
+    def equation(v):
+        points.append(float(v[0]))
+        return None, norm_at(float(v[0]))
+
+    out = cc._newton(np.zeros(1), equation, lambda _: tol, step, max_iter)
+    return out, points
+
+
+def g_step(v, _):
+    x = float(v[0])
+    return np.array([-(x * abs(x) + DELTA * x - 1.0) / (2.0 * abs(x) + DELTA)])
+
+
+def test_backtracking_follows_a_quadratic_growth():
+    halvings = next(k for k in range(31) if g_norm(0.5**k / DELTA) < 1.0)
+    assert halvings >= 26
+    (_, history, _, _), points = traced_newton(g_norm, g_step, 1)
+    assert len(history) == 2 and len(points) <= 5
+    (u, history, converged, _), _ = traced_newton(g_norm, g_step, 50, tol=1e-14)
+    assert converged and u[0] == pytest.approx(ROOT, rel=1e-14)
+    assert all(b < a for a, b in zip(history, history[1:]))
+
+
+def test_backtracking_halves_when_the_norm_grows_sublinearly():
+    # res(2t) / res(t) = (1 + 2t) / (1 + t) < 2: every factor down to 2^-30
+    # is tried in turn, and then the step is given up
+    (u, history, converged, _), points = traced_newton(
+        lambda x: 1.0 + x, lambda v, _: np.ones(1), 10
+    )
+    assert points == [0.0] + [0.5**k for k in range(31)]
+    assert history == [1.0] and not converged and u[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_backtracking_halves_past_a_non_finite_norm(bad):
+    # trials at t = 1 and 1/2 evaluate to bad: no power law is fitted through
+    # them; from 1/4 and 1/8 on the norm grows like t^2 and the jump follows
+    def norm_at(x):
+        return bad if x > 0.3 / DELTA else g_norm(x)
+
+    (_, history, _, _), points = traced_newton(norm_at, g_step, 1)
+    d = g_step(np.zeros(1), None)[0]
+    trials = [x / d for x in points[1:]]
+    assert trials[:4] == [1.0, 0.5, 0.25, 0.125]
+    assert len(trials) == 5 and trials[4] < 1 / 16 and history[1] < 1.0
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import perisolve.convexcore as cc
+from oracles import field_file_oracle
 from perisolve.discretize import (
     ProblemSpec,
     SpatialMesh,
@@ -188,6 +189,29 @@ def test_write_field_dat_mirrors_values(tmp_path, rng):
     assert lines[4] == ""  # blank separator between time blocks
     parsed = [float(ln.split()[2]) for ln in lines[1:4]]
     assert np.array_equal(np.asarray(parsed), values[0])
+
+
+def test_field_files_match_the_row_by_row_oracle(tmp_path):
+    # signed zero, the smallest subnormal, a huge negative, and values that
+    # need all 17 digits, on a grid whose nodes and times need them too
+    sm = SpatialMesh(0.7, 3)
+    tm = TemporalMesh(0.3, 4)
+    values = np.array(
+        [
+            [-0.0, 5e-324, -1.5e300],
+            [0.1 + 0.2, 1.0 / 3.0, np.nextafter(1.0, 2.0)],
+            [-np.pi * 1e-7, 2.0**-1074 * 3, 1.7976931348623157e308],
+            [0.0, -2.0 / 3.0, 123456789.01234567],
+        ]
+    )
+    csv_text, dat_text = field_file_oracle(values, sm, tm)
+    write_field_csv(str(tmp_path / "f.csv"), values, sm, tm)
+    write_field_dat(str(tmp_path / "f.dat"), values, sm, tm)
+    assert (tmp_path / "f.csv").read_bytes() == csv_text.encode()
+    assert (tmp_path / "f.dat").read_bytes() == dat_text.encode()
+    arr, t_read, x_read = read_field_csv(str(tmp_path / "f.csv"))
+    assert np.array_equal(arr.view(np.int64), values.view(np.int64))
+    assert np.array_equal(t_read, tm.times) and np.array_equal(x_read, sm.nodes)
 
 
 def test_validate_trajectory_errors():
