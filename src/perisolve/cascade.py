@@ -55,77 +55,57 @@ __all__ = [
     "lf_margin",
 ]
 
-DEFAULT_EPSILON_SCHEDULE = (*(0.5**k for k in range(14)), 1e-4)
-DEFAULT_MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+# the epsilon ladder a failed eps = 0 target climbs: halvings from 1 to
+# 2^-13, then 1e-4, 15 rungs in all
+EPSILON_SCHEDULE = (*(0.5**k for k in range(14)), 1e-4)
+# the mu levels of the power perturbation, one epsilon walk each before the
+# mu = 0 level
+MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+# smoothing of the gradient energy's modulus, (|Du|^2 + DELTA^2)^(1/2): at
+# m < 2 it keeps the flux slope finite at a zero cell gradient, and every
+# solve starts from u = 0
+DELTA = 1e-8
+# Newton steps of one fixed point stage, the target attempt of a walk
+# included, before the stage is reported unconverged
+MAX_FP_ITER = 400
 
 log = logging.getLogger(__name__)
 
 
-def _perturbation_exponent(p: float, m: float, alpha_exp: float | None) -> float:
+def _perturbation_exponent(p: float, m: float) -> float:
     """Exponent a of the mu route's perturbed energy phi + mu/(1+a) phi^(1+a).
 
-    alpha_exp when set, else max(p/m - 1, 0) + 1/2; either must satisfy
-    m (1 + a) > p, or ValueError is raised.
+    a = max(p/m - 1, 0) + 1/2 meets the coercivity condition m (1 + a) > p
+    for every p, m > 1: m (1 + a) = max(p, m) + m/2.
     """
-    a = max(p / m - 1.0, 0.0) + 0.5 if alpha_exp is None else alpha_exp
-    if m * (1.0 + a) <= p:
-        raise ValueError(
-            "alpha_exp too small: need m (1 + alpha_exp) > p, got "
-            f"m={m:g}, alpha_exp={a:g}, p={p:g}"
-        )
-    return a
+    return max(p / m - 1.0, 0.0) + 0.5
 
 
 @dataclass(frozen=True)
 class CascadeParams:
-    """Tuning knobs of the cascade.
-
-    epsilon_schedule defaults to DEFAULT_EPSILON_SCHEDULE, the 15 rungs
-    1, 1/2, ..., 2^-13, 1e-4; an empty one leaves every epsilon walk its
-    eps = 0 target alone.  An empty mu_schedule walks DEFAULT_MU_SCHEDULE
-    on the mu route.
+    """Tolerances of the cascade.
 
     A fixed point stage has converged when the Bochner dual norm of its
     equation residual is at most stage_tol * min(1, dt) * max(1,
     |f - alpha(du)|); stage_tol = None resolves to 0.05 * fp_tol.
-    max_fp_iter bounds the Newton steps of one fixed point stage, the target
-    attempt of an epsilon walk included.  mu_eps_truncate is how many
-    trailing epsilon entries the mu levels after the first, and the final
-    mu = 0 level, climb when their target fails; the first mu level climbs
-    the full ladder.
+    mu_eps_truncate is how many trailing entries of EPSILON_SCHEDULE the mu
+    levels after the first, and the final mu = 0 level, climb when their
+    target fails; the first mu level climbs the full ladder.
     """
 
-    epsilon_schedule: tuple[float, ...] = DEFAULT_EPSILON_SCHEDULE
-    mu_schedule: tuple[float, ...] = ()
-    alpha_exp: float | None = None
-    delta: float = 1e-8
     fp_tol: float = 1e-10
     stage_tol: float | None = None
-    max_fp_iter: int = 400
     mu_eps_truncate: int = 4
 
     def __post_init__(self) -> None:
-        eps = tuple(float(e) for e in self.epsilon_schedule)
-        if not all(0.0 < e < math.inf for e in eps):
-            raise ValueError("epsilon schedule entries must be positive and finite")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon schedule must be strictly decreasing")
-        object.__setattr__(self, "epsilon_schedule", eps)
-        mus = tuple(float(x) for x in self.mu_schedule)
-        if any(not (0.0 < x < 1.0) for x in mus):
-            raise ValueError("mu schedule entries must lie in (0, 1)")
-        if any(b >= a for a, b in zip(mus, mus[1:])):
-            raise ValueError("mu schedule must be strictly decreasing")
-        object.__setattr__(self, "mu_schedule", mus)
-        for key in ("fp_tol", "stage_tol", "alpha_exp"):
+        for key in ("fp_tol", "stage_tol"):
             val = getattr(self, key)
             if val is not None and not 0.0 < val < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {val}")
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-        for key, low in (("max_fp_iter", 0), ("mu_eps_truncate", 1)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.mu_eps_truncate < 1:
+            raise ValueError(
+                f"mu_eps_truncate must be >= 1, got {self.mu_eps_truncate}"
+            )
 
     def resolved_stage_tol(self) -> float:
         return 0.05 * self.fp_tol if self.stage_tol is None else self.stage_tol
@@ -148,6 +128,12 @@ class StageResult:
     @property
     def converged(self) -> bool:
         return bool(self.diagnostics.get("converged", False))
+
+    @property
+    def diverged(self) -> bool:
+        """The residual grew past the forcing's scale: no warm start left."""
+        d = self.diagnostics
+        return d["fixed_point_residual"] > d["residual_scale"]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +162,7 @@ def fixed_point_solve(
     # stage tolerance is tightened by that factor
     st_tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
     stage, history, converged = newton_fixed_point(
-        u, prob, eps, params.delta, pf, st_tol, params.max_fp_iter
+        u, prob, eps, DELTA, pf, st_tol, MAX_FP_ITER
     )
     mu = 0.0 if pf is None else pf.mu
     res = history[-1]
@@ -268,8 +254,7 @@ def stage_audit(stage: _StageAt) -> dict:
     """
     prob, u, du, xi, phi = stage.prob, stage.u, stage.du, stage.xi, stage.phi
     smesh, dt, eps = prob.smesh, prob.tmesh.dt, stage.eps
-    p, pc, m = prob.p, prob.p_conj, prob.m
-    mc = m / (m - 1.0)
+    p, pc, m, mc = prob.p, prob.p_conj, prob.m, prob.m_conj
     rate_p = float(dt * np.sum(norm_V(du, p, smesh) ** p))
     rate_dual = float(dt * np.sum(norm_Vstar(xi, pc, smesh) ** pc))
     rate_primitive = float(dt * np.sum(cc.eval_psi(du, prob.nl, smesh)))
@@ -314,12 +299,12 @@ def epsilon_continuation(
 
     Newton usually converges on the target straight from the warm start,
     and the walk then returns it as its only stage.  When it does not
-    converge within max_fp_iter steps, the failed attempt stays first in
+    converge within MAX_FP_ITER steps, the failed attempt stays first in
     the returned list and the walk climbs the ladder from the same u0
     (_climb), not from the failed iterate.  With no rung to climb the walk
     is the failed attempt alone: another attempt from u0 would repeat it.
     """
-    sched = params.epsilon_schedule if schedule is None else tuple(schedule)
+    sched = EPSILON_SCHEDULE if schedule is None else tuple(schedule)
     # the target attempt is a climb with no rung but its target
     target = _climb(prob, params, (), pf, u0)
     if target[-1].converged or not sched:
@@ -366,10 +351,7 @@ def _climb(
 
     for eps in sched:
         stage = run(eps)
-        diverged = stage.diagnostics["fixed_point_residual"] > stage.diagnostics[
-            "residual_scale"
-        ]
-        if diverged:
+        if stage.diverged:
             return stages
         u = stage.u
         ap = stage.diagnostics["residual_AP"]
@@ -396,9 +378,9 @@ def solve_routed(
     list of levels, one per mu and then a mu = 0 level, each an epsilon
     continuation warm started from the last stage.  The first level climbs
     the full ladder when it has to, later ones its last mu_eps_truncate
-    entries.  A default mu schedule and the default exponent of
-    _perturbation_exponent fill in what the params leave unset.  A level
-    whose last stage diverges ends the walk.
+    entries.  The mu levels are MU_SCHEDULE, the perturbation's exponent
+    that of _perturbation_exponent.  A level whose last stage diverges ends
+    the walk.
 
     route="auto" takes the shortest path there: it first solves the
     unperturbed eps = 0 stage from u = 0.  The perturbation is there for
@@ -413,14 +395,14 @@ def solve_routed(
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")
-    full = params.epsilon_schedule
+    full = EPSILON_SCHEDULE
     plain = route == "auto" and prob.m > prob.p
     if not plain:
-        alpha_exp = _perturbation_exponent(prob.p, prob.m, params.alpha_exp)
+        alpha_exp = _perturbation_exponent(prob.p, prob.m)
         tail = full[-params.mu_eps_truncate:]
         levels = [
             (cc.PerturbedFunctional(mu, alpha_exp), tail if k else full)
-            for k, mu in enumerate(params.mu_schedule or DEFAULT_MU_SCHEDULE)
+            for k, mu in enumerate(MU_SCHEDULE)
         ]
         levels.append((None, tail))
     stages: list[StageResult] = []
@@ -435,7 +417,6 @@ def solve_routed(
         walk = epsilon_continuation(prob, params, pf=pf, u0=u, schedule=sched)
         stages += walk
         u = walk[-1].u
-        d = walk[-1].diagnostics
-        if d["fixed_point_residual"] > d["residual_scale"]:
+        if walk[-1].diverged:
             break
     return stages[-1], stages, "mu"

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convexcore as cc
-from .cascade import CascadeParams, StageResult, _perturbation_exponent, solve_routed
+from .cascade import DELTA, CascadeParams, StageResult, solve_routed
 from .discretize import (
     ProblemSpec,
     SpatialMesh,
@@ -337,9 +337,7 @@ def _build_cascade(doc: dict) -> CascadeParams:
     for fld in fields:
         if fld.name not in cb:
             continue
-        if isinstance(fld.default, tuple):
-            val = tuple(_numbers(cb, fld.name, path))
-        elif isinstance(fld.default, int):
+        if isinstance(fld.default, int):
             val = _get(cb, fld.name, path, int)
         elif cb[fld.name] is None:  # null leaves a number at its default
             continue
@@ -349,20 +347,6 @@ def _build_cascade(doc: dict) -> CascadeParams:
         _checked(f"{path}.{fld.name}", CascadeParams, **{fld.name: val})
         kwargs[fld.name] = val
     return CascadeParams(**kwargs)
-
-
-def _check_pair(
-    prob: ProblemSpec, params: CascadeParams, delta_key: str, alpha_key: str
-) -> None:
-    """Reject an exponent pair that the cascade cannot start under params."""
-    if prob.m < 2.0 and params.delta == 0.0:
-        raise ConfigError(
-            delta_key,
-            f"delta = 0 with m = {prob.m:g} < 2: the flux slope is singular at a "
-            "zero cell gradient, and the solve starts from u = 0",
-        )
-    # m (1 + alpha_exp) <= p forces m < p, so every such pair takes the mu route
-    _checked(alpha_key, _perturbation_exponent, prob.p, prob.m, params.alpha_exp)
 
 
 _TOP_KEYS = ("schema", "seed", "output_dir", "route", "problem", "cascade",
@@ -392,7 +376,6 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
         raise ConfigError("route", f"must be 'auto' or 'mu', got {route!r}")
     problem = _build_problem(doc)
     cascade = _build_cascade(doc)
-    _check_pair(problem, cascade, "cascade.delta", "cascade.alpha_exp")
     return RunConfig(
         problem=problem, cascade=cascade, seed=seed, output_dir=out, raw=doc,
         route=route,
@@ -440,18 +423,14 @@ def _write_study(outdir: Path, name: str, table: Table, cfg: RunConfig) -> int:
 
 
 def _solve_payload(
-    prob: ProblemSpec,
-    params: CascadeParams,
-    final: StageResult,
-    stages: list[StageResult],
-    route: str,
+    prob: ProblemSpec, final: StageResult, stages: list[StageResult], route: str
 ) -> dict:
     """Report entries of one routed solve: outcome, residual, every stage."""
     return {
         "command": "solve",
         "route": route,
         "converged": final.converged,
-        "final_residual_AP": residual_AP(final.u, prob, delta=params.delta),
+        "final_residual_AP": residual_AP(final.u, prob, delta=DELTA),
         "stages": [_stage_summary(s) for s in stages],
     }
 
@@ -464,7 +443,7 @@ def _solve_and_dump(cfg: RunConfig, outdir: Path) -> tuple[StageResult, dict]:
     write_field_dat(
         str(outdir / "trajectory.dat"), final.u, cfg.problem.smesh, cfg.problem.tmesh
     )
-    payload = _solve_payload(cfg.problem, cfg.cascade, final, stages, route)
+    payload = _solve_payload(cfg.problem, final, stages, route)
     payload["config"] = cfg.raw
     return final, payload
 
@@ -521,7 +500,7 @@ def _build_mms_spec(cfg: RunConfig):
             type(v) is not int for v in lv
         ):
             raise ConfigError("mms.levels", "expected [M, N] integer pairs")
-        _checked("mms.levels", _mms_level, spec, cfg.problem, *lv, cfg.cascade.delta)
+        _checked("mms.levels", _mms_level, spec, cfg.problem, *lv)
     return spec, tuple(map(tuple, levels))
 
 
@@ -561,7 +540,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
             probs.append(replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p)))
         except ValueError as exc:
             raise ConfigError("sweep.pairs", str(exc)) from exc
-        _check_pair(probs[-1], cfg.cascade, "sweep.pairs", "sweep.pairs")
 
     outdir = _ensure_dir(cfg.output_dir)
     summary = Table(["p", "m", "route", "converged", "residual"])
@@ -569,7 +547,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         final, stages, route = solve_routed(prob, cfg.cascade, cfg.route)
         sub = _ensure_dir(str(outdir / f"p{prob.p:g}_m{prob.m:g}"))
         write_field_csv(str(sub / "trajectory.csv"), final.u, prob.smesh, prob.tmesh)
-        payload = _solve_payload(prob, cfg.cascade, final, stages, route)
+        payload = _solve_payload(prob, final, stages, route)
         payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV
         _write_report(sub, payload)
         residual = payload["final_residual_AP"]

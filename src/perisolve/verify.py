@@ -16,6 +16,7 @@ import numpy as np
 
 from . import convexcore as cc
 from .cascade import (
+    DELTA,
     CascadeParams,
     StageResult,
     chain_rule_sum,
@@ -24,6 +25,7 @@ from .cascade import (
     solve_routed,
 )
 from .discretize import (
+    _FMT,
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
@@ -52,8 +54,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_FMT = "%.17g"
 
 
 def _fmt(v) -> str:
@@ -177,9 +177,7 @@ def _constant_diffusion(a: cc.DiffusionField) -> float:
     return float(vals[0])
 
 
-def derived_forcing(
-    mms: MmsSpec, prob: ProblemSpec, delta: float
-) -> np.ndarray:
+def derived_forcing(mms: MmsSpec, prob: ProblemSpec) -> np.ndarray:
     """Forcing that makes mms the (discrete or continuum) solution of prob.
 
     The continuum forcing is alpha(u_t) - a (m-1) |u_x|^(m-2) u_xx for the
@@ -191,7 +189,7 @@ def derived_forcing(
     if mms.mode == "discrete_exact":
         U = sample_exact(mms, smesh, tmesh)
         dU = time_derivative(U, tmesh)
-        return prob.nl.alpha_eval(dU) + cc.PhiAt(U, prob.a, prob.m, delta, smesh).grad
+        return prob.nl.alpha_eval(dU) + cc.PhiAt(U, prob.a, prob.m, DELTA, smesh).grad
     a = _constant_diffusion(prob.a)
     k = np.pi / smesh.length
     space, tau, dtau = _profile(mms, smesh, tmesh)
@@ -224,12 +222,10 @@ def refit_problem(
     )
 
 
-def _mms_level(
-    mms: MmsSpec, prob: ProblemSpec, M: int, N: int, delta: float
-) -> ProblemSpec:
+def _mms_level(mms: MmsSpec, prob: ProblemSpec, M: int, N: int) -> ProblemSpec:
     """prob refit to an M x N grid, forced so that mms is its solution."""
     level = refit_problem(prob, M, N, np.zeros((N, M)))
-    return replace(level, f=derived_forcing(mms, level, delta))
+    return replace(level, f=derived_forcing(mms, level))
 
 
 def mms_run(
@@ -250,12 +246,12 @@ def mms_run(
     table = Table(["level", "M", "N", "error", "residual", "converged"])
     table.meta["mode"] = mms.mode
     table.meta["name"] = mms.name
-    probs = [_mms_level(mms, prob, M, N, params.delta) for M, N in levels]
+    probs = [_mms_level(mms, prob, M, N) for M, N in levels]
     outs = [solve_routed(lp, params) for lp in probs]
     for lv, ((M, N), lp, (final, _, _)) in enumerate(zip(levels, probs, outs)):
         U = sample_exact(mms, lp.smesh, lp.tmesh)
         err = bochner_norm(norm_V(final.u - U, lp.p, lp.smesh), np.inf, lp.tmesh)
-        res = residual_AP(final.u, lp, delta=params.delta)
+        res = residual_AP(final.u, lp, delta=DELTA)
         table.add(lv, M, N, float(err), float(res), final.converged)
     errs = table.column("error").astype(float)
     if mms.mode == "continuum" and len(errs) > 1:
@@ -298,7 +294,7 @@ def invariant_suite(
 
     # stationarity: the converged fixed point solves its stage equation
     if result.epsilon == 0.0 and result.mu == 0.0:
-        res = residual_AP(u, prob, delta=params.delta)
+        res = residual_AP(u, prob, delta=DELTA)
         tol = 20.0 * params.fp_tol * scale
     else:
         res = float(result.diagnostics.get("fixed_point_residual", np.inf))
@@ -310,9 +306,9 @@ def invariant_suite(
     checks.append(_check("energy_inequality", 1e-8 * scale - gap, 1e-8 * scale))
 
     # chain rule sum: nonnegative and O(dt)
-    S = chain_rule_sum(u, prob, params.delta)
+    S = chain_rule_sum(u, prob, DELTA)
     du = time_derivative(u, tmesh)
-    w = cc.PhiAt(u, prob.a, prob.m, params.delta, smesh).weights
+    w = cc.PhiAt(u, prob.a, prob.m, DELTA, smesh).weights
     ddu = cell_gradient(du, smesh)
     predicted = 0.5 * tmesh.dt * float(
         tmesh.dt * np.sum(smesh.dx * np.sum(w * ddu * ddu, axis=-1))
@@ -338,7 +334,7 @@ def invariant_suite(
 
     # proximal sandwich and parameter monotonicity on sample slices
     def phi(v: np.ndarray) -> cc.PhiAt:
-        return cc.PhiAt(v, prob.a, prob.m, params.delta, smesh)
+        return cc.PhiAt(v, prob.a, prob.m, DELTA, smesh)
 
     lams = (1.0, 0.1, 0.01)
     sandwich_margin = np.inf
@@ -349,7 +345,7 @@ def invariant_suite(
             envs = []
             phu = float(phi(u[n]).value)
             for lam in lams:
-                J, env, _ = cc.moreau_yosida(u[n], lam, prob, params.delta, tol=1e-11)
+                J, env, _ = cc.moreau_yosida(u[n], lam, prob, DELTA, tol=1e-11)
                 phJ = float(phi(J).value)
                 sandwich_margin = min(sandwich_margin, env - phJ, phu - env)
                 envs.append(env)

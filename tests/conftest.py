@@ -42,7 +42,7 @@ def mms_matrix():
     params = CascadeParams(fp_tol=1e-8, stage_tol=1e-8)
     out = {}
     for p, m in MMS_PAIRS:
-        prob, exact = mms_problem(p, m, 32, 32, params.delta)
+        prob, exact = mms_problem(p, m, 32, 32)
         t0 = time.perf_counter()
         final, stages, route = solve_routed(prob, params, route="auto")
         wall = time.perf_counter() - t0

@@ -81,9 +81,7 @@ def test_criterion_4_chain_rule_halving():
         prob = unit_problem(2.5, 3.0, 16, N)
         stages = ca.epsilon_continuation(prob, ca.CascadeParams())
         converged &= stages[-1].converged
-        vals[N] = ca.chain_rule_sum(
-            stages[-1].u, prob, delta=ca.CascadeParams().delta
-        )
+        vals[N] = ca.chain_rule_sum(stages[-1].u, prob, delta=ca.DELTA)
     ratio = vals[32] / vals[16]
     passed = converged and vals[16] > 0.0 and 0.3 <= ratio <= 0.8
     assert record_criterion(
@@ -232,9 +230,9 @@ def test_criterion_7_perturbation_vanishes(mms_matrix):
 
 def test_criterion_8_residual_detects_corruption(mms_matrix):
     fx = mms_matrix[(2.0, 3.0)]
-    res0 = residual_AP(fx.final.u, fx.prob, delta=fx.params.delta)
+    res0 = residual_AP(fx.final.u, fx.prob, delta=ca.DELTA)
     noise = np.random.default_rng(7).standard_normal(fx.final.u.shape)
-    res1 = residual_AP(fx.final.u + 1e-2 * noise, fx.prob, delta=fx.params.delta)
+    res1 = residual_AP(fx.final.u + 1e-2 * noise, fx.prob, delta=ca.DELTA)
     ratio = res1 / res0
     passed = ratio > 100.0
     assert record_criterion(

@@ -20,47 +20,32 @@ def rate(stage, prob):
 
 
 def test_default_epsilon_schedule_shape():
-    sched = ca.DEFAULT_EPSILON_SCHEDULE
+    sched = ca.EPSILON_SCHEDULE
     assert len(sched) == 15
     assert sched[0] == 1.0
     assert sched[-1] == 1e-4
     ratios = np.array(sched[1:]) / np.array(sched[:-1])
     assert np.all(ratios < 1.0)
     assert np.all(ratios[:-1] == 0.5)  # halving until the clamp at 1e-4
-    assert ca.CascadeParams().epsilon_schedule == sched
 
 
 def test_params_validation_and_stage_tol():
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        ca.CascadeParams(epsilon_schedule=(0.5, 0.5))
-    with pytest.raises(ValueError, match="must be positive"):
-        ca.CascadeParams(epsilon_schedule=(1.0, 0.0))
-    with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
-        ca.CascadeParams(mu_schedule=(1.0,))
-    with pytest.raises(ValueError, match="mu schedule must be strictly"):
-        ca.CascadeParams(mu_schedule=(1e-2, 1e-1))
     with pytest.raises(ValueError, match="fp_tol"):
         ca.CascadeParams(fp_tol=0.0)
-    # the fixed point has no damping, acceleration or inner-solve knobs
-    for key in ("omega", "anderson_depth", "max_newton"):
+    # the fixed point has no damping, acceleration or inner-solve knobs, and
+    # the ladders, the smoothing, the exponent and the step budget are fixed
+    for key in ("omega", "anderson_depth", "max_newton", "epsilon_schedule",
+                "mu_schedule", "alpha_exp", "delta", "max_fp_iter"):
         with pytest.raises(TypeError, match=key):
             ca.CascadeParams(**{key: 1})
     for key, bad, match in (
-        ("delta", np.nan, "delta"),
-        ("delta", -1.0, "delta"),
         ("fp_tol", np.nan, "fp_tol"),
         ("stage_tol", np.inf, "stage_tol"),
         ("stage_tol", np.nan, "stage_tol"),
-        ("epsilon_schedule", (1.0, np.nan), "epsilon schedule"),
-        ("alpha_exp", -1.0, "alpha_exp"),
-        ("alpha_exp", 0.0, "alpha_exp"),
-        ("max_fp_iter", -1, "max_fp_iter"),
         ("mu_eps_truncate", 0, "mu_eps_truncate"),
     ):
         with pytest.raises(ValueError, match=match):
             ca.CascadeParams(**{key: bad})
-    # an empty ladder leaves each walk its eps = 0 target
-    assert ca.CascadeParams(epsilon_schedule=()).epsilon_schedule == ()
     assert ca.CascadeParams().resolved_stage_tol() == pytest.approx(0.05 * 1e-10)
     assert ca.CascadeParams(stage_tol=1e-7).resolved_stage_tol() == 1e-7
 
@@ -92,7 +77,7 @@ def test_affine_fixed_point_matches_dense_solve():
     # assemble its dense Jacobian column by column, not through the band,
     # and solve F(u) = 0 independently
     prob = unit_problem(2.0, 2.0, 4, 4)
-    F = stage_equation(prob, 0.25, ca.CascadeParams().delta)
+    F = stage_equation(prob, 0.25, ca.DELTA)
     u_direct = dense_affine_zero(F, (4, 4))
     params = ca.CascadeParams(fp_tol=1e-12, stage_tol=1e-13)
     stage = ca.fixed_point_solve(prob, 0.25, params)
@@ -112,8 +97,7 @@ def test_fixed_point_stage_contract():
     # the bookkeeping reads it, and the residual, at the returned iterate
     xi = rate(stage, prob)
     assert d["audit"]["h_dual_norm"] == dual_bochner_norm(xi, prob)
-    delta = ca.CascadeParams().delta
-    assert d["residual_AP"] == residual_AP(stage.u, prob, delta=delta)
+    assert d["residual_AP"] == residual_AP(stage.u, prob, delta=ca.DELTA)
     # no stage minimization is left to count
     assert d["beta_evaluations"] == d["stage_newton_iterations"] == 0
     assert d["fixed_point_newton_steps"] == len(d["residual_history"]) - 1 > 0
@@ -162,8 +146,7 @@ def test_epsilon_continuation_zero_forcing():
 def climb(prob):
     """The full default epsilon ladder from u = 0, as a failed target
     attempt makes epsilon_continuation walk it."""
-    params = ca.CascadeParams()
-    return ca._climb(prob, params, params.epsilon_schedule, None, None)
+    return ca._climb(prob, ca.CascadeParams(), ca.EPSILON_SCHEDULE, None, None)
 
 
 def test_epsilon_continuation_drives_residual_down():
@@ -237,28 +220,30 @@ def test_failed_target_climbs_the_ladder_from_the_warm_start(monkeypatch):
     assert stages[-1].epsilon == 0.0 and stages[-1].converged
 
 
-def test_failed_target_with_no_rung_left_is_not_retried():
+def test_failed_target_with_no_rung_left_is_not_retried(monkeypatch):
     # with no rung to climb, a second eps = 0 attempt from the same start
     # would repeat the failed one bit for bit
-    params = ca.CascadeParams(epsilon_schedule=(), max_fp_iter=2)
+    monkeypatch.setattr(ca, "EPSILON_SCHEDULE", ())
+    monkeypatch.setattr(ca, "MAX_FP_ITER", 2)
+    params = ca.CascadeParams()
     (stage,) = ca.epsilon_continuation(unit_problem(2.5, 3.0, 8, 8), params)
     assert stage.epsilon == 0.0 and not stage.converged
     # likewise every mu level walks its target alone, the first ones failing
     _, stages, _ = ca.solve_routed(unit_problem(3.0, 2.0, 8, 8), params, route="mu")
-    levels = (*ca.DEFAULT_MU_SCHEDULE, 0.0)
+    levels = (*ca.MU_SCHEDULE, 0.0)
     assert [(s.epsilon, s.mu) for s in stages] == [(0.0, mu) for mu in levels]
     assert not stages[0].converged and stages[-1].converged
 
 
-def test_mu_path_validation(monkeypatch):
-    bad = ca.CascadeParams(mu_schedule=(0.1,), alpha_exp=0.2)
-    with pytest.raises(ValueError, match="alpha_exp too small"):
-        ca.solve_routed(unit_problem(3.0, 2.0, 4, 4), bad, route="mu")
-    # the default route, which may never reach a mu level, checks the
-    # exponent before it solves anything too
-    monkeypatch.setattr(ca, "fixed_point_solve", None)
-    with pytest.raises(ValueError, match="alpha_exp too small"):
-        ca.solve_routed(unit_problem(3.0, 2.0, 4, 4), bad, route="auto")
+def test_perturbation_exponent_meets_coercivity():
+    # the mu route's perturbation needs m (1 + a) > p; the derived exponent
+    # meets it for every p, m > 1, m near 1 under a large p included, so no
+    # exponent pair is rejected before a solve
+    near_one = (1.0 + 1e-9, 1.0 + 1e-6, 1.01)
+    for p in (1.0 + 1e-9, 1.5, 2.0, 3.0, 10.0, 1e3, 1e6):
+        for m in (*near_one, 1.5, 2.0, 3.0, 10.0, 1e3):
+            a = ca._perturbation_exponent(p, m)
+            assert a >= 0.5 and m * (1.0 + a) > p, (p, m, a)
 
 
 def test_mu_route_solves_the_unperturbed_target_first():
@@ -321,7 +306,7 @@ def test_mu_route_agrees_with_plain_when_both_apply():
     mus = [s.mu for s in stages_m]
     assert all(b <= a for a, b in zip(mus, mus[1:]))
     levels = list(dict.fromkeys(mus))
-    assert levels == [*ca.DEFAULT_MU_SCHEDULE, 0.0]
+    assert levels == [*ca.MU_SCHEDULE, 0.0]
     for mu in levels:
         assert [s.epsilon for s in stages_m if s.mu == mu][-1] == 0.0
 
@@ -417,7 +402,7 @@ def test_residual_AP_matches_diagnostics():
     for stage in stages:
         assert stage.mu == 0.0
         assert stage.diagnostics["residual_AP"] == residual_AP(
-            stage.u, prob, delta=ca.CascadeParams().delta
+            stage.u, prob, delta=ca.DELTA
         )
 
 

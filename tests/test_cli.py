@@ -133,14 +133,6 @@ class TestLoadConfig:
             ({"problem": small_problem(M=10**400)}, "problem.M"),
             ({"problem": small_problem(N=2**62)}, "problem.N"),
             ({"problem": small_problem(M=True)}, "problem.M"),
-            (
-                {"problem": small_problem(), "cascade": {"epsilon_schedule": [None]}},
-                "cascade.epsilon_schedule",
-            ),
-            (
-                {"problem": small_problem(), "cascade": {"max_fp_iter": -1}},
-                "cascade.max_fp_iter",
-            ),
             # the knobs of the retired fixed point iteration and stage minimizer
             (
                 {"problem": small_problem(), "cascade": {"anderson_depth": 3}},
@@ -154,45 +146,45 @@ class TestLoadConfig:
             ({}, "problem"),
             # JSON admits NaN and Infinity; none of them may reach a solve
             ({"problem": small_problem(L=inf)}, "problem.L"),
-            ({"problem": small_problem(), "cascade": {"delta": nan}}, "cascade.delta"),
             ({"problem": small_problem(), "cascade": {"fp_tol": nan}}, "cascade.fp_tol"),
             (
                 {"problem": small_problem(), "cascade": {"stage_tol": inf}},
                 "cascade.stage_tol",
+            ),
+            # retired knobs: every epsilon walk ends at eps = 0, and a sweep
+            # solves each pair once.  The epsilon ladder, the mu levels, the
+            # smoothing delta and the stage step budget are constants, and the
+            # perturbation exponent is derived from (p, m): a cascade key
+            # naming one of them is unknown, whatever its value
+            (
+                {"problem": small_problem(), "cascade": {"epsilon_schedule": [None]}},
+                "cascade.epsilon_schedule",
             ),
             (
                 {"problem": small_problem(), "cascade": {"epsilon_schedule": [1.0, nan]}},
                 "cascade.epsilon_schedule",
             ),
             (
-                {"problem": small_problem(), "cascade": {"alpha_exp": -1}},
-                "cascade.alpha_exp",
+                {"problem": small_problem(), "cascade": {"mu_schedule": [0.1]}},
+                "cascade.mu_schedule",
             ),
-            # m < 2 with delta = 0: the flux slope is singular at u = 0
+            (
+                {"problem": small_problem(), "cascade": {"max_fp_iter": -1}},
+                "cascade.max_fp_iter",
+            ),
+            ({"problem": small_problem(), "cascade": {"delta": nan}}, "cascade.delta"),
             (
                 {"problem": small_problem(M=4, N=4, m=1.5), "cascade": {"delta": 0}},
                 "cascade.delta",
             ),
-            # the default sweep pairs include m = 1.5
             (
-                {"problem": small_problem(), "cascade": {"delta": 0}, "sweep": {}},
-                "sweep.pairs",
+                {"problem": small_problem(), "cascade": {"alpha_exp": -1}},
+                "cascade.alpha_exp",
             ),
-            # the mu route needs m (1 + alpha_exp) > p
             (
                 {"problem": small_problem(p=3.0, m=2.0), "cascade": {"alpha_exp": 0.2}},
                 "cascade.alpha_exp",
             ),
-            (
-                {
-                    "problem": small_problem(),
-                    "cascade": {"alpha_exp": 0.2},
-                    "sweep": {"pairs": [[3, 2]]},
-                },
-                "sweep.pairs",
-            ),
-            # retired knobs: every epsilon walk ends at eps = 0, and a sweep
-            # solves each pair once
             (
                 {"problem": small_problem(), "cascade": {"exact_limit_stage": False}},
                 "cascade.exact_limit_stage",
@@ -357,14 +349,12 @@ class TestSolve:
         assert rep["converged"] is True
         assert rep["config"] == doc  # config echoed verbatim
 
-    def test_nonconvergence_exits_2_but_reports(self, tmp_path):
+    def test_nonconvergence_exits_2_but_reports(self, tmp_path, monkeypatch):
         # without a Newton step the first stage stays at u = 0, where the
         # stage equation's residual is the forcing
-        doc = {
-            "output_dir": str(tmp_path / "st"),
-            "problem": small_problem(),
-            "cascade": {"epsilon_schedule": [0.5], "max_fp_iter": 0},
-        }
+        monkeypatch.setattr(cascade, "EPSILON_SCHEDULE", (0.5,))
+        monkeypatch.setattr(cascade, "MAX_FP_ITER", 0)
+        doc = {"output_dir": str(tmp_path / "st"), "problem": small_problem()}
         code = cli.cmd_solve(cli.load_config(write_config(tmp_path, doc)))
         assert code == cli.EXIT_NOCONV
         rep = json.loads((tmp_path / "st" / "report.json").read_text())
@@ -388,18 +378,18 @@ class TestSolve:
         # every stage starts from u = 0, whose time-constant Jacobian the
         # exact step would solve: take the band there too
         monkeypatch.setattr(var._Jacobian, "time_invariant", lambda jac: False)
-        doc = {"problem": small_problem(), "cascade": {"epsilon_schedule": [0.5]}}
-        self.assert_singular_at_the_start(tmp_path, doc)
+        monkeypatch.setattr(cascade, "EPSILON_SCHEDULE", (0.5,))
+        self.assert_singular_at_the_start(tmp_path, {"problem": small_problem()})
 
     @pytest.mark.filterwarnings("error")
-    def test_singular_exact_step_exits_2_but_reports(self, tmp_path):
+    def test_singular_exact_step_exits_2_but_reports(self, tmp_path, monkeypatch):
         # p = m = 3 at delta = 0: at u = 0 the spatial block, alpha's slope
         # and, at eps > 0, the lower-order terms all vanish, so the exact
         # step's symbol is zero at theta = 0 on every stage
-        doc = {
-            "problem": small_problem(p=3.0, m=3.0),
-            "cascade": {"epsilon_schedule": [0.5], "delta": 0.0},
-        }
+        monkeypatch.setattr(cascade, "EPSILON_SCHEDULE", (0.5,))
+        for mod in (cascade, cli):
+            monkeypatch.setattr(mod, "DELTA", 0.0)
+        doc = {"problem": small_problem(p=3.0, m=3.0)}
         self.assert_singular_at_the_start(tmp_path, doc)
 
     @staticmethod
@@ -508,23 +498,14 @@ def test_cmd_verify_passes_the_proximal_sandwich_below_two(tmp_path):
 
 def test_cascade_knobs_match_the_config_keys(tmp_path):
     # every CascadeParams field is a cascade config key, read as the JSON
-    # type of its default
-    knobs = {
-        "epsilon_schedule": (0.5, 0.25),
-        "mu_schedule": (0.1,),
-        "alpha_exp": 0.75,
-        "delta": 1e-6,
-        "fp_tol": 1e-9,
-        "stage_tol": 1e-11,
-        "max_fp_iter": 50,
-        "mu_eps_truncate": 2,
-    }
+    # type of its default; the cascade sets nothing else
+    knobs = {"fp_tol": 1e-9, "stage_tol": 1e-11, "mu_eps_truncate": 2}
     assert {f.name for f in dataclasses.fields(cascade.CascadeParams)} == set(knobs)
     doc = {"problem": small_problem(), "cascade": knobs}
     loaded = cli.load_config(write_config(tmp_path, doc)).cascade
     assert loaded == cascade.CascadeParams(**knobs)
     # null leaves a number at its default
-    doc["cascade"] = {"alpha_exp": None, "delta": None}
+    doc["cascade"] = {"fp_tol": None, "stage_tol": None}
     loaded = cli.load_config(write_config(tmp_path, doc)).cascade
     assert loaded == cascade.CascadeParams()
 
@@ -1041,19 +1022,21 @@ def test_band_too_large_to_allocate_exits_2_but_reports(tmp_path, bundled_config
     # the grid loads under a 512 MB cap, and a stage that starts from u = 0
     # takes its first step, which is exact; the 619 MiB band of any later
     # step cannot be allocated, which ends the stage unconverged as a
-    # singular step does.  The last stage starts from the time-varying end
-    # of the rung before, so it takes no step.
+    # singular step does.  The failed target sends the walk up the full
+    # ladder from u = 0: its first rung takes the exact step, and every
+    # later stage starts from the time-varying end of the rung before, so it
+    # takes no step
     doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
     doc["problem"].update(M=300, N=300)
-    doc["cascade"]["epsilon_schedule"] = [0.5]
     out = tmp_path / "o"
     proc = run_capped(write_config(tmp_path, doc), out, 512 << 20)
     assert proc.returncode == cli.EXIT_NOCONV, proc.stderr
     assert "Traceback" not in proc.stderr
     rep = json.loads((out / "report.json").read_text())
     assert rep["exit_code"] == 2 and rep["converged"] is False
-    assert [s["epsilon"] for s in rep["stages"]] == [0.0, 0.5, 0.0]
-    assert [s["fixed_point_newton_steps"] for s in rep["stages"]] == [1, 1, 0]
+    ladder = [0.5**k for k in range(14)] + [1e-4]
+    assert [s["epsilon"] for s in rep["stages"]] == [0.0, *ladder, 0.0]
+    assert [s["fixed_point_newton_steps"] for s in rep["stages"]] == [1, 1] + [0] * 15
     assert (out / "trajectory.csv").exists()
 
 

@@ -79,12 +79,12 @@ class TestMmsSpecs:
     def test_derived_forcing_discrete_consistency(self):
         prob = unit_problem(2.0, 3.0, 9, 6)
         mms = bump_mms()
-        f = vf.derived_forcing(mms, prob, delta=1e-8)
+        f = vf.derived_forcing(mms, prob)
         U = vf.sample_exact(mms, prob.smesh, prob.tmesh)
         dU = time_derivative(U, prob.tmesh)
-        want = prob.nl.alpha_eval(dU) + cc.PhiAt(U, prob.a, prob.m, 1e-8, prob.smesh).grad
-        assert np.array_equal(f, want)
-        zf = vf.derived_forcing(vf.MmsSpec("zero"), prob, 0.0)
+        phi = cc.PhiAt(U, prob.a, prob.m, ca.DELTA, prob.smesh)
+        assert np.array_equal(f, prob.nl.alpha_eval(dU) + phi.grad)
+        zf = vf.derived_forcing(vf.MmsSpec("zero"), prob)
         assert np.all(zf == 0.0)
 
     def test_continuum_forcing_scales_with_the_diffusion(self):
@@ -93,7 +93,7 @@ class TestMmsSpecs:
         x, t = prob.smesh.nodes, prob.tmesh.times
         u_t = np.outer(np.pi * np.cos(2 * np.pi * t), np.sin(np.pi * x))
         flux = [
-            vf.derived_forcing(mms, unit_problem(2.0, 3.0, 9, 6, diffusion=a), 0.0)
+            vf.derived_forcing(mms, unit_problem(2.0, 3.0, 9, 6, diffusion=a))
             - u_t
             for a in (1.0, 2.0)
         ]
@@ -102,22 +102,22 @@ class TestMmsSpecs:
         vals = 1.0 + 0.5 * np.sin(np.pi * prob.smesh.cell_midpoints)
         varying = replace(prob, a=cc.DiffusionField(vals))
         with pytest.raises(ValueError, match="constant diffusion"):
-            vf.derived_forcing(mms, varying, 0.0)
+            vf.derived_forcing(mms, varying)
 
     def test_continuum_forcing_is_finite_below_exponent_two(self):
         # alpha(0) at p < 2 and the flux of a zero slice at m < 2 are 0
         f = vf.derived_forcing(
-            vf.MmsSpec("steady_sin", "continuum"), unit_problem(1.5, 3.0, 8, 8), 0.0
+            vf.MmsSpec("steady_sin", "continuum"), unit_problem(1.5, 3.0, 8, 8)
         )
         assert np.all(np.isfinite(f))
         prob = unit_problem(2.0, 1.5, 8, 8)
-        f = vf.derived_forcing(vf.MmsSpec("separable_sin", "continuum"), prob, 0.0)
+        f = vf.derived_forcing(vf.MmsSpec("separable_sin", "continuum"), prob)
         assert np.all(np.isfinite(f))
         # tau(0) = 0: the first slice carries only the rate term
         np.testing.assert_allclose(
             f[0], 2 * np.pi * np.sin(np.pi * prob.smesh.nodes), rtol=1e-14
         )
-        zero = vf.derived_forcing(vf.MmsSpec("zero", "continuum"), prob, 0.0)
+        zero = vf.derived_forcing(vf.MmsSpec("zero", "continuum"), prob)
         assert np.all(zero == 0.0)
 
     def test_continuum_forcing_rejects_a_midpoint_node_below_m_two(self):
@@ -125,7 +125,7 @@ class TestMmsSpecs:
         # unbounded at m < 2; an even M keeps the forcing moderate
         def forcing(name, p, m, M):
             spec = vf.MmsSpec(name, "continuum")
-            return vf.derived_forcing(spec, unit_problem(p, m, M, 4), 0.0)
+            return vf.derived_forcing(spec, unit_problem(p, m, M, 4))
 
         for M in (7, 15):
             with pytest.raises(ValueError, match="x = L/2"):

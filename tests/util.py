@@ -55,15 +55,15 @@ def bump_mms():
     return MmsSpec("separable_bump")
 
 
-def mms_problem(p, m, M, N, delta):
-    """Unit-square problem whose discrete-exact solution is the bump.
+def mms_problem(p, m, M, N):
+    """Unit-square problem whose discrete-exact solution is the bump at the
+    solver's smoothing DELTA.
 
-    Returns (problem, exact trajectory).  delta must match the smoothing the
-    solver will use, otherwise recovery is only delta-accurate.
+    Returns (problem, exact trajectory).
     """
     mms = bump_mms()
     prob = unit_problem(p, m, M, N)
-    f = derived_forcing(mms, prob, delta)
+    f = derived_forcing(mms, prob)
     prob = replace(prob, f=f)
     return prob, sample_exact(mms, prob.smesh, prob.tmesh)
 
