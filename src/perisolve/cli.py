@@ -27,6 +27,7 @@ from .discretize import (
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
+    format_field,
     read_field_csv,
     write_field_csv,
     write_field_dat,
@@ -328,19 +329,18 @@ def _build_problem(doc: dict) -> ProblemSpec:
 
 def _build_cascade(doc: dict) -> CascadeParams:
     """One key per CascadeParams field, of the JSON type of the field's
-    default, each checked by CascadeParams itself."""
+    default, each checked by CascadeParams itself; null, like an absent key,
+    leaves the default."""
     cb = _get(doc, "cascade", "", dict, {})
     path = "cascade"
     fields = dataclasses.fields(CascadeParams)
     _known(cb, tuple(fld.name for fld in fields), path)
     kwargs = {}
     for fld in fields:
-        if fld.name not in cb:
+        if cb.get(fld.name) is None:
             continue
         if isinstance(fld.default, int):
             val = _get(cb, fld.name, path, int)
-        elif cb[fld.name] is None:  # null leaves a number at its default
-            continue
         else:
             val = _number(cb, fld.name, path)
         # no rule of CascadeParams spans two fields, so a field alone is checked
@@ -425,24 +425,28 @@ def _write_study(outdir: Path, name: str, table: Table, cfg: RunConfig) -> int:
 def _solve_payload(
     prob: ProblemSpec, final: StageResult, stages: list[StageResult], route: str
 ) -> dict:
-    """Report entries of one routed solve: outcome, residual, every stage."""
+    """Report entries of one routed solve: outcome, residual, every stage.
+
+    The final stage's residual_AP is that of the unperturbed equation at
+    DELTA unless a mu > 0 level diverged and ended the walk there.
+    """
+    ap = final.diagnostics["residual_AP"]
+    if final.mu > 0.0:
+        ap = residual_AP(final.u, prob, delta=DELTA)
     return {
         "command": "solve",
         "route": route,
         "converged": final.converged,
-        "final_residual_AP": residual_AP(final.u, prob, delta=DELTA),
+        "final_residual_AP": ap,
         "stages": [_stage_summary(s) for s in stages],
     }
 
 
 def _solve_and_dump(cfg: RunConfig, outdir: Path) -> tuple[StageResult, dict]:
     final, stages, route = solve_routed(cfg.problem, cfg.cascade, route=cfg.route)
-    write_field_csv(
-        str(outdir / "trajectory.csv"), final.u, cfg.problem.smesh, cfg.problem.tmesh
-    )
-    write_field_dat(
-        str(outdir / "trajectory.dat"), final.u, cfg.problem.smesh, cfg.problem.tmesh
-    )
+    blocks = format_field(final.u, cfg.problem.smesh, cfg.problem.tmesh)
+    write_field_csv(str(outdir / "trajectory.csv"), blocks)
+    write_field_dat(str(outdir / "trajectory.dat"), blocks)
     payload = _solve_payload(cfg.problem, final, stages, route)
     payload["config"] = cfg.raw
     return final, payload
@@ -546,7 +550,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for prob in probs:
         final, stages, route = solve_routed(prob, cfg.cascade, cfg.route)
         sub = _ensure_dir(str(outdir / f"p{prob.p:g}_m{prob.m:g}"))
-        write_field_csv(str(sub / "trajectory.csv"), final.u, prob.smesh, prob.tmesh)
+        blocks = format_field(final.u, prob.smesh, prob.tmesh)
+        write_field_csv(str(sub / "trajectory.csv"), blocks)
         payload = _solve_payload(prob, final, stages, route)
         payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV
         _write_report(sub, payload)

@@ -35,6 +35,7 @@ __all__ = [
     "pairing",
     "bochner_norm",
     "dual_bochner_norm",
+    "format_field",
     "write_field_csv",
     "read_field_csv",
     "write_field_dat",
@@ -171,7 +172,11 @@ def time_derivative(u: np.ndarray, tmesh: TemporalMesh) -> np.ndarray:
     (telescoping around the wrap).
     """
     u = np.asarray(u, dtype=float)
-    return (u - np.roll(u, 1, axis=0)) / tmesh.dt
+    du = np.empty_like(u)
+    np.subtract(u[1:], u[:-1], out=du[1:])
+    np.subtract(u[0], u[-1], out=du[0])
+    du /= tmesh.dt
+    return du
 
 
 def pairing(xi: np.ndarray, v: np.ndarray, smesh: SpatialMesh) -> float | np.ndarray:
@@ -247,27 +252,27 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
 _FMT = "%.17g"
 
 
-def _field_blocks(
-    values: np.ndarray, smesh: SpatialMesh, tmesh: TemporalMesh, sep: str
+def format_field(
+    values: np.ndarray, smesh: SpatialMesh, tmesh: TemporalMesh
 ) -> list[str]:
-    """The rows t<sep>x<sep>value of a field, one string of lines per slice.
+    """The rows t,x,value of a field, one string of lines per slice.
 
-    Each node is formatted once, each time once and each value once.
+    Each node, each time and each value is formatted once; write_field_csv
+    and write_field_dat both write these blocks, so one formatting feeds
+    both files.
     """
     values = validate_trajectory(values, smesh, tmesh, "field")
-    xs = [_FMT % x + sep for x in smesh.nodes.tolist()]
+    xs = [_FMT % x + "," for x in smesh.nodes.tolist()]
     blocks = []
     for t, row in zip(tmesh.times.tolist(), values.tolist()):
-        head = _FMT % t + sep
+        head = _FMT % t + ","
         blocks.append("".join([f"{head}{x}{_FMT % v}\n" for x, v in zip(xs, row)]))
     return blocks
 
 
-def write_field_csv(
-    path: str, values: np.ndarray, smesh: SpatialMesh, tmesh: TemporalMesh
-) -> None:
+def write_field_csv(path: str, blocks: list[str]) -> None:
+    """The CSV file of a field's blocks, as format_field returns them."""
     # the fields are numbers, which csv never quotes
-    blocks = _field_blocks(values, smesh, tmesh, ",")
     with open(path, "w", newline="") as fh:
         fh.write("t,x,value\n")
         fh.writelines(blocks)
@@ -303,11 +308,10 @@ def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arr, t_unique, x_unique
 
 
-def write_field_dat(
-    path: str, values: np.ndarray, smesh: SpatialMesh, tmesh: TemporalMesh
-) -> None:
-    """Gnuplot mirror: blank-line separated time blocks, columns t x value."""
-    blocks = _field_blocks(values, smesh, tmesh, " ")
+def write_field_dat(path: str, blocks: list[str]) -> None:
+    """Gnuplot mirror of a field's blocks, as format_field returns them:
+    blank-line separated time blocks, columns t x value."""
+    # a number formatted with %g holds no comma
     with open(path, "w") as fh:
         fh.write("# t x value\n")
-        fh.write("\n".join(blocks))
+        fh.write("\n".join(blocks).replace(",", " "))

@@ -19,14 +19,15 @@ no longer symmetric.  _StageAt, the stage at one iterate, reads it as a
 _Jacobian: a tridiagonal spatial block per slice, coupled in time.  Each
 Newton step solves it one of two ways, chosen from those coefficients.
 When none of them varies in time, bit for bit, the Jacobian is a Kronecker
-sum of the spatial block and a circulant in time, which a DFT in time and
-the spatial block's eigenvectors solve exactly in O(N M (M + log N)): so
-at p = m = 2 and at every time-constant iterate, the first one from u = 0
-included.  Otherwise the Jacobian is written straight into the band
-storage of LAPACK's dgbsv, one Fortran-ordered workspace per solve made at
-its first such step, and factored and solved there in place, in
-O(N^3 M).  The Newton loop itself is convexcore's, the one the slice
-proximal solves run, and its state is the _StageAt of the current iterate.
+sum of the spatial block and a circulant in time, which a real DFT in time
+and one block-diagonal complex tridiagonal solve (LAPACK's zgtsv) solve
+exactly in O(N M log N): so at p = m = 2 and at every time-constant
+iterate, the first one from u = 0 included.  Otherwise the Jacobian is
+written straight into the band storage of LAPACK's dgbsv, one
+Fortran-ordered workspace per solve made at its first such step, and
+factored and solved there in place, in O(N^3 M).  The Newton loop itself
+is convexcore's, the one the slice proximal solves run, and its state is
+the _StageAt of the current iterate.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dstevd
+from scipy.linalg.lapack import dgbsv, zgtsv
 
 from . import convexcore as cc
 from .discretize import (
@@ -142,26 +143,40 @@ class _Jacobian(NamedTuple):
 
     def solve_time_invariant(self, b: np.ndarray) -> np.ndarray | None:
         """Solve J x = b (N, M) exactly when time_invariant(); None when J
-        is singular or LAPACK finds no eigenpairs of its spatial block.
+        is singular.
 
         J is then the Kronecker sum I_N (x) K + C (x) I_M, with K the block
         of every slice and C the circulant s (I - P) - c (P + P^T), P the
-        shift from node n-1 to node n.  K = Q diag(lam) Q^T, and C's symbol
-        at theta_k = 2 pi k / N is s (1 - exp(-i theta_k)) - 2 c cos
-        theta_k, so a real DFT in time and Q diagonalize J.
+        shift from node n-1 to node n.  C's symbol at theta_k = 2 pi k / N
+        is sigma_k = s (1 - exp(-i theta_k)) - 2 c cos theta_k, so a real
+        DFT in time leaves one tridiagonal system K + sigma_k I per
+        frequency k = 0..N/2.  Stacked, they are one block-diagonal complex
+        tridiagonal system, whose off-diagonal is zero at each block
+        boundary, and zgtsv solves it in O(N M): O(N M log N) in all.
         """
         d, e, s, c = self
-        N = b.shape[0]
-        # dstevd takes an off-diagonal of length at least 1, unread at M = 1
-        lam, Q, info = dstevd(d[0], e[0] if e.shape[1] else np.zeros(1))
+        N, M = b.shape
         theta = 2.0 * np.pi * np.arange(N // 2 + 1) / N
         sigma = s.flat[0] * (1.0 - np.exp(-1j * theta))
         if c is not None:
             sigma = sigma - 2.0 * c.flat[0] * np.cos(theta)
-        symbol = sigma[:, None] + lam
-        if info != 0 or not symbol.all():
+        # the stacked system: K's off-diagonal within each block, zero
+        # between blocks; zgtsv copies both before it overwrites them
+        off = np.zeros((N // 2 + 1, M))
+        off[:, :-1] = e[0]
+        off = off.ravel()[:-1]
+        diag = (sigma[:, None] + d[0]).ravel()
+        # the DFT of b - b_0, with its first slice b_0 put back into the
+        # mean: a time-constant b then has exact zeros at every k > 0, so
+        # its solution is time-constant bit for bit, which the DFT's own
+        # roundoff at odd N would not keep
+        rhs = np.fft.rfft(b - b[0], axis=0)
+        rhs[0] += N * b[0]
+        _, _, _, x, info = zgtsv(off, diag, off, rhs.ravel())
+        # info > 0 is an exactly zero pivot: J is singular
+        if info > 0:
             return None
-        return np.fft.irfft(np.fft.rfft(b @ Q, axis=0) / symbol, N, axis=0) @ Q.T
+        return np.fft.irfft(x.reshape(rhs.shape), N, axis=0)
 
     def write_band(self, lu: np.ndarray) -> None:
         """Write J into lu, the LAPACK gbsv band with kl = ku = N.
@@ -200,7 +215,7 @@ def newton_fixed_point(
     pf: cc.PerturbedFunctional | None,
     tol: float,
     max_iter: int,
-) -> tuple[_StageAt, list[float], bool]:
+) -> tuple[_StageAt, list[float], bool, dict[str, int]]:
     """Newton on the stage equation at the dual forcing h = -alpha(du).
 
     The equation is F(u) = R(u) + alpha(du) = 0 with R the stage residual
@@ -211,11 +226,14 @@ def newton_fixed_point(
     norm is at most tol * max(1, |f - alpha(du)|); otherwise it stops after
     max_iter steps, or when a step is singular, too large to allocate,
     non-finite or cannot decrease the norm.
-    Each step solves the Jacobian exactly by a DFT in time when its
-    coefficients do not vary in time, and through the dgbsv band
-    otherwise.  Returns the stage at the last iterate (its u, du, xi,
-    energy and F, as Newton evaluated them), the norm of F at the start and
-    after every step, and whether it converged.
+    Each step solves the Jacobian exactly by a real DFT in time and one
+    complex tridiagonal solve when its coefficients do not vary in time,
+    and through the dgbsv band otherwise.  Returns the stage at the last
+    iterate (its u, du, xi, energy and F, as Newton evaluated them), the
+    norm of F at the start and after every step, whether it converged, and
+    how many steps it solved each way, exact_steps and band_steps (a
+    singular last step included, so they sum to the steps taken unless
+    Newton stopped on a step it could not take).
     """
     if not (0.0 <= eps < math.inf):
         raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
@@ -224,6 +242,7 @@ def newton_fixed_point(
     u = validate_trajectory(u0, prob.smesh, prob.tmesh, "initial trajectory")
     N, M = u.shape
     lu = None
+    kinds = {"exact_steps": 0, "band_steps": 0}
 
     def equation(v: np.ndarray) -> tuple[_StageAt, float]:
         stage = _StageAt(v, prob, eps, delta, pf)
@@ -236,9 +255,11 @@ def newton_fixed_point(
         nonlocal lu
         jac = stage.jacobian(prob.nl.alpha_derivative(stage.du, delta))
         if jac.time_invariant():
+            kinds["exact_steps"] += 1
             return jac.solve_time_invariant(-stage.F)
         if lu is None:
             lu = np.zeros((3 * N + 1, N * M), order="F")
+        kinds["band_steps"] += 1
         jac.write_band(lu)
         _, _, x, info = dgbsv(
             N, N, lu, -stage.F.T.ravel(), overwrite_ab=1, overwrite_b=1
@@ -246,7 +267,7 @@ def newton_fixed_point(
         return x.reshape(M, N).T if info == 0 else None
 
     _, history, converged, stage = cc._newton(u, equation, stage_tol, step, max_iter)
-    return stage, history, converged
+    return stage, history, converged, kinds
 
 
 def residual_AP(u: np.ndarray, prob: ProblemSpec, delta: float = 0.0) -> float:

@@ -121,6 +121,8 @@ def test_linear_stage_takes_one_newton_step():
     d = ca.fixed_point_solve(prob, 1e-3, ca.CascadeParams()).diagnostics
     assert d["converged"]
     assert d["fixed_point_newton_steps"] == 1
+    # its Jacobian does not vary in time: the step is exact
+    assert (d["exact_steps"], d["band_steps"]) == (1, 0)
     assert d["beta_evaluations"] == 0
 
 
@@ -287,7 +289,7 @@ def test_failed_unperturbed_target_walks_the_mu_levels_from_zero():
         assert (stage.epsilon, stage.mu) == (ref.epsilon, ref.mu)
         assert np.array_equal(stage.u, ref.u)
     steps = [s.diagnostics["fixed_point_newton_steps"] for s in walked]
-    assert steps == [26, 32, 116, 15, 16]
+    assert steps == [28, 160, 25, 10, 142]
     assert final is stages[-1] and final.converged
 
 
@@ -408,8 +410,8 @@ def test_residual_AP_matches_diagnostics():
 
 def test_stage_bookkeeping_reads_newtons_last_evaluation(monkeypatch):
     # the diagnostics of a stage read Newton's last evaluation of the stage
-    # equation (du, alpha(du), the energy, residual_AP, the audit); only the
-    # public energy_margin takes du once more per stage
+    # equation (du, alpha(du), the energy, residual_AP, the energy margin,
+    # the audit): no stage takes du again
     counts = {"time_derivative": 0, "iterates": 0}
     newton = cc._newton
 
@@ -429,7 +431,7 @@ def test_stage_bookkeeping_reads_newtons_last_evaluation(monkeypatch):
     monkeypatch.setattr(cc, "_newton", counted_newton)
     stages = climb(unit_problem(2.5, 3.0, 5, 4))
     assert len(stages) == 16 and counts["iterates"] > 0
-    assert counts["time_derivative"] == counts["iterates"] + len(stages)
+    assert counts["time_derivative"] == counts["iterates"]
 
 
 def test_target_from_zero_skips_the_halvings_of_an_overlong_step(
@@ -451,3 +453,15 @@ def test_target_from_zero_skips_the_halvings_of_an_overlong_step(
     (target,) = ca.epsilon_continuation(cfg.problem, cfg.cascade, schedule=())
     assert target.converged
     assert len(built) <= 12
+
+
+def test_stage_reports_its_step_kinds(bundled_config_dir):
+    # the bundled p = 2.5, m = 3 config's eps = 0 target from u = 0: the
+    # first step has time-constant coefficients and is exact, and every
+    # later one varies in time and takes the band
+    cfg = cli.load_config(str(bundled_config_dir / "nonlinear_diffusion.json"))
+    (target,) = ca.epsilon_continuation(cfg.problem, cfg.cascade, schedule=())
+    d = target.diagnostics
+    assert target.converged
+    assert (d["exact_steps"], d["band_steps"]) == (1, 6)
+    assert d["exact_steps"] + d["band_steps"] == d["fixed_point_newton_steps"]

@@ -16,14 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import perisolve
+import perisolve.convexcore as cc
+import perisolve.variational as var
 from perisolve import cascade, cli
 from perisolve.discretize import (
     SpatialMesh,
     TemporalMesh,
     dual_bochner_norm,
+    format_field,
     read_field_csv,
     write_field_csv,
 )
+from util import unit_problem
 
 
 def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
@@ -319,7 +323,8 @@ def test_forcing_rejects_bad_specs(tmp_path):
 def test_field_csv_feeds_forcing_and_rejects_mismatch(tmp_path, rng):
     values = rng.normal(size=(3, 4))
     path = tmp_path / "f.csv"
-    write_field_csv(str(path), values, SpatialMesh(1.0, 4), TemporalMesh(1.0, 3))
+    blocks = format_field(values, SpatialMesh(1.0, 4), TemporalMesh(1.0, 3))
+    write_field_csv(str(path), blocks)
     back = load_forcing(tmp_path, {"kind": "csv", "path": str(path)}, 4, 3)
     assert np.array_equal(back, values)
     with pytest.raises(cli.ConfigError, match="does not match") as err:
@@ -504,8 +509,8 @@ def test_cascade_knobs_match_the_config_keys(tmp_path):
     doc = {"problem": small_problem(), "cascade": knobs}
     loaded = cli.load_config(write_config(tmp_path, doc)).cascade
     assert loaded == cascade.CascadeParams(**knobs)
-    # null leaves a number at its default
-    doc["cascade"] = {"fp_tol": None, "stage_tol": None}
+    # null, like an absent key, leaves every key at its default
+    doc["cascade"] = {"fp_tol": None, "stage_tol": None, "mu_eps_truncate": None}
     loaded = cli.load_config(write_config(tmp_path, doc)).cascade
     assert loaded == cascade.CascadeParams()
 
@@ -675,6 +680,26 @@ def test_report_accounts_for_all_the_work(
     assert all(s["beta_evaluations"] == 0 for s in stages)
     assert all(s["stage_newton_iterations"] == 0 for s in stages)
     assert all("epsilon" in s and "mu" in s for s in stages)
+    # every step is solved exactly or through the band
+    for s in stages:
+        assert s["exact_steps"] + s["band_steps"] == s["fixed_point_newton_steps"]
+    # the walk ends at the unperturbed eps = 0 stage, whose residual_AP the
+    # report gives
+    assert (stages[-1]["epsilon"], stages[-1]["mu"]) == (0.0, 0.0)
+    assert rep["final_residual_AP"] == stages[-1]["residual_AP"]
+
+
+def test_final_residual_of_a_perturbed_stage_is_the_unperturbed_one():
+    # a walk that a diverging mu > 0 level ends reports the residual of the
+    # unperturbed equation, not the stage's own perturbed one
+    prob = unit_problem(3.0, 2.0, 6, 4)
+    u = np.outer(1.0 + np.sin(2.0 * np.pi * prob.tmesh.times), prob.smesh.nodes)
+    pf = cc.PerturbedFunctional(0.1, 1.0)
+    own = var._StageAt(u, prob, 0.0, cascade.DELTA, pf).residual_AP
+    stage = cascade.StageResult(u, 0.0, 0.1, {"residual_AP": own})
+    payload = cli._solve_payload(prob, stage, [stage], "mu")
+    unperturbed = var.residual_AP(u, prob, delta=cascade.DELTA)
+    assert payload["final_residual_AP"] == unperturbed != own
 
 
 def test_cmd_mms_discrete_levels(tmp_path):

@@ -12,6 +12,7 @@ from perisolve.discretize import (
     TemporalMesh,
     bochner_norm,
     cell_gradient,
+    format_field,
     norm_V,
     norm_Vstar,
     norm_X,
@@ -170,7 +171,7 @@ def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     tm = TemporalMesh(np.e, 5)
     values = rng.normal(size=(5, 6))
     path = tmp_path / "field.csv"
-    write_field_csv(str(path), values, sm, tm)
+    write_field_csv(str(path), format_field(values, sm, tm))
     assert path.read_text().splitlines()[0] == "t,x,value"
     arr, t_read, x_read = read_field_csv(str(path))
     assert np.array_equal(arr, values)
@@ -183,7 +184,7 @@ def test_write_field_dat_mirrors_values(tmp_path, rng):
     tm = TemporalMesh(1.0, 2)
     values = rng.normal(size=(2, 3))
     path = tmp_path / "field.dat"
-    write_field_dat(str(path), values, sm, tm)
+    write_field_dat(str(path), format_field(values, sm, tm))
     lines = path.read_text().splitlines()
     assert lines[0] == "# t x value"
     assert lines[4] == ""  # blank separator between time blocks
@@ -205,8 +206,9 @@ def test_field_files_match_the_row_by_row_oracle(tmp_path):
         ]
     )
     csv_text, dat_text = field_file_oracle(values, sm, tm)
-    write_field_csv(str(tmp_path / "f.csv"), values, sm, tm)
-    write_field_dat(str(tmp_path / "f.dat"), values, sm, tm)
+    blocks = format_field(values, sm, tm)
+    write_field_csv(str(tmp_path / "f.csv"), blocks)
+    write_field_dat(str(tmp_path / "f.dat"), blocks)
     assert (tmp_path / "f.csv").read_bytes() == csv_text.encode()
     assert (tmp_path / "f.dat").read_bytes() == dat_text.encode()
     arr, t_read, x_read = read_field_csv(str(tmp_path / "f.csv"))

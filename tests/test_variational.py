@@ -78,7 +78,7 @@ def test_minimizer_matches_dense_linear_solve(M, N):
     prob = unit_problem(2.0, 2.0, M, N)
     args = stage_args(prob, 0.25, delta=0.0)
     u_direct = dense_affine_zero(stage_equation(*args), (N, M))
-    stage, history, converged = newton_fixed_point(np.zeros((N, M)), *args, 1e-12, 1)
+    stage, history, converged, _ = newton_fixed_point(np.zeros((N, M)), *args, 1e-12, 1)
     assert converged
     assert len(history) == 2
     assert np.abs(stage.u - u_direct).max() <= 1e-10
@@ -151,14 +151,8 @@ EXACT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
-@pytest.mark.parametrize("p, m, eps, varying, constant", EXACT_CASES)
-def test_exact_step_matches_the_band(rng, N, p, m, eps, varying, constant):
-    # the DFT in time and the eigenvectors of the spatial block solve a
-    # time-invariant Jacobian as the band does: odd N, the Nyquist term of
-    # even N, and N = 2, where the wrap and the time coupling share a
-    # diagonal
-    M = 6
+def check_exact_step(rng, N, M, p, m, eps, varying, constant):
+    """The exact step of one time-invariant Jacobian against its band solve."""
     prob = unit_problem(p, m, M, N)
     if varying:
         prob = dataclasses.replace(prob, a=cc.DiffusionField(1.0 + rng.random(M + 1)))
@@ -170,6 +164,54 @@ def test_exact_step_matches_the_band(rng, N, p, m, eps, varying, constant):
     x = jac.solve_time_invariant(b)
     ref = band_solve(jac, b)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("p, m, eps, varying, constant", EXACT_CASES)
+def test_exact_step_matches_the_band(rng, N, p, m, eps, varying, constant):
+    # the real DFT in time and the tridiagonal solve per frequency solve a
+    # time-invariant Jacobian as the band does: odd N, the Nyquist term of
+    # even N, and N = 2, where the wrap and the time coupling share a
+    # diagonal
+    check_exact_step(rng, N, 6, p, m, eps, varying, constant)
+
+
+@pytest.mark.parametrize("N, M", [(2, 1), (3, 1), (4, 1), (5, 1), (64, 64)])
+@pytest.mark.parametrize("p, m, eps, varying, constant", EXACT_CASES)
+def test_exact_step_matches_the_band_at_one_node_and_64(
+    rng, N, M, p, m, eps, varying, constant
+):
+    # at M = 1 every off-diagonal of the stacked tridiagonal system is a
+    # block boundary; 64^2 is the grid of the largest bench solve
+    check_exact_step(rng, N, M, p, m, eps, varying, constant)
+
+
+@pytest.mark.parametrize("N", [3, 5, 7, 17])
+def test_exact_step_keeps_a_time_constant_right_side_time_constant(rng, N):
+    # a steady forcing keeps every Newton iterate time-constant, and so every
+    # step exact, only while each step is time-constant bit for bit; at odd
+    # N the DFT of a time-constant field has roundoff at k > 0
+    prob = unit_problem(1.545433250897403, 1.5303233600342203, 9, N)
+    stage = _StageAt(np.zeros((N, 9)), prob, 0.0, 1e-8)
+    jac = stage.jacobian(prob.nl.alpha_derivative(stage.du, 1e-8))
+    for _ in range(20):
+        x = jac.solve_time_invariant(np.tile(rng.normal(size=9), (N, 1)))
+        assert (x == x[0]).all()
+
+
+def test_steady_forcing_at_odd_n_takes_only_exact_steps():
+    # p, m near 1.5 with a steady forcing on 5 time nodes: a step that is
+    # time-constant only to roundoff sends the next one to the band, and
+    # this stage then creeps for its 400 steps
+    prob = unit_problem(1.545433250897403, 1.5303233600342203, 3, 5)
+    f = 2.5608407547689307 * np.sin(3.0 * np.pi * prob.smesh.nodes)
+    prob = dataclasses.replace(prob, f=np.broadcast_to(f, prob.f.shape).copy())
+    stage, history, converged, kinds = newton_fixed_point(
+        np.zeros((5, 3)), prob, 0.0, 1e-8, None, 5e-12, 400
+    )
+    assert converged and (stage.u == stage.u[0]).all()
+    assert kinds == {"exact_steps": len(history) - 1, "band_steps": 0}
+    assert len(history) - 1 <= 10
 
 
 @pytest.mark.parametrize("p, m", [(2.5, 2.0), (2.0, 3.0)])
@@ -205,7 +247,7 @@ def test_linear_stage_never_factors_a_band(monkeypatch):
         args = stage_args(unit_problem(2.0, 2.0, M, N), eps)
         tracemalloc.start()
         try:
-            _, history, converged = newton_fixed_point(
+            _, history, converged, _ = newton_fixed_point(
                 np.zeros((N, M)), *args, 1e-12, 5
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -239,7 +281,7 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
     N, M = 3, 5
     prob = unit_problem(2.5, 3.0, M, N)
     args = stage_args(prob, 0.1, delta=1e-2)
-    _, history, converged = newton_fixed_point(np.zeros((N, M)), *args, 1e-10, 50)
+    _, history, converged, _ = newton_fixed_point(np.zeros((N, M)), *args, 1e-10, 50)
     assert converged and len(order) == len(history) - 1
     assert order == ["exact"] + ["band"] * len(calls) and len(calls) >= 2
     assert all(ab is calls[0][2] for _, _, ab, _ in calls)
@@ -282,7 +324,7 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     monkeypatch.setattr(var, "time_derivative", counted_time_derivative)
     monkeypatch.setattr(cc, "_newton", counted_newton)
     args = stage_args(unit_problem(2.5, 3.0, 5, 4), 0.1, delta=1e-2)
-    _, history, converged = newton_fixed_point(np.zeros((4, 5)), *args, 1e-10, 50)
+    _, history, converged, _ = newton_fixed_point(np.zeros((4, 5)), *args, 1e-10, 50)
     assert converged and len(history) >= 3
     assert counts["time_derivative"] == counts["iterates"] >= len(history)
 
@@ -300,7 +342,7 @@ def test_singular_jacobian_stops_newton_unconverged():
         stage = _StageAt(np.zeros((N, M)), *args)
         jac = stage.jacobian(args[0].nl.alpha_derivative(stage.du, 0.0))
         assert jac.time_invariant() and jac.solve_time_invariant(-stage.F) is None
-        stage, history, converged = newton_fixed_point(
+        stage, history, converged, _ = newton_fixed_point(
             np.zeros((N, M)), *args, 1e-10, 5
         )
         assert not converged
@@ -326,14 +368,14 @@ def test_minimizer_zero_data_and_uniqueness(rng):
     # the stage equation is strictly monotone: zero forcing has the zero
     # solution, and Newton from two arbitrary starts meets at one point
     zero = unit_problem(2.5, 3.0, 6, 5, amp=0.0)
-    sz, _, conv_z = newton_fixed_point(
+    sz, _, conv_z, _ = newton_fixed_point(
         0.1 * rng.normal(size=(5, 6)), *stage_args(zero, 0.1), 1e-10, 100
     )
     assert conv_z
     assert np.abs(sz.u).max() <= 1e-6
     args = stage_args(unit_problem(2.5, 3.0, 6, 5), 0.1)
-    sa, _, conv_a = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), *args, 1e-12, 100)
-    sb, _, conv_b = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), *args, 1e-12, 100)
+    sa, _, conv_a, _ = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), *args, 1e-12, 100)
+    sb, _, conv_b, _ = newton_fixed_point(0.5 * rng.normal(size=(5, 6)), *args, 1e-12, 100)
     assert conv_a and conv_b
     assert np.abs(sa.u - sb.u).max() <= 1e-9
 
@@ -350,7 +392,7 @@ def test_stage_residual_vanishes_at_minimizer():
     prob = unit_problem(2.5, 3.0, 6, 5)
     for eps in (0.1, 0.0):
         args = stage_args(prob, eps)
-        stage, history, converged = newton_fixed_point(
+        stage, history, converged, _ = newton_fixed_point(
             np.zeros((5, 6)), *args, 1e-11, 100
         )
         assert converged
