@@ -17,10 +17,12 @@ attacked in layers:
   walk per mu.  The default route solves that branch's unperturbed target
   first too, and walks the mu schedule only when that fails.
 
-A stage's diagnostics read the stage equation at Newton's last iterate, as
-Newton evaluated it.  solve_routed is the one walker of both routes: it
-returns every fixed point stage in the order solved, each tagged with its
-(eps, mu).
+A stage's diagnostics are what its Newton solve measured: convergence,
+the residual history, the residual scale and the step counts.  The report
+fields of a stage (its energy margin, residual_AP and the a priori audit)
+are computed only where a report is written, by stage_report.
+solve_routed is the one walker of both routes: it returns every fixed point
+stage in the order solved, each tagged with its (eps, mu).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "fixed_point_solve",
     "epsilon_continuation",
     "solve_routed",
+    "stage_report",
     "energy_margin",
     "chain_rule_sum",
     "lf_margin",
@@ -77,6 +80,13 @@ def _perturbation_exponent(p: float, m: float) -> float:
     for every p, m > 1: m (1 + a) = max(p, m) + m/2.
     """
     return max(p / m - 1.0, 0.0) + 0.5
+
+
+def _perturbation(mu: float, prob: ProblemSpec) -> cc.PerturbedFunctional | None:
+    """The mu route's perturbation of the energy at level mu; None at mu = 0."""
+    if mu == 0.0:
+        return None
+    return cc.PerturbedFunctional(mu, _perturbation_exponent(prob.p, prob.m))
 
 
 @dataclass(frozen=True)
@@ -114,8 +124,10 @@ class StageResult:
     """Solution u of one fixed point stage at its (epsilon, mu).
 
     The converged dual forcing is h = -alpha(du), one line from u:
-    -prob.nl.alpha_eval(time_derivative(u, prob.tmesh)).  diagnostics is
-    JSON-friendly throughout.
+    -prob.nl.alpha_eval(time_derivative(u, prob.tmesh)).  diagnostics holds
+    what the stage's Newton solve measured (convergence, the residual
+    history, the residual scale and the step counts) and is JSON-friendly
+    throughout; stage_report computes the fields a report adds.
     """
 
     u: np.ndarray
@@ -150,9 +162,9 @@ def fixed_point_solve(
     Newton (newton_fixed_point) starts from u0, zero when not given.  The
     stage's fixed point residual is the norm of its equation residual at
     the end, and the stage has converged when that norm is within the
-    stage tolerance.  The diagnostics, residual_AP and the audit among
-    them, read the stage at Newton's last iterate.  Non-convergence is
-    reported, not raised.
+    stage tolerance.  The diagnostics hold what Newton measured; the energy
+    margin, residual_AP and the audit are left to stage_report.
+    Non-convergence is reported, not raised.
     """
     u = np.zeros_like(prob.f) if u0 is None else u0
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
@@ -175,9 +187,6 @@ def fixed_point_solve(
         # value 0, because bench/workloads.py still reads them
         "beta_evaluations": 0,
         "stage_newton_iterations": 0,
-        "energy_margin": _energy_margin(stage.du, stage.xi, prob),
-        "residual_AP": stage.residual_AP,
-        "audit": stage_audit(stage),
     }
     if not converged:
         log.warning(
@@ -191,6 +200,22 @@ def fixed_point_solve(
 
 # ---------------------------------------------------------------------------
 # invariants and audits
+
+
+def stage_report(stage: StageResult, prob: ProblemSpec) -> dict:
+    """The report fields of a stage of solve_routed: energy_margin,
+    residual_AP and audit.
+
+    One evaluation of the stage equation at the stage's u, at its eps and,
+    on a mu level, the route's perturbation, gives all three as Newton's
+    last evaluation of the stage gave them.
+    """
+    at = _StageAt(stage.u, prob, stage.epsilon, DELTA, _perturbation(stage.mu, prob))
+    return {
+        "energy_margin": _energy_margin(at.du, at.xi, prob),
+        "residual_AP": at.residual_AP,
+        "audit": stage_audit(at),
+    }
 
 
 def energy_margin(u: np.ndarray, prob: ProblemSpec) -> float:
@@ -352,10 +377,9 @@ def _climb(
         d["wall_time"] = time.perf_counter() - t0
         stages.append(stage)
         log.info(
-            "eps=%.3e fp_res=%.3e ap_res=%.3e newton=%d wall=%.3fs",
+            "eps=%.3e fp_res=%.3e newton=%d wall=%.3fs",
             eps,
             d["fixed_point_residual"],
-            d["residual_AP"],
             d["fixed_point_newton_steps"],
             d["wall_time"],
         )
@@ -366,7 +390,8 @@ def _climb(
         if stage.diverged:
             return stages
         u = stage.u
-        ap = stage.diagnostics["residual_AP"]
+        # the rung's own residual_AP, the perturbed one on a mu level
+        ap = _StageAt(u, prob, eps, DELTA, pf).residual_AP
         stagnated = (
             prev_ap is not None
             and ap <= params.resolved_stage_tol()
@@ -410,13 +435,11 @@ def solve_routed(
     full = EPSILON_SCHEDULE
     plain = route == "auto" and prob.m > prob.p
     if not plain:
-        alpha_exp = _perturbation_exponent(prob.p, prob.m)
         tail = full[-params.mu_eps_truncate:]
         levels = [
-            (cc.PerturbedFunctional(mu, alpha_exp), tail if k else full)
-            for k, mu in enumerate(MU_SCHEDULE)
+            (_perturbation(mu, prob), tail if k else full)
+            for k, mu in enumerate((*MU_SCHEDULE, 0.0))
         ]
-        levels.append((None, tail))
     stages: list[StageResult] = []
     if route == "auto":
         # the unperturbed target from u = 0; the plain route's continuation

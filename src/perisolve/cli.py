@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convexcore as cc
-from .cascade import DELTA, CascadeParams, StageResult, solve_routed
+from .cascade import DELTA, CascadeParams, StageResult, solve_routed, stage_report
 from .discretize import (
     ProblemSpec,
     SpatialMesh,
@@ -392,12 +392,13 @@ def _ensure_dir(path: str) -> Path:
     return p
 
 
-def _stage_summary(stage: StageResult) -> dict:
-    """A stage's diagnostics minus history and timer; reruns write equal bytes."""
+def _stage_summary(stage: StageResult, prob: ProblemSpec) -> dict:
+    """A stage's diagnostics minus history and timer, with its report fields
+    (stage_report); reruns write equal bytes."""
     d = dict(stage.diagnostics)
     d.pop("residual_history", None)
     d.pop("wall_time", None)
-    return {"epsilon": stage.epsilon, "mu": stage.mu, **d}
+    return {"epsilon": stage.epsilon, "mu": stage.mu, **d, **stage_report(stage, prob)}
 
 
 def _write_report(outdir: Path, payload: dict) -> None:
@@ -427,10 +428,13 @@ def _solve_payload(
 ) -> dict:
     """Report entries of one routed solve: outcome, residual, every stage.
 
-    The final stage's residual_AP is that of the unperturbed equation at
-    DELTA unless a mu > 0 level diverged and ended the walk there.
+    Each stage entry holds the stage's diagnostics and the report fields
+    stage_report computes for it, here and only here.  final is the last
+    stage, whose residual_AP is that of the unperturbed equation at DELTA
+    unless a mu > 0 level diverged and ended the walk there.
     """
-    ap = final.diagnostics["residual_AP"]
+    entries = [_stage_summary(s, prob) for s in stages]
+    ap = entries[-1]["residual_AP"]
     if final.mu > 0.0:
         ap = residual_AP(final.u, prob, delta=DELTA)
     return {
@@ -438,7 +442,7 @@ def _solve_payload(
         "route": route,
         "converged": final.converged,
         "final_residual_AP": ap,
-        "stages": [_stage_summary(s) for s in stages],
+        "stages": entries,
     }
 
 

@@ -238,10 +238,20 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
     """Norm of a dual trajectory: p' in time, the nodal V* norm in space.
 
     This is the norm every residual and dual forcing of the problem is
-    measured in.
+    measured in.  It is bochner_norm(norm_Vstar(xi, p', smesh), p', tmesh)
+    bit for bit, by the same operations in the same order (each slice's
+    root, then its p'-th power), in one pass.
     """
-    pc = prob.p_conj
-    return bochner_norm(norm_Vstar(xi, pc, prob.smesh), pc, prob.tmesh)
+    pc, N = prob.p_conj, prob.tmesh.step_count
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[:-1] != (N,):
+        raise ValueError(f"slice norms must have shape ({N},), got {xi.shape[:-1]}")
+    powers = np.abs(xi)
+    powers **= pc
+    slices = prob.smesh.dx * np.add.reduce(powers, axis=-1)
+    slices **= 1.0 / pc
+    slices **= pc
+    return float((prob.tmesh.dt * np.add.reduce(slices)) ** (1.0 / pc))
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,10 @@ class Table:
 
 
 def loglog_slope(x, y) -> float:
-    """Least-squares slope of log y against log x."""
+    """Least-squares slope of log y against log x, by centred least squares."""
     lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
-    return float(np.polyfit(lx, ly, 1)[0])
+    lx -= lx.mean()
+    return float(lx @ (ly - ly.mean()) / (lx @ lx))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import perisolve
 import perisolve.convexcore as cc
 import perisolve.variational as var
+import perisolve.verify as vf
 from perisolve import cascade, cli
 from perisolve.discretize import (
     SpatialMesh,
@@ -687,6 +688,107 @@ def test_report_accounts_for_all_the_work(
     # report gives
     assert (stages[-1]["epsilon"], stages[-1]["mu"]) == (0.0, 0.0)
     assert rep["final_residual_AP"] == stages[-1]["residual_AP"]
+
+
+def test_library_solves_compute_no_report_field(
+    tmp_path, monkeypatch, bundled_config_dir
+):
+    # the energy margin and the audit are the report's: a solve that writes
+    # no report computes neither
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report field was computed")
+
+    params = cascade.CascadeParams()
+    with monkeypatch.context() as patch:
+        patch.setattr(cascade, "stage_audit", refuse)
+        patch.setattr(cascade, "_energy_margin", refuse)
+        seq = vf.MoscoSequenceSpec(
+            "diffusion_perturbation", unit_problem(2.0, 2.0, 8, 8), (1, 2, 3)
+        )
+        assert all(vf.mosco_experiment(seq, params).column("converged"))
+        prob = unit_problem(2.5, 3.0, 8, 8)
+        for route, walked in (("auto", "plain"), ("mu", "mu")):
+            final, _, name = cascade.solve_routed(prob, params, route=route)
+            assert final.converged and name == walked
+        # a target that fails within the step budget walks the ladder
+        patch.setattr(cascade, "MAX_FP_ITER", 3)
+        stages = cascade.epsilon_continuation(prob, params)
+        assert not stages[0].converged and stages[1].epsilon == 1.0
+    # perisolve solve computes them once for each stage it writes
+    written = []
+    report = cascade.stage_report
+
+    def counted(stage, prob):
+        written.append(stage)
+        return report(stage, prob)
+
+    monkeypatch.setattr(cli, "stage_report", counted)
+    doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
+    doc["problem"].update(M=8, N=8)
+    out = tmp_path / "o"
+    argv = ["solve", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_OK
+    rep = json.loads((out / "report.json").read_text())
+    assert len(written) == len(rep["stages"]) > 0
+
+
+@pytest.mark.parametrize(
+    "name, route, max_fp_iter",
+    [
+        ("linear_heat", "mu", None),
+        ("nonlinear_diffusion", "mu", None),
+        ("nonlinear_diffusion", "auto", 3),
+        ("nonlinear_diffusion", "mu", 3),
+    ],
+)
+def test_report_holds_each_stages_report_fields(
+    tmp_path, monkeypatch, bundled_config_dir, name, route, max_fp_iter
+):
+    # every stage entry holds exactly what stage_report returns for its
+    # stage, and that is what Newton's last evaluation of the stage gives.
+    # A step budget of 3 fails the targets and forces the ladder walks
+    solved, evaluated = [], []
+    solve, newton = cascade.fixed_point_solve, cascade.newton_fixed_point
+
+    def recorded_solve(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    def recorded_newton(*args):
+        out = newton(*args)
+        evaluated.append(out[0])
+        return out
+
+    monkeypatch.setattr(cascade, "fixed_point_solve", recorded_solve)
+    monkeypatch.setattr(cascade, "newton_fixed_point", recorded_newton)
+    if max_fp_iter is not None:
+        monkeypatch.setattr(cascade, "MAX_FP_ITER", max_fp_iter)
+    doc = json.loads((bundled_config_dir / f"{name}.json").read_text())
+    doc["problem"].update(M=8, N=8)
+    doc["route"] = route
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    code = cli.main(["solve", "--config", path, "--output", str(out), "--quiet"])
+    assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
+    rep = json.loads((out / "report.json").read_text())
+    entries = rep["stages"]
+    prob = cli.load_config(path).problem
+    assert len(entries) == len(solved) == len(evaluated)
+    if max_fp_iter is not None:
+        assert any(e["epsilon"] > 0.0 for e in entries)
+    for entry, stage, at in zip(entries, solved, evaluated):
+        fields = cascade.stage_report(stage, prob)
+        assert {key: entry[key] for key in fields} == fields
+        assert fields == {
+            "energy_margin": cascade._energy_margin(at.du, at.xi, prob),
+            "residual_AP": at.residual_AP,
+            "audit": cascade.stage_audit(at),
+        }
+        audit = entry["audit"]
+        perturbed = entry["mu"] > 0.0
+        assert ("mu_term_dual_norm" in audit) == perturbed
+        assert ("mu_phi_power_max" in audit) == perturbed
+        assert (audit["eps_rate_group"] == 0.0) == (entry["epsilon"] == 0.0)
 
 
 def test_final_residual_of_a_perturbed_stage_is_the_unperturbed_one():

@@ -6,12 +6,14 @@ from hypothesis.extra.numpy import arrays
 
 import perisolve.convexcore as cc
 from oracles import field_file_oracle
+from util import unit_problem
 from perisolve.discretize import (
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
     bochner_norm,
     cell_gradient,
+    dual_bochner_norm,
     format_field,
     norm_V,
     norm_Vstar,
@@ -164,6 +166,31 @@ def test_bochner_norm_values_and_validation():
         bochner_norm(sn, 0.5, tm)
     with pytest.raises(ValueError, match="slice norms must have shape"):
         bochner_norm(np.zeros(3), 2.0, tm)
+
+
+@pytest.mark.parametrize("N", [2, 3, 17])
+@pytest.mark.parametrize("p", [4.0, 3.0, 2.0, 1.5])  # p' = 4/3, 3/2, 2, 3
+def test_dual_bochner_norm_is_the_two_step_norm_bit_for_bit(rng, p, N):
+    prob = unit_problem(p, 2.0, 5, N)
+    pc, sm, tm = prob.p_conj, prob.smesh, prob.tmesh
+    assert pc == p / (p - 1.0)
+    extremes = [0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1e-150, -3e-150,
+                1e150, -7e149, 1.0]
+    for trial in range(8):
+        xi = rng.normal(size=(N, 5)) * 10.0 ** rng.integers(-3, 4)
+        # zeros, subnormals and entries near 1e+-150 at random places, and
+        # on the first trials a whole slice of zeros or of one extreme
+        hits = rng.random(xi.shape) < 0.4
+        xi[hits] = rng.choice(extremes, size=int(hits.sum()))
+        if trial < len(extremes):
+            xi[trial % N] = extremes[trial]
+        # |1e150|^3 overflows to inf on both paths
+        with np.errstate(over="ignore"):
+            want = bochner_norm(norm_Vstar(xi, pc, sm), pc, tm)
+            got = dual_bochner_norm(xi, prob)
+        assert got == want, (trial, xi)
+    with pytest.raises(ValueError, match="slice norms must have shape"):
+        dual_bochner_norm(np.zeros((N + 1, 5)), prob)
 
 
 def test_field_csv_roundtrip_bit_exact(tmp_path, rng):

@@ -49,6 +49,16 @@ def test_loglog_slope_recovers_power():
     assert vf.loglog_slope(x, 3.0 * x**2) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_loglog_slope_agrees_with_polyfit():
+    rng = np.random.default_rng(29)
+    for k in range(500):
+        n = 2 + k % 10
+        x = np.exp(rng.uniform(-5.0, 5.0, n))
+        y = np.exp(rng.uniform(-30.0, 5.0, n))
+        want = np.polyfit(np.log(x), np.log(y), 1)[0]
+        assert vf.loglog_slope(x, y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestMmsSpecs:
     def test_mode_validation(self):
         with pytest.raises(ValueError, match="unknown mms mode"):
