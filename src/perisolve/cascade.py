@@ -22,7 +22,7 @@ the residual history, the residual scale and the step counts.  The report
 fields of a stage (its energy margin, residual_AP and the a priori audit)
 are computed only where a report is written, by stage_report.
 solve_routed is the one walker of both routes: it returns every fixed point
-stage in the order solved, each tagged with its (eps, mu).
+stage in the order solved, each holding the equation it solved.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .discretize import (
     pairing,
     time_derivative,
 )
-from .variational import _StageAt, newton_fixed_point
+from .variational import DELTA, _StageAt, newton_fixed_point
 
 __all__ = [
     "CascadeParams",
@@ -62,10 +62,6 @@ EPSILON_SCHEDULE = (*(0.5**k for k in range(14)), 1e-4)
 # the mu levels of the power perturbation, one epsilon walk each before the
 # mu = 0 level
 MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
-# smoothing of the gradient energy's modulus, (|Du|^2 + DELTA^2)^(1/2): at
-# m < 2 it keeps the flux slope finite at a zero cell gradient, and every
-# solve starts from u = 0
-DELTA = 1e-8
 # Newton steps of one fixed point stage, the target attempt of a walk
 # included, before the stage is reported unconverged
 MAX_FP_ITER = 400
@@ -121,7 +117,8 @@ class CascadeParams:
 
 @dataclass
 class StageResult:
-    """Solution u of one fixed point stage at its (epsilon, mu).
+    """Solution u of one fixed point stage and the equation it solved: prob
+    at epsilon, its energy perturbed by pf (None: not), held by reference.
 
     The converged dual forcing is h = -alpha(du), one line from u:
     -prob.nl.alpha_eval(time_derivative(u, prob.tmesh)).  diagnostics holds
@@ -131,9 +128,14 @@ class StageResult:
     """
 
     u: np.ndarray
+    prob: ProblemSpec
     epsilon: float
-    mu: float
+    pf: cc.PerturbedFunctional | None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def mu(self) -> float:
+        return 0.0 if self.pf is None else float(self.pf.mu)
 
     @property
     def converged(self) -> bool:
@@ -168,13 +170,12 @@ def fixed_point_solve(
     """
     u = np.zeros_like(prob.f) if u0 is None else u0
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
-    # h = -alpha(du) amplifies defects in u by the inverse time step, so the
-    # stage tolerance is tightened by that factor
+    # min(1, dt) shrinks the bound with the time step below dt = 1, although
+    # the roundoff floor of |F| does not shrink with dt (it grows with M)
     st_tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
     stage, history, converged, kinds = newton_fixed_point(
         u, prob, eps, DELTA, pf, st_tol, MAX_FP_ITER
     )
-    mu = 0.0 if pf is None else pf.mu
     res = history[-1]
     diagnostics = {
         "converged": converged,
@@ -188,31 +189,27 @@ def fixed_point_solve(
         "beta_evaluations": 0,
         "stage_newton_iterations": 0,
     }
+    result = StageResult(stage.u, prob, float(eps), pf, diagnostics)
     if not converged:
-        log.warning(
-            "fixed point at eps=%.3e mu=%.3e stalled at residual %.3e",
-            eps,
-            mu,
-            res,
-        )
-    return StageResult(stage.u, float(eps), float(mu), diagnostics)
+        log.warning("fixed point at eps=%.3e mu=%.3e stalled at residual %.3e",
+                    eps, result.mu, res)
+    return result
 
 
 # ---------------------------------------------------------------------------
 # invariants and audits
 
 
-def stage_report(stage: StageResult, prob: ProblemSpec) -> dict:
-    """The report fields of a stage of solve_routed: energy_margin,
-    residual_AP and audit.
+def stage_report(stage: StageResult) -> dict:
+    """The report fields of a stage: energy_margin, residual_AP and audit.
 
-    One evaluation of the stage equation at the stage's u, at its eps and,
-    on a mu level, the route's perturbation, gives all three as Newton's
-    last evaluation of the stage gave them.
+    One evaluation of the stage's own equation (its problem, eps and
+    perturbation) at the stage's u gives all three as Newton's last
+    evaluation of the stage gave them.
     """
-    at = _StageAt(stage.u, prob, stage.epsilon, DELTA, _perturbation(stage.mu, prob))
+    at = _StageAt(stage.u, stage.prob, stage.epsilon, DELTA, stage.pf)
     return {
-        "energy_margin": _energy_margin(at.du, at.xi, prob),
+        "energy_margin": _energy_margin(at.du, at.xi, at.prob),
         "residual_AP": at.residual_AP,
         "audit": stage_audit(at),
     }

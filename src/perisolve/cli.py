@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convexcore as cc
-from .cascade import DELTA, CascadeParams, StageResult, solve_routed, stage_report
+from .cascade import CascadeParams, StageResult, solve_routed, stage_report
 from .discretize import (
     ProblemSpec,
     SpatialMesh,
@@ -392,13 +392,13 @@ def _ensure_dir(path: str) -> Path:
     return p
 
 
-def _stage_summary(stage: StageResult, prob: ProblemSpec) -> dict:
+def _stage_summary(stage: StageResult) -> dict:
     """A stage's diagnostics minus history and timer, with its report fields
     (stage_report); reruns write equal bytes."""
     d = dict(stage.diagnostics)
     d.pop("residual_history", None)
     d.pop("wall_time", None)
-    return {"epsilon": stage.epsilon, "mu": stage.mu, **d, **stage_report(stage, prob)}
+    return {"epsilon": stage.epsilon, "mu": stage.mu, **d, **stage_report(stage)}
 
 
 def _write_report(outdir: Path, payload: dict) -> None:
@@ -423,20 +423,18 @@ def _write_study(outdir: Path, name: str, table: Table, cfg: RunConfig) -> int:
     return code
 
 
-def _solve_payload(
-    prob: ProblemSpec, final: StageResult, stages: list[StageResult], route: str
-) -> dict:
+def _solve_payload(final: StageResult, stages: list[StageResult], route: str) -> dict:
     """Report entries of one routed solve: outcome, residual, every stage.
 
     Each stage entry holds the stage's diagnostics and the report fields
-    stage_report computes for it, here and only here.  final is the last
-    stage, whose residual_AP is that of the unperturbed equation at DELTA
-    unless a mu > 0 level diverged and ended the walk there.
+    stage_report computes from the stage alone, here and only here.
+    final_residual_AP is that of the final stage's unperturbed equation,
+    read off the stage unless a mu > 0 level diverged and ended the walk.
     """
-    entries = [_stage_summary(s, prob) for s in stages]
+    entries = [_stage_summary(s) for s in stages]
     ap = entries[-1]["residual_AP"]
     if final.mu > 0.0:
-        ap = residual_AP(final.u, prob, delta=DELTA)
+        ap = residual_AP(final.u, final.prob)
     return {
         "command": "solve",
         "route": route,
@@ -451,7 +449,7 @@ def _solve_and_dump(cfg: RunConfig, outdir: Path) -> tuple[StageResult, dict]:
     blocks = format_field(final.u, cfg.problem.smesh, cfg.problem.tmesh)
     write_field_csv(str(outdir / "trajectory.csv"), blocks)
     write_field_dat(str(outdir / "trajectory.dat"), blocks)
-    payload = _solve_payload(cfg.problem, final, stages, route)
+    payload = _solve_payload(final, stages, route)
     payload["config"] = cfg.raw
     return final, payload
 
@@ -476,9 +474,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     samples = _int(blk, "sample_count", "verify", 40, minimum=1)
     outdir = _ensure_dir(cfg.output_dir)
     final, payload = _solve_and_dump(cfg, outdir)
-    suite = invariant_suite(
-        final, cfg.problem, cfg.cascade, rng=np.random.default_rng(cfg.seed + 1)
-    )
+    suite = invariant_suite(final, cfg.cascade, rng=np.random.default_rng(cfg.seed + 1))
     audit = growth_audit(cfg.problem, sample_count=samples, seed=cfg.seed)
     audit.to_csv(str(outdir / "growth_audit.csv"))
     audit.to_dat(str(outdir / "growth_audit.dat"))
@@ -541,22 +537,25 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep.pairs", "expected at least one [p, m] pair")
     if cfg.problem.nl.kind != "power":
         raise ConfigError("sweep", "sweep varies p and requires the power rate map")
-    probs = []
+    probs = {}  # by the directory each pair writes to
     for pm in pairs:
         p, m = float(pm[0]), float(pm[1])
+        name = f"p{p:g}_m{m:g}"
+        if name in probs:
+            raise ConfigError("sweep.pairs", f"{pm} would overwrite {name}")
         try:
-            probs.append(replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p)))
+            probs[name] = replace(cfg.problem, p=p, m=m, nl=cc.Nonlinearity.power(p))
         except ValueError as exc:
             raise ConfigError("sweep.pairs", str(exc)) from exc
 
     outdir = _ensure_dir(cfg.output_dir)
     summary = Table(["p", "m", "route", "converged", "residual"])
-    for prob in probs:
+    for name, prob in probs.items():
         final, stages, route = solve_routed(prob, cfg.cascade, cfg.route)
-        sub = _ensure_dir(str(outdir / f"p{prob.p:g}_m{prob.m:g}"))
+        sub = _ensure_dir(str(outdir / name))
         blocks = format_field(final.u, prob.smesh, prob.tmesh)
         write_field_csv(str(sub / "trajectory.csv"), blocks)
-        payload = _solve_payload(prob, final, stages, route)
+        payload = _solve_payload(final, stages, route)
         payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV
         _write_report(sub, payload)
         residual = payload["final_residual_AP"]

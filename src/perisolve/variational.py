@@ -52,6 +52,11 @@ __all__ = [
     "residual_AP",
 ]
 
+# smoothing of the gradient energy's modulus, (|Du|^2 + DELTA^2)^(1/2): at
+# m < 2 it keeps the flux slope finite at a zero cell gradient, and every
+# solve starts from u = 0
+DELTA = 1e-8
+
 
 class _StageAt:
     """The stage equation at parameter eps, read at one trajectory u.
@@ -270,11 +275,11 @@ def newton_fixed_point(
     return stage, history, converged, kinds
 
 
-def residual_AP(u: np.ndarray, prob: ProblemSpec, delta: float = 0.0) -> float:
+def residual_AP(u: np.ndarray, prob: ProblemSpec) -> float:
     """Bochner dual norm of the unregularized equation residual.
 
     Measures alpha(du) + eta - f with eta the unperturbed energy gradient
-    at smoothing delta, in the p'-in-time V*-in-space norm.
+    at the solver's smoothing DELTA, in the p'-in-time V*-in-space norm.
     """
     u = validate_trajectory(u, prob.smesh, prob.tmesh, "trajectory")
-    return _StageAt(u, prob, 0.0, delta).residual_AP
+    return _StageAt(u, prob, 0.0, DELTA).residual_AP

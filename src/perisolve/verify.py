@@ -252,7 +252,7 @@ def mms_run(
     for lv, ((M, N), lp, (final, _, _)) in enumerate(zip(levels, probs, outs)):
         U = sample_exact(mms, lp.smesh, lp.tmesh)
         err = bochner_norm(norm_V(final.u - U, lp.p, lp.smesh), np.inf, lp.tmesh)
-        res = residual_AP(final.u, lp, delta=DELTA)
+        res = residual_AP(final.u, lp)
         table.add(lv, M, N, float(err), float(res), final.converged)
     errs = table.column("error").astype(float)
     if mms.mode == "continuum" and len(errs) > 1:
@@ -277,25 +277,24 @@ def _check(name: str, margin: float, tol: float) -> dict:
 
 def invariant_suite(
     result: StageResult,
-    prob: ProblemSpec,
     params: CascadeParams,
     rng: np.random.Generator | None = None,
 ) -> dict:
-    """Evaluate the structural invariants on a converged stage.
+    """Evaluate the structural invariants on a converged stage and its prob.
 
     Each entry reports margin (how far inside the inequality the solution
     sits; negative means violated) and the tolerance used.  The report is
     data; nothing raises on failure.
     """
     rng = rng or np.random.default_rng(1234)
-    u = result.u
+    u, prob = result.u, result.prob
     smesh, tmesh = prob.smesh, prob.tmesh
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
     checks: list[dict] = []
 
     # stationarity: the converged fixed point solves its stage equation
     if result.epsilon == 0.0 and result.mu == 0.0:
-        res = residual_AP(u, prob, delta=DELTA)
+        res = residual_AP(u, prob)
         tol = 20.0 * params.fp_tol * scale
     else:
         res = float(result.diagnostics.get("fixed_point_residual", np.inf))

@@ -59,14 +59,14 @@ def test_criterion_2_mms_matrix(mms_matrix):
 def test_criterion_3_energy_inequality(mms_matrix, linear_cascade_64):
     worst = np.inf
     count = 0
-    all_stages = [(s, linear_cascade_64.prob) for s in linear_cascade_64.stages]
+    all_stages = list(linear_cascade_64.stages)
     for fx in mms_matrix.values():
-        all_stages.extend((s, fx.prob) for s in fx.stages)
-    for stage, prob in all_stages:
+        all_stages.extend(fx.stages)
+    for stage in all_stages:
         if not stage.converged:
             continue
         scale = stage.diagnostics["residual_scale"]
-        worst = min(worst, ca.stage_report(stage, prob)["energy_margin"] / scale)
+        worst = min(worst, ca.stage_report(stage)["energy_margin"] / scale)
         count += 1
     passed = count > 0 and worst >= -1e-8
     assert record_criterion(
@@ -217,7 +217,7 @@ def test_criterion_7_perturbation_vanishes(mms_matrix):
         # the exact eps = 0 stage of each mu level carries the mu-term itself
         if stage.mu > 0.0 and stage.epsilon == 0.0:
             mus.append(stage.mu)
-            norms.append(ca.stage_report(stage, fx.prob)["audit"]["mu_term_dual_norm"])
+            norms.append(ca.stage_report(stage)["audit"]["mu_term_dual_norm"])
     slope = float(np.polyfit(np.log(mus), np.log(norms), 1)[0])
     passed = len(mus) >= 3 and slope >= 0.9
     assert record_criterion(
@@ -230,9 +230,9 @@ def test_criterion_7_perturbation_vanishes(mms_matrix):
 
 def test_criterion_8_residual_detects_corruption(mms_matrix):
     fx = mms_matrix[(2.0, 3.0)]
-    res0 = residual_AP(fx.final.u, fx.prob, delta=ca.DELTA)
+    res0 = residual_AP(fx.final.u, fx.prob)
     noise = np.random.default_rng(7).standard_normal(fx.final.u.shape)
-    res1 = residual_AP(fx.final.u + 1e-2 * noise, fx.prob, delta=ca.DELTA)
+    res1 = residual_AP(fx.final.u + 1e-2 * noise, fx.prob)
     ratio = res1 / res0
     passed = ratio > 100.0
     assert record_criterion(

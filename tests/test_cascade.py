@@ -96,9 +96,9 @@ def test_fixed_point_stage_contract():
     # h = -xi is the dual forcing selection -alpha(du) at the fixed point;
     # the stage's report reads it, and the residual, at the returned iterate
     xi = rate(stage, prob)
-    rep = ca.stage_report(stage, prob)
+    rep = ca.stage_report(stage)
     assert rep["audit"]["h_dual_norm"] == dual_bochner_norm(xi, prob)
-    assert rep["residual_AP"] == residual_AP(stage.u, prob, delta=ca.DELTA)
+    assert rep["residual_AP"] == residual_AP(stage.u, prob)
     # no stage minimization is left to count
     assert d["beta_evaluations"] == d["stage_newton_iterations"] == 0
     assert d["fixed_point_newton_steps"] == len(d["residual_history"]) - 1 > 0
@@ -158,11 +158,11 @@ def test_epsilon_continuation_drives_residual_down():
     stages = climb(prob)
     assert stages[-1].epsilon == 0.0  # the climb ends at eps = 0
     assert all(s.converged for s in stages)
-    aps = [ca.stage_report(s, prob)["residual_AP"] for s in stages]
+    aps = [ca.stage_report(s)["residual_AP"] for s in stages]
     assert all(b <= a * 1.001 for a, b in zip(aps, aps[1:]))
     assert aps[-1] <= 1e-9
     assert all("wall_time" in s.diagnostics for s in stages)
-    audit = ca.stage_report(stages[-1], prob)["audit"]
+    audit = ca.stage_report(stages[-1])["audit"]
     for key in (
         "eps_rate_group",
         "rate_p_integral",
@@ -392,11 +392,31 @@ def test_stage_audit_mu_keys():
     prob = unit_problem(2.0, 3.0, 6, 6)
     stage = ca.fixed_point_solve(prob, 0.01, ca.CascadeParams(), pf=pf)
     assert stage.converged
-    # the route's perturbation exponent at p = 2, m = 3 is alpha_exp = 0.5
-    audit = ca.stage_report(stage, prob)["audit"]
+    audit = ca.stage_report(stage)["audit"]
     assert np.isfinite(audit["mu_term_dual_norm"])
     assert np.isfinite(audit["mu_phi_power_max"])
     assert audit["mu_term_dual_norm"] >= 0.0
+
+
+def test_stage_report_reads_the_equation_the_stage_solved():
+    # a = 0.75 is not the mu route's exponent at p = 2, m = 3 (0.5): the
+    # report fields are those of the stage's own perturbation, as Newton
+    # last evaluated them, not those of the route's
+    prob = unit_problem(2.0, 3.0, 8, 8)
+    pf = cc.PerturbedFunctional(0.1, 0.75)
+    assert pf.alpha_exp != ca._perturbation_exponent(prob.p, prob.m)
+    stage = ca.fixed_point_solve(prob, 0.0, ca.CascadeParams(), pf=pf)
+    assert stage.converged
+    at = var._StageAt(stage.u, prob, 0.0, ca.DELTA, pf)
+    report = ca.stage_report(stage)
+    assert report == {
+        "energy_margin": ca._energy_margin(at.du, at.xi, prob),
+        "residual_AP": at.residual_AP,
+        "audit": ca.stage_audit(at),
+    }
+    # the stage solved that equation: its residual_AP is its residual
+    assert report["residual_AP"] <= 1e-10
+    assert stage.prob is prob and stage.pf is pf and stage.mu == 0.1
 
 
 def test_residual_AP_matches_diagnostics():
@@ -406,9 +426,7 @@ def test_residual_AP_matches_diagnostics():
     stages = climb(prob)
     for stage in stages:
         assert stage.mu == 0.0
-        assert ca.stage_report(stage, prob)["residual_AP"] == residual_AP(
-            stage.u, prob, delta=ca.DELTA
-        )
+        assert ca.stage_report(stage)["residual_AP"] == residual_AP(stage.u, prob)
 
 
 def test_stage_bookkeeping_reads_newtons_last_evaluation(monkeypatch):

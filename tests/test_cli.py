@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import json
@@ -393,7 +394,7 @@ class TestSolve:
         # and, at eps > 0, the lower-order terms all vanish, so the exact
         # step's symbol is zero at theta = 0 on every stage
         monkeypatch.setattr(cascade, "EPSILON_SCHEDULE", (0.5,))
-        for mod in (cascade, cli):
+        for mod in (cascade, var):
             monkeypatch.setattr(mod, "DELTA", 0.0)
         doc = {"problem": small_problem(p=3.0, m=3.0)}
         self.assert_singular_at_the_start(tmp_path, doc)
@@ -718,9 +719,9 @@ def test_library_solves_compute_no_report_field(
     written = []
     report = cascade.stage_report
 
-    def counted(stage, prob):
+    def counted(stage):
         written.append(stage)
-        return report(stage, prob)
+        return report(stage)
 
     monkeypatch.setattr(cli, "stage_report", counted)
     doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
@@ -772,15 +773,14 @@ def test_report_holds_each_stages_report_fields(
     assert code in (cli.EXIT_OK, cli.EXIT_NOCONV)
     rep = json.loads((out / "report.json").read_text())
     entries = rep["stages"]
-    prob = cli.load_config(path).problem
     assert len(entries) == len(solved) == len(evaluated)
     if max_fp_iter is not None:
         assert any(e["epsilon"] > 0.0 for e in entries)
     for entry, stage, at in zip(entries, solved, evaluated):
-        fields = cascade.stage_report(stage, prob)
+        fields = cascade.stage_report(stage)
         assert {key: entry[key] for key in fields} == fields
         assert fields == {
-            "energy_margin": cascade._energy_margin(at.du, at.xi, prob),
+            "energy_margin": cascade._energy_margin(at.du, at.xi, at.prob),
             "residual_AP": at.residual_AP,
             "audit": cascade.stage_audit(at),
         }
@@ -798,9 +798,9 @@ def test_final_residual_of_a_perturbed_stage_is_the_unperturbed_one():
     u = np.outer(1.0 + np.sin(2.0 * np.pi * prob.tmesh.times), prob.smesh.nodes)
     pf = cc.PerturbedFunctional(0.1, 1.0)
     own = var._StageAt(u, prob, 0.0, cascade.DELTA, pf).residual_AP
-    stage = cascade.StageResult(u, 0.0, 0.1, {"residual_AP": own})
-    payload = cli._solve_payload(prob, stage, [stage], "mu")
-    unperturbed = var.residual_AP(u, prob, delta=cascade.DELTA)
+    stage = cascade.StageResult(u, prob, 0.0, pf, {"residual_AP": own})
+    payload = cli._solve_payload(stage, [stage], "mu")
+    unperturbed = var.residual_AP(u, prob)
     assert payload["final_residual_AP"] == unperturbed != own
 
 
@@ -873,6 +873,22 @@ def test_cmd_sweep_follows_the_configured_route(tmp_path):
     cli.cmd_sweep(cli.load_config(write_config(tmp_path, doc)))
     summary = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
     assert [line.split(",")[2] for line in summary[1:]] == ["mu"]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[2.0000001, 3], [2.0000002, 3], [2, 2]], [[2, 3], [2, 2], [2, 3]]],
+    ids=["same-name", "duplicate"],
+)
+def test_cmd_sweep_rejects_pairs_that_share_a_directory(tmp_path, capsys, pairs):
+    # each pair writes to p{p:g}_m{m:g}: a second pair of the same name
+    # would overwrite the first one's outputs
+    out = tmp_path / "sw"
+    doc = {"problem": small_problem(M=6, N=6), "sweep": {"pairs": pairs}}
+    argv = ["sweep", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_CONFIG
+    assert "sweep.pairs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_sweep_requires_power_map(tmp_path):
@@ -1186,6 +1202,37 @@ def test_public_names_resolve():
     for mod in modules:
         missing = [name for name in mod.__all__ if not hasattr(mod, name)]
         assert missing == [], (mod.__name__, missing)
+
+
+LAYERS = ("discretize", "convexcore", "variational", "cascade", "verify", "cli")
+
+
+def test_modules_import_only_earlier_layers():
+    # the paper's layering: a module's relative imports name only modules
+    # before it in LAYERS.  An import for type checking alone is exempt, as
+    # it does not run; so is the package's __init__, which re-exports
+    class Imports(ast.NodeVisitor):
+        def __init__(self):
+            self.names = set()
+
+        def visit_If(self, node):
+            if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if node.level:
+                module = node.module or ""
+                self.names.update(
+                    module.split(".")[0] if module else alias.name
+                    for alias in node.names
+                )
+
+    src = Path(perisolve.__file__).parent
+    assert {f.stem for f in src.glob("*.py")} == {"__init__", *LAYERS}
+    for k, name in enumerate(LAYERS):
+        visitor = Imports()
+        visitor.visit(ast.parse((src / f"{name}.py").read_text()))
+        assert visitor.names <= set(LAYERS[:k]), (name, visitor.names)
 
 
 def test_import_leaves_out_sparse_and_optimize():

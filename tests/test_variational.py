@@ -382,8 +382,8 @@ def test_minimizer_zero_data_and_uniqueness(rng):
 
 def test_residual_AP_vanishes_on_manufactured_solution():
     prob, exact = mms_problem(2.0, 3.0, 8, 8)
-    assert residual_AP(exact, prob, delta=1e-8) <= 1e-12
-    assert residual_AP(exact + 1e-3, prob, delta=1e-8) > 1e-4
+    assert residual_AP(exact, prob) <= 1e-12
+    assert residual_AP(exact + 1e-3, prob) > 1e-4
 
 
 def test_stage_residual_vanishes_at_minimizer():

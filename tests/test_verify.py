@@ -214,7 +214,7 @@ class TestInvariantSuite:
         prob = unit_problem(2.0, 3.0, 8, 8)
         params = ca.CascadeParams()
         final = ca.epsilon_continuation(prob, params)[-1]
-        rep = vf.invariant_suite(final, prob, params)
+        rep = vf.invariant_suite(final, params)
         assert {c["name"] for c in rep["checks"]} == self.NAMES
         assert rep["all_passed"], [c for c in rep["checks"] if not c["passed"]]
 
@@ -222,11 +222,8 @@ class TestInvariantSuite:
         prob = unit_problem(2.0, 3.0, 8, 8)
         params = ca.CascadeParams()
         final = ca.epsilon_continuation(prob, params)[-1]
-        bad = ca.StageResult(
-            final.u + 0.05, 0.0, 0.0,
-            dict(final.diagnostics),
-        )
-        rep = vf.invariant_suite(bad, prob, params)
+        bad = ca.StageResult(final.u + 0.05, prob, 0.0, None, dict(final.diagnostics))
+        rep = vf.invariant_suite(bad, params)
         assert not rep["all_passed"]
         by_name = {c["name"]: c for c in rep["checks"]}
         assert not by_name["stationarity"]["passed"]
