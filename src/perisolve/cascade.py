@@ -40,9 +40,8 @@ from .discretize import (
     bochner_norm,
     dual_bochner_norm,
     pairing,
-    time_derivative,
 )
-from .variational import DELTA, _StageAt, newton_fixed_point
+from .variational import _StageAt, newton_fixed_point
 
 __all__ = [
     "CascadeParams",
@@ -174,7 +173,7 @@ def fixed_point_solve(
     # the roundoff floor of |F| does not shrink with dt (it grows with M)
     st_tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
     stage, history, converged, kinds = newton_fixed_point(
-        u, prob, eps, DELTA, pf, st_tol, MAX_FP_ITER
+        u, prob, eps, pf, st_tol, MAX_FP_ITER
     )
     res = history[-1]
     diagnostics = {
@@ -207,42 +206,40 @@ def stage_report(stage: StageResult) -> dict:
     perturbation) at the stage's u gives all three as Newton's last
     evaluation of the stage gave them.
     """
-    at = _StageAt(stage.u, stage.prob, stage.epsilon, DELTA, stage.pf)
+    at = _StageAt(stage.u, stage.prob, stage.epsilon, stage.pf)
     return {
-        "energy_margin": _energy_margin(at.du, at.xi, at.prob),
+        "energy_margin": energy_margin(at),
         "residual_AP": at.residual_AP,
         "audit": stage_audit(at),
     }
 
 
-def energy_margin(u: np.ndarray, prob: ProblemSpec) -> float:
+def energy_margin(stage: _StageAt) -> float:
     """Periodic dissipation pairing sum_n dt <f_n - alpha(du_n), du_n>.
 
     Nonnegative up to the stage defect for any solution: the energy gradient
     pairs with du above the telescoping energy increments, which cancel over
     one period.
     """
-    du = time_derivative(u, prob.tmesh)
-    return _energy_margin(du, prob.nl.alpha_eval(du), prob)
+    prob = stage.prob
+    return float(
+        prob.tmesh.dt * np.sum(pairing(prob.f - stage.xi, stage.du, prob.smesh))
+    )
 
 
-def _energy_margin(du: np.ndarray, xi: np.ndarray, prob: ProblemSpec) -> float:
-    """energy_margin from the rate du and xi = alpha(du)."""
-    return float(prob.tmesh.dt * np.sum(pairing(prob.f - xi, du, prob.smesh)))
-
-
-def chain_rule_sum(u: np.ndarray, prob: ProblemSpec, delta: float = 0.0) -> float:
-    """sum_n dt <eta_n, du_n> with eta the energy gradient.
+def chain_rule_sum(stage: _StageAt) -> float:
+    """sum_n dt <eta_n, du_n> with eta the stage's energy gradient.
 
     Equals the sum of per-step convexity gaps of the energy, hence is
     nonnegative and of size O(dt) for smooth trajectories.
     """
-    du = time_derivative(u, prob.tmesh)
-    eta = cc.PhiAt(u, prob.a, prob.m, delta, prob.smesh).grad
-    return float(prob.tmesh.dt * np.sum(pairing(eta, du, prob.smesh)))
+    prob = stage.prob
+    return float(
+        prob.tmesh.dt * np.sum(pairing(stage.phi.grad, stage.du, prob.smesh))
+    )
 
 
-def lf_margin(u: np.ndarray, prob: ProblemSpec) -> float:
+def lf_margin(stage: _StageAt) -> float:
     """Worst-window margin of the dual flow inequality.
 
     With xi_n = alpha(du_n), every window (n1, n2] satisfies
@@ -251,10 +248,8 @@ def lf_margin(u: np.ndarray, prob: ProblemSpec) -> float:
     gap and nonnegative.  Returns the smallest window sum of the defects
     (windows wrap around the period), nonnegative up to roundoff.
     """
-    du = time_derivative(u, prob.tmesh)
-    xi = prob.nl.alpha_eval(du)
-    psis = cc.fenchel_psi_star(xi, prob.nl, prob.smesh)
-    lhs = pairing(xi - np.roll(xi, 1, axis=0), du, prob.smesh)
+    du, xi, psis = stage.du, stage.xi, stage.psi_star
+    lhs = pairing(xi - np.roll(xi, 1, axis=0), du, stage.prob.smesh)
     d = np.asarray(lhs - (psis - np.roll(psis, 1)), dtype=float)
     # exact minimum over all nonempty circular windows via doubled prefix
     # sums; N is small enough that the quadratic sweep is immaterial
@@ -388,7 +383,7 @@ def _climb(
             return stages
         u = stage.u
         # the rung's own residual_AP, the perturbed one on a mu level
-        ap = _StageAt(u, prob, eps, DELTA, pf).residual_AP
+        ap = _StageAt(u, prob, eps, pf).residual_AP
         stagnated = (
             prev_ap is not None
             and ap <= params.resolved_stage_tol()

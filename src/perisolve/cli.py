@@ -472,10 +472,15 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     blk = cfg.block("verify", ("sample_count",))
     samples = _int(blk, "sample_count", "verify", 40, minimum=1)
+    # the audit reads only the problem and the seed, so it runs before any
+    # output: a sample count too large to allocate is a config error
+    try:
+        audit = growth_audit(cfg.problem, sample_count=samples, seed=cfg.seed)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError("verify.sample_count", f"{samples} samples: {exc}") from exc
     outdir = _ensure_dir(cfg.output_dir)
     final, payload = _solve_and_dump(cfg, outdir)
     suite = invariant_suite(final, cfg.cascade, rng=np.random.default_rng(cfg.seed + 1))
-    audit = growth_audit(cfg.problem, sample_count=samples, seed=cfg.seed)
     audit.to_csv(str(outdir / "growth_audit.csv"))
     audit.to_dat(str(outdir / "growth_audit.dat"))
     payload["command"] = "verify"
@@ -504,7 +509,10 @@ def _build_mms_spec(cfg: RunConfig):
             type(v) is not int for v in lv
         ):
             raise ConfigError("mms.levels", "expected [M, N] integer pairs")
-        _checked("mms.levels", _mms_level, spec, cfg.problem, *lv)
+        try:
+            _checked("mms.levels", _mms_level, spec, cfg.problem, *lv)
+        except MemoryError as exc:
+            raise ConfigError("mms.levels", f"level {lv}: {exc}") from exc
     return spec, tuple(map(tuple, levels))
 
 

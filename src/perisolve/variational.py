@@ -61,22 +61,22 @@ DELTA = 1e-8
 class _StageAt:
     """The stage equation at parameter eps, read at one trajectory u.
 
-    du, its rate xi = alpha(du) and the energy phi (smoothing delta,
-    perturbed by pf when given) are computed once, here; residual, F and
-    residual_AP are computed on first use and kept, and jacobian reads F's
-    Jacobian from the same evaluation.  eps may be zero, which drops the
-    time coupling and the lower-order terms of R; F keeps the coupling
-    through alpha(du).
+    du, its rate xi = alpha(du) and the energy phi (at the smoothing DELTA
+    as it reads now, perturbed by pf when given) are computed once, here;
+    residual, F, residual_AP and psi_star are computed on first use and
+    kept, and jacobian reads F's Jacobian from the same evaluation.  eps
+    may be zero, which drops the time coupling and the lower-order terms
+    of R; F keeps the coupling through alpha(du).
     """
 
     def __init__(
-        self, u: np.ndarray, prob: ProblemSpec, eps: float, delta: float,
+        self, u: np.ndarray, prob: ProblemSpec, eps: float,
         pf: cc.PerturbedFunctional | None = None,
     ) -> None:
-        self.u, self.prob, self.eps, self.delta = u, prob, eps, delta
+        self.u, self.prob, self.eps = u, prob, eps
         self.du = time_derivative(u, prob.tmesh)
         self.xi = prob.nl.alpha_eval(self.du)
-        self.phi = cc.PhiAt(u, prob.a, prob.m, delta, prob.smesh, pf)
+        self.phi = cc.PhiAt(u, prob.a, prob.m, DELTA, prob.smesh, pf)
 
     @cached_property
     def residual(self) -> np.ndarray:
@@ -99,21 +99,27 @@ class _StageAt:
         """Dual norm of alpha(du) + eta - f, as residual_AP; eps plays no part."""
         return dual_bochner_norm(self.xi + self.phi.grad - self.prob.f, self.prob)
 
-    def jacobian(self, slope: np.ndarray) -> _Jacobian:
-        """The Jacobian of R plus slope/dt times the backward-difference
+    @cached_property
+    def psi_star(self) -> np.ndarray:
+        """The conjugate rate functional psi*(xi) per slice."""
+        return cc.fenchel_psi_star(self.xi, self.prob.nl, self.prob.smesh)
+
+    def jacobian(self) -> _Jacobian:
+        """F's Jacobian: R's plus alpha'(du)/dt times the backward-difference
         block, by its coefficients per slice.
 
-        slope is alpha'(du) per slice, so that row (n, i) of alpha(du)
-        depends on u_n with weight slope/dt and on u_(n-1) with -slope/dt.
-        A zero slope leaves R's Jacobian.
+        Row (n, i) of alpha(du) depends on u_n with weight alpha'(du)/dt and
+        on u_(n-1) with -alpha'(du)/dt; at eps > 0 the same slope couples
+        R's time nodes.
         """
-        prob, eps, delta, u = self.prob, self.eps, self.delta, self.u
+        prob, eps, delta, u = self.prob, self.eps, self.phi.delta, self.u
         dt, dx = prob.tmesh.dt, prob.smesh.dx
         w = self.phi.weights
+        slope = prob.nl.alpha_derivative(self.du, delta)
         d = (w[:, :-1] + w[:, 1:]) / dx**2
         c = None
         if eps > 0.0:
-            c = eps * prob.nl.alpha_derivative(self.du, delta) / dt**2
+            c = eps * slope / dt**2
             d = d + c + np.roll(c, -1, axis=0)
             d = d + eps * prob.nl.alpha_derivative(u, delta)
             d = d + eps * cc._duality_diag(u, prob.p, delta, prob.smesh)
@@ -216,7 +222,6 @@ def newton_fixed_point(
     u0: np.ndarray,
     prob: ProblemSpec,
     eps: float,
-    delta: float,
     pf: cc.PerturbedFunctional | None,
     tol: float,
     max_iter: int,
@@ -224,7 +229,7 @@ def newton_fixed_point(
     """Newton on the stage equation at the dual forcing h = -alpha(du).
 
     The equation is F(u) = R(u) + alpha(du) = 0 with R the stage residual
-    at h = 0, the parameter eps and smoothing delta finite and >= 0, and
+    at h = 0, the parameter eps finite and >= 0, the smoothing DELTA and
     the forcing prob.f.  convexcore's Newton loop backtracks every step
     until the Bochner dual norm of F falls (halving it, or faster where the
     trial norms grow like a power of the step length).  Converged when that
@@ -242,15 +247,13 @@ def newton_fixed_point(
     """
     if not (0.0 <= eps < math.inf):
         raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
-    if not (0.0 <= delta < math.inf):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     u = validate_trajectory(u0, prob.smesh, prob.tmesh, "initial trajectory")
     N, M = u.shape
     lu = None
     kinds = {"exact_steps": 0, "band_steps": 0}
 
     def equation(v: np.ndarray) -> tuple[_StageAt, float]:
-        stage = _StageAt(v, prob, eps, delta, pf)
+        stage = _StageAt(v, prob, eps, pf)
         return stage, dual_bochner_norm(stage.F, prob)
 
     def stage_tol(stage: _StageAt) -> float:
@@ -258,7 +261,7 @@ def newton_fixed_point(
 
     def step(v: np.ndarray, stage: _StageAt) -> np.ndarray | None:
         nonlocal lu
-        jac = stage.jacobian(prob.nl.alpha_derivative(stage.du, delta))
+        jac = stage.jacobian()
         if jac.time_invariant():
             kinds["exact_steps"] += 1
             return jac.solve_time_invariant(-stage.F)
@@ -282,4 +285,4 @@ def residual_AP(u: np.ndarray, prob: ProblemSpec) -> float:
     at the solver's smoothing DELTA, in the p'-in-time V*-in-space norm.
     """
     u = validate_trajectory(u, prob.smesh, prob.tmesh, "trajectory")
-    return _StageAt(u, prob, 0.0, DELTA).residual_AP
+    return _StageAt(u, prob, 0.0).residual_AP

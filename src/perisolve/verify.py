@@ -16,7 +16,6 @@ import numpy as np
 
 from . import convexcore as cc
 from .cascade import (
-    DELTA,
     CascadeParams,
     StageResult,
     chain_rule_sum,
@@ -36,9 +35,8 @@ from .discretize import (
     norm_Vstar,
     norm_X,
     pairing,
-    time_derivative,
 )
-from .variational import residual_AP
+from .variational import DELTA, _StageAt, residual_AP
 
 __all__ = [
     "Table",
@@ -188,9 +186,8 @@ def derived_forcing(mms: MmsSpec, prob: ProblemSpec) -> np.ndarray:
     """
     smesh, tmesh = prob.smesh, prob.tmesh
     if mms.mode == "discrete_exact":
-        U = sample_exact(mms, smesh, tmesh)
-        dU = time_derivative(U, tmesh)
-        return prob.nl.alpha_eval(dU) + cc.PhiAt(U, prob.a, prob.m, DELTA, smesh).grad
+        at = _StageAt(sample_exact(mms, smesh, tmesh), prob, 0.0)
+        return at.xi + at.phi.grad
     a = _constant_diffusion(prob.a)
     k = np.pi / smesh.length
     space, tau, dtau = _profile(mms, smesh, tmesh)
@@ -291,10 +288,13 @@ def invariant_suite(
     smesh, tmesh = prob.smesh, prob.tmesh
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
     checks: list[dict] = []
+    # the unperturbed limit equation at u, read by every check below
+    at = _StageAt(u, prob, 0.0)
+    du, xi = at.du, at.xi
 
     # stationarity: the converged fixed point solves its stage equation
     if result.epsilon == 0.0 and result.mu == 0.0:
-        res = residual_AP(u, prob)
+        res = at.residual_AP
         tol = 20.0 * params.fp_tol * scale
     else:
         res = float(result.diagnostics.get("fixed_point_residual", np.inf))
@@ -302,16 +302,14 @@ def invariant_suite(
     checks.append(_check("stationarity", tol - res, tol))
 
     # periodic energy inequality: rate pairing cannot exceed forcing pairing
-    gap = -energy_margin(u, prob)
+    gap = -energy_margin(at)
     checks.append(_check("energy_inequality", 1e-8 * scale - gap, 1e-8 * scale))
 
     # chain rule sum: nonnegative and O(dt)
-    S = chain_rule_sum(u, prob, DELTA)
-    du = time_derivative(u, tmesh)
-    w = cc.PhiAt(u, prob.a, prob.m, DELTA, smesh).weights
+    S = chain_rule_sum(at)
     ddu = cell_gradient(du, smesh)
     predicted = 0.5 * tmesh.dt * float(
-        tmesh.dt * np.sum(smesh.dx * np.sum(w * ddu * ddu, axis=-1))
+        tmesh.dt * np.sum(smesh.dx * np.sum(at.phi.weights * ddu * ddu, axis=-1))
     )
     checks.append(_check("chain_rule_nonneg", S, 1e-10 * max(1.0, scale)))
     upper = max(4.0 * predicted, 1e-8 * scale)
@@ -320,10 +318,8 @@ def invariant_suite(
     # dual flow inequality over every window: every window defect sum is
     # nonnegative (exact Fenchel-Young direction) and the full-period total
     # is O(dt), predicted by the Bregman gaps 0.5 <dxi, d du> (exact at p=2)
-    xi = prob.nl.alpha_eval(du)
-    psis = cc.fenchel_psi_star(xi, prob.nl, smesh)
-    lf_scale = max(1.0, float(np.max(np.abs(psis))))
-    checks.append(_check("dual_flow_windows", lf_margin(u, prob), 1e-8 * lf_scale))
+    lf_scale = max(1.0, float(np.max(np.abs(at.psi_star))))
+    checks.append(_check("dual_flow_windows", lf_margin(at), 1e-8 * lf_scale))
     dxi = xi - np.roll(xi, 1, axis=0)
     defect_total = float(np.sum(pairing(dxi, du, smesh)))
     bregman = 0.5 * float(
@@ -370,7 +366,7 @@ def invariant_suite(
 
     # Fenchel-Young equality on the rate pairs (du, xi)
     psi = np.asarray(cc.eval_psi(du, prob.nl, smesh))
-    fy = np.abs(psi + psis - np.asarray(pairing(xi, du, smesh)))
+    fy = np.abs(psi + at.psi_star - np.asarray(pairing(xi, du, smesh)))
     fy_scale = max(1.0, float(np.max(np.abs(psi))))
     fy_tol = 1e-8 * fy_scale
     checks.append(_check("fenchel_young_pairs", fy_tol - float(np.max(fy)), fy_tol))
@@ -499,18 +495,24 @@ def mosco_experiment(
 # growth-envelope audit
 
 
-_INEQUALITIES = (
-    "state_by_rate_primitive",      # |u|_V^p <= C (psi(u) + 1)
-    "rate_grad_by_state",           # |d psi(u)|^p' <= C (|u|_V^p + 1)
-    "grad_norm_by_energy",          # |u|_X^m <= C (phi(u) + 1)
-    "energy_grad_by_grad_norm",     # |eta|^m' <= C (|u|_X^m + 1)
-    "rate_grad_by_primitive",       # |d psi(u)|^p' <= C (psi(u) + 1)
-    "primitive_by_state",           # psi(u) <= C (|u|_V^p + 1)
-    "state_by_rate_grad",           # |u|_V^p <= C (|d psi(u)|^p' + 1)
-    "energy_grad_by_energy",        # |eta|^m' <= C (phi(u) + 1)
-    "energy_by_grad_norm",          # phi(u) <= C (|u|_X^m + 1)
-    "grad_norm_by_energy_grad",     # |u|_X^m <= C (|eta|^m' + 1)
-)
+# inequality lhs <= C (rhs + 1) by name, as the keys of its two quantities:
+# state |u|_V^p, primitive psi(u), rate_grad |d psi(u)|^p', grad_norm
+# |u|_X^m, energy phi(u) and energy_grad |eta|^m'
+_INEQUALITIES = {
+    "state_by_rate_primitive": ("state", "primitive"),
+    "rate_grad_by_state": ("rate_grad", "state"),
+    "grad_norm_by_energy": ("grad_norm", "energy"),
+    "energy_grad_by_grad_norm": ("energy_grad", "grad_norm"),
+    "rate_grad_by_primitive": ("rate_grad", "primitive"),
+    "primitive_by_state": ("primitive", "state"),
+    "state_by_rate_grad": ("state", "rate_grad"),
+    "energy_grad_by_energy": ("energy_grad", "energy"),
+    "energy_by_grad_norm": ("energy", "grad_norm"),
+    "grad_norm_by_energy_grad": ("grad_norm", "energy_grad"),
+}
+# the rate side's quantities: an inequality between two of them is exactly
+# homogeneous only for a power rate map
+_RATE_SIDE = {"state", "primitive", "rate_grad"}
 
 
 def growth_audit(prob: ProblemSpec, sample_count: int, seed: int = 0) -> Table:
@@ -545,29 +547,15 @@ def growth_audit(prob: ProblemSpec, sample_count: int, seed: int = 0) -> Table:
         eta = energy.grad
         eta_n = np.asarray(norm_Vstar(eta, mc, smesh)) ** mc
         xm = np.asarray(norm_X(u, m, smesh)) ** m
-        pairs = {
-            "state_by_rate_primitive": (up, psi),
-            "rate_grad_by_state": (dpsi_n, up),
-            "grad_norm_by_energy": (xm, phi),
-            "energy_grad_by_grad_norm": (eta_n, xm),
-            "rate_grad_by_primitive": (dpsi_n, psi),
-            "primitive_by_state": (psi, up),
-            "state_by_rate_grad": (up, dpsi_n),
-            "energy_grad_by_energy": (eta_n, phi),
-            "energy_by_grad_norm": (phi, xm),
-            "grad_norm_by_energy_grad": (xm, eta_n),
+        quantity = {
+            "state": up, "primitive": psi, "rate_grad": dpsi_n,
+            "grad_norm": xm, "energy": phi, "energy_grad": eta_n,
         }
-        for name in _INEQUALITIES:
-            lhs, rhs = pairs[name]
+        for name, keys in _INEQUALITIES.items():
+            lhs, rhs = (quantity[k] for k in keys)
             affine = float(np.max(lhs / (rhs + 1.0)))
             homog = float(np.max(lhs / np.maximum(rhs, 1e-300)))
-            if not power_kind and name in (
-                "state_by_rate_primitive",
-                "rate_grad_by_state",
-                "rate_grad_by_primitive",
-                "primitive_by_state",
-                "state_by_rate_grad",
-            ):
+            if not power_kind and _RATE_SIDE.issuperset(keys):
                 homog = float("nan")  # only power maps are exactly homogeneous
             table.add(name, dec, affine, homog)
     finite = np.isfinite(table.column("affine_constant").astype(float))

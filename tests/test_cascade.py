@@ -38,6 +38,21 @@ def test_params_validation_and_stage_tol():
                 "mu_schedule", "alpha_exp", "delta", "max_fp_iter"):
         with pytest.raises(TypeError, match=key):
             ca.CascadeParams(**{key: 1})
+    # the stage layer reads the smoothing DELTA, and alpha's slope from its
+    # own evaluation
+    prob, u = unit_problem(2.0, 2.0, 4, 3), np.zeros((3, 4))
+    at = var._StageAt(u, prob, 0.0)
+    for call in (
+        lambda: var._StageAt(u, prob, 0.0, delta=1e-8),
+        lambda: var.newton_fixed_point(
+            u, prob, 0.0, pf=None, tol=1e-10, max_iter=5, delta=1e-8
+        ),
+        lambda: ca.chain_rule_sum(at, delta=1e-8),
+    ):
+        with pytest.raises(TypeError, match="delta"):
+            call()
+    with pytest.raises(TypeError, match="slope"):
+        at.jacobian(slope=np.ones((3, 4)))
     for key, bad, match in (
         ("fp_tol", np.nan, "fp_tol"),
         ("stage_tol", np.inf, "stage_tol"),
@@ -77,7 +92,7 @@ def test_affine_fixed_point_matches_dense_solve():
     # assemble its dense Jacobian column by column, not through the band,
     # and solve F(u) = 0 independently
     prob = unit_problem(2.0, 2.0, 4, 4)
-    F = stage_equation(prob, 0.25, ca.DELTA)
+    F = stage_equation(prob, 0.25)
     u_direct = dense_affine_zero(F, (4, 4))
     params = ca.CascadeParams(fp_tol=1e-12, stage_tol=1e-13)
     stage = ca.fixed_point_solve(prob, 0.25, params)
@@ -333,7 +348,7 @@ def test_linear_cascade_matches_independent_cyclic_solve():
 def test_lf_margin_matches_brute_force(rng):
     prob = unit_problem(2.5, 2.0, 5, 7)
     u = 0.3 * rng.normal(size=(7, 5))
-    got = ca.lf_margin(u, prob)
+    got = ca.lf_margin(var._StageAt(u, prob, 0.0))
     du = time_derivative(u, prob.tmesh)
     xi = prob.nl.alpha_eval(du)
     psis = cc.fenchel_psi_star(xi, prob.nl, prob.smesh)
@@ -352,13 +367,13 @@ def test_lf_margin_nonnegative_on_solutions():
     prob = unit_problem(2.0, 3.0, 8, 8)
     stages = ca.epsilon_continuation(prob, ca.CascadeParams())
     scale = 1.0 + abs(float(np.sum(np.abs(rate(stages[-1], prob)))))
-    assert ca.lf_margin(stages[-1].u, prob) >= -1e-10 * scale
+    assert ca.lf_margin(var._StageAt(stages[-1].u, prob, 0.0)) >= -1e-10 * scale
 
 
 def test_energy_margin_nonnegative_at_solution():
     prob = unit_problem(2.0, 3.0, 8, 8)
     stages = ca.epsilon_continuation(prob, ca.CascadeParams())
-    assert ca.energy_margin(stages[-1].u, prob) >= -1e-8
+    assert ca.energy_margin(var._StageAt(stages[-1].u, prob, 0.0)) >= -1e-8
 
 
 def test_direct_newton_oracle():
@@ -382,7 +397,7 @@ def test_direct_newton_oracle():
 def test_chain_rule_sum_is_finite_and_small():
     prob = unit_problem(2.5, 3.0, 8, 8)
     stages = ca.epsilon_continuation(prob, ca.CascadeParams())
-    s = ca.chain_rule_sum(stages[-1].u, prob, delta=1e-8)
+    s = ca.chain_rule_sum(var._StageAt(stages[-1].u, prob, 0.0))
     assert np.isfinite(s)
     assert abs(s) <= 1.0  # O(dt) defect on a unit problem
 
@@ -407,10 +422,10 @@ def test_stage_report_reads_the_equation_the_stage_solved():
     assert pf.alpha_exp != ca._perturbation_exponent(prob.p, prob.m)
     stage = ca.fixed_point_solve(prob, 0.0, ca.CascadeParams(), pf=pf)
     assert stage.converged
-    at = var._StageAt(stage.u, prob, 0.0, ca.DELTA, pf)
+    at = var._StageAt(stage.u, prob, 0.0, pf)
     report = ca.stage_report(stage)
     assert report == {
-        "energy_margin": ca._energy_margin(at.du, at.xi, prob),
+        "energy_margin": ca.energy_margin(at),
         "residual_AP": at.residual_AP,
         "audit": ca.stage_audit(at),
     }
@@ -447,8 +462,11 @@ def test_stage_bookkeeping_reads_newtons_last_evaluation(monkeypatch):
 
         return newton(u, counted_equation, *args)
 
+    # cascade reads du off the stage: were it to take du itself, the count
+    # would see it
     for mod in (ca, var):
-        monkeypatch.setattr(mod, "time_derivative", counted_time_derivative)
+        monkeypatch.setattr(mod, "time_derivative", counted_time_derivative,
+                            raising=False)
     monkeypatch.setattr(cc, "_newton", counted_newton)
     stages = climb(unit_problem(2.5, 3.0, 5, 4))
     assert len(stages) == 16 and counts["iterates"] > 0

@@ -394,8 +394,7 @@ class TestSolve:
         # and, at eps > 0, the lower-order terms all vanish, so the exact
         # step's symbol is zero at theta = 0 on every stage
         monkeypatch.setattr(cascade, "EPSILON_SCHEDULE", (0.5,))
-        for mod in (cascade, var):
-            monkeypatch.setattr(mod, "DELTA", 0.0)
+        monkeypatch.setattr(var, "DELTA", 0.0)
         doc = {"problem": small_problem(p=3.0, m=3.0)}
         self.assert_singular_at_the_start(tmp_path, doc)
 
@@ -702,7 +701,7 @@ def test_library_solves_compute_no_report_field(
     params = cascade.CascadeParams()
     with monkeypatch.context() as patch:
         patch.setattr(cascade, "stage_audit", refuse)
-        patch.setattr(cascade, "_energy_margin", refuse)
+        patch.setattr(cascade, "energy_margin", refuse)
         seq = vf.MoscoSequenceSpec(
             "diffusion_perturbation", unit_problem(2.0, 2.0, 8, 8), (1, 2, 3)
         )
@@ -780,7 +779,7 @@ def test_report_holds_each_stages_report_fields(
         fields = cascade.stage_report(stage)
         assert {key: entry[key] for key in fields} == fields
         assert fields == {
-            "energy_margin": cascade._energy_margin(at.du, at.xi, at.prob),
+            "energy_margin": cascade.energy_margin(at),
             "residual_AP": at.residual_AP,
             "audit": cascade.stage_audit(at),
         }
@@ -797,7 +796,7 @@ def test_final_residual_of_a_perturbed_stage_is_the_unperturbed_one():
     prob = unit_problem(3.0, 2.0, 6, 4)
     u = np.outer(1.0 + np.sin(2.0 * np.pi * prob.tmesh.times), prob.smesh.nodes)
     pf = cc.PerturbedFunctional(0.1, 1.0)
-    own = var._StageAt(u, prob, 0.0, cascade.DELTA, pf).residual_AP
+    own = var._StageAt(u, prob, 0.0, pf).residual_AP
     stage = cascade.StageResult(u, prob, 0.0, pf, {"residual_AP": own})
     payload = cli._solve_payload(stage, [stage], "mu")
     unperturbed = var.residual_AP(u, prob)
@@ -1158,6 +1157,30 @@ def test_grid_too_large_to_allocate_is_a_config_error(tmp_path):
     proc = run_capped(path, out, 3 << 30)
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "config error: problem.M: an N x M = 8 x 1000000000 grid" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [10**15, 10**18])
+def test_sample_count_too_large_to_allocate_is_a_config_error(tmp_path, capsys, count):
+    # 10**15 samples of 4 nodes are 28.4 PiB, which no allocator grants, and
+    # 10**18 are more bytes than numpy can count; the growth audit runs
+    # before the solve, so the run exits 1 before any output
+    doc = {"problem": small_problem(M=4, N=4), "verify": {"sample_count": count}}
+    out = tmp_path / "v"
+    argv = ["verify", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_CONFIG
+    assert "config error: verify.sample_count" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mms_level_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
+    # the forcing of a 10**8 x 10**8 level is 71.1 PiB, which no allocator
+    # grants: the run exits 1 naming the levels before any output
+    doc = {"problem": small_problem(), "mms": {"levels": [[4, 4], [10**8, 10**8]]}}
+    out = tmp_path / "m"
+    argv = ["mms", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_CONFIG
+    assert "config error: mms.levels" in capsys.readouterr().err
     assert not out.exists()
 
 

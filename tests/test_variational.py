@@ -13,10 +13,10 @@ from perisolve.variational import _StageAt, newton_fixed_point, residual_AP
 from util import dense_affine_zero, mms_problem, stage_equation, unit_problem
 
 
-def stage_args(prob, eps, delta=1e-6, pf=None):
-    """(prob, eps, delta, pf) of one stage equation, as _StageAt and
+def stage_args(prob, eps, pf=None):
+    """(prob, eps, pf) of one stage equation, as _StageAt and
     newton_fixed_point take them."""
-    return prob, eps, delta, pf
+    return prob, eps, pf
 
 
 def band_workspace(N, M):
@@ -47,24 +47,22 @@ def test_config_validation():
     prob = unit_problem(2.0, 2.0, 4, 3)
     u0 = np.zeros((3, 4))
     with pytest.raises(ValueError, match="epsilon"):
-        newton_fixed_point(u0, prob, -0.1, 0.0, None, 1e-10, 5)
+        newton_fixed_point(u0, prob, -0.1, None, 1e-10, 5)
     for eps in (np.nan, np.inf):
         with pytest.raises(ValueError, match="epsilon"):
-            newton_fixed_point(u0, prob, eps, 0.0, None, 1e-10, 5)
-    for delta in (-1e-8, np.nan, np.inf):
-        with pytest.raises(ValueError, match="delta"):
-            newton_fixed_point(u0, prob, 0.1, delta, None, 1e-10, 5)
+            newton_fixed_point(u0, prob, eps, None, 1e-10, 5)
 
 
-def test_gradient_matches_fd_plain(rng):
+def test_gradient_matches_fd_plain(rng, monkeypatch):
     # the slice residual is the pairing gradient, over dt, of the reference
     # stage objective, also for the power-perturbed energy of the mu route
     mu_pf = cc.PerturbedFunctional(mu=0.1, alpha_exp=1.0)
     for p, m, delta, pf in ((2.5, 3.0, 1e-6, None), (3.0, 2.0, 1e-3, mu_pf)):
+        monkeypatch.setattr(var, "DELTA", delta)
         prob = unit_problem(p, m, 6, 5)
         u = 0.3 * rng.normal(size=(5, 6))
         fd = fd_gradient(lambda v: stage_objective(prob, 0.1, delta, v, pf), u)
-        R = _StageAt(u, prob, 0.1, delta, pf).residual
+        R = _StageAt(u, prob, 0.1, pf).residual
         assert np.allclose(fd, prob.smesh.dx * prob.tmesh.dt * R, rtol=1e-6, atol=1e-9)
 
 
@@ -76,7 +74,7 @@ def test_minimizer_matches_dense_linear_solve(M, N):
     # time, gets there in one Newton step by the DFT solve.  At N = 2 both
     # time couplings of a node pair share one band row.
     prob = unit_problem(2.0, 2.0, M, N)
-    args = stage_args(prob, 0.25, delta=0.0)
+    args = stage_args(prob, 0.25)
     u_direct = dense_affine_zero(stage_equation(*args), (N, M))
     stage, history, converged, _ = newton_fixed_point(np.zeros((N, M)), *args, 1e-12, 1)
     assert converged
@@ -84,16 +82,18 @@ def test_minimizer_matches_dense_linear_solve(M, N):
     assert np.abs(stage.u - u_direct).max() <= 1e-10
 
 
-def test_band_hessian_matches_fd_jacobian(rng):
+def test_band_hessian_matches_fd_jacobian(rng, monkeypatch):
     # p = 2, m = 3 with eps, delta > 0 drops no Hessian term, and a zero
-    # alpha slope leaves R's block, so the band unpacked to a dense matrix
+    # alpha slope block leaves R's, so the band unpacked to a dense matrix
     # is the Jacobian of the slice residual
+    monkeypatch.setattr(var, "DELTA", 1e-2)
     N, M = 4, 5
     prob = unit_problem(2.0, 3.0, M, N)
-    args = stage_args(prob, 0.3, delta=1e-2)
+    args = stage_args(prob, 0.3)
     u = rng.normal(size=(N, M))
     lu = band_workspace(N, M)
-    _StageAt(u, *args).jacobian(np.zeros((N, M))).write_band(lu)
+    jac = _StageAt(u, *args).jacobian()
+    jac._replace(s=np.zeros_like(jac.s)).write_band(lu)
     H = unpack_band(lu, N)
     assert np.array_equal(H, H.T)
     # band index i*N + n of trajectory entry (n, i), in trajectory order
@@ -111,18 +111,18 @@ def test_band_hessian_matches_fd_jacobian(rng):
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])
-def test_fixed_point_band_matches_fd_jacobian(rng, N):
+def test_fixed_point_band_matches_fd_jacobian(rng, monkeypatch, N):
     # p = 2, m = 3 with eps, delta > 0 drops no term, so the general band
     # unpacked to a dense matrix is the Jacobian of F(u) = R(u) + alpha(du);
     # at N = 2 the wrap and the time coupling share a band row
+    monkeypatch.setattr(var, "DELTA", 1e-2)
     M = 4
     prob = unit_problem(2.0, 3.0, M, N)
-    args = stage_args(prob, 0.3, delta=1e-2)
+    args = stage_args(prob, 0.3)
     F = stage_equation(*args)
     u = rng.normal(size=(N, M))
-    du = time_derivative(u, prob.tmesh)
     lu = band_workspace(N, M)
-    _StageAt(u, *args).jacobian(prob.nl.alpha_derivative(du, 1e-2)).write_band(lu)
+    _StageAt(u, *args).jacobian().write_band(lu)
     assert not lu[:N].any()  # the fill rows of the factorization
     D = N * M
     A = unpack_band(lu, N)
@@ -157,8 +157,7 @@ def check_exact_step(rng, N, M, p, m, eps, varying, constant):
     if varying:
         prob = dataclasses.replace(prob, a=cc.DiffusionField(1.0 + rng.random(M + 1)))
     u = np.tile(rng.normal(size=M), (N, 1)) if constant else rng.normal(size=(N, M))
-    stage = _StageAt(u, prob, eps, 1e-6)
-    jac = stage.jacobian(prob.nl.alpha_derivative(stage.du, 1e-6))
+    jac = _StageAt(u, prob, eps).jacobian()
     assert jac.time_invariant()
     b = rng.normal(size=(N, M))
     x = jac.solve_time_invariant(b)
@@ -192,8 +191,7 @@ def test_exact_step_keeps_a_time_constant_right_side_time_constant(rng, N):
     # step exact, only while each step is time-constant bit for bit; at odd
     # N the DFT of a time-constant field has roundoff at k > 0
     prob = unit_problem(1.545433250897403, 1.5303233600342203, 9, N)
-    stage = _StageAt(np.zeros((N, 9)), prob, 0.0, 1e-8)
-    jac = stage.jacobian(prob.nl.alpha_derivative(stage.du, 1e-8))
+    jac = _StageAt(np.zeros((N, 9)), prob, 0.0).jacobian()
     for _ in range(20):
         x = jac.solve_time_invariant(np.tile(rng.normal(size=9), (N, 1)))
         assert (x == x[0]).all()
@@ -207,7 +205,7 @@ def test_steady_forcing_at_odd_n_takes_only_exact_steps():
     f = 2.5608407547689307 * np.sin(3.0 * np.pi * prob.smesh.nodes)
     prob = dataclasses.replace(prob, f=np.broadcast_to(f, prob.f.shape).copy())
     stage, history, converged, kinds = newton_fixed_point(
-        np.zeros((5, 3)), prob, 0.0, 1e-8, None, 5e-12, 400
+        np.zeros((5, 3)), prob, 0.0, None, 5e-12, 400
     )
     assert converged and (stage.u == stage.u[0]).all()
     assert kinds == {"exact_steps": len(history) - 1, "band_steps": 0}
@@ -228,8 +226,7 @@ def test_time_varying_coefficients_take_the_band(rng, monkeypatch, p, m):
     N, M = 4, 5
     args = stage_args(unit_problem(p, m, M, N), 0.0)
     u = rng.normal(size=(N, M))
-    stage = _StageAt(u, *args)
-    assert not stage.jacobian(args[0].nl.alpha_derivative(stage.du, 1e-6)).time_invariant()
+    assert not _StageAt(u, *args).jacobian().time_invariant()
     newton_fixed_point(u, *args, 1e-10, 1)
     assert len(calls) == 1
 
@@ -278,9 +275,10 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
 
     monkeypatch.setattr(var, "dgbsv", spy)
     monkeypatch.setattr(var._Jacobian, "solve_time_invariant", exact_spy)
+    monkeypatch.setattr(var, "DELTA", 1e-2)
     N, M = 3, 5
     prob = unit_problem(2.5, 3.0, M, N)
-    args = stage_args(prob, 0.1, delta=1e-2)
+    args = stage_args(prob, 0.1)
     _, history, converged, _ = newton_fixed_point(np.zeros((N, M)), *args, 1e-10, 50)
     assert converged and len(order) == len(history) - 1
     assert order == ["exact"] + ["band"] * len(calls) and len(calls) >= 2
@@ -291,9 +289,7 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
         assert np.shares_memory(lu, ab)
     # the writer re-zeroes the workspace: written over the factors of the
     # last step, it holds the same band as written into zeros
-    u = rng.normal(size=(N, M))
-    slope = prob.nl.alpha_derivative(time_derivative(u, prob.tmesh), 1e-2)
-    jac = _StageAt(u, *args).jacobian(slope)
+    jac = _StageAt(rng.normal(size=(N, M)), *args).jacobian()
     fresh = band_workspace(N, M)
     jac.write_band(fresh)
     lu = fresh.copy(order="F")
@@ -323,24 +319,26 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
 
     monkeypatch.setattr(var, "time_derivative", counted_time_derivative)
     monkeypatch.setattr(cc, "_newton", counted_newton)
-    args = stage_args(unit_problem(2.5, 3.0, 5, 4), 0.1, delta=1e-2)
+    monkeypatch.setattr(var, "DELTA", 1e-2)
+    args = stage_args(unit_problem(2.5, 3.0, 5, 4), 0.1)
     _, history, converged, _ = newton_fixed_point(np.zeros((4, 5)), *args, 1e-10, 50)
     assert converged and len(history) >= 3
     assert counts["time_derivative"] == counts["iterates"] >= len(history)
 
 
 @pytest.mark.filterwarnings("error")
-def test_singular_jacobian_stops_newton_unconverged():
+def test_singular_jacobian_stops_newton_unconverged(monkeypatch):
     # at delta = 0 and m = 3 the energy has no curvature at u = 0, and the
     # periodic backward difference annihilates time-constant trajectories;
     # at p = 3 alpha has no slope at 0 and the duality map no block at a
     # zero slice, so eps adds nothing.  F's Jacobian is singular there: the
     # exact step reports it, without a warning, and no step is taken
+    monkeypatch.setattr(var, "DELTA", 0.0)
     N, M = 3, 4
     for p, eps in ((2.0, 0.0), (3.0, 0.5)):
-        args = stage_args(unit_problem(p, 3.0, M, N), eps, delta=0.0)
+        args = stage_args(unit_problem(p, 3.0, M, N), eps)
         stage = _StageAt(np.zeros((N, M)), *args)
-        jac = stage.jacobian(args[0].nl.alpha_derivative(stage.du, 0.0))
+        jac = stage.jacobian()
         assert jac.time_invariant() and jac.solve_time_invariant(-stage.F) is None
         stage, history, converged, _ = newton_fixed_point(
             np.zeros((N, M)), *args, 1e-10, 5
@@ -400,7 +398,7 @@ def test_stage_residual_vanishes_at_minimizer():
         F = stage_equation(*args)(u)
         assert history[-1] == dual_bochner_norm(F, prob) <= 1e-9
     per_slice = (
-        cc.PhiAt(u, prob.a, prob.m, 1e-6, prob.smesh).grad
+        cc.PhiAt(u, prob.a, prob.m, var.DELTA, prob.smesh).grad
         + prob.nl.alpha_eval(time_derivative(u, prob.tmesh))
         - prob.f
     )

@@ -5,6 +5,7 @@ import pytest
 
 import perisolve.cascade as ca
 import perisolve.convexcore as cc
+import perisolve.variational as var
 import perisolve.verify as vf
 from perisolve.discretize import SpatialMesh, TemporalMesh, time_derivative
 from util import bump_mms, unit_problem
@@ -92,7 +93,7 @@ class TestMmsSpecs:
         f = vf.derived_forcing(mms, prob)
         U = vf.sample_exact(mms, prob.smesh, prob.tmesh)
         dU = time_derivative(U, prob.tmesh)
-        phi = cc.PhiAt(U, prob.a, prob.m, ca.DELTA, prob.smesh)
+        phi = cc.PhiAt(U, prob.a, prob.m, var.DELTA, prob.smesh)
         assert np.array_equal(f, prob.nl.alpha_eval(dU) + phi.grad)
         zf = vf.derived_forcing(vf.MmsSpec("zero"), prob)
         assert np.all(zf == 0.0)
@@ -227,6 +228,31 @@ class TestInvariantSuite:
         assert not rep["all_passed"]
         by_name = {c["name"]: c for c in rep["checks"]}
         assert not by_name["stationarity"]["passed"]
+
+    def test_suite_evaluates_the_trajectory_once(self, monkeypatch):
+        # one stage evaluation at u serves every check: one time derivative
+        # and one energy of the whole trajectory (the slice checks build
+        # their own energies of single slices)
+        prob = unit_problem(2.5, 3.0, 8, 8)
+        params = ca.CascadeParams()
+        final, _, _ = ca.solve_routed(prob, params)
+        counts = {"PhiAt": 0, "time_derivative": 0}
+        phi_at = cc.PhiAt
+
+        def counted_phi_at(u, *args, **kwargs):
+            counts["PhiAt"] += np.ndim(u) == 2
+            return phi_at(u, *args, **kwargs)
+
+        def counted_time_derivative(*args, **kwargs):
+            counts["time_derivative"] += 1
+            return time_derivative(*args, **kwargs)
+
+        monkeypatch.setattr(cc, "PhiAt", counted_phi_at)
+        for mod in (var, ca, vf):
+            monkeypatch.setattr(mod, "time_derivative", counted_time_derivative,
+                                raising=False)
+        vf.invariant_suite(final, params)
+        assert counts == {"PhiAt": 1, "time_derivative": 1}
 
 
 class TestMosco:

@@ -68,9 +68,9 @@ def mms_problem(p, m, M, N):
     return prob, sample_exact(mms, prob.smesh, prob.tmesh)
 
 
-def stage_equation(prob, eps, delta, pf=None):
+def stage_equation(prob, eps, pf=None):
     """F(u) = R(u) + alpha(du), the stage equation at h = -alpha(du)."""
-    return lambda v: _StageAt(v, prob, eps, delta, pf).F
+    return lambda v: _StageAt(v, prob, eps, pf).F
 
 
 def dense_affine_zero(F, shape):
