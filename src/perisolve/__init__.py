@@ -29,6 +29,7 @@ from .verify import (
     Table,
     growth_audit,
     invariant_suite,
+    mms_level,
     mms_run,
     mosco_experiment,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "Table",
     "growth_audit",
     "invariant_suite",
+    "mms_level",
     "mms_run",
     "mosco_experiment",
     "__version__",

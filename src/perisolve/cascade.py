@@ -165,8 +165,10 @@ def fixed_point_solve(
     the end, and the stage has converged when that norm is within the
     stage tolerance.  The diagnostics hold what Newton measured; the energy
     margin, residual_AP and the audit are left to stage_report.
-    Non-convergence is reported, not raised.
+    Non-convergence is reported, not raised.  The stage logs one INFO line
+    with its wall time, which the diagnostics do not hold.
     """
+    t0 = time.perf_counter()
     u = np.zeros_like(prob.f) if u0 is None else u0
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
     # min(1, dt) shrinks the bound with the time step below dt = 1, although
@@ -192,6 +194,8 @@ def fixed_point_solve(
     if not converged:
         log.warning("fixed point at eps=%.3e mu=%.3e stalled at residual %.3e",
                     eps, result.mu, res)
+    log.info("eps=%.3e fp_res=%.3e newton=%d wall=%.3fs", eps, res,
+             len(history) - 1, time.perf_counter() - t0)
     return result
 
 
@@ -334,11 +338,10 @@ def epsilon_continuation(
     is the failed attempt alone: another attempt from u0 would repeat it.
     """
     sched = EPSILON_SCHEDULE if schedule is None else tuple(schedule)
-    # the target attempt is a climb with no rung but its target
-    target = _climb(prob, params, (), pf, u0)
-    if target[-1].converged or not sched:
-        return target
-    return target + _climb(prob, params, sched, pf, u0)
+    target = fixed_point_solve(prob, 0.0, params, pf=pf, u0=u0)
+    if target.converged or not sched:
+        return [target]
+    return [target, *_climb(prob, params, sched, pf, u0)]
 
 
 def _climb(
@@ -361,24 +364,9 @@ def _climb(
     stages: list[StageResult] = []
     u = u0
     prev_ap = None
-
-    def run(eps: float) -> StageResult:
-        t0 = time.perf_counter()
-        stage = fixed_point_solve(prob, eps, params, pf=pf, u0=u)
-        d = stage.diagnostics
-        d["wall_time"] = time.perf_counter() - t0
-        stages.append(stage)
-        log.info(
-            "eps=%.3e fp_res=%.3e newton=%d wall=%.3fs",
-            eps,
-            d["fixed_point_residual"],
-            d["fixed_point_newton_steps"],
-            d["wall_time"],
-        )
-        return stage
-
     for eps in sched:
-        stage = run(eps)
+        stage = fixed_point_solve(prob, eps, params, pf=pf, u0=u)
+        stages.append(stage)
         if stage.diverged:
             return stages
         u = stage.u
@@ -392,7 +380,7 @@ def _climb(
         if stagnated:
             break
         prev_ap = ap
-    run(0.0)
+    stages.append(fixed_point_solve(prob, 0.0, params, pf=pf, u0=u))
     return stages
 
 
@@ -403,13 +391,13 @@ def solve_routed(
 
     m > p runs the plain route: one unperturbed epsilon continuation on the
     full ladder.  m <= p, or route="mu" for any pair (a consistency check
-    against the plain route when m > p), takes the perturbation path: a
-    list of levels, one per mu and then a mu = 0 level, each an epsilon
+    against the plain route when m > p), takes the perturbation path: one
+    level per mu of MU_SCHEDULE and then a mu = 0 level, each an epsilon
     continuation warm started from the last stage.  The first level climbs
     the full ladder when it has to, later ones its last mu_eps_truncate
-    entries.  The mu levels are MU_SCHEDULE, the perturbation's exponent
-    that of _perturbation_exponent.  A level whose last stage diverges ends
-    the walk.
+    entries.  The perturbation's exponent is that of
+    _perturbation_exponent.  A level whose last stage diverges ends the
+    walk.
 
     route="auto" takes the shortest path there: it first solves the
     unperturbed eps = 0 stage from u = 0.  The perturbation is there for
@@ -424,24 +412,20 @@ def solve_routed(
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")
-    full = EPSILON_SCHEDULE
     plain = route == "auto" and prob.m > prob.p
-    if not plain:
-        tail = full[-params.mu_eps_truncate:]
-        levels = [
-            (_perturbation(mu, prob), tail if k else full)
-            for k, mu in enumerate((*MU_SCHEDULE, 0.0))
-        ]
     stages: list[StageResult] = []
     if route == "auto":
         # the unperturbed target from u = 0; the plain route's continuation
         # climbs its ladder from there when the target fails
-        stages = epsilon_continuation(prob, params, schedule=full if plain else ())
+        stages = epsilon_continuation(prob, params, schedule=None if plain else ())
         if plain or stages[-1].converged:
             return stages[-1], stages, "plain" if plain else "mu"
     u = None
-    for pf, sched in levels:
-        walk = epsilon_continuation(prob, params, pf=pf, u0=u, schedule=sched)
+    for k, mu in enumerate((*MU_SCHEDULE, 0.0)):
+        sched = EPSILON_SCHEDULE[-params.mu_eps_truncate:] if k else EPSILON_SCHEDULE
+        walk = epsilon_continuation(
+            prob, params, pf=_perturbation(mu, prob), u0=u, schedule=sched
+        )
         stages += walk
         u = walk[-1].u
         if walk[-1].diverged:

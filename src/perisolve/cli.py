@@ -37,9 +37,9 @@ from .verify import (
     MoscoSequenceSpec,
     Table,
     _constant_diffusion,
-    _mms_level,
     growth_audit,
     invariant_suite,
+    mms_level,
     mms_run,
     mosco_experiment,
 )
@@ -298,10 +298,10 @@ def _build_problem(doc: dict) -> ProblemSpec:
         raise ConfigError("problem.m", f"must exceed 1, got {m}")
     L = _number(pb, "L", path, 1.0)
     T = _number(pb, "T", path, 1.0)
-    M = _int(pb, "M", path, 32)
-    N = _int(pb, "N", path, 32)
-    smesh = _checked(path, SpatialMesh, L, M)
-    tmesh = _checked(path, TemporalMesh, T, N)
+    M = _int(pb, "M", path, 32, minimum=1)
+    N = _int(pb, "N", path, 32, minimum=2)
+    smesh = _checked(f"{path}.L", SpatialMesh, L, M)
+    tmesh = _checked(f"{path}.T", TemporalMesh, T, N)
     # the larger count is the one to shrink
     too_large = ConfigError(
         f"{path}.{'M' if M >= N else 'N'}",
@@ -393,11 +393,10 @@ def _ensure_dir(path: str) -> Path:
 
 
 def _stage_summary(stage: StageResult) -> dict:
-    """A stage's diagnostics minus history and timer, with its report fields
-    (stage_report); reruns write equal bytes."""
+    """A stage's diagnostics minus its residual history, with its report
+    fields (stage_report); reruns write equal bytes."""
     d = dict(stage.diagnostics)
     d.pop("residual_history", None)
-    d.pop("wall_time", None)
     return {"epsilon": stage.epsilon, "mu": stage.mu, **d, **stage_report(stage)}
 
 
@@ -493,7 +492,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return code
 
 
-def _build_mms_spec(cfg: RunConfig):
+def _build_mms_spec(cfg: RunConfig) -> tuple[MmsSpec, list[ProblemSpec]]:
+    """The mms block's manufactured solution and its level problems, each
+    built once here, where building it validates it."""
     blk = cfg.block("mms", ("exact", "mode", "levels"))
     name = _get(blk, "exact", "mms", str, "separable_bump")
     mode = _get(blk, "mode", "mms", str, "discrete_exact")
@@ -504,22 +505,23 @@ def _build_mms_spec(cfg: RunConfig):
     levels = _get(blk, "levels", "mms", list, [[8, 8], [16, 16], [32, 32]])
     if not levels:
         raise ConfigError("mms.levels", "expected at least one [M, N] level")
+    probs = []
     for lv in levels:
         if not isinstance(lv, list) or len(lv) != 2 or any(
             type(v) is not int for v in lv
         ):
             raise ConfigError("mms.levels", "expected [M, N] integer pairs")
         try:
-            _checked("mms.levels", _mms_level, spec, cfg.problem, *lv)
+            probs.append(_checked("mms.levels", mms_level, spec, cfg.problem, *lv))
         except MemoryError as exc:
             raise ConfigError("mms.levels", f"level {lv}: {exc}") from exc
-    return spec, tuple(map(tuple, levels))
+    return spec, probs
 
 
 def cmd_mms(cfg: RunConfig) -> int:
     spec, levels = _build_mms_spec(cfg)
     outdir = _ensure_dir(cfg.output_dir)
-    table = mms_run(spec, cfg.problem, cfg.cascade, levels)
+    table = mms_run(spec, levels, cfg.cascade)
     return _write_study(outdir, "mms", table, cfg)
 
 
@@ -601,11 +603,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 _COMMANDS = {
-    "solve": "run the regularization cascade and write the trajectory",
-    "verify": "solve, then run the invariant suite and growth audit",
-    "mms": "manufactured-solution convergence study",
-    "mosco": "structural-stability experiment",
-    "sweep": "solve once per (p, m) pair",
+    "solve": (cmd_solve, "run the regularization cascade and write the trajectory"),
+    "verify": (cmd_verify, "solve, then run the invariant suite and growth audit"),
+    "mms": (cmd_mms, "manufactured-solution convergence study"),
+    "mosco": (cmd_mosco, "structural-stability experiment"),
+    "sweep": (cmd_sweep, "solve once per (p, m) pair"),
 }
 
 
@@ -615,7 +617,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Time-periodic doubly nonlinear diffusion solver and "
         "verification harness",
         epilog="commands:\n"
-        + "\n".join(f"  {name:<8}{text}" for name, text in _COMMANDS.items()),
+        + "\n".join(f"  {name:<8}{text}" for name, (_, text) in _COMMANDS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     ap.add_argument("command", choices=_COMMANDS, help="one of the commands below")
@@ -637,20 +639,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = load_config(args.config, output_override=args.output)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "mms":
-            return cmd_mms(cfg)
-        if args.command == "mosco":
-            return cmd_mosco(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
+        command, _ = _COMMANDS[args.command]
+        return command(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -43,12 +43,12 @@ __all__ = [
     "MmsSpec",
     "MoscoSequenceSpec",
     "derived_forcing",
+    "mms_level",
     "mms_run",
     "invariant_suite",
     "mosco_experiment",
     "growth_audit",
     "loglog_slope",
-    "refit_problem",
 ]
 
 log = logging.getLogger(__name__)
@@ -205,51 +205,49 @@ def derived_forcing(mms: MmsSpec, prob: ProblemSpec) -> np.ndarray:
     )
 
 
-def refit_problem(
-    prob: ProblemSpec, M: int, N: int, f: np.ndarray
-) -> ProblemSpec:
-    """Same physics on a different grid with a new forcing trajectory."""
+def mms_level(mms: MmsSpec, prob: ProblemSpec, M: int, N: int) -> ProblemSpec:
+    """prob's physics on an M x N grid, forced so that mms is its solution.
+
+    The diffusion coefficient is interpolated to the new cell midpoints; the
+    length and period stay, so the exact trajectory samples line up.
+    """
+    # allocated first: a level too large to allocate then raises MemoryError
+    # or ValueError here, not OverflowError in a mesh's np.arange
+    f = np.zeros((N, M))
     smesh = SpatialMesh(prob.smesh.length, M)
     tmesh = TemporalMesh(prob.tmesh.period, N)
     a_vals = np.interp(
         smesh.cell_midpoints, prob.smesh.cell_midpoints, prob.a.midpoint_values
     )
-    a = cc.DiffusionField(a_vals)
-    return ProblemSpec(
-        p=prob.p, m=prob.m, nl=prob.nl, a=a, f=f, smesh=smesh, tmesh=tmesh
-    )
-
-
-def _mms_level(mms: MmsSpec, prob: ProblemSpec, M: int, N: int) -> ProblemSpec:
-    """prob refit to an M x N grid, forced so that mms is its solution."""
-    level = refit_problem(prob, M, N, np.zeros((N, M)))
+    level = replace(prob, a=cc.DiffusionField(a_vals), f=f, smesh=smesh, tmesh=tmesh)
     return replace(level, f=derived_forcing(mms, level))
 
 
 def mms_run(
     mms: MmsSpec,
-    prob: ProblemSpec,
+    levels: list[ProblemSpec],
     params: CascadeParams,
-    levels: tuple[tuple[int, int], ...],
 ) -> Table:
-    """Solve the manufactured problem across the (M, N) refinement levels.
+    """Solve the manufactured problem on each refinement level.
 
-    Error column is the sup-in-time nodal L^p distance to the exact
-    trajectory.  In discrete-exact mode the error is bounded by solver
-    tolerance at every level; in continuum mode consecutive level ratios
-    expose the convergence order (meta key "orders").  The steady solution
-    makes the time stepping exact, so its levels isolate the second-order
-    spatial error.
+    Each level is a problem that mms_level built, so mms is its solution;
+    the table reads M and N off its meshes.  Error column is the
+    sup-in-time nodal L^p distance to the exact trajectory.  In
+    discrete-exact mode the error is bounded by solver tolerance at every
+    level; in continuum mode consecutive level ratios expose the
+    convergence order (meta key "orders").  The steady solution makes the
+    time stepping exact, so its levels isolate the second-order spatial
+    error.
     """
     table = Table(["level", "M", "N", "error", "residual", "converged"])
     table.meta["mode"] = mms.mode
     table.meta["name"] = mms.name
-    probs = [_mms_level(mms, prob, M, N) for M, N in levels]
-    outs = [solve_routed(lp, params) for lp in probs]
-    for lv, ((M, N), lp, (final, _, _)) in enumerate(zip(levels, probs, outs)):
+    for lv, lp in enumerate(levels):
+        final, _, _ = solve_routed(lp, params)
         U = sample_exact(mms, lp.smesh, lp.tmesh)
         err = bochner_norm(norm_V(final.u - U, lp.p, lp.smesh), np.inf, lp.tmesh)
         res = residual_AP(final.u, lp)
+        M, N = lp.smesh.interior_count, lp.tmesh.step_count
         table.add(lv, M, N, float(err), float(res), final.converged)
     errs = table.column("error").astype(float)
     if mms.mode == "continuum" and len(errs) > 1:

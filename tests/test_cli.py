@@ -139,6 +139,11 @@ class TestLoadConfig:
             ({"problem": small_problem(M=10**400)}, "problem.M"),
             ({"problem": small_problem(N=2**62)}, "problem.N"),
             ({"problem": small_problem(M=True)}, "problem.M"),
+            # each grid size and mesh extent is named by its own key
+            ({"problem": small_problem(M=0, N=4)}, "problem.M"),
+            ({"problem": small_problem(N=1)}, "problem.N"),
+            ({"problem": small_problem(L=-1)}, "problem.L"),
+            ({"problem": small_problem(T=0)}, "problem.T"),
             # the knobs of the retired fixed point iteration and stage minimizer
             (
                 {"problem": small_problem(), "cascade": {"anderson_depth": 3}},
@@ -826,6 +831,23 @@ def test_cmd_mms_discrete_levels(tmp_path):
         cli.cmd_mms(cli.load_config(write_config(tmp_path, bad, "bad.json")))
 
 
+def test_mms_builds_each_level_once(tmp_path, monkeypatch, bundled_config_dir):
+    # the levels the config reader builds to validate them are the ones
+    # solved: one derived forcing per level of the default three
+    calls = []
+    derived = vf.derived_forcing
+
+    def counted(mms, prob):
+        calls.append((prob.smesh.interior_count, prob.tmesh.step_count))
+        return derived(mms, prob)
+
+    monkeypatch.setattr(vf, "derived_forcing", counted)
+    config = str(bundled_config_dir / "nonlinear_diffusion.json")
+    argv = ["mms", "--config", config, "--output", str(tmp_path / "m"), "--quiet"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert calls == [(8, 8), (16, 16), (32, 32)]
+
+
 def test_cmd_mosco_identity_control(tmp_path):
     doc = {
         "output_dir": str(tmp_path / "mo"),
@@ -1112,7 +1134,7 @@ class TestMain:
         lines = [ln.split(None, 1) for ln in capsys.readouterr().out.splitlines()]
         listed = {ln[0]: ln[1] for ln in lines if len(ln) == 2}
         assert set(cli._COMMANDS) == {"solve", "verify", "mms", "mosco", "sweep"}
-        for name, text in cli._COMMANDS.items():
+        for name, (_, text) in cli._COMMANDS.items():
             assert listed[name] == text
 
 

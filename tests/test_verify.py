@@ -146,9 +146,9 @@ class TestMmsSpecs:
         assert np.all(forcing("zero", 2.0, 1.5, 7) == 0.0)
 
 
-def test_refit_problem_resamples_grid():
+def test_mms_level_resamples_grid():
     prob = unit_problem(2.0, 3.0, 8, 8, diffusion=2.0)
-    out = vf.refit_problem(prob, 14, 6, np.zeros((6, 14)))
+    out = vf.mms_level(vf.MmsSpec("zero"), prob, 14, 6)
     assert out.smesh.interior_count == 14
     assert out.tmesh.step_count == 6
     assert out.a.midpoint_values.shape == (15,)
@@ -160,9 +160,9 @@ def test_mms_run_discrete_hits_solver_tolerance():
     # discrete-exact forcing makes the sampled trajectory the solution up to
     # solver tolerance at every level, including rectangular grids
     params = ca.CascadeParams(fp_tol=1e-8, stage_tol=1e-8)
-    tab = vf.mms_run(
-        bump_mms(), unit_problem(2.0, 3.0, 8, 8), params, levels=((6, 8), (12, 10))
-    )
+    prob = unit_problem(2.0, 3.0, 8, 8)
+    levels = [vf.mms_level(bump_mms(), prob, M, N) for M, N in ((6, 8), (12, 10))]
+    tab = vf.mms_run(bump_mms(), levels, params)
     assert tab.meta["mode"] == "discrete_exact"
     assert list(tab.column("M")) == [6, 12]
     assert list(tab.column("N")) == [8, 10]
@@ -174,9 +174,9 @@ def test_mms_run_discrete_hits_solver_tolerance():
 def test_mms_run_continuum_reports_orders():
     params = ca.CascadeParams(fp_tol=1e-9)
     mms = vf.MmsSpec("separable_bump", "continuum")
-    tab = vf.mms_run(
-        mms, unit_problem(2.0, 3.0, 6, 6), params, levels=((6, 6), (12, 12))
-    )
+    prob = unit_problem(2.0, 3.0, 6, 6)
+    levels = [vf.mms_level(mms, prob, M, N) for M, N in ((6, 6), (12, 12))]
+    tab = vf.mms_run(mms, levels, params)
     assert len(tab.meta["orders"]) == 1
     errs = tab.column("error").astype(float)
     assert errs[1] < errs[0]
@@ -187,12 +187,8 @@ def test_mms_spatial_order_is_second_order():
     # fixed N isolates the spatial error
     params = ca.CascadeParams(fp_tol=1e-9)
     levels = ((8, 4), (16, 4), (32, 4))
-    tab = vf.mms_run(
-        vf.MmsSpec("steady_sin", "continuum"),
-        unit_problem(2.0, 3.0, 8, 4),
-        params,
-        levels=levels,
-    )
+    mms, prob = vf.MmsSpec("steady_sin", "continuum"), unit_problem(2.0, 3.0, 8, 4)
+    tab = vf.mms_run(mms, [vf.mms_level(mms, prob, M, N) for M, N in levels], params)
     dx = [1.0 / (M + 1) for M, _ in levels]
     assert vf.loglog_slope(dx, tab.column("error").astype(float)) >= 1.8
 
@@ -329,9 +325,9 @@ class TestGrowthAudit:
         assert tab.meta["all_finite"]
 
 
-def test_temporal_mesh_times_match_refit():
-    # refits must keep period and length so exact samples line up
+def test_temporal_mesh_times_match_mms_level():
+    # a level must keep period and length so exact samples line up
     prob = unit_problem(2.0, 3.0, 8, 8)
-    out = vf.refit_problem(prob, 16, 4, np.zeros((4, 16)))
+    out = vf.mms_level(vf.MmsSpec("zero"), prob, 16, 4)
     assert out.tmesh.period == prob.tmesh.period
     assert isinstance(out.tmesh, TemporalMesh)
