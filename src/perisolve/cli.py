@@ -24,13 +24,14 @@ import numpy as np
 from . import convexcore as cc
 from .cascade import CascadeParams, StageResult, solve_routed, stage_report
 from .discretize import (
+    FIELD_COLUMNS,
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
     format_field,
     read_field_csv,
-    write_field_csv,
-    write_field_dat,
+    write_csv,
+    write_dat,
 )
 from .verify import (
     MmsSpec,
@@ -369,7 +370,7 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
     schema = _get(doc, "schema", "", int, 1)
     if schema != 1:
         raise ConfigError("schema", f"unsupported schema version {schema}")
-    seed = _get(doc, "seed", "", int, 0)
+    seed = _int(doc, "seed", "", 0)
     out = output_override or _get(doc, "output_dir", "", str, "out")
     route = _get(doc, "route", "", str, "auto")
     if route not in ("auto", "mu"):
@@ -387,8 +388,13 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
 
 
 def _ensure_dir(path: str) -> Path:
+    """The directory path, made with its parents if absent; a path that
+    cannot be a directory is a ConfigError naming output_dir."""
     p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
+        raise ConfigError("output_dir", f"cannot make {path!r}: {exc}") from exc
     return p
 
 
@@ -400,26 +406,22 @@ def _stage_summary(stage: StageResult) -> dict:
     return {"epsilon": stage.epsilon, "mu": stage.mu, **d, **stage_report(stage)}
 
 
-def _write_report(outdir: Path, payload: dict) -> None:
+def _write_report(outdir: Path, payload: dict, ok: bool) -> int:
+    """Write payload to outdir/report.json with the run's exit code, 0 if
+    ok (the run converged) and 2 if not, and return that code."""
+    payload["exit_code"] = code = EXIT_OK if ok else EXIT_NOCONV
     with open(outdir / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return code
 
 
 def _write_study(outdir: Path, name: str, table: Table, cfg: RunConfig) -> int:
     """Write a study's table to <name>.csv and <name>.dat and its report;
     the exit code says whether every row converged."""
-    table.to_csv(str(outdir / f"{name}.csv"))
-    table.to_dat(str(outdir / f"{name}.dat"))
-    code = EXIT_OK if np.all(table.column("converged")) else EXIT_NOCONV
-    payload = {
-        "command": name,
-        "table": table.as_dict(),
-        "config": cfg.raw,
-        "exit_code": code,
-    }
-    _write_report(outdir, payload)
-    return code
+    table.write(str(outdir / name))
+    payload = {"command": name, "table": table.as_dict(), "config": cfg.raw}
+    return _write_report(outdir, payload, np.all(table.column("converged")))
 
 
 def _solve_payload(final: StageResult, stages: list[StageResult], route: str) -> dict:
@@ -443,14 +445,17 @@ def _solve_payload(final: StageResult, stages: list[StageResult], route: str) ->
     }
 
 
-def _solve_and_dump(cfg: RunConfig, outdir: Path) -> tuple[StageResult, dict]:
-    final, stages, route = solve_routed(cfg.problem, cfg.cascade, route=cfg.route)
-    blocks = format_field(final.u, cfg.problem.smesh, cfg.problem.tmesh)
-    write_field_csv(str(outdir / "trajectory.csv"), blocks)
-    write_field_dat(str(outdir / "trajectory.dat"), blocks)
-    payload = _solve_payload(final, stages, route)
-    payload["config"] = cfg.raw
-    return final, payload
+def _solve_and_dump(
+    prob: ProblemSpec, cfg: RunConfig, outdir: Path, dat: bool = True
+) -> tuple[StageResult, dict]:
+    """Solve prob on cfg's route and write its trajectory.csv (and, if dat,
+    trajectory.dat) to outdir; returns the final stage and its report."""
+    final, stages, route = solve_routed(prob, cfg.cascade, route=cfg.route)
+    blocks = format_field(final.u, prob.smesh, prob.tmesh)
+    write_csv(str(outdir / "trajectory.csv"), FIELD_COLUMNS, blocks)
+    if dat:
+        write_dat(str(outdir / "trajectory.dat"), FIELD_COLUMNS, blocks)
+    return final, _solve_payload(final, stages, route)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +464,10 @@ def _solve_and_dump(cfg: RunConfig, outdir: Path) -> tuple[StageResult, dict]:
 
 def cmd_solve(cfg: RunConfig) -> int:
     outdir = _ensure_dir(cfg.output_dir)
-    final, payload = _solve_and_dump(cfg, outdir)
-    code = EXIT_OK if final.converged else EXIT_NOCONV
-    payload["exit_code"] = code
-    _write_report(outdir, payload)
+    final, payload = _solve_and_dump(cfg.problem, cfg, outdir)
     log.info("solve: converged=%s residual=%.3e", final.converged,
              payload["final_residual_AP"])
-    return code
+    return _write_report(outdir, {**payload, "config": cfg.raw}, final.converged)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -478,18 +480,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     except (MemoryError, ValueError) as exc:
         raise ConfigError("verify.sample_count", f"{samples} samples: {exc}") from exc
     outdir = _ensure_dir(cfg.output_dir)
-    final, payload = _solve_and_dump(cfg, outdir)
+    final, payload = _solve_and_dump(cfg.problem, cfg, outdir)
     suite = invariant_suite(final, cfg.cascade, rng=np.random.default_rng(cfg.seed + 1))
-    audit.to_csv(str(outdir / "growth_audit.csv"))
-    audit.to_dat(str(outdir / "growth_audit.dat"))
-    payload["command"] = "verify"
-    payload["invariants"] = suite
-    payload["growth_audit"] = audit.meta
+    audit.write(str(outdir / "growth_audit"))
+    payload.update(command="verify", invariants=suite, growth_audit=audit.meta,
+                   config=cfg.raw)
     ok = final.converged and suite["all_passed"] and audit.meta.get("all_finite", False)
-    code = EXIT_OK if ok else EXIT_NOCONV
-    payload["exit_code"] = code
-    _write_report(outdir, payload)
-    return code
+    return _write_report(outdir, payload, ok)
 
 
 def _build_mms_spec(cfg: RunConfig) -> tuple[MmsSpec, list[ProblemSpec]]:
@@ -559,31 +556,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
             raise ConfigError("sweep.pairs", str(exc)) from exc
 
     outdir = _ensure_dir(cfg.output_dir)
+    # every directory first: a path that cannot be one ends the run unsolved
+    subs = {name: _ensure_dir(str(outdir / name)) for name in probs}
     summary = Table(["p", "m", "route", "converged", "residual"])
     for name, prob in probs.items():
-        final, stages, route = solve_routed(prob, cfg.cascade, cfg.route)
-        sub = _ensure_dir(str(outdir / name))
-        blocks = format_field(final.u, prob.smesh, prob.tmesh)
-        write_field_csv(str(sub / "trajectory.csv"), blocks)
-        payload = _solve_payload(final, stages, route)
-        payload["exit_code"] = EXIT_OK if final.converged else EXIT_NOCONV
-        _write_report(sub, payload)
-        residual = payload["final_residual_AP"]
-        summary.add(prob.p, prob.m, route, final.converged, residual)
-    summary.to_csv(str(outdir / "summary.csv"))
-    summary.to_dat(str(outdir / "summary.dat"))
+        final, payload = _solve_and_dump(prob, cfg, subs[name], dat=False)
+        _write_report(subs[name], payload, final.converged)
+        summary.add(prob.p, prob.m, payload["route"], final.converged,
+                    payload["final_residual_AP"])
+    summary.write(str(outdir / "summary"))
     ok = bool(np.all(summary.column("converged")))
-    _write_report(
-        outdir,
-        {
-            "command": "sweep",
-            "runs": len(probs),
-            "all_converged": ok,
-            "config": cfg.raw,
-            "exit_code": EXIT_OK if ok else EXIT_NOCONV,
-        },
-    )
-    return EXIT_OK if ok else EXIT_NOCONV
+    payload = {"command": "sweep", "runs": len(probs), "all_converged": ok,
+               "config": cfg.raw}
+    return _write_report(outdir, payload, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -35,10 +36,12 @@ __all__ = [
     "pairing",
     "bochner_norm",
     "dual_bochner_norm",
+    "FIELD_COLUMNS",
     "format_field",
-    "write_field_csv",
+    "format_rows",
+    "write_csv",
+    "write_dat",
     "read_field_csv",
-    "write_field_dat",
 ]
 
 @dataclass(frozen=True)
@@ -255,11 +258,12 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# file formats: CSV with header t,x,value (row-major by time slice) and a
-# gnuplot-ready .dat mirror. Floats carry 17 significant digits so that a
-# round trip is bit exact.
+# file formats: CSV under a header of column names (a field's are t,x,value,
+# row-major by time slice) and a gnuplot-ready .dat mirror. Floats carry 17
+# significant digits so that a round trip is bit exact.
 
 _FMT = "%.17g"
+FIELD_COLUMNS = ("t", "x", "value")
 
 
 def format_field(
@@ -267,9 +271,8 @@ def format_field(
 ) -> list[str]:
     """The rows t,x,value of a field, one string of lines per slice.
 
-    Each node, each time and each value is formatted once; write_field_csv
-    and write_field_dat both write these blocks, so one formatting feeds
-    both files.
+    Each node, each time and each value is formatted once; write_csv and
+    write_dat both write these blocks, so one formatting feeds both files.
     """
     values = validate_trajectory(values, smesh, tmesh, "field")
     xs = [_FMT % x + "," for x in smesh.nodes.tolist()]
@@ -280,11 +283,26 @@ def format_field(
     return blocks
 
 
-def write_field_csv(path: str, blocks: list[str]) -> None:
-    """The CSV file of a field's blocks, as format_field returns them."""
-    # the fields are numbers, which csv never quotes
+def format_rows(rows: list[list]) -> str:
+    """The lines of a table's rows: a bool as 1 or 0, an integer as itself,
+    a float with 17 digits and anything else as its str."""
+
+    def fmt(v) -> str:
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return _FMT % v if isinstance(v, float) else str(v)
+
+    return "".join([",".join([fmt(v) for v in row]) + "\n" for row in rows])
+
+
+def write_csv(path: str, columns: Sequence[str], blocks: list[str]) -> None:
+    """The CSV file of blocks of rows, as format_field or format_rows return
+    them, under a header of columns."""
+    # no field holds a comma, a quote or a line break, so none is quoted
     with open(path, "w", newline="") as fh:
-        fh.write("t,x,value\n")
+        fh.write(",".join(columns) + "\n")
         fh.writelines(blocks)
 
 
@@ -296,7 +314,7 @@ def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        if [h.strip() for h in header] != ["t", "x", "value"]:
+        if tuple(h.strip() for h in header) != FIELD_COLUMNS:
             raise ValueError(f"bad field CSV header {header!r} in {path}")
         for row in reader:
             if not row:
@@ -318,10 +336,10 @@ def read_field_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arr, t_unique, x_unique
 
 
-def write_field_dat(path: str, blocks: list[str]) -> None:
-    """Gnuplot mirror of a field's blocks, as format_field returns them:
-    blank-line separated time blocks, columns t x value."""
-    # a number formatted with %g holds no comma
+def write_dat(path: str, columns: Sequence[str], blocks: list[str]) -> None:
+    """Gnuplot mirror of blocks of rows, as format_field or format_rows
+    return them: blank-line separated blocks, space separated columns."""
+    # no field holds a comma
     with open(path, "w") as fh:
-        fh.write("# t x value\n")
+        fh.write("# " + " ".join(columns) + "\n")
         fh.write("\n".join(blocks).replace(",", " "))

@@ -8,7 +8,6 @@ margin.  Failures are data, not exceptions; only malformed inputs raise.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -24,17 +23,19 @@ from .cascade import (
     solve_routed,
 )
 from .discretize import (
-    _FMT,
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
     bochner_norm,
     cell_gradient,
     dual_bochner_norm,
+    format_rows,
     norm_V,
     norm_Vstar,
     norm_X,
     pairing,
+    write_csv,
+    write_dat,
 )
 from .variational import DELTA, _StageAt, residual_AP
 
@@ -54,19 +55,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return _FMT % v
-    return str(v)
-
-
 @dataclass
 class Table:
-    """Column-named result table with CSV and gnuplot writers."""
+    """Column-named result table, written as CSV and its gnuplot mirror."""
 
     columns: list[str]
     rows: list[list] = field(default_factory=list)
@@ -77,24 +68,20 @@ class Table:
             raise ValueError(
                 f"row width {len(values)} != column count {len(self.columns)}"
             )
+        for v in values:  # the CSV writer quotes nothing
+            if isinstance(v, str) and not set(v).isdisjoint(',"\r\n'):
+                raise ValueError(f"string {v!r} holds a comma, quote or line break")
         self.rows.append(list(values))
 
     def column(self, name: str) -> np.ndarray:
         j = self.columns.index(name)
         return np.asarray([row[j] for row in self.rows])
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(self.columns)
-            for row in self.rows:
-                w.writerow([_fmt(v) for v in row])
-
-    def to_dat(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("# " + " ".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    def write(self, stem: str) -> None:
+        """Write the table to stem.csv and stem.dat."""
+        blocks = [format_rows(self.rows)]
+        write_csv(f"{stem}.csv", self.columns, blocks)
+        write_dat(f"{stem}.dat", self.columns, blocks)
 
     def as_dict(self) -> dict:
         return {

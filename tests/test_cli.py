@@ -22,12 +22,13 @@ import perisolve.variational as var
 import perisolve.verify as vf
 from perisolve import cascade, cli
 from perisolve.discretize import (
+    FIELD_COLUMNS,
     SpatialMesh,
     TemporalMesh,
     dual_bochner_norm,
     format_field,
     read_field_csv,
-    write_field_csv,
+    write_csv,
 )
 from util import unit_problem
 
@@ -331,7 +332,7 @@ def test_field_csv_feeds_forcing_and_rejects_mismatch(tmp_path, rng):
     values = rng.normal(size=(3, 4))
     path = tmp_path / "f.csv"
     blocks = format_field(values, SpatialMesh(1.0, 4), TemporalMesh(1.0, 3))
-    write_field_csv(str(path), blocks)
+    write_csv(str(path), FIELD_COLUMNS, blocks)
     back = load_forcing(tmp_path, {"kind": "csv", "path": str(path)}, 4, 3)
     assert np.array_equal(back, values)
     with pytest.raises(cli.ConfigError, match="does not match") as err:
@@ -1204,6 +1205,81 @@ def test_mms_level_too_large_to_allocate_is_a_config_error(tmp_path, capsys):
     assert cli.main([*argv, "--quiet"]) == cli.EXIT_CONFIG
     assert "config error: mms.levels" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_negative_seed_exits_1_and_names_the_key(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    doc = {"seed": -1, "output_dir": str(out), "problem": small_problem(M=4, N=4)}
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 1
+    assert "config error: seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize(
+    "where, out",
+    [("config", "afile"), ("option", "afile/sub"), ("config", "o\0ut")],
+    ids=["existing-file", "below-a-file", "nul-byte"],
+)
+def test_bad_output_path_exits_1_and_names_the_key(
+    tmp_path, capsys, command, where, out
+):
+    # a command line holds no NUL byte, a config can
+    (tmp_path / "afile").write_text("")
+    out = str(tmp_path / out)
+    doc = {"problem": small_problem(M=4, N=4), "verify": {"sample_count": 2},
+           "mms": {"levels": [[4, 4]]}, "mosco": {"n_max": 1},
+           "sweep": {"pairs": [[2, 2]]}}
+    if where == "config":
+        doc["output_dir"] = out
+    argv = [command, "--config", write_config(tmp_path, doc), "--quiet"]
+    if where == "option":
+        argv += ["--output", out]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: output_dir: cannot make {out!r}" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == ""
+
+
+def test_sweep_makes_every_directory_before_the_first_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # a file where the second pair's directory goes ends the run before any
+    # solve, not after the first pair is solved and written
+    out = tmp_path / "sw"
+    out.mkdir()
+    (out / "p2_m2").write_text("")
+    solves = []
+    monkeypatch.setattr(cli, "solve_routed", lambda *a, **k: solves.append(a))
+    doc = {"problem": small_problem(M=4, N=4), "sweep": {"pairs": [[2, 3], [2, 2]]}}
+    argv = ["sweep", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main([*argv, "--quiet"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: output_dir: cannot make {str(out / 'p2_m2')!r}" in err
+    assert solves == []
+    assert not (out / "report.json").exists()
+
+
+def test_each_command_writes_its_file_set(tmp_path):
+    doc = {"problem": small_problem(M=4, N=4), "verify": {"sample_count": 2},
+           "mms": {"levels": [[4, 4], [6, 6]]}, "mosco": {"n_max": 2},
+           "sweep": {"pairs": [[2, 2], [2, 3]]}, "cascade": {"fp_tol": 1e-8}}
+    path = write_config(tmp_path, doc)
+    solve = {"trajectory.csv", "trajectory.dat", "report.json"}
+    pair = {"", "/trajectory.csv", "/report.json"}
+    want = {
+        "solve": solve,
+        "verify": solve | {"growth_audit.csv", "growth_audit.dat"},
+        "mms": {"mms.csv", "mms.dat", "report.json"},
+        "mosco": {"mosco.csv", "mosco.dat", "report.json"},
+        "sweep": {"summary.csv", "summary.dat", "report.json"}
+        | {d + f for d in ("p2_m2", "p2_m3") for f in pair},
+    }
+    for command, files in want.items():
+        out = tmp_path / command
+        assert cli.main([command, "--config", path, "--output", str(out),
+                         "--quiet"]) == cli.EXIT_OK
+        assert {p.relative_to(out).as_posix() for p in out.rglob("*")} == files
 
 
 def test_band_too_large_to_allocate_exits_2_but_reports(tmp_path, bundled_config_dir):

@@ -8,6 +8,7 @@ import perisolve.convexcore as cc
 from oracles import field_file_oracle
 from util import unit_problem
 from perisolve.discretize import (
+    FIELD_COLUMNS,
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
@@ -22,8 +23,8 @@ from perisolve.discretize import (
     read_field_csv,
     time_derivative,
     validate_trajectory,
-    write_field_csv,
-    write_field_dat,
+    write_csv,
+    write_dat,
 )
 
 fields = arrays(
@@ -198,7 +199,7 @@ def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     tm = TemporalMesh(np.e, 5)
     values = rng.normal(size=(5, 6))
     path = tmp_path / "field.csv"
-    write_field_csv(str(path), format_field(values, sm, tm))
+    write_csv(str(path), FIELD_COLUMNS, format_field(values, sm, tm))
     assert path.read_text().splitlines()[0] == "t,x,value"
     arr, t_read, x_read = read_field_csv(str(path))
     assert np.array_equal(arr, values)
@@ -206,12 +207,12 @@ def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(x_read, sm.nodes)
 
 
-def test_write_field_dat_mirrors_values(tmp_path, rng):
+def test_write_dat_mirrors_values(tmp_path, rng):
     sm = SpatialMesh(1.0, 3)
     tm = TemporalMesh(1.0, 2)
     values = rng.normal(size=(2, 3))
     path = tmp_path / "field.dat"
-    write_field_dat(str(path), format_field(values, sm, tm))
+    write_dat(str(path), FIELD_COLUMNS, format_field(values, sm, tm))
     lines = path.read_text().splitlines()
     assert lines[0] == "# t x value"
     assert lines[4] == ""  # blank separator between time blocks
@@ -234,8 +235,8 @@ def test_field_files_match_the_row_by_row_oracle(tmp_path):
     )
     csv_text, dat_text = field_file_oracle(values, sm, tm)
     blocks = format_field(values, sm, tm)
-    write_field_csv(str(tmp_path / "f.csv"), blocks)
-    write_field_dat(str(tmp_path / "f.dat"), blocks)
+    write_csv(str(tmp_path / "f.csv"), FIELD_COLUMNS, blocks)
+    write_dat(str(tmp_path / "f.dat"), FIELD_COLUMNS, blocks)
     assert (tmp_path / "f.csv").read_bytes() == csv_text.encode()
     assert (tmp_path / "f.dat").read_bytes() == dat_text.encode()
     arr, t_read, x_read = read_field_csv(str(tmp_path / "f.csv"))

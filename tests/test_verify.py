@@ -30,12 +30,21 @@ class TestTable:
         t.add(2, 0.25, False)
         cp = tmp_path / "t.csv"
         dp = tmp_path / "t.dat"
-        t.to_csv(str(cp))
-        t.to_dat(str(dp))
+        t.write(str(tmp_path / "t"))
         assert cp.read_text() == "n,err,ok\n1,0.5,1\n2,0.25,0\n"
         lines = dp.read_text().splitlines()
         assert lines[0] == "# n err ok"
         assert lines[1].split() == ["1", "0.5", "1"]
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "x"', "two\nlines", "cr\r"])
+    def test_add_rejects_a_string_the_csv_would_quote(self, tmp_path, text):
+        t = vf.Table(["name", "x"])
+        with pytest.raises(ValueError, match="comma, quote or line break"):
+            t.add(text, 1.0)
+        assert t.rows == []
+        t.add("plain name", 1.0)
+        t.write(str(tmp_path / "t"))
+        assert (tmp_path / "t.csv").read_text() == "name,x\nplain name,1\n"
 
     def test_as_dict_strips_numpy_scalars(self):
         t = vf.Table(["x"], meta={"k": 1})
