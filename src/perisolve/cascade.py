@@ -17,6 +17,10 @@ attacked in layers:
   walk per mu.  The default route solves that branch's unperturbed target
   first too, and walks the mu schedule only when that fails.
 
+Every walk ends at its eps = 0 stage and every mu walk at its mu = 0
+level, so a routed solve always ends at the limit stage eps = mu = 0, whose
+equation is the finite problem itself, converged or not.
+
 A stage's diagnostics are what its Newton solve measured: convergence,
 the residual history, the residual scale and the step counts.  The report
 fields of a stage (its energy margin, residual_AP and the a priori audit)
@@ -35,12 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import convexcore as cc
-from .discretize import (
-    ProblemSpec,
-    bochner_norm,
-    dual_bochner_norm,
-    pairing,
-)
+from .discretize import ProblemSpec, dual_bochner_norm, pairing
 from .variational import _StageAt, newton_fixed_point
 
 __all__ = [
@@ -139,12 +138,6 @@ class StageResult:
     @property
     def converged(self) -> bool:
         return bool(self.diagnostics.get("converged", False))
-
-    @property
-    def diverged(self) -> bool:
-        """The residual grew past the forcing's scale: no warm start left."""
-        d = self.diagnostics
-        return d["fixed_point_residual"] > d["residual_scale"]
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +282,7 @@ def stage_audit(stage: _StageAt) -> dict:
         rate_primitive = rate_p / p
     else:
         rate_primitive = float(dt * np.sum(cc.eval_psi(du, prob.nl, prob.smesh)))
-    # the slice sums of |xi|^p' are the p'-th powers of xi's slice norms,
-    # computed as norm_Vstar does, so h_dual_norm is dual_bochner_norm(xi)
-    xi_sums = dx * np.sum(np.abs(xi) ** pc, axis=-1)
-    rate_dual = float(dt * np.sum(xi_sums))
+    rate_dual = float(dt * np.sum(dx * np.sum(np.abs(xi) ** pc, axis=-1)))
     state_energy = integral(np.abs(phi.Du) ** m)
     state_p = integral(np.abs(u) ** p)
     state_sq = integral(u * u)
@@ -308,7 +298,7 @@ def stage_audit(stage: _StageAt) -> dict:
         "eps_state_sq": eps * state_sq,
         "eta_dual_integral": eta_dual,
         "psi_grad_dual_integral": psi_grad_dual,
-        "h_dual_norm": bochner_norm(xi_sums ** (1.0 / pc), pc, prob.tmesh),
+        "h_dual_norm": dual_bochner_norm(xi, prob),
     }
     if phi.pf is not None:
         term = phi.mu_power[..., None] * phi.base_grad
@@ -351,15 +341,16 @@ def _climb(
     pf: cc.PerturbedFunctional | None,
     u0: np.ndarray | None,
 ) -> list[StageResult]:
-    """Walk the epsilon ladder sched from u0 with warm starts, ending at
-    eps = 0.
+    """Walk the epsilon ladder sched from u0 with warm starts, then solve
+    the eps = 0 stage, which always ends the walk.
 
     A stage that stalls short of tolerance still hands its best iterate to
-    the next stage (the failure stays recorded in its diagnostics); only a
-    wild divergence aborts the walk and returns the partial list.  The walk
-    also stops early once residual_AP stagnates below the stage tolerance:
-    the attainable residual is floor-limited, and further epsilon stages
-    add nothing the eps = 0 stage would not.
+    the next stage (the failure stays recorded in its diagnostics): Newton
+    accepts no step that raises the stage's residual, so that iterate is no
+    worse for the stage than the start it was handed.  The ladder is left
+    early once residual_AP stagnates below the stage tolerance: the
+    attainable residual is floor-limited, and further epsilon stages add
+    nothing the eps = 0 stage would not.
     """
     stages: list[StageResult] = []
     u = u0
@@ -367,8 +358,6 @@ def _climb(
     for eps in sched:
         stage = fixed_point_solve(prob, eps, params, pf=pf, u0=u)
         stages.append(stage)
-        if stage.diverged:
-            return stages
         u = stage.u
         # the rung's own residual_AP, the perturbed one on a mu level
         ap = _StageAt(u, prob, eps, pf).residual_AP
@@ -396,8 +385,8 @@ def solve_routed(
     continuation warm started from the last stage.  The first level climbs
     the full ladder when it has to, later ones its last mu_eps_truncate
     entries.  The perturbation's exponent is that of
-    _perturbation_exponent.  A level whose last stage diverges ends the
-    walk.
+    _perturbation_exponent.  Every level is walked, so the walk ends at
+    the mu = 0 level's eps = 0 stage.
 
     route="auto" takes the shortest path there: it first solves the
     unperturbed eps = 0 stage from u = 0.  The perturbation is there for
@@ -408,7 +397,8 @@ def solve_routed(
     levels are walked, from u = 0, not from the failed iterate, exactly as
     route="mu" walks them.  route="mu" always walks the mu levels.  Returns
     the final stage, every fixed point stage walked in order, each tagged
-    with its (epsilon, mu), and the route name.
+    with its (epsilon, mu), and the route name.  The final stage is the
+    last one walked and the limit stage eps = mu = 0 on every route.
     """
     if route not in ("auto", "mu"):
         raise ValueError(f"route must be 'auto' or 'mu', got {route!r}")
@@ -428,6 +418,4 @@ def solve_routed(
         )
         stages += walk
         u = walk[-1].u
-        if walk[-1].diverged:
-            break
     return stages[-1], stages, "mu"

@@ -44,7 +44,6 @@ from .verify import (
     mms_run,
     mosco_experiment,
 )
-from .variational import residual_AP
 
 __all__ = [
     "ConfigError",
@@ -387,14 +386,22 @@ def load_config(path: str, output_override: str | None = None) -> RunConfig:
 # output helpers
 
 
-def _ensure_dir(path: str) -> Path:
-    """The directory path, made with its parents if absent; a path that
-    cannot be a directory is a ConfigError naming output_dir."""
+_TRAJECTORY = ("trajectory.csv", "trajectory.dat")
+
+
+def _ensure_dir(path: str, files: tuple[str, ...]) -> Path:
+    """The directory path, made with its parents if absent, to hold
+    report.json and files; a path that cannot be a directory, or a file
+    name in it that is one, is a ConfigError naming output_dir."""
     p = Path(path)
     try:
         p.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
         raise ConfigError("output_dir", f"cannot make {path!r}: {exc}") from exc
+    for name in ("report.json", *files):
+        if (p / name).is_dir():
+            msg = f"cannot write {str(p / name)!r}: a directory"
+            raise ConfigError("output_dir", msg)
     return p
 
 
@@ -424,23 +431,21 @@ def _write_study(outdir: Path, name: str, table: Table, cfg: RunConfig) -> int:
     return _write_report(outdir, payload, np.all(table.column("converged")))
 
 
-def _solve_payload(final: StageResult, stages: list[StageResult], route: str) -> dict:
+def _solve_payload(stages: list[StageResult], route: str) -> dict:
     """Report entries of one routed solve: outcome, residual, every stage.
 
     Each stage entry holds the stage's diagnostics and the report fields
-    stage_report computes from the stage alone, here and only here.
-    final_residual_AP is that of the final stage's unperturbed equation,
-    read off the stage unless a mu > 0 level diverged and ended the walk.
+    stage_report computes from the stage alone, here and only here.  A
+    routed solve ends at the limit stage eps = mu = 0, so the outcome and
+    final_residual_AP, the residual of the unperturbed equation, are the
+    last entry's.
     """
     entries = [_stage_summary(s) for s in stages]
-    ap = entries[-1]["residual_AP"]
-    if final.mu > 0.0:
-        ap = residual_AP(final.u, final.prob)
     return {
         "command": "solve",
         "route": route,
-        "converged": final.converged,
-        "final_residual_AP": ap,
+        "converged": stages[-1].converged,
+        "final_residual_AP": entries[-1]["residual_AP"],
         "stages": entries,
     }
 
@@ -455,7 +460,7 @@ def _solve_and_dump(
     write_csv(str(outdir / "trajectory.csv"), FIELD_COLUMNS, blocks)
     if dat:
         write_dat(str(outdir / "trajectory.dat"), FIELD_COLUMNS, blocks)
-    return final, _solve_payload(final, stages, route)
+    return final, _solve_payload(stages, route)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +468,7 @@ def _solve_and_dump(
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    outdir = _ensure_dir(cfg.output_dir)
+    outdir = _ensure_dir(cfg.output_dir, _TRAJECTORY)
     final, payload = _solve_and_dump(cfg.problem, cfg, outdir)
     log.info("solve: converged=%s residual=%.3e", final.converged,
              payload["final_residual_AP"])
@@ -479,7 +484,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         audit = growth_audit(cfg.problem, sample_count=samples, seed=cfg.seed)
     except (MemoryError, ValueError) as exc:
         raise ConfigError("verify.sample_count", f"{samples} samples: {exc}") from exc
-    outdir = _ensure_dir(cfg.output_dir)
+    files = (*_TRAJECTORY, "growth_audit.csv", "growth_audit.dat")
+    outdir = _ensure_dir(cfg.output_dir, files)
     final, payload = _solve_and_dump(cfg.problem, cfg, outdir)
     suite = invariant_suite(final, cfg.cascade, rng=np.random.default_rng(cfg.seed + 1))
     audit.write(str(outdir / "growth_audit"))
@@ -517,7 +523,7 @@ def _build_mms_spec(cfg: RunConfig) -> tuple[MmsSpec, list[ProblemSpec]]:
 
 def cmd_mms(cfg: RunConfig) -> int:
     spec, levels = _build_mms_spec(cfg)
-    outdir = _ensure_dir(cfg.output_dir)
+    outdir = _ensure_dir(cfg.output_dir, ("mms.csv", "mms.dat"))
     table = mms_run(spec, levels, cfg.cascade)
     return _write_study(outdir, "mms", table, cfg)
 
@@ -531,7 +537,7 @@ def cmd_mosco(cfg: RunConfig) -> int:
     except OverflowError as exc:  # more instances than a tuple can index
         raise ConfigError("mosco.n_max", str(exc)) from exc
     seq = _checked("mosco.kind", MoscoSequenceSpec, kind, cfg.problem, index_set)
-    outdir = _ensure_dir(cfg.output_dir)
+    outdir = _ensure_dir(cfg.output_dir, ("mosco.csv", "mosco.dat"))
     table = mosco_experiment(seq, cfg.cascade)
     return _write_study(outdir, "mosco", table, cfg)
 
@@ -555,9 +561,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError("sweep.pairs", str(exc)) from exc
 
-    outdir = _ensure_dir(cfg.output_dir)
-    # every directory first: a path that cannot be one ends the run unsolved
-    subs = {name: _ensure_dir(str(outdir / name)) for name in probs}
+    outdir = _ensure_dir(cfg.output_dir, ("summary.csv", "summary.dat"))
+    # every directory first: a path that cannot be one, or a file name in
+    # one that is a directory, ends the run unsolved
+    subs = {name: _ensure_dir(str(outdir / name), ("trajectory.csv",))
+            for name in probs}
     summary = Table(["p", "m", "route", "converged", "residual"])
     for name, prob in probs.items():
         final, payload = _solve_and_dump(prob, cfg, subs[name], dat=False)

@@ -214,15 +214,28 @@ def test_steady_forcing_converges_its_target():
     assert stages[0].diagnostics["fixed_point_newton_steps"] <= 10
 
 
-def test_failed_target_climbs_the_ladder_from_the_warm_start(monkeypatch):
-    # at p < 1.7, Newton stalls on the eps = 0 stage from u = 0 but
-    # converges along the ladder.  The forcing's sin(2 pi t) vanishes at
-    # both time nodes but for roundoff, so the iterates vary in time
+def ladder_problem():
+    """p < m < 1.7: Newton stalls on the eps = 0 stage from u = 0 but
+    converges along the ladder.  The forcing's sin(2 pi t) vanishes at both
+    time nodes but for roundoff, so the iterates vary in time."""
     prob = unit_problem(1.6321698645661629, 1.6441639943239328, 6, 2)
     x, t = prob.smesh.nodes[None, :], prob.tmesh.times[:, None]
     f = (4.031714902854928 * np.sin(np.pi * x) * np.sin(2.0 * np.pi * t)
          + 2.623325731293733 * np.sin(2.0 * np.pi * x))
-    prob = replace(prob, f=f)
+    return replace(prob, f=f)
+
+
+def mu_walk_problem():
+    """m < p < 1.75 with a time-varying forcing: Newton stalls on the
+    unperturbed stage from u = 0, and the mu walk converges."""
+    prob = unit_problem(1.714351619603352, 1.6726892970292777, 5, 3)
+    x, t = prob.smesh.nodes[None, :], prob.tmesh.times[:, None]
+    f = -3.563404816899705 * np.sin(2.0 * np.pi * x) * np.sin(2.0 * np.pi * t)
+    return replace(prob, f=f)
+
+
+def test_failed_target_climbs_the_ladder_from_the_warm_start(monkeypatch):
+    prob = ladder_problem()
     starts = []
     solve = ca.fixed_point_solve
 
@@ -313,12 +326,7 @@ def test_steady_forcing_converges_its_unperturbed_target():
 
 
 def test_failed_unperturbed_target_walks_the_mu_levels_from_zero():
-    # m < p < 1.75 with a time-varying forcing: Newton stalls on the
-    # unperturbed stage from u = 0, and the mu walk converges
-    prob = unit_problem(1.714351619603352, 1.6726892970292777, 5, 3)
-    x, t = prob.smesh.nodes[None, :], prob.tmesh.times[:, None]
-    f = -3.563404816899705 * np.sin(2.0 * np.pi * x) * np.sin(2.0 * np.pi * t)
-    prob = replace(prob, f=f)
+    prob = mu_walk_problem()
     final, stages, route = ca.solve_routed(prob, ca.CascadeParams())
     _, walked, _ = ca.solve_routed(prob, ca.CascadeParams(), route="mu")
     assert route == "mu"
@@ -331,6 +339,30 @@ def test_failed_unperturbed_target_walks_the_mu_levels_from_zero():
     steps = [s.diagnostics["fixed_point_newton_steps"] for s in walked]
     assert steps == [28, 160, 25, 10, 142]
     assert final is stages[-1] and final.converged
+
+
+@pytest.mark.parametrize(
+    "walk, budget, rungs, route",
+    [
+        (ladder_problem, None, None, "auto"),
+        (mu_walk_problem, None, None, "auto"),
+        (lambda: unit_problem(3.0, 2.0, 8, 8), 3, None, "auto"),
+        (lambda: unit_problem(3.0, 2.0, 8, 8), None, None, "mu"),
+        (lambda: unit_problem(3.0, 2.0, 8, 8), 2, (), "mu"),
+    ],
+    ids=["ladder", "mu-levels", "three-step-budget", "route-mu", "no-rung"],
+)
+def test_every_walk_ends_at_the_limit_stage(monkeypatch, walk, budget, rungs, route):
+    # every walk the suite runs, converged or not, ends at the eps = mu = 0
+    # stage, which is the final stage solve_routed returns
+    if budget is not None:
+        monkeypatch.setattr(ca, "MAX_FP_ITER", budget)
+    if rungs is not None:
+        monkeypatch.setattr(ca, "EPSILON_SCHEDULE", rungs)
+    final, stages, _ = ca.solve_routed(walk(), ca.CascadeParams(), route=route)
+    assert len(stages) > 1
+    assert final is stages[-1]
+    assert (final.epsilon, final.mu) == (0.0, 0.0)
 
 
 def test_mu_route_agrees_with_plain_when_both_apply():
@@ -434,6 +466,35 @@ def test_stage_audit_mu_keys():
     assert np.isfinite(audit["mu_term_dual_norm"])
     assert np.isfinite(audit["mu_phi_power_max"])
     assert audit["mu_term_dual_norm"] >= 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 4.7])
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+def test_report_h_dual_norm_is_the_dual_bochner_norm(p, mu):
+    # the report's norm of the dual forcing h = -xi is the one dual norm
+    # helper's, bit for bit, on perturbed stages too
+    prob = unit_problem(p, 3.0, 7, 5)
+    pf = ca._perturbation(mu, prob)
+    stage = ca.fixed_point_solve(prob, 0.05, ca.CascadeParams(), pf=pf)
+    audit = ca.stage_report(stage)["audit"]
+    assert audit["h_dual_norm"] == dual_bochner_norm(rate(stage, prob), prob) > 0.0
+
+
+def test_stage_audit_integrates_psi_of_a_non_power_map():
+    # the identity map as two breakpoints has psi(s) = s^2 / 2, as the power
+    # map at p = 2 has; the audit integrates its psi pointwise and lands on
+    # the power map's closed form
+    prob = unit_problem(2.0, 3.0, 8, 6)
+    table = replace(prob, nl=cc.Nonlinearity.piecewise_linear([(-1, -1), (1, 1)]))
+    audits = []
+    for pb in (prob, table):
+        stage = ca.fixed_point_solve(pb, 0.05, ca.CascadeParams())
+        assert stage.converged
+        audits.append(ca.stage_report(stage)["audit"])
+    power, pwl = (a["rate_primitive_integral"] for a in audits)
+    assert table.nl.kind == "piecewise_linear"
+    assert pwl == pytest.approx(power, rel=1e-12)
+    assert pwl == pytest.approx(0.5 * audits[1]["rate_p_integral"], rel=1e-12)
 
 
 def test_stage_report_reads_the_equation_the_stage_solved():
