@@ -88,8 +88,9 @@ class CascadeParams:
     """Tolerances of the cascade.
 
     A fixed point stage has converged when the Bochner dual norm of its
-    equation residual is at most stage_tol * min(1, dt) * max(1,
-    |f - alpha(du)|); stage_tol = None resolves to 0.05 * fp_tol.
+    equation residual is at most stage_tol * min(1, dt) * max(1, |f|), the
+    last factor being the residual_scale its diagnostics report;
+    stage_tol = None resolves to 0.05 * fp_tol.
     mu_eps_truncate is how many trailing entries of EPSILON_SCHEDULE the mu
     levels after the first, and the final mu = 0 level, climb when their
     target fails; the first mu level climbs the full ladder.
@@ -155,9 +156,11 @@ def fixed_point_solve(
 
     Newton (newton_fixed_point) starts from u0, zero when not given.  The
     stage's fixed point residual is the norm of its equation residual at
-    the end, and the stage has converged when that norm is within the
-    stage tolerance.  The diagnostics hold what Newton measured; the energy
-    margin, residual_AP and the audit are left to stage_report.
+    the end, and the stage has converged when that norm is at most the
+    bound stage_tol * min(1, dt) * residual_scale, with residual_scale =
+    max(1, |f|).  The bound is formed here, once, and Newton is handed the
+    number.  The diagnostics hold what Newton measured and the scale; the
+    energy margin, residual_AP and the audit are left to stage_report.
     Non-convergence is reported, not raised.  The stage logs one INFO line
     with its wall time, which the diagnostics do not hold.
     """
@@ -166,9 +169,9 @@ def fixed_point_solve(
     scale = max(1.0, dual_bochner_norm(prob.f, prob))
     # min(1, dt) shrinks the bound with the time step below dt = 1, although
     # the roundoff floor of |F| does not shrink with dt (it grows with M)
-    st_tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
+    tol = params.resolved_stage_tol() * min(1.0, prob.tmesh.dt) * scale
     stage, history, converged, kinds = newton_fixed_point(
-        u, prob, eps, pf, st_tol, MAX_FP_ITER
+        u, prob, eps, pf, tol, MAX_FP_ITER
     )
     res = history[-1]
     diagnostics = {

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discretize import ProblemSpec, SpatialMesh, cell_gradient, norm_V, norm_Vstar
+from .discretize import ProblemSpec, SpatialMesh, cell_gradient, norm_V
 
 __all__ = [
     "Nonlinearity",
@@ -439,7 +439,7 @@ _MIN_STEP = 0.5**30
 def _newton(
     u: np.ndarray,
     equation: Callable[[np.ndarray], tuple[object, float]],
-    tol: Callable[[object], float],
+    tol: float,
     step: Callable[[np.ndarray, object], np.ndarray | None],
     max_iter: int,
 ) -> tuple[np.ndarray, list[float], bool, object]:
@@ -447,12 +447,13 @@ def _newton(
 
     equation(v) returns (state, norm): what step needs at v and the dual
     norm of the equation residual there.  v solves the equation once that
-    norm is at most tol(state).  step(v, state) is the Newton step at v, or
-    None when its linear system is singular, as is a LinAlgError; a
-    MemoryError is a system too large to allocate, a step that cannot be
-    taken either.  Every step is tried in full, then at factors that halve,
-    or fall faster where the trial norm grows like a power of the factor,
-    down to _MIN_STEP, until the norm falls.  Stops on convergence, after
+    norm is at most tol, an absolute bound: any scale is the caller's.
+    step(v, state) is the Newton step at v, or None when its linear system
+    is singular, as is a LinAlgError; a MemoryError is a system too large
+    to allocate, a step that cannot be taken either.  Every step is tried
+    in full, then at factors that halve, or fall faster where the trial
+    norm grows like a power of the factor, down to _MIN_STEP, until the
+    norm falls.  Stops on convergence, after
     max_iter steps, or when a step is singular, cannot be allocated, is
     non-finite or cannot decrease the norm.  Returns the last iterate, the
     norm at the start and after every step, whether it converged, and the
@@ -461,7 +462,7 @@ def _newton(
     state, res = equation(u)
     history = [res]
     while True:
-        if res <= tol(state):
+        if res <= tol:
             return u, history, True, state
         if len(history) > max_iter:
             break
@@ -521,7 +522,7 @@ def _prox_newton(
     def equation(v: np.ndarray) -> tuple[tuple, float]:
         phi = PhiAt(v, prob.a, prob.m, delta, mesh, pf)
         R = duality_map(v - center, p, mesh) / lam + phi.grad - wstar
-        return (R, phi), float(norm_Vstar(R, pc, mesh))
+        return (R, phi), float(norm_V(R, pc, mesh))
 
     def step(v: np.ndarray, state: tuple) -> np.ndarray:
         R, phi = state
@@ -529,7 +530,7 @@ def _prox_newton(
         return np.linalg.solve(H + phi.matrix(), -R)
 
     v0 = np.array(center, dtype=float)  # the result never aliases the caller's array
-    v, history, converged, _ = _newton(v0, equation, lambda _: tol, step, 200)
+    v, history, converged, _ = _newton(v0, equation, tol, step, 200)
     return v, history[-1], converged
 
 
@@ -578,7 +579,7 @@ def resolvent_phi_power(
     """
     w = _require_finite(w, "field")
     wstar = _require_finite(wstar, "dual field")
-    tol *= max(1.0, float(norm_Vstar(wstar, prob.p_conj, prob.smesh)))
+    tol *= max(1.0, float(norm_V(wstar, prob.p_conj, prob.smesh)))
     u, res, converged = _prox_newton(w, 1.0, pf, wstar, prob, delta, tol)
     if not converged:
         raise RuntimeError(f"resolvent solve stalled with residual {res:.3e}")

@@ -31,7 +31,6 @@ __all__ = [
     "ProblemSpec",
     "time_derivative",
     "norm_V",
-    "norm_Vstar",
     "norm_X",
     "pairing",
     "bochner_norm",
@@ -190,18 +189,13 @@ def pairing(xi: np.ndarray, v: np.ndarray, smesh: SpatialMesh) -> float | np.nda
 def norm_V(v: np.ndarray, p: float, smesh: SpatialMesh) -> float | np.ndarray:
     """Nodal L^p norm (sum dx |v_i|^p)^(1/p) over the last axis.
 
+    A dual field's norm in V* is this norm at the conjugate exponent p'.
     For a constant field this misses the two boundary half-cells, so the
     value is (L - dx)^(1/p) rather than L^(1/p); the O(dx) defect is the
     documented boundary-cell quadrature convention.
     """
     v = np.asarray(v, dtype=float)
     return (smesh.dx * np.sum(np.abs(v) ** p, axis=-1)) ** (1.0 / p)
-
-
-def norm_Vstar(xi: np.ndarray, p_conj: float, smesh: SpatialMesh) -> float | np.ndarray:
-    """Dual-side nodal norm with the conjugate exponent p' passed directly."""
-    xi = np.asarray(xi, dtype=float)
-    return (smesh.dx * np.sum(np.abs(xi) ** p_conj, axis=-1)) ** (1.0 / p_conj)
 
 
 def cell_gradient(v: np.ndarray, smesh: SpatialMesh) -> np.ndarray:
@@ -222,7 +216,7 @@ def bochner_norm(slice_norms: np.ndarray, r: float, tmesh: TemporalMesh) -> floa
     """Time-integrated norm (sum_n dt |u_n|^r)^(1/r); r = inf gives max_n.
 
     `slice_norms` holds the spatial norm |u_n| of every slice, shape (N,),
-    as norm_V or norm_Vstar return it for a trajectory.
+    as norm_V returns it for a trajectory.
     """
     slice_norms = np.asarray(slice_norms, dtype=float)
     if slice_norms.shape != (tmesh.step_count,):
@@ -241,7 +235,7 @@ def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
     """Norm of a dual trajectory: p' in time, the nodal V* norm in space.
 
     This is the norm every residual and dual forcing of the problem is
-    measured in.  It is bochner_norm(norm_Vstar(xi, p', smesh), p', tmesh)
+    measured in.  It is bochner_norm(norm_V(xi, p', smesh), p', tmesh)
     bit for bit, by the same operations in the same order (each slice's
     root, then its p'-th power), in one pass.
     """

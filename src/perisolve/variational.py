@@ -233,7 +233,8 @@ def newton_fixed_point(
     the forcing prob.f.  convexcore's Newton loop backtracks every step
     until the Bochner dual norm of F falls (halving it, or faster where the
     trial norms grow like a power of the step length).  Converged when that
-    norm is at most tol * max(1, |f - alpha(du)|); otherwise it stops after
+    norm is at most tol, an absolute bound (cascade.fixed_point_solve passes
+    stage_tol * min(1, dt) * max(1, |f|)); otherwise it stops after
     max_iter steps, or when a step is singular, too large to allocate,
     non-finite or cannot decrease the norm.
     Each step solves the Jacobian exactly by a real DFT in time and one
@@ -256,9 +257,6 @@ def newton_fixed_point(
         stage = _StageAt(v, prob, eps, pf)
         return stage, dual_bochner_norm(stage.F, prob)
 
-    def stage_tol(stage: _StageAt) -> float:
-        return tol * max(1.0, dual_bochner_norm(prob.f - stage.xi, prob))
-
     def step(v: np.ndarray, stage: _StageAt) -> np.ndarray | None:
         nonlocal lu
         jac = stage.jacobian()
@@ -274,7 +272,7 @@ def newton_fixed_point(
         )
         return x.reshape(M, N).T if info == 0 else None
 
-    _, history, converged, stage = cc._newton(u, equation, stage_tol, step, max_iter)
+    _, history, converged, stage = cc._newton(u, equation, tol, step, max_iter)
     return stage, history, converged, kinds
 
 

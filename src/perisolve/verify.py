@@ -31,7 +31,6 @@ from .discretize import (
     dual_bochner_norm,
     format_rows,
     norm_V,
-    norm_Vstar,
     norm_X,
     pairing,
     write_csv,
@@ -342,7 +341,7 @@ def invariant_suite(
         nv = float(norm_V(v, prob.p, smesh))
         F = cc.duality_map(v, prob.p, smesh)
         dev = max(dev, abs(float(pairing(F, v, smesh)) - nv**2))
-        dev = max(dev, abs(float(norm_Vstar(F, prob.p_conj, smesh)) - nv))
+        dev = max(dev, abs(float(norm_V(F, prob.p_conj, smesh)) - nv))
     id_tol = 1e-10 * max(1.0, nv**2)
     checks.append(_check("duality_identities", id_tol - dev, id_tol))
 
@@ -522,12 +521,12 @@ def growth_audit(prob: ProblemSpec, sample_count: int, seed: int = 0) -> Table:
         u = fields * (target / base_n)[:, None]
         psi = np.asarray(cc.eval_psi(u, prob.nl, smesh))
         dpsi = prob.nl.alpha_eval(u)
-        dpsi_n = np.asarray(norm_Vstar(dpsi, pc, smesh)) ** pc
+        dpsi_n = np.asarray(norm_V(dpsi, pc, smesh)) ** pc
         up = np.asarray(norm_V(u, p, smesh)) ** p
         energy = cc.PhiAt(u, prob.a, prob.m, 0.0, smesh)
         phi = np.asarray(energy.value)
         eta = energy.grad
-        eta_n = np.asarray(norm_Vstar(eta, mc, smesh)) ** mc
+        eta_n = np.asarray(norm_V(eta, mc, smesh)) ** mc
         xm = np.asarray(norm_X(u, m, smesh)) ** m
         quantity = {
             "state": up, "primitive": psi, "rate_grad": dpsi_n,

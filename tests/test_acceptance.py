@@ -24,7 +24,7 @@ from oracles import (
     fd_gradient,
     scalar_mode_problem,
 )
-from perisolve.discretize import SpatialMesh, norm_V, norm_Vstar, pairing
+from perisolve.discretize import SpatialMesh, norm_V, pairing
 from perisolve.variational import _StageAt, residual_AP
 from util import linf_l2, slice_problem, unit_problem
 
@@ -106,7 +106,7 @@ def test_criterion_5_identity_suite(rng):
             scale = max(1.0, nv**2)
             dev = max(dev, abs(float(pairing(F, v, mesh)) - nv**2) / scale)
             rc = r / (r - 1.0)
-            dev = max(dev, abs(float(norm_Vstar(F, rc, mesh)) - nv) / scale)
+            dev = max(dev, abs(float(norm_V(F, rc, mesh)) - nv) / scale)
     worst["duality"] = dev
     ok = dev <= 1e-10
 

@@ -290,6 +290,36 @@ def test_failed_target_with_no_rung_left_is_not_retried(monkeypatch):
     assert not stages[0].converged and stages[-1].converged
 
 
+def tiny_forcing_problem():
+    """p < 1.7 under a forcing of norm 1e-12: the rates sit near 1e-17, far
+    below DELTA, and the eps = 0 stage stops just above its bound."""
+    prob = unit_problem(1.6646546944493514, 2.034373830035789, 7, 7)
+    x, t = prob.smesh.nodes[None, :], prob.tmesh.times[:, None]
+    f = 4.340825295325375e-12 * np.sin(np.pi * x) * (np.sin(2.0 * np.pi * t) + 0.3)
+    return replace(prob, f=f)
+
+
+def test_climb_leaves_the_ladder_once_residual_AP_stagnates():
+    # the rungs at eps = 1 and 1/2 converge with residual_AP below the stage
+    # tolerance and falling by less than half: the walk goes straight to its
+    # eps = 0 stage, 4 stages in all instead of 17
+    prob, params = tiny_forcing_problem(), ca.CascadeParams()
+    stages = ca.epsilon_continuation(prob, params)
+    assert [s.epsilon for s in stages] == [0.0, 1.0, 0.5, 0.0]
+    assert [s.converged for s in stages] == [False, True, True, False]
+    # each stage was judged by the bound its report gives: stage_tol,
+    # min(1, dt) and its residual_scale
+    for stage in stages:
+        diag = stage.diagnostics
+        bound = (params.resolved_stage_tol() * min(1.0, prob.tmesh.dt)
+                 * diag["residual_scale"])
+        assert stage.converged == (diag["fixed_point_residual"] <= bound)
+    # the target's 9.3e-13 misses the absolute bound 5e-12 / 7 = 7.1e-13
+    target = stages[0].diagnostics
+    assert target["residual_scale"] == 1.0
+    assert target["fixed_point_residual"] > 0.05 * params.fp_tol / 7
+
+
 def test_perturbation_exponent_meets_coercivity():
     # the mu route's perturbation needs m (1 + a) > p; the derived exponent
     # meets it for every p, m > 1, m near 1 under a large p included, so no

@@ -99,6 +99,7 @@ class TestLoadConfig:
     def test_errors_name_the_dotted_key(self, tmp_path):
         cases = [
             ({"problem": small_problem(m=0.5)}, "problem.m"),
+            ({"problem": small_problem(p=1.0)}, "problem.p"),
             ({"problem": small_problem(forcing={"kind": "blob"})}, "problem.forcing.kind"),
             (
                 {
@@ -353,6 +354,16 @@ def test_field_csv_feeds_forcing_and_rejects_mismatch(tmp_path, rng):
     (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
     with pytest.raises(cli.ConfigError, match="header") as err:
         load_forcing(tmp_path, {"kind": "csv", "path": str(tmp_path / "bad.csv")}, 4, 3)
+    assert err.value.key == "problem.forcing.path"
+    # the same grid on [0, 2], and a file one row short of a grid
+    blocks = format_field(values, SpatialMesh(2.0, 4), TemporalMesh(1.0, 3))
+    write_csv(str(path), FIELD_COLUMNS, blocks)
+    with pytest.raises(cli.ConfigError, match="coordinates do not match") as err:
+        load_forcing(tmp_path, {"kind": "csv", "path": str(path)}, 4, 3)
+    assert err.value.key == "problem.forcing.path"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(cli.ConfigError, match="is not a full grid") as err:
+        load_forcing(tmp_path, {"kind": "csv", "path": str(path)}, 4, 3)
     assert err.value.key == "problem.forcing.path"
 
 
@@ -1196,6 +1207,23 @@ def test_grid_too_large_to_allocate_is_a_config_error(tmp_path):
     proc = run_capped(path, out, 3 << 30)
     assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
     assert "config error: problem.M: an N x M = 8 x 1000000000 grid" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("builder", ["_build_diffusion", "_build_forcing"])
+@pytest.mark.parametrize("M, N, key", [(8, 4, "problem.M"), (4, 8, "problem.N")])
+def test_grid_arrays_that_fail_to_allocate_name_the_larger_count(
+    tmp_path, capsys, monkeypatch, builder, M, N, key
+):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, builder, out_of_memory)
+    out = tmp_path / "o"
+    path = write_config(tmp_path, {"problem": small_problem(M=M, N=N)})
+    assert cli.main(["solve", "--config", path, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key}: an N x M = {N} x {M} grid is too large" in err
     assert not out.exists()
 
 

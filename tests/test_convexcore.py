@@ -15,7 +15,7 @@ from oracles import (
     fd_gradient,
     scalar_mode_problem,
 )
-from perisolve.discretize import SpatialMesh, norm_Vstar, pairing
+from perisolve.discretize import SpatialMesh, norm_V, pairing
 from util import slice_problem, unit_problem
 
 slices = arrays(float, st.integers(2, 8), elements=st.floats(-5.0, 5.0))
@@ -91,6 +91,8 @@ class TestPiecewiseNonlinearity:
             cc.Nonlinearity.piecewise_linear([0.0, 1.0])
         with pytest.raises(ValueError, match=">= 2 breakpoints"):
             cc.Nonlinearity.custom_tabulated([0.0], [0.0])
+        with pytest.raises(ValueError, match="unknown nonlinearity kind 'bogus'"):
+            cc.Nonlinearity("bogus", 2.0)
 
     def test_bounded_range_conjugate_is_infinite_outside(self):
         flat = cc.Nonlinearity.piecewise_linear(
@@ -300,15 +302,13 @@ def test_phi_hessian_matches_directional_fd(rng):
 
 @pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 4.0])
 def test_duality_map_identities(r, rng):
-    from perisolve.discretize import norm_V, norm_Vstar
-
     sm = SpatialMesh(2.0, 11)
     v = rng.normal(size=11)
     F = cc.duality_map(v, r, sm)
     nv = norm_V(v, r, sm)
     assert pairing(F, v, sm) == pytest.approx(nv**2, rel=1e-12)
     rc = r / (r - 1.0)
-    assert norm_Vstar(F, rc, sm) == pytest.approx(nv, rel=1e-12)
+    assert norm_V(F, rc, sm) == pytest.approx(nv, rel=1e-12)
 
 
 def test_duality_map_edge_cases():
@@ -479,7 +479,18 @@ def test_resolvent_field_case_satisfies_equation(rng):
     phi = cc.PhiAt(u, prob.a, 2.0, 0.0, sm)
     lam = 0.8 * float(phi.value)
     res = cc.duality_map(u - w, 2.0, sm) + (1.0 + lam) * phi.grad - ws
-    assert norm_Vstar(res, 2.0, sm) <= 1e-8 * max(1.0, norm_Vstar(ws, 2.0, sm))
+    assert norm_V(res, 2.0, sm) <= 1e-8 * max(1.0, norm_V(ws, 2.0, sm))
+
+
+def test_resolvent_that_cannot_reach_its_tolerance_raises(rng):
+    # no iterate's residual is exactly zero: Newton stops at the roundoff
+    # floor, and the solve reports the residual it reached
+    sm = SpatialMesh(1.0, 6)
+    prob = slice_problem(sm, 2.0)
+    pf = cc.PerturbedFunctional(mu=0.8, alpha_exp=1.0)
+    w, ws = rng.normal(size=6), rng.normal(size=6)
+    with pytest.raises(RuntimeError, match="resolvent solve stalled with residual"):
+        cc.resolvent_phi_power(w, ws, pf, prob, 0.0, tol=0.0)
 
 
 def resolvent_residual(u, w, ws, pf, prob, delta):
@@ -488,7 +499,7 @@ def resolvent_residual(u, w, ws, pf, prob, delta):
     sm, pc = prob.smesh, prob.p_conj
     grad = cc.PhiAt(u, prob.a, prob.m, delta, sm, pf).grad
     res = cc.duality_map(u - w, prob.p, sm) + grad - ws
-    return norm_Vstar(res, pc, sm), 1e-10 * max(1.0, norm_Vstar(ws, pc, sm))
+    return norm_V(res, pc, sm), 1e-10 * max(1.0, norm_V(ws, pc, sm))
 
 
 def test_resolvent_is_one_newton_solve_off_the_quadratic_case(rng, monkeypatch):
@@ -585,7 +596,7 @@ def traced_newton(norm_at, step, max_iter, tol=0.0):
         points.append(float(v[0]))
         return None, norm_at(float(v[0]))
 
-    out = cc._newton(np.zeros(1), equation, lambda _: tol, step, max_iter)
+    out = cc._newton(np.zeros(1), equation, tol, step, max_iter)
     return out, points
 
 

@@ -17,7 +17,6 @@ from perisolve.discretize import (
     dual_bochner_norm,
     format_field,
     norm_V,
-    norm_Vstar,
     norm_X,
     pairing,
     read_field_csv,
@@ -119,7 +118,7 @@ def test_holder_inequality(data, p):
     sm = SpatialMesh(1.0, data.shape[1])
     xi, v = data[0], data[-1]
     pc = p / (p - 1.0)
-    bound = norm_Vstar(xi, pc, sm) * norm_V(v, p, sm)
+    bound = norm_V(xi, pc, sm) * norm_V(v, p, sm)
     assert abs(pairing(xi, v, sm)) <= bound * (1.0 + 1e-12) + 1e-15
 
 
@@ -131,7 +130,7 @@ def test_dual_norm_attained(p, rng):
     pc = p / (p - 1.0)
     v_star = np.abs(xi) ** (pc - 2.0) * xi
     ratio = pairing(xi, v_star, sm) / norm_V(v_star, p, sm)
-    assert ratio == pytest.approx(norm_Vstar(xi, pc, sm), rel=1e-12)
+    assert ratio == pytest.approx(norm_V(xi, pc, sm), rel=1e-12)
 
 
 def test_cell_gradient_exact_on_quadratics():
@@ -187,7 +186,7 @@ def test_dual_bochner_norm_is_the_two_step_norm_bit_for_bit(rng, p, N):
             xi[trial % N] = extremes[trial]
         # |1e150|^3 overflows to inf on both paths
         with np.errstate(over="ignore"):
-            want = bochner_norm(norm_Vstar(xi, pc, sm), pc, tm)
+            want = bochner_norm(norm_V(xi, pc, sm), pc, tm)
             got = dual_bochner_norm(xi, prob)
         assert got == want, (trial, xi)
     with pytest.raises(ValueError, match="slice norms must have shape"):
@@ -205,6 +204,21 @@ def test_field_csv_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(arr, values)
     assert np.array_equal(t_read, tm.times)
     assert np.array_equal(x_read, sm.nodes)
+
+
+def test_field_csv_skips_blank_lines_and_rejects_a_partial_grid(tmp_path, rng):
+    sm, tm = SpatialMesh(1.0, 3), TemporalMesh(1.0, 2)
+    values = rng.normal(size=(2, 3))
+    path = tmp_path / "field.csv"
+    write_csv(str(path), FIELD_COLUMNS, format_field(values, sm, tm))
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines[:4], "\n", *lines[4:], "\n"]))
+    arr, _, _ = read_field_csv(str(path))
+    assert np.array_equal(arr, values)
+    # one row short of the 2 x 3 grid
+    path.write_text("".join(lines[:-1]))
+    with pytest.raises(ValueError, match="is not a full grid"):
+        read_field_csv(str(path))
 
 
 def test_write_dat_mirrors_values(tmp_path, rng):

@@ -301,7 +301,7 @@ def test_newton_factors_the_band_in_place(rng, monkeypatch):
 
 def test_newton_evaluates_each_iterate_once(monkeypatch):
     # an eps > 0 stage reads du and alpha(du) at an iterate once: for the
-    # residual, its tolerance and the band
+    # residual and the band
     counts = {"time_derivative": 0, "iterates": 0}
     time_derivative_ = var.time_derivative
     newton = cc._newton
@@ -324,6 +324,18 @@ def test_newton_evaluates_each_iterate_once(monkeypatch):
     _, history, converged, _ = newton_fixed_point(np.zeros((4, 5)), *args, 1e-10, 50)
     assert converged and len(history) >= 3
     assert counts["time_derivative"] == counts["iterates"] >= len(history)
+
+
+def test_newton_converges_at_the_first_norm_within_an_absolute_tol():
+    # tol is a number: |f - alpha(du)| is about 3.6 at every iterate here,
+    # and a bound scaled by it would stop a step early, at the norm above tol
+    prob = unit_problem(2.5, 3.0, 8, 8, amp=5.0)
+    u0 = np.zeros_like(prob.f)
+    _, full, _, _ = newton_fixed_point(u0, prob, 0.0, None, 0.0, 50)
+    tol = 0.5 * full[4]
+    assert full[5] < tol < full[4]
+    _, history, converged, _ = newton_fixed_point(u0, prob, 0.0, None, tol, 50)
+    assert converged and history == full[:6]
 
 
 @pytest.mark.filterwarnings("error")
