@@ -279,12 +279,8 @@ def stage_audit(stage: _StageAt) -> dict:
         """sum_n dt sum_i dx of the pointwise powers |v|^r."""
         return float(dt * dx * np.sum(powers))
 
-    du_p = np.abs(du) ** p
-    rate_p = integral(du_p)
-    if prob.nl.kind == "power":  # psi(s) = |s|^p / p
-        rate_primitive = rate_p / p
-    else:
-        rate_primitive = float(dt * np.sum(cc.eval_psi(du, prob.nl, prob.smesh)))
+    rate_p = integral(np.abs(du) ** p)
+    rate_primitive = float(dt * np.sum(cc.eval_psi(du, prob.nl, prob.smesh)))
     rate_dual = float(dt * np.sum(dx * np.sum(np.abs(xi) ** pc, axis=-1)))
     state_energy = integral(np.abs(phi.Du) ** m)
     state_p = integral(np.abs(u) ** p)

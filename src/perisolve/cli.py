@@ -186,7 +186,10 @@ def _build_nonlinearity(spec: dict, p: float, path: str) -> cc.Nonlinearity:
         _known(spec, ("kind", "s_values", "alpha_values"), path)
         s = _numbers(spec, "s_values", path)
         al = _numbers(spec, "alpha_values", path)
-        return _checked(path, cc.Nonlinearity.custom_tabulated, s, al, p_exponent=p)
+        if len(s) != len(al):
+            raise ConfigError(path, f"{len(s)} s_values but {len(al)} alpha_values")
+        pts = np.column_stack([s, al])
+        return _checked(path, cc.Nonlinearity.piecewise_linear, pts, p_exponent=p)
     raise ConfigError(f"{path}.kind", f"unknown nonlinearity kind {kind!r}")
 
 

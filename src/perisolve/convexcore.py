@@ -60,12 +60,11 @@ def _require_finite(arr: np.ndarray, what: str) -> np.ndarray:
 class Nonlinearity:
     """Nondecreasing scalar map alpha with primitive A and conjugate A*.
 
-    Three kinds are supported: "power" (alpha(s) = |s|^(p-2) s, everything in
-    closed form), "piecewise_linear" (knot list, exact segment integrals and
-    conjugate), and "custom_tabulated" (same machinery, data read from a
-    two-column file).  Piecewise kinds extend beyond their end knots with
-    the end segment slopes; at a knot the derivative takes the left
-    segment's slope, a single-valued selection.
+    Two kinds are supported: "power" (alpha(s) = |s|^(p-2) s, everything in
+    closed form) and "piecewise_linear" (one table of knots (s, alpha(s)),
+    exact segment integrals and conjugate).  A table extends beyond its end
+    knots with the end segment slopes; at a knot the derivative takes the
+    left segment's slope, a single-valued selection.
 
     p_exponent is the growth exponent used by the norm bookkeeping.
     """
@@ -79,7 +78,7 @@ class Nonlinearity:
     ) -> None:
         if p_exponent <= 1.0:
             raise ValueError(f"p_exponent must exceed 1, got {p_exponent}")
-        if kind not in ("power", "piecewise_linear", "custom_tabulated"):
+        if kind not in ("power", "piecewise_linear"):
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
         self.kind = kind
         self.p_exponent = float(p_exponent)
@@ -124,24 +123,13 @@ class Nonlinearity:
         return cls("piecewise_linear", p_exponent, pts[:, 0], pts[:, 1])
 
     @classmethod
-    def custom_tabulated(
-        cls, s_values, alpha_values, p_exponent: float = 2.0
-    ) -> "Nonlinearity":
-        return cls(
-            "custom_tabulated",
-            p_exponent,
-            np.asarray(s_values, dtype=float),
-            np.asarray(alpha_values, dtype=float),
-        )
-
-    @classmethod
     def from_csv(cls, path: str, p_exponent: float = 2.0) -> "Nonlinearity":
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(
                 f"{path} has {data.shape[1]} columns, expected two: s, alpha(s)"
             )
-        return cls.custom_tabulated(data[:, 0], data[:, 1], p_exponent)
+        return cls.piecewise_linear(data, p_exponent)
 
     # -- piecewise helpers
 
@@ -173,7 +161,7 @@ class Nonlinearity:
     def conjugate_Astar(self, xi) -> np.ndarray:
         """A*(xi) = sup_s (xi s - A(s)), +inf where xi lies beyond a flat end.
 
-        For piecewise kinds the supremum is attained where alpha(s*) = xi:
+        For a table the supremum is attained where alpha(s*) = xi:
         s* = knot + (xi - value)/slope on the segment whose values bracket
         xi, the end segments carrying the end-slope extension.  On a flat
         segment every point gives the same value, so s* is its knot.
@@ -193,7 +181,7 @@ class Nonlinearity:
         return out if out.ndim else float(out)
 
     def alpha_derivative(self, s, delta: float = 0.0) -> np.ndarray:
-        """Slope of alpha, smoothed near 0 for power kinds when delta > 0."""
+        """Slope of alpha, smoothed near 0 for the power kind when delta > 0."""
         s = _require_finite(s, "nonlinearity argument")
         if self.kind == "power":
             q = self.p_exponent - 2.0
@@ -440,7 +428,7 @@ def _newton(
     u: np.ndarray,
     equation: Callable[[np.ndarray], tuple[object, float]],
     tol: float,
-    step: Callable[[np.ndarray, object], np.ndarray | None],
+    step: Callable[[np.ndarray, object], np.ndarray],
     max_iter: int,
 ) -> tuple[np.ndarray, list[float], bool, object]:
     """Newton's method that backtracks each step until a residual norm falls.
@@ -448,9 +436,9 @@ def _newton(
     equation(v) returns (state, norm): what step needs at v and the dual
     norm of the equation residual there.  v solves the equation once that
     norm is at most tol, an absolute bound: any scale is the caller's.
-    step(v, state) is the Newton step at v, or None when its linear system
-    is singular, as is a LinAlgError; a MemoryError is a system too large
-    to allocate, a step that cannot be taken either.  Every step is tried
+    step(v, state) is the Newton step at v; it raises LinAlgError when its
+    linear system is singular, and a MemoryError is a system too large to
+    allocate, a step that cannot be taken either.  Every step is tried
     in full, then at factors that halve, or fall faster where the trial
     norm grows like a power of the factor, down to _MIN_STEP, until the
     norm falls.  Stops on convergence, after
@@ -470,7 +458,7 @@ def _newton(
             d = step(u, state)
         except (np.linalg.LinAlgError, MemoryError):
             break
-        if d is None or not np.all(np.isfinite(d)):
+        if not np.all(np.isfinite(d)):
             break
         t, last, last_res = 1.0, math.inf, math.inf
         while True:

@@ -152,9 +152,9 @@ class _Jacobian(NamedTuple):
             and (d == d[0]).all() and (e == e[0]).all()
         )
 
-    def solve_time_invariant(self, b: np.ndarray) -> np.ndarray | None:
-        """Solve J x = b (N, M) exactly when time_invariant(); None when J
-        is singular.
+    def solve_time_invariant(self, b: np.ndarray) -> np.ndarray:
+        """Solve J x = b (N, M) exactly when time_invariant(); raises
+        np.linalg.LinAlgError when J is singular.
 
         J is then the Kronecker sum I_N (x) K + C (x) I_M, with K the block
         of every slice and C the circulant s (I - P) - c (P + P^T), P the
@@ -184,9 +184,8 @@ class _Jacobian(NamedTuple):
         rhs = np.fft.rfft(b - b[0], axis=0)
         rhs[0] += N * b[0]
         _, _, _, x, info = zgtsv(off, diag, off, rhs.ravel())
-        # info > 0 is an exactly zero pivot: J is singular
         if info > 0:
-            return None
+            raise np.linalg.LinAlgError("zgtsv zero pivot: singular stage Jacobian")
         return np.fft.irfft(x.reshape(rhs.shape), N, axis=0)
 
     def write_band(self, lu: np.ndarray) -> None:
@@ -257,7 +256,7 @@ def newton_fixed_point(
         stage = _StageAt(v, prob, eps, pf)
         return stage, dual_bochner_norm(stage.F, prob)
 
-    def step(v: np.ndarray, stage: _StageAt) -> np.ndarray | None:
+    def step(v: np.ndarray, stage: _StageAt) -> np.ndarray:
         nonlocal lu
         jac = stage.jacobian()
         if jac.time_invariant():
@@ -270,7 +269,9 @@ def newton_fixed_point(
         _, _, x, info = dgbsv(
             N, N, lu, -stage.F.T.ravel(), overwrite_ab=1, overwrite_b=1
         )
-        return x.reshape(M, N).T if info == 0 else None
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgbsv info {info}: singular stage Jacobian")
+        return x.reshape(M, N).T
 
     _, history, converged, stage = cc._newton(u, equation, tol, step, max_iter)
     return stage, history, converged, kinds

@@ -10,17 +10,20 @@ CascadeParams()), and its line records the walk's verdict: rescued, its
 stage count and its Newton steps.  The family "all" runs every family in
 turn.
 
-Every problem lives on the unit square with unit diffusion and the power
-map, as tests/util.unit_problem builds it; only its forcing is drawn.  Per
-problem the draws are, in order: p ~ U(plo, phi), m ~ U(mlo, mhi),
-M ~ integers(3, 17), N ~ integers(2, 17) and integers(1, 3) terms.  Per
-term: an amplitude U(0.1, A) times choice([-1, 1]); sin or cos (integers(0,
-2)) of k pi x with k ~ integers(1, 4); a time frequency j ~ integers(0, 3);
-and a profile integers(0, 3), which is 1 when it is 0 or j = 0 and
-otherwise sin or cos of 2 pi j t.  A term adds amplitude * time profile *
-space profile, multiplied in that order: the failed targets' step counts
-depend on its roundoff.  pytest does not collect this file; test_sweeps.py
-pins the draws.
+Every problem lives on the unit square with unit diffusion, as
+tests/util.unit_problem builds it, and has the power map unless its family
+draws a table.  Per problem the draws are, in order: p ~ U(plo, phi),
+m ~ U(mlo, mhi), M ~ integers(3, 17), N ~ integers(2, 17) and
+integers(1, 3) terms.  Per term: an amplitude U(0.1, A) times
+choice([-1, 1]); sin or cos (integers(0, 2)) of k pi x with
+k ~ integers(1, 4); a time frequency j ~ integers(0, 3); and a profile
+integers(0, 3), which is 1 when it is 0 or j = 0 and otherwise sin or cos
+of 2 pi j t.  A term adds amplitude * time profile * space profile,
+multiplied in that order: the failed targets' step counts depend on its
+roundoff.  A table family then draws the rate map: integers(2, 7) knots
+s ~ U(-4, 4) in one draw, plus s = 0, sorted; one slope U(0.1, 10) per
+segment in one draw; and alpha(0) = 0.  pytest does not collect this
+file; test_sweeps.py pins the draws.
 """
 
 from __future__ import annotations
@@ -35,19 +38,22 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from perisolve.cascade import CascadeParams, fixed_point_solve, solve_routed
+from perisolve.convexcore import Nonlinearity
 from perisolve.discretize import ProblemSpec
 from util import unit_problem
 
 
 class Family(NamedTuple):
     """A seeded family: count problems with p in [plo, phi), m in
-    [mlo, mhi) and forcing amplitudes up to A."""
+    [mlo, mhi), forcing amplitudes up to A and, with table, a drawn
+    piecewise linear rate map in place of the power map."""
 
     seed: int
     p: tuple[float, float]
     m: tuple[float, float]
     A: float
     count: int
+    table: bool = False
 
 
 FAMILIES = {
@@ -58,6 +64,7 @@ FAMILIES = {
     "seed2026": Family(2026, (1.5, 2.0), (1.5, 3.0), 10.0, 60),
     "seed2028": Family(2028, (2.0, 3.5), (1.5, 3.0), 10.0, 60),
     "seed1": Family(1, (1.5, 2.0), (1.1, 3.0), 100.0, 60),
+    "seed5": Family(5, (1.5, 3.0), (1.5, 3.0), 10.0, 40, table=True),
 }
 
 
@@ -82,7 +89,16 @@ def problems(family: Family) -> Iterator[tuple[int, ProblemSpec]]:
             if profile and j:
                 wave = (np.sin, np.cos)[profile - 1](2.0 * np.pi * j * t)
             f = f + amp * wave * space(k * np.pi * x)
-        yield index, replace(prob, f=f)
+        prob = replace(prob, f=f)
+        if family.table:
+            s = rng.uniform(-4.0, 4.0, int(rng.integers(2, 7)))
+            s = np.sort(np.append(s, 0.0))
+            slopes = rng.uniform(0.1, 10.0, s.size - 1)
+            alpha = np.append(0.0, np.cumsum(slopes * np.diff(s)))
+            alpha -= alpha[np.searchsorted(s, 0.0)]
+            table = np.column_stack([s, alpha])
+            prob = replace(prob, nl=Nonlinearity.piecewise_linear(table, p_exponent=p))
+        yield index, prob
 
 
 def run(name: str, route: bool) -> dict:

@@ -773,9 +773,36 @@ def test_inline_identity_table_solves_as_the_power_map(tmp_path):
         final, _, _ = cascade.solve_routed(cfg.problem, cfg.cascade)
         assert final.converged
         finals.append(final)
-    assert finals[1].prob.nl.kind == "custom_tabulated"
+    assert finals[1].prob.nl.kind == "piecewise_linear"
     power, tabulated = (f.u for f in finals)
     assert np.abs(tabulated - power).max() <= 1e-12 * np.abs(power).max()
+
+
+def test_one_table_three_spellings_build_one_map(tmp_path):
+    # breakpoints, inline s/alpha lists and a two-column file spell the same
+    # table: each builds the one table kind, and the solves agree bit for bit
+    knots = [[-2.0, -3.0], [0.0, 0.0], [0.5, 0.25], [3.0, 4.0]]
+    s, al = (list(col) for col in zip(*knots))
+    csv = tmp_path / "alpha.csv"
+    csv.write_text("".join(f"{a!r},{b!r}\n" for a, b in knots))
+    spellings = (
+        {"kind": "piecewise_linear", "breakpoints": knots},
+        {"kind": "custom_tabulated", "s_values": s, "alpha_values": al},
+        {"kind": "custom_tabulated", "path": str(csv)},
+    )
+    maps, finals = [], []
+    for nl in spellings:
+        doc = {"problem": small_problem(p=2.0, nonlinearity=nl)}
+        cfg = cli.load_config(write_config(tmp_path, doc))
+        maps.append(cfg.problem.nl)
+        final, _, _ = cascade.solve_routed(cfg.problem, cfg.cascade)
+        assert final.converged
+        finals.append(final.u)
+    for nl, u in zip(maps, finals):
+        assert nl.kind == "piecewise_linear"
+        assert np.array_equal(nl._knots, maps[0]._knots)
+        assert np.array_equal(nl._values, maps[0]._values)
+        assert np.array_equal(u, finals[0])
 
 
 @pytest.mark.parametrize(

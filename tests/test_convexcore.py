@@ -90,7 +90,7 @@ class TestPiecewiseNonlinearity:
         with pytest.raises(ValueError, match=r"\(n, 2\)"):
             cc.Nonlinearity.piecewise_linear([0.0, 1.0])
         with pytest.raises(ValueError, match=">= 2 breakpoints"):
-            cc.Nonlinearity.custom_tabulated([0.0], [0.0])
+            cc.Nonlinearity.piecewise_linear([[0.0, 0.0]])
         with pytest.raises(ValueError, match="unknown nonlinearity kind 'bogus'"):
             cc.Nonlinearity("bogus", 2.0)
 
@@ -115,7 +115,7 @@ class TestPiecewiseNonlinearity:
             kind="nonlinearity_perturbation", base=unit_problem(2.5, 2.0, 4, 4)
         )
         nl = spec.instance(n).nl
-        assert nl.kind == "custom_tabulated" and nl._knots.size == 4097
+        assert nl.kind == "piecewise_linear" and nl._knots.size == 4097
         # Fenchel-Young equality on the graph
         xi = nl.alpha_eval(s)
         fy = nl.primitive_A(s) + nl.conjugate_Astar(xi) - xi * s
@@ -153,8 +153,8 @@ class TestPiecewiseNonlinearity:
             assert abs(Fraction(float(nl.primitive_A(s))) - ref) <= 1e-12 * abs(ref)
 
     def test_tabulated_identity_matches_quadratic(self):
-        nl = cc.Nonlinearity.custom_tabulated(
-            np.linspace(-1, 1, 21), np.linspace(-1, 1, 21)
+        nl = cc.Nonlinearity.piecewise_linear(
+            np.column_stack([np.linspace(-1, 1, 21), np.linspace(-1, 1, 21)])
         )
         # end-slope extension makes this the identity map everywhere
         assert nl.conjugate_Astar(np.array([5.0]))[0] == pytest.approx(
@@ -167,7 +167,7 @@ class TestPiecewiseNonlinearity:
         s = np.linspace(-2, 2, 9)
         np.savetxt(path, np.column_stack([s, s**3]), delimiter=",")
         nl = cc.Nonlinearity.from_csv(str(path), p_exponent=4.0)
-        assert nl.kind == "custom_tabulated"
+        assert nl.kind == "piecewise_linear"
         assert np.allclose(nl.alpha_eval(s), s**3)
 
 

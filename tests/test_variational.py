@@ -351,7 +351,9 @@ def test_singular_jacobian_stops_newton_unconverged(monkeypatch):
         args = stage_args(unit_problem(p, 3.0, M, N), eps)
         stage = _StageAt(np.zeros((N, M)), *args)
         jac = stage.jacobian()
-        assert jac.time_invariant() and jac.solve_time_invariant(-stage.F) is None
+        assert jac.time_invariant()
+        with pytest.raises(np.linalg.LinAlgError):
+            jac.solve_time_invariant(-stage.F)
         stage, history, converged, _ = newton_fixed_point(
             np.zeros((N, M)), *args, 1e-10, 5
         )
