@@ -28,6 +28,7 @@ from .discretize import (
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
+    dual_bochner_norm,
     format_field,
     read_field_csv,
     write_csv,
@@ -175,21 +176,19 @@ def _build_nonlinearity(spec: dict, p: float, path: str) -> cc.Nonlinearity:
     if kind == "piecewise_linear":
         _known(spec, ("kind", "breakpoints"), path)
         pts = _numbers(spec, "breakpoints", path, pairs=True)
-        return _checked(path, cc.Nonlinearity.piecewise_linear, pts, p_exponent=p)
+        return _checked(path, cc.Nonlinearity.piecewise_linear, pts)
     if kind == "custom_tabulated":
         if "path" in spec:
             _known(spec, ("kind", "path"), path)
             table = _get(spec, "path", path, str)
-            return _checked(
-                f"{path}.path", cc.Nonlinearity.from_csv, table, p_exponent=p
-            )
+            return _checked(f"{path}.path", cc.Nonlinearity.from_csv, table)
         _known(spec, ("kind", "s_values", "alpha_values"), path)
         s = _numbers(spec, "s_values", path)
         al = _numbers(spec, "alpha_values", path)
         if len(s) != len(al):
             raise ConfigError(path, f"{len(s)} s_values but {len(al)} alpha_values")
         pts = np.column_stack([s, al])
-        return _checked(path, cc.Nonlinearity.piecewise_linear, pts, p_exponent=p)
+        return _checked(path, cc.Nonlinearity.piecewise_linear, pts)
     raise ConfigError(f"{path}.kind", f"unknown nonlinearity kind {kind!r}")
 
 
@@ -325,9 +324,14 @@ def _build_problem(doc: dict) -> ProblemSpec:
         f = _build_forcing(fspec, smesh, tmesh, f"{path}.forcing")
     except MemoryError as exc:
         raise too_large from exc
-    return _checked(
+    prob = _checked(
         path, ProblemSpec, p=p, m=m, nl=nl, a=a, f=f, smesh=smesh, tmesh=tmesh
     )
+    # the stage bound scales with this norm, and an infinite bound would
+    # pass any residual
+    if not math.isfinite(dual_bochner_norm(prob.f, prob)):
+        raise ConfigError(f"{path}.forcing", "its dual norm exceeds the float range")
+    return prob
 
 
 def _build_cascade(doc: dict) -> CascadeParams:

@@ -66,27 +66,26 @@ class Nonlinearity:
     knots with the end segment slopes; at a knot the derivative takes the
     left segment's slope, a single-valued selection.
 
-    p_exponent is the growth exponent used by the norm bookkeeping.
+    p_exponent is a power map's exponent p > 1, which ProblemSpec checks
+    against its p; a table carries none, and its p_exponent is None.
     """
 
     def __init__(
         self,
         kind: str,
-        p_exponent: float,
+        p_exponent: float | None = None,
         knots: np.ndarray | None = None,
         values: np.ndarray | None = None,
     ) -> None:
-        if p_exponent <= 1.0:
-            raise ValueError(f"p_exponent must exceed 1, got {p_exponent}")
         if kind not in ("power", "piecewise_linear"):
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
+        if kind == "power" and not (p_exponent or 0.0) > 1.0:
+            raise ValueError(f"p_exponent must exceed 1, got {p_exponent}")
+        if kind == "piecewise_linear" and p_exponent is not None:
+            raise ValueError("a table carries no exponent")
         self.kind = kind
-        self.p_exponent = float(p_exponent)
-        if kind == "power":
-            self._knots = None
-            self._values = None
-            self._cum = None
-        else:
+        self.p_exponent = None if p_exponent is None else float(p_exponent)
+        if kind == "piecewise_linear":
             knots = _require_finite(knots, "nonlinearity knots")
             values = _require_finite(values, "nonlinearity values")
             if knots.ndim != 1 or knots.size < 2 or values.shape != knots.shape:
@@ -114,22 +113,20 @@ class Nonlinearity:
         return cls("power", p)
 
     @classmethod
-    def piecewise_linear(
-        cls, breakpoints: "np.ndarray | list", p_exponent: float = 2.0
-    ) -> "Nonlinearity":
+    def piecewise_linear(cls, breakpoints: "np.ndarray | list") -> "Nonlinearity":
         pts = np.asarray(breakpoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("breakpoints must be an (n, 2) array of (s, alpha(s))")
-        return cls("piecewise_linear", p_exponent, pts[:, 0], pts[:, 1])
+        return cls("piecewise_linear", None, pts[:, 0], pts[:, 1])
 
     @classmethod
-    def from_csv(cls, path: str, p_exponent: float = 2.0) -> "Nonlinearity":
+    def from_csv(cls, path: str) -> "Nonlinearity":
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(
                 f"{path} has {data.shape[1]} columns, expected two: s, alpha(s)"
             )
-        return cls.piecewise_linear(data, p_exponent)
+        return cls.piecewise_linear(data)
 
     # -- piecewise helpers
 
@@ -435,7 +432,9 @@ def _newton(
 
     equation(v) returns (state, norm): what step needs at v and the dual
     norm of the equation residual there.  v solves the equation once that
-    norm is at most tol, an absolute bound: any scale is the caller's.
+    norm is finite and at most tol, an absolute bound: any scale is the
+    caller's.  An infinite norm never converges, not even under an
+    infinite bound.
     step(v, state) is the Newton step at v; it raises LinAlgError when its
     linear system is singular, and a MemoryError is a system too large to
     allocate, a step that cannot be taken either.  Every step is tried
@@ -450,7 +449,7 @@ def _newton(
     state, res = equation(u)
     history = [res]
     while True:
-        if res <= tol:
+        if res <= tol and math.isfinite(res):
             return u, history, True, state
         if len(history) > max_iter:
             break

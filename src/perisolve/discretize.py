@@ -33,7 +33,6 @@ __all__ = [
     "norm_V",
     "norm_X",
     "pairing",
-    "bochner_norm",
     "dual_bochner_norm",
     "FIELD_COLUMNS",
     "format_field",
@@ -120,7 +119,7 @@ def validate_trajectory(
 class ProblemSpec:
     """One full problem instance.
 
-    Exponents p (state-space norm, matches the rate nonlinearity) and
+    Exponents p (state-space norm, matches a power rate map's) and
     m (gradient-energy exponent), the rate nonlinearity `nl`, the cellwise
     diffusion coefficient `a`, the sampled forcing `f` of shape (N, M), and
     the two meshes.  In one space dimension the compact-embedding
@@ -141,7 +140,7 @@ class ProblemSpec:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if not self.m > 1.0:
             raise ValueError(f"m must exceed 1, got {self.m}")
-        if abs(self.nl.p_exponent - self.p) > 1e-12:
+        if self.nl.kind == "power" and abs(self.nl.p_exponent - self.p) > 1e-12:
             raise ValueError(
                 "nonlinearity exponent "
                 f"{self.nl.p_exponent} does not match problem p = {self.p}"
@@ -192,7 +191,9 @@ def norm_V(v: np.ndarray, p: float, smesh: SpatialMesh) -> float | np.ndarray:
     A dual field's norm in V* is this norm at the conjugate exponent p'.
     For a constant field this misses the two boundary half-cells, so the
     value is (L - dx)^(1/p) rather than L^(1/p); the O(dx) defect is the
-    documented boundary-cell quadrature convention.
+    documented boundary-cell quadrature convention.  The powers are not
+    scaled, so where |v_i|^p leaves the float range the norm reads inf or
+    0; a dual trajectory's norm is dual_bochner_norm, which scales them.
     """
     v = np.asarray(v, dtype=float)
     return (smesh.dx * np.sum(np.abs(v) ** p, axis=-1)) ** (1.0 / p)
@@ -212,43 +213,29 @@ def norm_X(v: np.ndarray, m: float, smesh: SpatialMesh) -> float | np.ndarray:
     return (smesh.dx * np.sum(np.abs(dv) ** m, axis=-1)) ** (1.0 / m)
 
 
-def bochner_norm(slice_norms: np.ndarray, r: float, tmesh: TemporalMesh) -> float:
-    """Time-integrated norm (sum_n dt |u_n|^r)^(1/r); r = inf gives max_n.
-
-    `slice_norms` holds the spatial norm |u_n| of every slice, shape (N,),
-    as norm_V returns it for a trajectory.
-    """
-    slice_norms = np.asarray(slice_norms, dtype=float)
-    if slice_norms.shape != (tmesh.step_count,):
-        raise ValueError(
-            f"slice norms must have shape ({tmesh.step_count},), "
-            f"got {slice_norms.shape}"
-        )
-    if math.isinf(r):
-        return float(np.max(slice_norms))
-    if r < 1.0:
-        raise ValueError(f"exponent r must be >= 1 or inf, got {r}")
-    return float((tmesh.dt * np.sum(slice_norms**r)) ** (1.0 / r))
-
-
 def dual_bochner_norm(xi: np.ndarray, prob: ProblemSpec) -> float:
     """Norm of a dual trajectory: p' in time, the nodal V* norm in space.
 
-    This is the norm every residual and dual forcing of the problem is
-    measured in.  It is bochner_norm(norm_V(xi, p', smesh), p', tmesh)
-    bit for bit, by the same operations in the same order (each slice's
-    root, then its p'-th power), in one pass.
+    Every residual and dual forcing of the problem is measured in it.  With
+    one exponent p' in time and space it is one power sum over the
+    trajectory, (dt dx sum_{n,i} |xi_{n,i}|^p')^(1/p').  The entries are
+    divided by s = max |xi| before they are powered, as LAPACK's dnrm2
+    scales its sum, so the sum neither overflows nor underflows unless the
+    norm itself does: s (dt dx sum |xi/s|^p')^(1/p').  The norm is 0 for
+    xi = 0 and not finite when an entry is not.
     """
-    pc, N = prob.p_conj, prob.tmesh.step_count
+    N = prob.tmesh.step_count
     xi = np.asarray(xi, dtype=float)
     if xi.shape[:-1] != (N,):
-        raise ValueError(f"slice norms must have shape ({N},), got {xi.shape[:-1]}")
+        raise ValueError(f"a dual trajectory needs {N} slices, got shape {xi.shape}")
     powers = np.abs(xi)
-    powers **= pc
-    slices = prob.smesh.dx * np.add.reduce(powers, axis=-1)
-    slices **= 1.0 / pc
-    slices **= pc
-    return float((prob.tmesh.dt * np.add.reduce(slices)) ** (1.0 / pc))
+    s = float(np.max(powers))
+    if not 0.0 < s < math.inf:  # zero, infinite or NaN
+        return s
+    powers /= s
+    powers **= prob.p_conj
+    total = prob.tmesh.dt * prob.smesh.dx * np.add.reduce(powers, axis=None)
+    return s * float(total ** (1.0 / prob.p_conj))
 
 
 # ---------------------------------------------------------------------------

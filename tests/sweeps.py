@@ -97,7 +97,7 @@ def problems(family: Family) -> Iterator[tuple[int, ProblemSpec]]:
             alpha = np.append(0.0, np.cumsum(slopes * np.diff(s)))
             alpha -= alpha[np.searchsorted(s, 0.0)]
             table = np.column_stack([s, alpha])
-            prob = replace(prob, nl=Nonlinearity.piecewise_linear(table, p_exponent=p))
+            prob = replace(prob, nl=Nonlinearity.piecewise_linear(table))
         yield index, prob
 
 

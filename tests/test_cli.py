@@ -1407,6 +1407,42 @@ def test_band_too_large_to_allocate_exits_2_but_reports(tmp_path, bundled_config
     assert (out / "trajectory.csv").exists()
 
 
+# the bundled nonlinear config with p = 1.0001 (p' = 10001, |f| <= 1.5), or
+# with its first forcing amplitude at 1e300: the forcing's powers |f_i|^p'
+# leave the float range, though its dual norm does not
+@pytest.mark.parametrize("p, amplitude", [(1.0001, 1.0), (2.5, 1e300)])
+def test_forcing_powers_past_the_float_range_do_not_converge_a_stage(
+    tmp_path, bundled_config_dir, p, amplitude
+):
+    doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
+    doc["problem"]["p"] = p
+    doc["problem"]["forcing"]["terms"][0]["amplitude"] = amplitude
+    path = write_config(tmp_path, doc)
+    for command in ("solve", "verify"):
+        out = tmp_path / command
+        code = cli.main([command, "--config", path, "--output", str(out), "--quiet"])
+        rep = json.loads((out / "report.json").read_text())
+        assert code == rep["exit_code"] == cli.EXIT_NOCONV
+        assert rep["converged"] is False
+        assert 0.0 < rep["final_residual_AP"] < inf
+        assert all(0.0 < s["residual_scale"] < inf for s in rep["stages"])
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_forcing_whose_dual_norm_overflows_exits_1_and_names_it(
+    tmp_path, capsys, bundled_config_dir, command
+):
+    # every entry is finite, but on L = T = 4 the norm exceeds the float range
+    doc = json.loads((bundled_config_dir / "nonlinear_diffusion.json").read_text())
+    doc["problem"].update(L=4.0, T=4.0)
+    doc["problem"]["forcing"]["terms"][0]["amplitude"] = 1.5e308
+    out = tmp_path / "o"
+    argv = [command, "--config", write_config(tmp_path, doc), "--output", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error: problem.forcing: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_the_names_the_bench_tracer_times_exist():
     # bench/tracer.py finds these functions by name; a rename would leave
     # its timers empty without an error

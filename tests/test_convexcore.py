@@ -166,8 +166,8 @@ class TestPiecewiseNonlinearity:
         path = tmp_path / "alpha.csv"
         s = np.linspace(-2, 2, 9)
         np.savetxt(path, np.column_stack([s, s**3]), delimiter=",")
-        nl = cc.Nonlinearity.from_csv(str(path), p_exponent=4.0)
-        assert nl.kind == "piecewise_linear"
+        nl = cc.Nonlinearity.from_csv(str(path))
+        assert nl.kind == "piecewise_linear" and nl.p_exponent is None
         assert np.allclose(nl.alpha_eval(s), s**3)
 
 

@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,6 @@ from perisolve.discretize import (
     ProblemSpec,
     SpatialMesh,
     TemporalMesh,
-    bochner_norm,
     cell_gradient,
     dual_bochner_norm,
     format_field,
@@ -152,28 +154,24 @@ def test_norm_X_quadrature_error_is_second_order():
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
-def test_bochner_norm_values_and_validation():
-    tm = TemporalMesh(2.0, 8)
-    u = np.full((8, 3), 1.5)
-    sm = SpatialMesh(1.0, 3)
-    sn = norm_V(u, 2.0, sm)
-    const_slice = norm_V(u[0], 2.0, sm)
-    assert bochner_norm(sn, 2.0, tm) == pytest.approx(
-        const_slice * 2.0**0.5, rel=1e-13
-    )
-    assert bochner_norm(sn, np.inf, tm) == pytest.approx(const_slice)
-    with pytest.raises(ValueError, match="exponent r"):
-        bochner_norm(sn, 0.5, tm)
-    with pytest.raises(ValueError, match="slice norms must have shape"):
-        bochner_norm(np.zeros(3), 2.0, tm)
+def exact_dual_norm(xi, prob):
+    """(dt dx sum |xi|^p')^(1/p') of the float inputs in 40-digit decimal
+    arithmetic, each power y^r as exp(r ln y), rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        pc = Decimal(prob.p_conj)
+        total = sum((Decimal(abs(x)).ln() * pc).exp() for x in np.ravel(xi) if x)
+        if not total:
+            return 0.0
+        total *= Decimal(prob.tmesh.dt) * Decimal(prob.smesh.dx)
+        return float((total.ln() / pc).exp())
 
 
 @pytest.mark.parametrize("N", [2, 3, 17])
 @pytest.mark.parametrize("p", [4.0, 3.0, 2.0, 1.5])  # p' = 4/3, 3/2, 2, 3
-def test_dual_bochner_norm_is_the_two_step_norm_bit_for_bit(rng, p, N):
+def test_dual_bochner_norm_is_the_scaled_power_sum(rng, p, N):
     prob = unit_problem(p, 2.0, 5, N)
-    pc, sm, tm = prob.p_conj, prob.smesh, prob.tmesh
-    assert pc == p / (p - 1.0)
+    assert prob.p_conj == p / (p - 1.0)
     extremes = [0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1e-150, -3e-150,
                 1e150, -7e149, 1.0]
     for trial in range(8):
@@ -184,12 +182,23 @@ def test_dual_bochner_norm_is_the_two_step_norm_bit_for_bit(rng, p, N):
         xi[hits] = rng.choice(extremes, size=int(hits.sum()))
         if trial < len(extremes):
             xi[trial % N] = extremes[trial]
-        # |1e150|^3 overflows to inf on both paths
-        with np.errstate(over="ignore"):
-            want = bochner_norm(norm_V(xi, pc, sm), pc, tm)
-            got = dual_bochner_norm(xi, prob)
-        assert got == want, (trial, xi)
-    with pytest.raises(ValueError, match="slice norms must have shape"):
+        want = exact_dual_norm(xi, prob)
+        got = dual_bochner_norm(xi, prob)
+        assert abs(got - want) <= 4 * math.ulp(want), (trial, xi)
+    # entries of 1e150 at p' = 3 and a 1e-200 sin field at p' >= 2 leave the
+    # float range when powered unscaled; their norms do not
+    for xi in (np.full((N, 5), 1e150), 1e-200 * np.sin(1.0 + np.arange(5 * N))):
+        xi = xi.reshape(N, 5)
+        want = exact_dual_norm(xi, prob)
+        assert 0.0 < want < math.inf
+        assert abs(dual_bochner_norm(xi, prob) - want) <= 4 * math.ulp(want)
+    assert dual_bochner_norm(np.zeros((N, 5)), prob) == 0.0
+    xi = np.ones((N, 5))
+    xi[-1, 2] = np.inf
+    assert dual_bochner_norm(xi, prob) == math.inf
+    xi[0, 0] = np.nan
+    assert math.isnan(dual_bochner_norm(xi, prob))
+    with pytest.raises(ValueError, match=f"needs {N} slices"):
         dual_bochner_norm(np.zeros((N + 1, 5)), prob)
 
 

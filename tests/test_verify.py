@@ -323,9 +323,7 @@ class TestGrowthAudit:
 
     def test_non_power_map_omits_homogeneous_ratio(self):
         prob = unit_problem(2.0, 3.0, 12, 4)
-        pw = cc.Nonlinearity.piecewise_linear(
-            [(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5)], p_exponent=2.0
-        )
+        pw = cc.Nonlinearity.piecewise_linear([(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5)])
         tab = vf.growth_audit(replace(prob, nl=pw), sample_count=8)
         ineq = tab.column("inequality")
         ratios = tab.column("homogeneous_ratio").astype(float)
